@@ -1,12 +1,14 @@
 """Reproducible experiment orchestration.
 
-Each experiment resolves a config (file values over defaults, CLI
-overrides over both), runs seeded Monte Carlo or exact checks, and writes
-one CSV with a fixed column order plus a summary JSON carrying the fully
-resolved config, versions and wall time. Randomness is split
-counter-style: the generator of chunk c of parameter point i is
-default_rng(SeedSequence(master_seed, spawn_key=(i, c))) with a fixed
-chunk size, so outputs are byte-identical at any thread count.
+Every experiment is declared once, by its entry in REGISTRY at the end of
+this module: its runner, default trial count, whether it is Monte Carlo or
+a verify mode, and each parameter's default and allowed range. A config
+resolves file values over those defaults, CLI overrides over both, and is
+checked against the entry; the run writes one CSV with a fixed column
+order plus a summary JSON carrying the fully resolved config, versions and
+wall time. Randomness is split counter-style: the generator of chunk c of
+parameter point i is default_rng(SeedSequence(master_seed, spawn_key=(i, c)))
+with a fixed chunk size, so outputs are byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -27,11 +30,9 @@ from . import stabilizer_steane as stn
 from . import wstate_code as wsc
 from .mixed_radix_sim import fidelity
 
-EXPERIMENTS = ("pnl-sweep", "correlated-errors", "bound-validate",
-               "wstate-verify", "allocation-report", "apples")
-
 DEFAULT_SEED = 20250811
 DEFAULT_CHUNK = 8192
+MIN_MC_TRIALS = 100
 
 
 class ConfigError(ValueError):
@@ -49,70 +50,73 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-# parameter schema per experiment: name -> default (type is the default's type)
-_PARAM_SCHEMA = {
-    "pnl-sweep": {
-        "p_local": 2e-4,
-        "p_remote": 2e-3,
-        "n_blocks": 7,
-        "depth_min": 2,
-        "depth_max": 400,
-        "depth_points": 14,
-        "depths": [],          # explicit grid overrides the geometric one
-    },
-    "correlated-errors": {
-        "mean_rate_min": 2e-3,
-        "mean_rate_max": 5e-2,
-        "rate_points": 8,
-        "std_factor": 0.5,
-        "n_processors": 7,
-        "rate_clip_max": 0.5,
-    },
-    "bound-validate": {
-        "n_list": [3, 7, 20],
-        "mean_rate_min": 1e-3,
-        "mean_rate_max": 5e-2,
-        "rate_points": 6,
-        "std_factor": 0.5,
-        "rate_clip_max": 0.1,
-        "lemma_cases": 10000,
-    },
-    "wstate-verify": {
-        "max_total_sites": 8,
-        "max_erasures": 3,
-        "n_unitaries": 100,
-        "n_random_logical": 20,
-    },
-    "allocation-report": {
-        "ell_c_max": 25,
-        "n_p_list": [2, 3, 4],
-        "brute_force_ell_max": 9,
-        "d_enc_dec": 7,
-    },
-    "apples": {
-        "bin_probs": [0.6, 0.2, 0.05],
-        "cutoff_anchor": 0.073,
-        "cutoff_tolerance": 0.005,
-    },
-}
+@dataclass(frozen=True)
+class Param:
+    """A setting's type, default and allowed closed range [lo, hi].
 
-_DEFAULT_TRIALS = {
-    "pnl-sweep": 100000,
-    "correlated-errors": 10000,
-    "bound-validate": 10000,
-    "wstate-verify": 1,
-    "allocation-report": 1,
-    "apples": 1,
-}
+    A list setting declares `size`, the (min, max) bounds of its length;
+    its type and range then apply to every element. None leaves a bound open.
+    """
 
-_TOP_KEYS = {"experiment", "seed", "trials", "out", "threads", "chunk_size", "params"}
+    type: type
+    default: object
+    lo: float | None = None
+    hi: float | None = None
+    size: tuple[int, int | None] | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """The one declaration of an experiment, as its REGISTRY entry."""
+
+    runner: Callable
+    trials: int                   # default trials per parameter point
+    params: dict[str, Param]
+    monte_carlo: bool = False     # estimates need at least MIN_MC_TRIALS trials
+    verify: bool = False          # a failed check exits 3
+    ordered: tuple[tuple[str, str], ...] = ()  # (a, b): params a <= b
+
+
+# settable top-level keys besides `experiment` and `params`
+_TOP = {
+    "seed": Param(int, DEFAULT_SEED, 0),
+    "trials": Param(int, 0, 0),
+    "out": Param(str, "results"),
+    "threads": Param(int, 1, 1),
+    "chunk_size": Param(int, DEFAULT_CHUNK, 1),
+}
+_OVERRIDES = ("seed", "trials", "out", "threads")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _within(name: str, value, lo, hi):
+    # written as `not value >= lo` so that NaN fails too
+    if lo is not None and not value >= lo:
+        raise ConfigError(f"{name} must be at least {lo}")
+    if hi is not None and not value <= hi:
+        raise ConfigError(f"{name} must be at most {hi}")
+
+
+def _check(name: str, spec: Param, value):
+    items = [value]
+    if spec.size is not None:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        _within(f"length of {name}", len(value), *spec.size)
+        name, items = f"each entry of {name}", value
+    accepted = (int, float) if spec.type is float else spec.type
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, accepted):
+            raise ConfigError(f"{name} must be {_TYPE_NAMES[spec.type]}")
+        _within(name, v, spec.lo, spec.hi)
 
 
 def load_config(experiment: str | None = None, path: str | None = None,
                 overrides: dict | None = None) -> ExperimentConfig:
     """Resolve a config from defaults, an optional YAML file, and overrides.
 
-    Unknown keys anywhere are errors; so are out-of-range values.
+    Unknown keys anywhere are errors; so are values of the wrong type or
+    outside the range the experiment's REGISTRY entry declares.
     """
     data: dict = {}
     if path is not None:
@@ -125,7 +129,7 @@ def load_config(experiment: str | None = None, path: str | None = None,
             raise ConfigError(f"config file is not valid YAML: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - {"experiment", "params", *_TOP}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     exp = data.get("experiment", experiment)
@@ -134,80 +138,34 @@ def load_config(experiment: str | None = None, path: str | None = None,
             f"config file is for {data['experiment']!r}, requested {experiment!r}")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+    entry = REGISTRY[exp]
 
-    params = dict(_PARAM_SCHEMA[exp])
     given = data.get("params", {}) or {}
     if not isinstance(given, dict):
         raise ConfigError("params must be a mapping")
-    unknown = set(given) - set(params)
+    unknown = set(given) - set(entry.params)
     if unknown:
         raise ConfigError(f"unknown params for {exp}: {sorted(unknown)}")
-    for key, value in given.items():
-        default = params[key]
-        if isinstance(default, bool) or isinstance(value, bool):
-            raise ConfigError(f"param {key} has no boolean form")
-        if isinstance(default, int) and not isinstance(value, int):
-            raise ConfigError(f"param {key} must be an integer")
-        if isinstance(default, float) and not isinstance(value, (int, float)):
-            raise ConfigError(f"param {key} must be a number")
-        if isinstance(default, list) and not isinstance(value, list):
-            raise ConfigError(f"param {key} must be a list")
-        params[key] = value
-
-    cfg = ExperimentConfig(
-        experiment=exp,
-        master_seed=int(data.get("seed", DEFAULT_SEED)),
-        trials=int(data.get("trials", 0)),
-        out_dir=str(data.get("out", "results")),
-        threads=int(data.get("threads", 1)),
-        chunk_size=int(data.get("chunk_size", DEFAULT_CHUNK)),
-        params=params,
-    )
+    top = {key: data.get(key, spec.default) for key, spec in _TOP.items()}
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key == "seed":
-            cfg.master_seed = int(value)
-        elif key == "trials":
-            cfg.trials = int(value)
-        elif key == "out":
-            cfg.out_dir = str(value)
-        elif key == "threads":
-            cfg.threads = int(value)
-        else:
+        if key not in _OVERRIDES:
             raise ConfigError(f"unknown override {key}")
-    if cfg.trials == 0:
-        cfg.trials = _DEFAULT_TRIALS[exp]
-    if cfg.trials < 1:
-        raise ConfigError("trials must be positive")
-    if exp in ("pnl-sweep", "correlated-errors", "bound-validate") and cfg.trials < 100:
-        raise ConfigError("no estimate from fewer than 100 trials")
-    if cfg.threads < 1 or cfg.chunk_size < 1:
-        raise ConfigError("threads and chunk_size must be positive")
-    _validate_params(cfg)
-    return cfg
-
-
-def _validate_params(cfg: ExperimentConfig):
-    p = cfg.params
-    def _probability(name):
-        if not 0.0 <= float(p[name]) <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1]")
-    if cfg.experiment == "pnl-sweep":
-        _probability("p_local")
-        _probability("p_remote")
-        if p["depth_min"] < 1 or p["depth_max"] < p["depth_min"] or p["depth_points"] < 1:
-            raise ConfigError("invalid depth grid")
-    elif cfg.experiment in ("correlated-errors", "bound-validate"):
-        if p["mean_rate_min"] <= 0 or p["mean_rate_max"] < p["mean_rate_min"]:
-            raise ConfigError("invalid mean-rate grid")
-        _probability("rate_clip_max")
-        if p["std_factor"] < 0:
-            raise ConfigError("std_factor must be nonnegative")
-    elif cfg.experiment == "apples":
-        for v in p["bin_probs"]:
-            if not 0.0 <= float(v) < 1.0:
-                raise ConfigError("bin probabilities must lie in [0, 1)")
+        top[key] = value
+    params = {key: given.get(key, spec.default) for key, spec in entry.params.items()}
+    for key, spec in _TOP.items():
+        _check(key, spec, top[key])
+    for key, spec in entry.params.items():
+        _check(f"param {key}", spec, params[key])
+    for a, b in entry.ordered:
+        if params[a] > params[b]:
+            raise ConfigError(f"param {a} must not exceed {b}")
+    trials = top["trials"] or entry.trials
+    if entry.monte_carlo and trials < MIN_MC_TRIALS:
+        raise ConfigError(f"no estimate from fewer than {MIN_MC_TRIALS} trials")
+    return ExperimentConfig(exp, top["seed"], trials, top["out"], top["threads"],
+                            top["chunk_size"], params)
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
@@ -242,6 +200,18 @@ def _map_ordered(fn, tasks, threads: int) -> list:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, tasks))
+
+
+def _seeded_chunks(cfg: ExperimentConfig, point_index: int, fn) -> list:
+    """fn(rng, count) on every chunk of one parameter point, in chunk order.
+
+    Chunk c draws from point_rng(cfg.master_seed, point_index, c), so the
+    results do not depend on cfg.threads.
+    """
+    def task(item):
+        chunk_index, count = item
+        return fn(point_rng(cfg.master_seed, point_index, chunk_index), count)
+    return _map_ordered(task, chunk_plan(cfg.trials, cfg.chunk_size), cfg.threads)
 
 
 def binomial_ci95(successes: float, trials: int) -> float:
@@ -305,17 +275,12 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     for point_index, (scheme, layout, depth) in enumerate(points):
         circuit = stn.build_ghz_mirror(layout, depth)
 
-        def task(item, _circuit=circuit, _layout=layout, _pi=point_index):
-            chunk_index, count = item
-            rng = point_rng(cfg.master_seed, _pi, chunk_index)
-            xf, zf = stn.run_circuit_trials(_circuit, _layout, noise, rng, count)
-            any_fail = int(np.count_nonzero(np.any(xf | zf, axis=0)))
-            x_fail = int(np.count_nonzero(np.any(xf, axis=0)))
-            return any_fail, x_fail
+        def run_chunk(rng, count):
+            xf, zf = stn.run_circuit_trials(circuit, layout, noise, rng, count)
+            return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
+                    int(np.count_nonzero(np.any(xf, axis=0))))
 
-        results = _map_ordered(task, chunk_plan(cfg.trials, cfg.chunk_size), cfg.threads)
-        failures = sum(r[0] for r in results)
-        x_failures = sum(r[1] for r in results)
+        failures, x_failures = map(sum, zip(*_seeded_chunks(cfg, point_index, run_chunk)))
         success = 1.0 - failures / cfg.trials
         fid = 1.0 - x_failures / cfg.trials
         rows.append({
@@ -374,10 +339,8 @@ def run_correlated_errors(cfg: ExperimentConfig):
     dist_procs = np.arange(stn.N_DATA) % n_proc
     rows = []
     for point_index, mean in enumerate(grid):
-        def task(item, _mean=float(mean), _pi=point_index):
-            chunk_index, count = item
-            rng = point_rng(cfg.master_seed, _pi, chunk_index)
-            eps = bnd.sample_profiles(n_proc, _mean, std_factor * _mean, rng,
+        def run_chunk(rng, count):
+            eps = bnd.sample_profiles(n_proc, float(mean), std_factor * float(mean), rng,
                                       count, clip=(0.0, clip_max))
             # local blocks are uniform at their processor's rate
             f_local = stn.steane_failure_probabilities_uniform(
@@ -390,13 +353,8 @@ def run_correlated_errors(cfg: ExperimentConfig):
                     float((ler_local**2).sum()), float((ler_dist**2).sum()),
                     float((ler_local * ler_dist).sum()), count)
 
-        results = _map_ordered(task, chunk_plan(cfg.trials, cfg.chunk_size), cfg.threads)
-        s_l = sum(r[0] for r in results)
-        s_d = sum(r[1] for r in results)
-        s_ll = sum(r[2] for r in results)
-        s_dd = sum(r[3] for r in results)
-        s_ld = sum(r[4] for r in results)
-        n = sum(r[5] for r in results)
+        chunks = _seeded_chunks(cfg, point_index, run_chunk)
+        s_l, s_d, s_ll, s_dd, s_ld, n = map(sum, zip(*chunks))
         mu_l, mu_d = s_l / n, s_d / n
         var_l = max(s_ll / n - mu_l**2, 0.0)
         var_d = max(s_dd / n - mu_d**2, 0.0)
@@ -437,13 +395,7 @@ def run_bound_validate(cfg: ExperimentConfig):
     point_index = 0
     for n in p["n_list"]:
         for mean in grid:
-            ratios_exact = []
-            ratios_approx = []
-            meets = 0
-            total = 0
-            sums = np.zeros(3)  # difference, exact bound, approximate bound
-            for chunk_index, count in chunk_plan(cfg.trials, cfg.chunk_size):
-                rng = point_rng(cfg.master_seed, point_index, chunk_index)
+            def run_chunk(rng, count):
                 eps = bnd.sample_profiles(n, float(mean), std_factor * float(mean),
                                           rng, count, clip=(0.0, clip_max))
                 x = 1.0 - eps
@@ -456,20 +408,20 @@ def run_bound_validate(cfg: ExperimentConfig):
                 # zero-spread profiles say nothing about the bound; rounding
                 # noise in the variance would otherwise dominate them
                 ok = sigma2 > 1e-30
-                meets += int(np.count_nonzero(diff[ok] >= bound_exact[ok]) +
-                             np.count_nonzero(~ok))
-                total += count
-                sums += (diff.sum(), bound_exact.sum(), bound_approx.sum())
-                ratios_exact.append(diff[ok] / bound_exact[ok])
-                ratios_approx.append(diff[ok] / bound_approx[ok])
-            re = np.concatenate(ratios_exact) if ratios_exact else np.array([])
-            ra = np.concatenate(ratios_approx) if ratios_approx else np.array([])
+                meets = int(np.count_nonzero(diff[ok] >= bound_exact[ok]) +
+                            np.count_nonzero(~ok))
+                return (meets, count, diff.sum(), bound_exact.sum(), bound_approx.sum(),
+                        diff[ok] / bound_exact[ok], diff[ok] / bound_approx[ok])
+
+            chunks = list(zip(*_seeded_chunks(cfg, point_index, run_chunk)))
+            meets, total, s_diff, s_exact, s_approx = map(sum, chunks[:5])
+            re, ra = np.concatenate(chunks[5]), np.concatenate(chunks[6])
             rows.append({
                 "experiment": cfg.experiment, "kind": "sweep", "n": n,
                 "mean_rate": float(mean), "trials": total,
-                "mean_difference": sums[0] / total,
-                "mean_bound_exact": sums[1] / total,
-                "mean_bound_approx": sums[2] / total,
+                "mean_difference": s_diff / total,
+                "mean_bound_exact": s_exact / total,
+                "mean_bound_approx": s_approx / total,
                 "frac_meeting_exact_bound": meets / total,
                 "median_ratio_exact": float(np.median(re)) if re.size else 1.0,
                 "median_ratio_approx": float(np.median(ra)) if ra.size else 1.0,
@@ -699,20 +651,69 @@ def run_apples(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # entry points
 
-_RUNNERS = {
-    "pnl-sweep": run_pnl_sweep,
-    "correlated-errors": run_correlated_errors,
-    "bound-validate": run_bound_validate,
-    "wstate-verify": run_wstate_verify,
-    "allocation-report": run_allocation_report,
-    "apples": run_apples,
+# Ranges keep every accepted config runnable: each bound marks where a run
+# would divide by zero, index an empty layout, find nothing to check or
+# outgrow memory (an erased 8-site W word is already a 3^8 x 3^8 density).
+# Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
+# in rounding 1 - f, and the relative advantage divides by the local rate.
+_RATE = dict(lo=1e-6, hi=1.0)
+_RATE_GRID = (("mean_rate_min", "mean_rate_max"),)
+REGISTRY = {
+    "pnl-sweep": Experiment(run_pnl_sweep, 100000, {
+        "p_local": Param(float, 2e-4, 0.0, 1.0),
+        "p_remote": Param(float, 2e-3, 0.0, 1.0),
+        # one block has no CNOT chain, so its circuit never reaches a depth
+        "n_blocks": Param(int, 7, 2, 100),
+        "depth_min": Param(int, 2, 1, 10000),
+        "depth_max": Param(int, 400, 1, 10000),
+        "depth_points": Param(int, 14, 1, 1000),
+        # an explicit grid overrides the geometric one
+        "depths": Param(int, [], 1, 10000, size=(0, 1000)),
+    }, monte_carlo=True, ordered=(("depth_min", "depth_max"),)),
+    "correlated-errors": Experiment(run_correlated_errors, 10000, {
+        "mean_rate_min": Param(float, 2e-3, **_RATE),
+        "mean_rate_max": Param(float, 5e-2, **_RATE),
+        "rate_points": Param(int, 8, 1, 1000),
+        "std_factor": Param(float, 0.5, 0.0, 10.0),
+        "n_processors": Param(int, 7, 1, 100),
+        "rate_clip_max": Param(float, 0.5, **_RATE),
+    }, monte_carlo=True, ordered=_RATE_GRID),
+    "bound-validate": Experiment(run_bound_validate, 10000, {
+        "n_list": Param(int, [3, 7, 20], 1, 100, size=(1, None)),
+        "mean_rate_min": Param(float, 1e-3, **_RATE),
+        "mean_rate_max": Param(float, 5e-2, **_RATE),
+        "rate_points": Param(int, 6, 1, 1000),
+        "std_factor": Param(float, 0.5, 0.0, 10.0),
+        "rate_clip_max": Param(float, 0.1, **_RATE),
+        "lemma_cases": Param(int, 10000, 1),
+    }, monte_carlo=True, verify=True, ordered=_RATE_GRID),
+    "wstate-verify": Experiment(run_wstate_verify, 1, {
+        "max_total_sites": Param(int, 8, 2, 8),
+        "max_erasures": Param(int, 3, 0, 7),
+        "n_unitaries": Param(int, 100, 1),
+        "n_random_logical": Param(int, 20, 1),
+    }, verify=True),
+    "allocation-report": Experiment(run_allocation_report, 1, {
+        # n_p >= 2 and only ell_c > n_p is reported, so ell_c_max = 3 gives the first row
+        "ell_c_max": Param(int, 25, 3, 1000),
+        "n_p_list": Param(int, [2, 3, 4], 2, 100, size=(1, None)),
+        "brute_force_ell_max": Param(int, 9, 0, 9),  # the exhaustive search's own limit
+        "d_enc_dec": Param(int, 7, 0, 10**6),
+    }, verify=True),
+    "apples": Experiment(run_apples, 1, {
+        # the exhaustive packing search takes 2 to 4 bins; a bin certain to spoil
+        # leaves no contamination cutoff
+        "bin_probs": Param(float, [0.6, 0.2, 0.05], 0.0, math.nextafter(1.0, 0.0),
+                           size=(2, 4)),
+        "cutoff_anchor": Param(float, 0.073, 0.0, 1.0),
+        "cutoff_tolerance": Param(float, 0.005, 0.0, 1.0),
+    }, verify=True),
 }
-
-_VERIFY_MODES = {"wstate-verify", "allocation-report", "apples", "bound-validate"}
+EXPERIMENTS = tuple(REGISTRY)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    return _RUNNERS[cfg.experiment](cfg)
+    return REGISTRY[cfg.experiment].runner(cfg)
 
 
 def execute(cfg: ExperimentConfig) -> int:
@@ -720,6 +721,7 @@ def execute(cfg: ExperimentConfig) -> int:
     from . import __version__
     start = time.time()
     rows, columns, extra, ok = run_experiment(cfg)
+    ok = ok and bool(rows)  # a run that checked nothing has not passed
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.experiment}.csv"
@@ -736,6 +738,6 @@ def execute(cfg: ExperimentConfig) -> int:
     }
     (out / f"{cfg.experiment}_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
-    if cfg.experiment in _VERIFY_MODES and not ok:
+    if REGISTRY[cfg.experiment].verify and not ok:
         return 3
     return 0

@@ -6,8 +6,8 @@ strength depends on whether the gate crosses a processor boundary. The
 module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
-and a code-capacity mode with processor-dependent single-qubit rates plus
-an exact per-block failure-probability evaluator for it.
+and an exact per-block failure-probability evaluator for code-capacity
+noise with processor-dependent single-qubit rates.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     nb = len(layout.blocks)
+    if nb < 2:
+        # a single block has no CNOT chain, so no segment adds a layer
+        raise ValueError("the mirrored GHZ circuit needs at least two blocks")
     circ = CliffordCircuit(layout.n_qubits)
     chain = [(a, a + 1) for a in range(nb - 1)]
     segment: list[tuple] = [("H", 0)]
@@ -355,58 +358,8 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
     return x_flips, z_flips
 
 
-def run_circuit_trial(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
-                      seed: int):
-    """Single trial; returns [(logical_x_flip, logical_z_flip)] per block."""
-    rng = np.random.default_rng(seed)
-    x_flips, z_flips = run_circuit_trials(circuit, layout, noise, rng, 1)
-    return [(bool(x_flips[b, 0]), bool(z_flips[b, 0])) for b in range(len(layout.blocks))]
-
-
 # ---------------------------------------------------------------------------
 # code-capacity mode
-
-
-def code_capacity_batch(layout: MachineLayout, per_processor_rates, rng: np.random.Generator,
-                        n_trials: int):
-    """Sampled code-capacity trials with perfect extraction.
-
-    Every data qubit independently suffers X, Y, or Z (uniformly, total
-    probability = its processor's rate); each block is lookup-decoded.
-    Returns a boolean success array of shape (n_blocks, n_trials).
-    """
-    rates = np.asarray(per_processor_rates, dtype=float)
-    if np.any((rates < 0) | (rates > 1)):
-        raise ValueError("rates must lie in [0, 1]")
-    nb = len(layout.blocks)
-    success = np.zeros((nb, n_trials), dtype=bool)
-    ht = HAMMING_CHECK.T.astype(np.int64)
-    for b, block in enumerate(layout.blocks):
-        eps = rates[[layout.qubit_processor[q] for q in block.data]]
-        u = rng.random((n_trials, N_DATA))
-        kind = rng.integers(0, 3, size=(n_trials, N_DATA))  # 0=X, 1=Y, 2=Z
-        hit = u < eps[None, :]
-        xbits = hit & (kind != 2)
-        zbits = hit & (kind != 0)
-        sx = (xbits.astype(np.int64) @ ht) % 2
-        sz = (zbits.astype(np.int64) @ ht) % 2
-        vx = sx @ np.array([1, 2, 4])
-        vz = sz @ np.array([1, 2, 4])
-        rows = np.nonzero(vx)[0]
-        xbits[rows, vx[rows] - 1] ^= True
-        rows = np.nonzero(vz)[0]
-        zbits[rows, vz[rows] - 1] ^= True
-        xflip = np.bitwise_xor.reduce(xbits, axis=1)
-        zflip = np.bitwise_xor.reduce(zbits, axis=1)
-        success[b] = ~(xflip | zflip)
-    return success
-
-
-def code_capacity_trial(layout: MachineLayout, per_processor_rates, seed: int):
-    """Single sampled code-capacity trial; returns per-block success bools."""
-    rng = np.random.default_rng(seed)
-    success = code_capacity_batch(layout, per_processor_rates, rng, 1)
-    return [bool(success[b, 0]) for b in range(len(layout.blocks))]
 
 
 # Exact evaluator: enumerate the 2^7 single-type error patterns once,

@@ -662,6 +662,58 @@ def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
     return ops, m
 
 
+def _mix(radix: RadixVector, parts) -> MixedRadixState:
+    """The one pure state of a single branch, else the density sum of w |v><v|."""
+    if len(parts) == 1:
+        return MixedRadixState(radix, parts[0][1])
+    dim = radix.total_dim
+    rho = np.zeros((dim, dim), dtype=complex)
+    for w, v in parts:
+        rho += w * np.outer(v, v.conj())
+    return MixedRadixState(radix, rho)
+
+
+def _decoder_branches(state: MixedRadixState, n_anc: int, ops) -> list:
+    """(weight, state) per pure branch of `state`, with `n_anc` qubit ancillas
+    appended in |0...0> and the decoder gates applied."""
+    anc0 = np.zeros(2**n_anc, dtype=complex)
+    anc0[0] = 1.0
+    radix = RadixVector((3,) * state.n_sites)
+    out = []
+    for weight, amps in _pure_branches(state):
+        branch = _append_sites(MixedRadixState(radix, amps), (2,) * n_anc, anc0)
+        out.append((weight, apply_ops(branch, ops)))
+    return out
+
+
+def _measure_ancillas(state: MixedRadixState, n_anc: int, ops) -> list:
+    """Run a measuring decoder and read its ancillas out.
+
+    Returns (outcome, probability, qutrit post state) per ancilla readout,
+    in ascending order, with the readout bits taken most significant
+    first. Input branches that give the same readout are mixed into one
+    post state.
+    """
+    n = state.n_sites
+    combined: dict[int, list[tuple[float, np.ndarray]]] = {}
+    for weight, branch in _decoder_branches(state, n_anc, ops):
+        for levels, prob, post in measure_sites(branch, range(n, n + n_anc)):
+            outcome = 0
+            for bit in levels:
+                outcome = (outcome << 1) | bit
+            for site in reversed(range(n, n + n_anc)):
+                post = _project_site(post, site, levels[site - n])
+            combined.setdefault(outcome, []).append((weight * prob, post.array))
+    out = []
+    for outcome in sorted(combined):
+        parts = combined[outcome]
+        prob = sum(w for w, _ in parts)
+        if prob > AMP_BRANCH:
+            post = _mix(RadixVector((3,) * n), [(w / prob, v) for w, v in parts])
+            out.append((outcome, prob, post))
+    return out
+
+
 def decode_measure(state: MixedRadixState) -> DecodeOutcome:
     """Measurement decoder on n unerased qutrit sites.
 
@@ -673,40 +725,12 @@ def decode_measure(state: MixedRadixState) -> DecodeOutcome:
     n = state.n_sites
     ops, m = measure_decoder_ops(n)
     cnots = sum(1 for op in ops if op.kind == "cnot")
-    anc0 = np.zeros(2**m, dtype=complex)
-    anc0[0] = 1.0
     swap = gate_swap(3)
-
-    combined: dict[int, list[tuple[float, np.ndarray]]] = {}
-    for weight, amps in _pure_branches(state):
-        branch = MixedRadixState(RadixVector((3,) * n), amps)
-        branch = _append_sites(branch, (2,) * m, anc0)
-        branch = apply_ops(branch, ops)
-        for levels, prob, post in measure_sites(branch, range(n, n + m)):
-            outcome = 0
-            for bit in levels:
-                outcome = (outcome << 1) | bit
-            qudit_part = post
-            for site in reversed(range(n, n + m)):
-                qudit_part = _project_site(qudit_part, site, levels[site - n])
-            combined.setdefault(outcome, []).append((weight * prob, qudit_part.array))
 
     branches = []
     success = 0.0
     failure = 0.0
-    for outcome in sorted(combined):
-        parts = combined[outcome]
-        prob = sum(w for w, _ in parts)
-        if prob <= AMP_BRANCH:
-            continue
-        if len(parts) == 1:
-            post = MixedRadixState(RadixVector((3,) * n), parts[0][1])
-        else:
-            dim = 3**n
-            rho = np.zeros((dim, dim), dtype=complex)
-            for w, v in parts:
-                rho += (w / prob) * np.outer(v, v.conj())
-            post = MixedRadixState(RadixVector((3,) * n), rho)
+    for outcome, prob, post in _measure_ancillas(state, m, ops):
         if outcome == 0:
             failure += prob
             branches.append(DecodeBranch(0, prob, post, None))
@@ -734,31 +758,10 @@ def decode_measure_n2_single_ancilla(state: MixedRadixState) -> DecodeOutcome:
     """
     if state.n_sites != 2:
         raise ValueError("this variant is defined for two unerased sites")
-    ops = presence_pair(1, 2)
-    anc0 = np.array([1.0, 0.0], dtype=complex)
     swap = gate_swap(3)
-    combined: dict[int, list[tuple[float, np.ndarray]]] = {}
-    for weight, amps in _pure_branches(state):
-        branch = MixedRadixState(RadixVector((3, 3)), amps)
-        branch = _append_sites(branch, (2,), anc0)
-        branch = apply_ops(branch, ops)
-        for levels, prob, post in measure_sites(branch, [2]):
-            qudit = _project_site(post, 2, levels[0])
-            combined.setdefault(levels[0], []).append((weight * prob, qudit.array))
     branches = []
     success = 0.0
-    for outcome in sorted(combined):
-        parts = combined[outcome]
-        prob = sum(w for w, _ in parts)
-        if prob <= AMP_BRANCH:
-            continue
-        if len(parts) == 1:
-            post = MixedRadixState(RadixVector((3, 3)), parts[0][1])
-        else:
-            rho = np.zeros((9, 9), dtype=complex)
-            for w, v in parts:
-                rho += (w / prob) * np.outer(v, v.conj())
-            post = MixedRadixState(RadixVector((3, 3)), rho)
+    for outcome, prob, post in _measure_ancillas(state, 1, presence_pair(1, 2)):
         if outcome == 1:
             post = apply_unitary(post, swap, [0, 1])
             success += prob
@@ -814,29 +817,18 @@ def decode_elective(state: MixedRadixState, target_site: int,
     """
     n = state.n_sites
     ops, m = elective_decoder_ops(n, target_site)
-    anc0 = np.zeros(2**m, dtype=complex)
-    anc0[0] = 1.0
     power_of_two = n & (n - 1) == 0
     h = GateSpec(_H2, (2,))
 
     processed = []
-    for weight, amps in _pure_branches(state):
-        branch = MixedRadixState(RadixVector((3,) * n), amps)
-        branch = _append_sites(branch, (2,) * m, anc0)
-        branch = apply_ops(branch, ops)
+    for weight, branch in _decoder_branches(state, m, ops):
         if power_of_two:
             for j in range(m):
                 branch = apply_unitary(branch, h, [n + j])
         processed.append((weight, branch))
 
     if keep_ancillas:
-        if len(processed) == 1:
-            return processed[0][1], m
-        dim = 3**n * 2**m
-        rho = np.zeros((dim, dim), dtype=complex)
-        for w, b in processed:
-            rho += w * np.outer(b.array, b.array.conj())
-        return MixedRadixState(RadixVector((3,) * n + (2,) * m), rho), m
+        return _mix(RadixVector((3,) * n + (2,) * m), [(w, b.array) for w, b in processed]), m
 
     # explicit reset: every branch factorizes as qutrits (x) ancillas
     qudit_branches = []
@@ -846,13 +838,7 @@ def decode_elective(state: MixedRadixState, target_site: int,
         if s.size > 1 and s[1] > 1e-7:
             raise ValueError("ancillas left entangled with the data register")
         qudit_branches.append((w, u[:, 0]))
-    if len(qudit_branches) == 1:
-        return MixedRadixState(RadixVector((3,) * n), qudit_branches[0][1]), m
-    dim = 3**n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, v in qudit_branches:
-        rho += w * np.outer(v, v.conj())
-    return MixedRadixState(RadixVector((3,) * n), rho), m
+    return _mix(RadixVector((3,) * n), qudit_branches), m
 
 
 def decoded_site_fidelity(state: MixedRadixState, site: int, psi) -> float:

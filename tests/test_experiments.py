@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import yaml
 
 from daqec.cli import main
 from daqec.experiments import (
+    REGISTRY,
     ConfigError,
     binomial_ci95,
     chunk_plan,
@@ -153,6 +156,17 @@ def test_thread_count_does_not_change_output(tmp_path):
     execute(_tiny_corr_cfg(out_dir=str(out2), threads=4))
     assert (out1 / "correlated-errors.csv").read_bytes() == \
         (out2 / "correlated-errors.csv").read_bytes()
+    for experiment, params in (
+            ("bound-validate", {"n_list": [3, 7], "rate_points": 2, "lemma_cases": 50}),
+            ("pnl-sweep", {"depths": [2, 12]})):
+        for threads, out in ((1, out1), (4, out2)):
+            cfg = load_config(experiment, overrides={"trials": 300, "threads": threads,
+                                                     "out": str(out)})
+            cfg.chunk_size = 128  # three chunks per point, so the threads share each point
+            cfg.params.update(params)
+            assert execute(cfg) == 0
+        assert (out1 / f"{experiment}.csv").read_bytes() == \
+            (out2 / f"{experiment}.csv").read_bytes()
 
 
 def test_correlated_errors_single_processor_degenerate():
@@ -241,6 +255,9 @@ def test_cli_verify_failure_exit_code(tmp_path):
     cfg.write_text(
         "experiment: apples\nparams:\n  cutoff_anchor: 0.5\n  cutoff_tolerance: 0.001\n")
     assert main(["apples", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    # in range, but no instance has ell_c > n_p, so nothing was checked
+    cfg.write_text("experiment: allocation-report\nparams:\n  ell_c_max: 3\n  n_p_list: [4]\n")
+    assert main(["allocation-report", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
 def test_cli_seed_changes_output(tmp_path):
@@ -269,3 +286,71 @@ def test_summary_echoes_resolved_config(tmp_path):
     assert summary["config"]["seed"] == 77
     assert "wall_time_s" in summary
     assert "version" in summary
+
+
+# ---------------------------------------------------------------------------
+# parameter ranges
+
+# each of these crashed, hung, ran out of memory or passed a verify mode
+# having checked nothing before the ranges existed
+OUT_OF_RANGE = [
+    ("pnl-sweep", {"n_blocks": 1}),
+    ("pnl-sweep", {"n_blocks": 0}),
+    ("pnl-sweep", {"depths": [0]}),
+    ("correlated-errors", {"rate_points": 0}),
+    ("correlated-errors", {"n_processors": 0}),
+    ("allocation-report", {"n_p_list": [1]}),
+    ("allocation-report", {"ell_c_max": 1}),
+    ("apples", {"bin_probs": []}),
+    ("apples", {"bin_probs": [0.5]}),
+    ("wstate-verify", {"max_total_sites": 12}),
+    ("wstate-verify", {"n_unitaries": -5}),
+    ("wstate-verify", {"n_random_logical": 0}),
+    ("bound-validate", {"n_list": [], "lemma_cases": -1}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,params", OUT_OF_RANGE,
+    ids=[e + "-" + "-".join(f"{k}={v}" for k, v in p.items()) for e, p in OUT_OF_RANGE])
+def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
+    with pytest.raises(ConfigError):  # so no circuit or state is ever built
+        load_config(path=str(path))
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+# small settings for the other parameters, so that the walk stays quick
+WALK_BASE = {
+    "pnl-sweep": {"depth_max": 8, "depth_points": 2},
+    "correlated-errors": {"rate_points": 1},
+    "bound-validate": {"n_list": [3], "rate_points": 1, "lemma_cases": 20},
+    "wstate-verify": {"max_total_sites": 3, "n_unitaries": 3, "n_random_logical": 1},
+    "allocation-report": {"ell_c_max": 5, "brute_force_ell_max": 5},
+    "apples": {},
+}
+
+
+@pytest.mark.parametrize("experiment,name", [
+    (e, name) for e, entry in REGISTRY.items()
+    for name, spec in entry.params.items() if spec.lo is not None])
+def test_registry_minimum_runs_and_one_step_below_is_rejected(tmp_path, experiment, name):
+    entry = REGISTRY[experiment]
+    spec = entry.params[name]
+    below = spec.lo - 1 if spec.type is int else math.nextafter(spec.lo, -math.inf)
+    argv = [experiment, "--out", str(tmp_path), "--config", str(tmp_path / "c.yaml")]
+    if entry.monte_carlo:
+        argv += ["--trials", "100"]
+    for value, codes in ((spec.lo, (0, 3)), (below, (2,))):
+        params = dict(WALK_BASE[experiment])
+        params[name] = [value] * max(1, spec.size[0]) if spec.size else value
+        for a, b in entry.ordered:
+            if b == name:
+                params[a] = entry.params[a].lo
+        (tmp_path / "c.yaml").write_text(
+            yaml.safe_dump({"experiment": experiment, "params": params}))
+        assert main(argv) in codes, (name, value)

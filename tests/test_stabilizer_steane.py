@@ -9,16 +9,15 @@ from daqec.stabilizer_steane import (
     CliffordCircuit,
     MachineLayout,
     NoiseSpec,
+    HAMMING_CHECK,
+    N_DATA,
     PauliFrame,
     build_ghz_mirror,
-    code_capacity_batch,
-    code_capacity_trial,
     correctable,
     count_remote_gates,
     dqec_layout,
     lqec_layout,
     lookup_decode,
-    run_circuit_trial,
     run_circuit_trials,
     simulate_frames,
     steane_failure_probabilities,
@@ -27,6 +26,62 @@ from daqec.stabilizer_steane import (
     syndrome,
     syndrome_extraction_circuit,
 )
+
+
+# ---------------------------------------------------------------------------
+# sampling oracles: single trials and sampled code-capacity trials that the
+# batch engine and the exact evaluators are checked against
+
+
+def run_circuit_trial(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
+                      seed: int):
+    """Single trial; returns [(logical_x_flip, logical_z_flip)] per block."""
+    rng = np.random.default_rng(seed)
+    x_flips, z_flips = run_circuit_trials(circuit, layout, noise, rng, 1)
+    return [(bool(x_flips[b, 0]), bool(z_flips[b, 0])) for b in range(len(layout.blocks))]
+
+
+def code_capacity_batch(layout: MachineLayout, per_processor_rates, rng: np.random.Generator,
+                        n_trials: int):
+    """Sampled code-capacity trials with perfect extraction.
+
+    Every data qubit independently suffers X, Y, or Z (uniformly, total
+    probability = its processor's rate); each block is lookup-decoded.
+    Returns a boolean success array of shape (n_blocks, n_trials).
+    """
+    rates = np.asarray(per_processor_rates, dtype=float)
+    if np.any((rates < 0) | (rates > 1)):
+        raise ValueError("rates must lie in [0, 1]")
+    nb = len(layout.blocks)
+    success = np.zeros((nb, n_trials), dtype=bool)
+    ht = HAMMING_CHECK.T.astype(np.int64)
+    for b, block in enumerate(layout.blocks):
+        eps = rates[[layout.qubit_processor[q] for q in block.data]]
+        u = rng.random((n_trials, N_DATA))
+        kind = rng.integers(0, 3, size=(n_trials, N_DATA))  # 0=X, 1=Y, 2=Z
+        hit = u < eps[None, :]
+        xbits = hit & (kind != 2)
+        zbits = hit & (kind != 0)
+        sx = (xbits.astype(np.int64) @ ht) % 2
+        sz = (zbits.astype(np.int64) @ ht) % 2
+        vx = sx @ np.array([1, 2, 4])
+        vz = sz @ np.array([1, 2, 4])
+        rows = np.nonzero(vx)[0]
+        xbits[rows, vx[rows] - 1] ^= True
+        rows = np.nonzero(vz)[0]
+        zbits[rows, vz[rows] - 1] ^= True
+        xflip = np.bitwise_xor.reduce(xbits, axis=1)
+        zflip = np.bitwise_xor.reduce(zbits, axis=1)
+        success[b] = ~(xflip | zflip)
+    return success
+
+
+def code_capacity_trial(layout: MachineLayout, per_processor_rates, seed: int):
+    """Single sampled code-capacity trial; returns per-block success bools."""
+    rng = np.random.default_rng(seed)
+    success = code_capacity_batch(layout, per_processor_rates, rng, 1)
+    return [bool(success[b, 0]) for b in range(len(layout.blocks))]
+
 
 NO_NOISE = NoiseSpec(0.0, 0.0)
 
@@ -184,6 +239,8 @@ def test_mirror_layer_count_and_identity_tiling():
     assert circ.two_qubit_layers == 12
     cnots = [op for op in circ.ops if op[0] == "CNOT"]
     assert len(cnots) == 12 * 7
+    with pytest.raises(ValueError):  # one block has no CNOT chain to tile
+        build_ghz_mirror(lqec_layout(1), 12)
 
 
 def test_mirror_zero_noise_no_failures():
