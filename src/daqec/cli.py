@@ -31,16 +31,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(
+        return execute(load_config(
             experiment=args.experiment,
             path=args.config,
             overrides={"seed": args.seed, "trials": args.trials,
                        "out": args.out, "threads": args.threads},
-        )
+        ))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    return execute(cfg)
 
 
 if __name__ == "__main__":

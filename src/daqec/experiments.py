@@ -720,10 +720,13 @@ def execute(cfg: ExperimentConfig) -> int:
     """Run, write CSV + summary JSON, and return the process exit code."""
     from . import __version__
     start = time.time()
+    out = Path(cfg.out_dir)
+    try:  # before the run, so that a bad --out costs nothing
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
     rows, columns, extra, ok = run_experiment(cfg)
     ok = ok and bool(rows)  # a run that checked nothing has not passed
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.experiment}.csv"
     write_csv(csv_path, columns, rows)
     summary = {

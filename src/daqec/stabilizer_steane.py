@@ -7,11 +7,13 @@ module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
 and an exact per-block failure-probability evaluator for code-capacity
-noise with processor-dependent single-qubit rates.
+noise with processor-dependent single-qubit rates, a 256-state transfer
+that adds only nonnegative terms and so keeps relative precision.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,10 +166,6 @@ def syndrome(frame: PauliFrame, block: SteaneBlock):
     return sx, sz
 
 
-def _syndrome_value(bits) -> int:
-    return bits[0] + 2 * bits[1] + 4 * bits[2]
-
-
 def lookup_decode(frame: PauliFrame, block: SteaneBlock):
     """Apply the weight-<=1 correction for each syndrome.
 
@@ -176,8 +174,7 @@ def lookup_decode(frame: PauliFrame, block: SteaneBlock):
     logical X respectively.
     """
     out = frame.copy()
-    sx, sz = syndrome(frame, block)
-    vx, vz = _syndrome_value(sx), _syndrome_value(sz)
+    vx, vz = (bits[0] + 2 * bits[1] + 4 * bits[2] for bits in syndrome(frame, block))
     if vx:
         out.x[block.data[vx - 1]] ^= True
     if vz:
@@ -220,21 +217,16 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
     segment += [("CNOT", a, b) for a, b in reversed(chain)]
     segment += [("H", 0)]
     layers = 0
-    while layers < depth:
-        for item in segment:
-            if item[0] == "H":
-                block = layout.blocks[item[1]]
-                circ.ops.extend(("H", q) for q in block.data)
-            else:
-                _, a, b = item
-                ba, bb = layout.blocks[a], layout.blocks[b]
-                circ.ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
-                layers += 1
-                if layers == depth:
-                    break
+    for item in itertools.cycle(segment):
+        if layers == depth:
+            break
+        if item[0] == "H":
+            circ.ops.extend(("H", q) for q in layout.blocks[item[1]].data)
         else:
-            continue
-        break
+            _, a, b = item
+            ba, bb = layout.blocks[a], layout.blocks[b]
+            circ.ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
+            layers += 1
     circ.two_qubit_layers = layers
     return circ
 
@@ -362,28 +354,33 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
 # code-capacity mode
 
 
-# Exact evaluator: enumerate the 2^7 single-type error patterns once,
-# decode each, and record which leave a logical flip.
-def _flip_table():
-    patterns = np.array([[(i >> q) & 1 for q in range(N_DATA)] for i in range(2**N_DATA)],
-                        dtype=np.uint8)
-    flips = np.zeros(2**N_DATA, dtype=bool)
-    for i, e in enumerate(patterns):
-        s = int(((HAMMING_CHECK @ e) % 2) @ np.array([1, 2, 4]))
-        r = e.copy()
-        if s:
-            r[s - 1] ^= 1
-        flips[i] = bool(r.sum() % 2)
-    return patterns, flips
+# Exact evaluator. L stacks the three Hamming checks and an all-ones parity
+# row, so qubit q's column of L is the code (q+1) | 8. Lookup decoding flips
+# one qubit iff the syndrome is nonzero, so the logical flip is parity XOR
+# [syndrome != 0]: it depends on L·e alone. A joint state packs L·x in its
+# low four bits and L·z in its high four.
+_COLUMNS = [(q + 1) | 8 for q in range(N_DATA)]
+_STATES = np.arange(256)
+_PAULI_MASKS = (1, 16, 17)  # X, Z and Y flip the x half, the z half or both
+_FLIP_X, _FLIP_Z = (((h & 8) > 0) ^ ((h & 7) > 0) for h in (_STATES & 15, _STATES >> 4))
+_FLIP_BOTH = _FLIP_X & _FLIP_Z
+_MOVES = [[_STATES ^ (c * m) for m in _PAULI_MASKS] for c in _COLUMNS]
+_BLOCK = 256  # rate vectors per transfer, so that a (256, _BLOCK) array stays in cache
 
 
-_PATTERNS, _FLIPS = _flip_table()
-_XF = _PATTERNS[_FLIPS]  # the 64 patterns whose decode flips the logical operator
-# joint digit 2*x + z per qubit for every (x in XF, z in XF) pattern pair
-_PAIR_DIGITS = (2 * _XF[:, None, :] + _XF[None, :, :]).reshape(-1, N_DATA)
-# weight histograms for the uniform-rate fast path
-_CX_W = np.bincount(_PATTERNS.sum(axis=1)[_FLIPS], minlength=N_DATA + 1).astype(float)
-_CB_W = np.bincount((_PAIR_DIGITS > 0).sum(axis=1), minlength=N_DATA + 1).astype(float)
+def _weight_counts(kinds: int) -> np.ndarray:
+    """Patterns per (joint state, weight); each qubit is clean or takes one of moves[:kinds]."""
+    counts = np.zeros((256, N_DATA + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for moves in _MOVES:
+        counts[:, 1:] += sum(counts[to, :-1] for to in moves[:kinds])
+    return counts
+
+
+# weight histograms for the uniform-rate fast path: logical-X-flipping bit-flip
+# patterns by weight, and flip-flip (x, z) pattern pairs by qubits touched
+_CX_W = _weight_counts(1)[_FLIP_X].sum(axis=0).astype(float)
+_CB_W = _weight_counts(3)[_FLIP_BOTH].sum(axis=0).astype(float)
 
 
 def steane_failure_probabilities(eps_per_qubit) -> dict:
@@ -397,36 +394,33 @@ def steane_failure_probabilities(eps_per_qubit) -> dict:
     return {k: float(v[0]) for k, v in out.items()}
 
 
-def steane_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024) -> dict:
+def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
     """Vectorized exact failure probabilities for many rate vectors.
 
-    eps_matrix has shape (m, 7); returns arrays of length m. The marginal
-    X (or Z) flip probability sums the 128 bit patterns of that error
-    type; the joint term sums the 4096 flip-flip pattern pairs with the
-    exact per-qubit joint distribution (Y errors set both bits).
+    eps_matrix has shape (m, 7); returns arrays of length m. The 256-state
+    distribution of (L·x, L·z) is built qubit by qubit: a qubit at rate eps
+    keeps 1 - eps of each state's mass and moves eps/3 along each of X, Z
+    and Y. p_x and p_both are the masses of the states that decode to a
+    logical X flip and to both flips. Only nonnegative terms are added, so
+    the results keep relative precision however small they are.
     """
     eps = np.asarray(eps_matrix, dtype=float)
     m = eps.shape[0]
     p_x = np.empty(m)
     p_both = np.empty(m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        e = eps[lo:hi]
-        pxq = 2.0 * e / 3.0  # per-qubit marginal bit-flip probability
-        acc = np.ones((hi - lo, _PATTERNS.shape[0]))
-        for q in range(N_DATA):
-            acc *= np.where(_PATTERNS[None, :, q] == 1, pxq[:, q, None], 1.0 - pxq[:, q, None])
-        p_x[lo:hi] = acc @ _FLIPS
-        # per-qubit joint (x,z) distribution: digit 2x+z
-        q_tbl = np.empty((hi - lo, N_DATA, 4))
-        q_tbl[:, :, 0] = 1.0 - e
-        q_tbl[:, :, 1] = e / 3.0
-        q_tbl[:, :, 2] = e / 3.0
-        q_tbl[:, :, 3] = e / 3.0
-        accj = np.ones((hi - lo, _PAIR_DIGITS.shape[0]))
-        for q in range(N_DATA):
-            accj *= q_tbl[:, q, :][:, _PAIR_DIGITS[:, q]]
-        p_both[lo:hi] = accj.sum(axis=1)
+    for lo in range(0, m, _BLOCK):
+        e = eps[lo:lo + _BLOCK].T
+        dist = np.zeros((256, e.shape[1]))
+        dist[0] = 1.0
+        for q, (to_x, to_z, to_y) in enumerate(_MOVES):
+            moved = dist[to_x]
+            moved += dist[to_z]
+            moved += dist[to_y]
+            moved *= e[q] / 3.0
+            dist *= 1.0 - e[q]
+            dist += moved
+        p_x[lo:lo + _BLOCK] = _FLIP_X @ dist
+        p_both[lo:lo + _BLOCK] = _FLIP_BOTH @ dist
     p_any = 2.0 * p_x - p_both
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
 
@@ -434,8 +428,8 @@ def steane_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024
 def steane_failure_probabilities_uniform(eps) -> dict:
     """Exact failure probabilities when all seven qubits share one rate.
 
-    Collapses the pattern sums of the heterogeneous evaluator into weight
-    polynomials, which makes sweeping many uniform rates cheap.
+    Sums weight polynomials over the pattern counts _CX_W and _CB_W, which
+    makes sweeping many uniform rates cheap.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     w = np.arange(N_DATA + 1)

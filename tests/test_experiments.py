@@ -1,9 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from daqec.cli import main
 from daqec.experiments import (
@@ -246,8 +248,16 @@ def test_cli_runs_apples(tmp_path):
     assert summary["config"]["params"]["bin_probs"] == [0.6, 0.2, 0.05]
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    assert main(["apples", "--config", str(tmp_path / "missing.yaml")]) == 2
+def test_cli_config_error_exit_code(tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv in (["--config", str(tmp_path / "missing.yaml")],
+                 ["--out", str(a_file)],              # output path is a file
+                 ["--out", str(a_file / "sub")]):     # output path lies under a file
+        assert main(["apples"] + argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, argv
+    assert "cannot create output directory" in err
 
 
 def test_cli_verify_failure_exit_code(tmp_path):
@@ -354,3 +364,52 @@ def test_registry_minimum_runs_and_one_step_below_is_rejected(tmp_path, experime
         (tmp_path / "c.yaml").write_text(
             yaml.safe_dump({"experiment": experiment, "params": params}))
         assert main(argv) in codes, (name, value)
+
+
+# ---------------------------------------------------------------------------
+# config fuzz
+
+
+def _in_range(spec, hi=None):
+    hi = spec.hi if hi is None else hi
+    if spec.type is int:
+        return st.integers(spec.lo, hi)
+    return st.floats(spec.lo, hi)
+
+
+CORR = REGISTRY["correlated-errors"]
+
+
+@st.composite
+def corr_params(draw):
+    specs = CORR.params
+    params = {name: draw(_in_range(spec, 3 if name == "rate_points" else None))
+              for name, spec in specs.items()}
+    for a, b in CORR.ordered:
+        params[a], params[b] = sorted((params[a], params[b]))
+    # one setting one step outside its range, below lo or above hi
+    name = draw(st.sampled_from(sorted(specs)))
+    spec = specs[name]
+    ends = [(spec.lo, -math.inf)] + ([(spec.hi, math.inf)] if spec.hi is not None else [])
+    edge, away = draw(st.sampled_from(ends))
+    outside = edge + (1 if away > 0 else -1) if spec.type is int else math.nextafter(edge, away)
+    return params, dict(params, **{name: outside})
+
+
+@settings(max_examples=100, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corr_params())
+def test_correlated_errors_config_fuzz(tmp_path, drawn):
+    params, bad = drawn
+    path = tmp_path / "c.yaml"
+    argv = ["correlated-errors", "--config", str(path), "--trials", "100", "--out", str(tmp_path)]
+    path.write_text(yaml.safe_dump({"experiment": "correlated-errors", "params": params}))
+    assert main(argv) == 0
+    with open(tmp_path / "correlated-errors.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == params["rate_points"]
+    for row in rows:
+        for key, value in row.items():
+            assert key == "experiment" or math.isfinite(float(value)), (key, value)
+    path.write_text(yaml.safe_dump({"experiment": "correlated-errors", "params": bad}))
+    assert main(argv) == 2

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daqec import allocation as alc
+from daqec import stabilizer_steane as stn
 from daqec.stabilizer_steane import (
     CliffordCircuit,
     MachineLayout,
@@ -81,6 +83,64 @@ def code_capacity_trial(layout: MachineLayout, per_processor_rates, seed: int):
     rng = np.random.default_rng(seed)
     success = code_capacity_batch(layout, per_processor_rates, rng, 1)
     return [bool(success[b, 0]) for b in range(len(layout.blocks))]
+
+
+# Exact evaluator by pattern sums: enumerate the 2^7 single-type error
+# patterns once, decode each, and record which leave a logical flip.
+def _flip_table():
+    patterns = np.array([[(i >> q) & 1 for q in range(N_DATA)] for i in range(2**N_DATA)],
+                        dtype=np.uint8)
+    flips = np.zeros(2**N_DATA, dtype=bool)
+    for i, e in enumerate(patterns):
+        s = int(((HAMMING_CHECK @ e) % 2) @ np.array([1, 2, 4]))
+        r = e.copy()
+        if s:
+            r[s - 1] ^= 1
+        flips[i] = bool(r.sum() % 2)
+    return patterns, flips
+
+
+_PATTERNS, _FLIPS = _flip_table()
+_XF = _PATTERNS[_FLIPS]  # the 64 patterns whose decode flips the logical operator
+# joint digit 2*x + z per qubit for every (x in XF, z in XF) pattern pair
+_PAIR_DIGITS = (2 * _XF[:, None, :] + _XF[None, :, :]).reshape(-1, N_DATA)
+# weight histograms for the uniform-rate fast path
+_CX_W = np.bincount(_PATTERNS.sum(axis=1)[_FLIPS], minlength=N_DATA + 1).astype(float)
+_CB_W = np.bincount((_PAIR_DIGITS > 0).sum(axis=1), minlength=N_DATA + 1).astype(float)
+
+
+def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024) -> dict:
+    """Vectorized exact failure probabilities for many rate vectors.
+
+    eps_matrix has shape (m, 7); returns arrays of length m. The marginal
+    X (or Z) flip probability sums the 128 bit patterns of that error
+    type; the joint term sums the 4096 flip-flip pattern pairs with the
+    exact per-qubit joint distribution (Y errors set both bits).
+    """
+    eps = np.asarray(eps_matrix, dtype=float)
+    m = eps.shape[0]
+    p_x = np.empty(m)
+    p_both = np.empty(m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        e = eps[lo:hi]
+        pxq = 2.0 * e / 3.0  # per-qubit marginal bit-flip probability
+        acc = np.ones((hi - lo, _PATTERNS.shape[0]))
+        for q in range(N_DATA):
+            acc *= np.where(_PATTERNS[None, :, q] == 1, pxq[:, q, None], 1.0 - pxq[:, q, None])
+        p_x[lo:hi] = acc @ _FLIPS
+        # per-qubit joint (x,z) distribution: digit 2x+z
+        q_tbl = np.empty((hi - lo, N_DATA, 4))
+        q_tbl[:, :, 0] = 1.0 - e
+        q_tbl[:, :, 1] = e / 3.0
+        q_tbl[:, :, 2] = e / 3.0
+        q_tbl[:, :, 3] = e / 3.0
+        accj = np.ones((hi - lo, _PAIR_DIGITS.shape[0]))
+        for q in range(N_DATA):
+            accj *= q_tbl[:, q, :][:, _PAIR_DIGITS[:, q]]
+        p_both[lo:hi] = accj.sum(axis=1)
+    p_any = 2.0 * p_x - p_both
+    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
 
 
 NO_NOISE = NoiseSpec(0.0, 0.0)
@@ -360,11 +420,45 @@ def test_exact_evaluator_matches_sampling():
 
 
 def test_uniform_evaluator_matches_general():
-    for eps in (0.005, 0.02, 0.08):
+    for eps in (1e-6, 1e-4, 0.005, 0.02, 0.08, 0.5):
         u = steane_failure_probabilities_uniform(np.array([eps]))
         g = steane_failure_probabilities(np.full(7, eps))
-        assert abs(u["p_any"][0] - g["p_any"]) < 1e-12
-        assert abs(u["p_x"][0] - g["p_x"]) < 1e-12
+        assert abs(u["p_any"][0] - g["p_any"]) <= 1e-12 * g["p_any"]
+        assert abs(u["p_x"][0] - g["p_x"]) <= 1e-12 * g["p_x"]
+
+
+def _assert_matches_oracle(eps):
+    got = steane_failure_probabilities_batch(eps)
+    want = pattern_failure_probabilities_batch(eps)
+    for key in ("p_x", "p_both", "p_any"):
+        # an exact zero (fewer than two qubits can err) must come out exactly zero
+        np.testing.assert_array_less(np.abs(got[key] - want[key]),
+                                     1e-12 * want[key] + np.finfo(float).tiny, err_msg=key)
+
+
+# rates log-uniform over the Monte Carlo range, plus exact zeros and the
+# large rates up to 1 that rate_clip_max admits
+RATES = st.one_of(st.floats(math.log(1e-6), math.log(0.5)).map(math.exp),
+                  st.just(0.0), st.floats(0.5, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(RATES, min_size=N_DATA, max_size=N_DATA), min_size=1, max_size=8))
+def test_transfer_evaluator_matches_pattern_oracle(vectors):
+    _assert_matches_oracle(np.array(vectors))
+
+
+def test_transfer_evaluator_matches_pattern_oracle_across_blocks():
+    # more vectors than one transfer block, with a ragged last block
+    rng = np.random.default_rng(5)
+    eps = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), size=(2 * stn._BLOCK + 37, N_DATA)))
+    _assert_matches_oracle(eps)
+    assert steane_failure_probabilities_batch(np.empty((0, N_DATA)))["p_any"].shape == (0,)
+
+
+def test_uniform_weight_tables_match_pattern_enumeration():
+    assert np.array_equal(stn._CX_W, _CX_W) and stn._CX_W.dtype == _CX_W.dtype
+    assert np.array_equal(stn._CB_W, _CB_W) and stn._CB_W.dtype == _CB_W.dtype
 
 
 def test_exact_evaluator_weight_two_leading_order():
