@@ -130,18 +130,25 @@ def enumerate_ruin(p, rule: str = "two-or-more") -> float:
     return total
 
 
+def _spoiled_none_and_one(p) -> tuple[float, float]:
+    """P(0) and P(1): the probabilities that no item, or exactly one, of the
+    barrel's items is spoiled."""
+    p = np.asarray(p, dtype=float)
+    if np.any((p < 0) | (p > 1)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    none = np.prod(1.0 - p)
+    one = sum(p[i] * np.prod(np.delete(1.0 - p, i)) for i in range(p.size))
+    return float(none), float(one)
+
+
 def barrel_ruin_two_or_more(p) -> float:
     """Probability that at least two of the barrel's items are spoiled.
 
     Evaluated as 1 - P(0) - P(1), which stays defined at p_i = 1 where the
     odds-form closed expression breaks down.
     """
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    none = np.prod(1.0 - p)
-    one = sum(p[i] * np.prod(np.delete(1.0 - p, i)) for i in range(p.size))
-    return float(1.0 - none - one)
+    none, one = _spoiled_none_and_one(p)
+    return 1.0 - none - one
 
 
 def barrel_ruin_odds_form(p) -> float:
@@ -237,11 +244,6 @@ def _packings(n: int):
 # contamination cutoffs
 
 
-def _mixed_barrel_success(p) -> float:
-    """P(at most one spoiled) for a barrel holding one item from each bin."""
-    return 1.0 - barrel_ruin_two_or_more(p)
-
-
 def _uniform_barrel_success(pi: float, n: int) -> float:
     """P(at most one spoiled) for a barrel of n items all spoiling at rate pi."""
     return (1.0 - pi) ** n + n * pi * (1.0 - pi) ** (n - 1)
@@ -263,7 +265,7 @@ def contamination_cutoff_exact(p, n: int | None = None) -> float:
     n = probs.size if n is None else n
     if probs.size != n:
         raise ValueError("one spoil rate per bin expected")
-    a = _mixed_barrel_success(probs)
+    a = sum(_spoiled_none_and_one(probs))  # success of a barrel with one item per bin
     b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
     pairs = n * (n - 1) // 2
     return 1.0 - (b ** (1.0 / n) / a) ** (1.0 / pairs)
@@ -273,14 +275,15 @@ def contamination_cutoff_exact_oracle(p, n: int | None = None) -> float:
     """Same cutoff found by a numerical root solve instead of the closed form."""
     probs = np.asarray(p, dtype=float)
     n = probs.size if n is None else n
-    a = _mixed_barrel_success(probs)
+    a = sum(_spoiled_none_and_one(probs))
     b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
     pairs = n * (n - 1) // 2
 
     def gap(pc):
         return ((1.0 - pc) ** pairs * a) ** n - b
 
-    return float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))
+    # equal bins break even at p_c = 0, where rounding can leave gap(0) <= 0
+    return 0.0 if gap(0.0) <= 0.0 else float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))
 
 
 def contamination_cutoff_approx(p, n: int | None = None) -> float:
@@ -310,4 +313,4 @@ def contamination_cutoff_approx_oracle(p, n: int | None = None) -> float:
     def gap(pc):
         return ((1.0 - pc) ** (n - 1) * float(np.mean(good))) ** n - target
 
-    return float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))
+    return 0.0 if gap(0.0) <= 0.0 else float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))

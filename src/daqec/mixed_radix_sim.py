@@ -13,6 +13,7 @@ without coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -193,6 +194,30 @@ def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray,
     return MixedRadixState(radix, amps)
 
 
+def basis_sum_state(dims: Sequence[int], terms) -> MixedRadixState:
+    """Pure state sum(amplitude |levels>) over (levels, amplitude) terms.
+
+    Repeated levels add up; the sum must be normalized.
+    """
+    radix = RadixVector(tuple(dims))
+    amps = np.zeros(radix.total_dim, dtype=complex)
+    for levels, amp in terms:
+        amps[radix.index_of(levels)] += amp
+    return MixedRadixState(radix, amps)
+
+
+def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
+    """Gate sending each basis state |x> to |image(x)>, x a tuple of levels.
+
+    The map must be one-to-one, otherwise the matrix is not unitary.
+    """
+    radix = RadixVector(tuple(site_dims))
+    m = np.zeros((radix.total_dim, radix.total_dim), dtype=complex)
+    for x in itertools.product(*(range(d) for d in radix.dims)):
+        m[radix.index_of(image(x)), radix.index_of(x)] = 1.0
+    return GateSpec(m, radix.dims)
+
+
 def to_density(state: MixedRadixState, cap: int = DEFAULT_DENSITY_CAP) -> MixedRadixState:
     """Promote a pure state to its density matrix (no-op on densities)."""
     if state.is_density:
@@ -318,26 +343,19 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
         inv = np.argsort(list(sites) + rest)
         return MixedRadixState(state.radix, np.transpose(full, inv).reshape(-1))
 
-    def _levels(outcome_idx: int) -> tuple[int, ...]:
-        out = []
-        rem = outcome_idx
-        for d in reversed(meas_dims):
-            out.append(rem % d)
-            rem //= d
-        return tuple(reversed(out))
-
+    levels_of = RadixVector(meas_dims).levels_of
     if rng is None:
         results = []
         for o in range(m_total):
             p = float(probs[o])
             if p > AMP_EPS:
-                results.append((_levels(o), p, _post(o, p)))
+                results.append((levels_of(o), p, _post(o, p)))
         return results
 
     norm = probs / probs.sum()
     o = int(rng.choice(m_total, p=norm))
     p = float(probs[o])
-    return _levels(o), p, _post(o, p)
+    return levels_of(o), p, _post(o, p)
 
 
 def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> MixedRadixState:

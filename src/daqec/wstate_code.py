@@ -25,7 +25,9 @@ from .mixed_radix_sim import (
     MixedRadixState,
     RadixVector,
     apply_unitary,
+    basis_map_gate,
     basis_state,
+    basis_sum_state,
     embed_unitary,
     fidelity,
     measure_sites,
@@ -138,8 +140,7 @@ class DecodeOutcome:
 
 def gate_u02() -> GateSpec:
     """Qutrit involution swapping |0> and |2>, fixing |1>."""
-    m = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-    return GateSpec(m, (3,))
+    return basis_map_gate((3,), lambda x: (2 - x[0],))
 
 
 def gate_uenc(psi) -> GateSpec:
@@ -167,51 +168,26 @@ def controlled_level_not(level: int, control_dim: int = 3) -> GateSpec:
     """Flip a qubit target iff the qudit control sits at the given level."""
     if not 0 <= level < control_dim:
         raise ValueError("control level out of range")
-    dim = 2 * control_dim
-    m = np.eye(dim, dtype=complex)
-    a, b = 2 * level, 2 * level + 1
-    m[a, a] = m[b, b] = 0.0
-    m[a, b] = m[b, a] = 1.0
-    return GateSpec(m, (control_dim, 2))
+    return basis_map_gate((control_dim, 2), lambda x: (x[0], x[1] ^ (x[0] == level)))
 
 
 def gate_presence_flag() -> GateSpec:
     """Flip a qubit target iff the qutrit control is not the flag level |2>."""
-    m = np.eye(6, dtype=complex)
-    for level in (0, 1):
-        a, b = 2 * level, 2 * level + 1
-        m[a, a] = m[b, b] = 0.0
-        m[a, b] = m[b, a] = 1.0
-    return GateSpec(m, (3, 2))
+    return basis_map_gate((3, 2), lambda x: (x[0], x[1] ^ (x[0] != BOT)))
 
 
 def gate_absence_flag(d: int) -> GateSpec:
     """Flip a qubit target iff the d-level control is in |0>."""
-    m = np.eye(2 * d, dtype=complex)
-    m[0, 0] = m[1, 1] = 0.0
-    m[0, 1] = m[1, 0] = 1.0
-    return GateSpec(m, (d, 2))
+    return controlled_level_not(0, d)
 
 
 def gate_cswap(d: int) -> GateSpec:
     """Swap two d-level sites conditioned on a qubit control being |1>."""
-    dim = 2 * d * d
-    m = np.eye(dim, dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            src = (1 * d + a) * d + b
-            dst = (1 * d + b) * d + a
-            m[src, src] = 0.0
-            m[dst, src] = 1.0
-    return GateSpec(m, (2, d, d))
+    return basis_map_gate((2, d, d), lambda x: (1, x[2], x[1]) if x[0] else x)
 
 
 def gate_swap(d: int) -> GateSpec:
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            m[b * d + a, a * d + b] = 1.0
-    return GateSpec(m, (d, d))
+    return basis_map_gate((d, d), lambda x: (x[1], x[0]))
 
 
 def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
@@ -220,7 +196,7 @@ def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
 
 
 def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
@@ -281,37 +257,20 @@ def w_state_vector(n: int, d: int = 2) -> MixedRadixState:
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 sites of dimension >= 2")
-    radix = RadixVector((d,) * n)
-    amps = np.zeros(radix.total_dim, dtype=complex)
     a = 1.0 / math.sqrt(n * (d - 1))
-    for i in range(n):
-        stride = d ** (n - 1 - i)
-        for j in range(1, d):
-            amps[j * stride] = a
-    return MixedRadixState(radix, amps)
+    return basis_sum_state((d,) * n, ((tuple(j if k == i else 0 for k in range(n)), a)
+                                      for i in range(n) for j in range(1, d)))
 
 
 def _uniform_excited_prep(d: int) -> GateSpec:
-    """Unitary sending |0> to the uniform superposition of levels 1..d-1."""
-    target = np.zeros(d, dtype=complex)
-    target[1:] = 1.0 / math.sqrt(d - 1)
-    m = np.zeros((d, d), dtype=complex)
-    m[:, 0] = target
-    # complete to a unitary with Gram-Schmidt over the remaining basis vectors
-    cols = [target]
-    for j in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for c in cols:
-            v = v - np.vdot(c, v) * c
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    for j, c in enumerate(cols):
-        m[:, j] = c
-    return GateSpec(m, (d,))
+    """Unitary sending |0> to the uniform superposition t of levels 1..d-1.
+
+    It is the reflection I - v v^dagger with v = |0> - t; v has norm^2 2, so
+    column 0 is exactly t.
+    """
+    v = np.full(d, -1.0 / math.sqrt(d - 1), dtype=complex)
+    v[0] = 1.0
+    return GateSpec(np.eye(d, dtype=complex) - np.outer(v, v.conj()), (d,))
 
 
 def prepare_w2(d: int = 2, keep_ancilla: bool = False) -> MixedRadixState:
@@ -327,21 +286,37 @@ def prepare_w2(d: int = 2, keep_ancilla: bool = False) -> MixedRadixState:
     if d == 2:
         state = basis_state((2, 2), (0, 1))
         state = apply_unitary(state, GateSpec(_H2, (2,)), [0])
-        cnot = np.eye(4, dtype=complex)
-        cnot[[2, 3]] = cnot[[3, 2]]
-        state = apply_unitary(state, GateSpec(cnot, (2, 2)), [0, 1])
+        state = apply_unitary(state, controlled_level_not(1, 2), [0, 1])
         if keep_ancilla:
             raise ValueError("the d=2 Bell preparation uses no ancilla")
         return state
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     state = basis_state((d, d), (0, 0))
     state = apply_unitary(state, _uniform_excited_prep(d), [0])
-    state = _append_sites(state, (2,), plus)
+    state = _append_sites(state, (2,), _PLUS)
     state = apply_unitary(state, gate_cswap(d), [2, 0, 1])
     state = apply_unitary(state, gate_absence_flag(d), [0, 2])
     if keep_ancilla:
         return state
     return _project_site(state, 2, 0)
+
+
+def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> MixedRadixState:
+    """One doubling step of a block of m equal sites.
+
+    Appends m sites at level `empty` and a qubit ancilla in |+> (site 2m),
+    swaps the block onto the new half conditioned on the ancilla, then
+    applies `flag` from each new site to the ancilla.
+    """
+    m = state.n_sites
+    d = state.dims[0]
+    state = _append_sites(state, (d,) * m, basis_state((d,) * m, (empty,) * m).array)
+    state = _append_sites(state, (2,), _PLUS)
+    cswap = gate_cswap(d)
+    for i in range(m):
+        state = apply_unitary(state, cswap, [2 * m, i, m + i])
+    for i in range(m, 2 * m):
+        state = apply_unitary(state, flag, [i, 2 * m])
+    return state
 
 
 def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixState:
@@ -362,26 +337,12 @@ def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixSta
         raise ValueError("all sites must share one dimension")
     if fidelity(state, w_state_vector(n, d)) < 1.0 - 1e-8:
         raise ValueError("input is not a W state of this size")
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    ground = np.zeros(d, dtype=complex)
-    ground[0] = 1.0
-    new_amps = ground
-    for _ in range(n - 1):
-        new_amps = np.kron(new_amps, ground)
-    state = _append_sites(state, (d,) * n, new_amps)
-    state = _append_sites(state, (2,), plus)
-    anc = 2 * n
-    cswap = gate_cswap(d)
-    for i in range(n):
-        state = apply_unitary(state, cswap, [anc, i, n + i])
-    flag = gate_absence_flag(d)
-    for i in range(n):
-        state = apply_unitary(state, flag, [n + i, anc])
+    state = _doubling_stage(state, 0, gate_absence_flag(d))
     if n % 2 == 1:
-        state = apply_unitary(state, GateSpec(_X2, (2,)), [anc])
+        state = apply_unitary(state, basis_map_gate((2,), lambda x: (1 - x[0],)), [2 * n])
     if keep_ancilla:
         return state
-    return _project_site(state, anc, 0)
+    return _project_site(state, 2 * n, 0)
 
 
 def prepare_w(n: int, d: int = 2) -> MixedRadixState:
@@ -414,12 +375,11 @@ def _w3_qubit_state() -> MixedRadixState:
     """
     theta = 2.0 * math.acos(1.0 / math.sqrt(3.0))
     state = basis_state((2, 2, 2), (1, 0, 0))
-    cnot = np.eye(4, dtype=complex)
-    cnot[[2, 3]] = cnot[[3, 2]]
+    cnot = controlled_level_not(1, 2)
     state = apply_unitary(state, GateSpec(_cry(theta), (2, 2)), [0, 1])
-    state = apply_unitary(state, GateSpec(cnot, (2, 2)), [1, 0])
+    state = apply_unitary(state, cnot, [1, 0])
     state = apply_unitary(state, GateSpec(_cry(math.pi / 2), (2, 2)), [1, 2])
-    state = apply_unitary(state, GateSpec(cnot, (2, 2)), [2, 1])
+    state = apply_unitary(state, cnot, [2, 1])
     return state
 
 
@@ -436,26 +396,16 @@ def _qubit_w_on_qutrits(n: int) -> MixedRadixState:
         src = _w3_qubit_state()
     else:
         src = w_state_vector(n, 2)
-    radix = RadixVector((3,) * n)
-    amps = np.zeros(radix.total_dim, dtype=complex)
-    src_amps = src.array
-    for idx in np.nonzero(np.abs(src_amps) > 1e-15)[0]:
-        levels = src.radix.levels_of(int(idx))
-        amps[radix.index_of(levels)] = src_amps[idx]
-    return MixedRadixState(radix, amps)
+    return basis_sum_state((3,) * n, ((src.radix.levels_of(int(i)), src.array[i])
+                                      for i in np.nonzero(np.abs(src.array) > 1e-15)[0]))
 
 
 def codeword_vector(psi, n: int) -> MixedRadixState:
     """Directly constructed codeword (the test oracle for every encoder)."""
     c = _as_logical(psi)
-    radix = RadixVector((3,) * n)
-    amps = np.zeros(radix.total_dim, dtype=complex)
-    base = radix.index_of((BOT,) * n)
-    for i in range(n):
-        stride = 3 ** (n - 1 - i)
-        for level in (0, 1):
-            amps[base + (level - BOT) * stride] += c[level] / math.sqrt(n)
-    return MixedRadixState(radix, amps)
+    return basis_sum_state((3,) * n, ((tuple(level if k == i else BOT for k in range(n)),
+                                       c[level] / math.sqrt(n))
+                                      for i in range(n) for level in (0, 1)))
 
 
 def encode(psi, n: int) -> MixedRadixState:
@@ -484,14 +434,11 @@ def encode_pair_state(chi, n: int = 4) -> MixedRadixState:
     chi = np.asarray(chi, dtype=complex).reshape(-1)
     if abs(float(np.sum(np.abs(chi) ** 2)) - 1.0) > 1e-10:
         raise ValueError("joint logical state must be unit norm")
-    radix = RadixVector((3,) * 4)
-    amps = np.zeros(radix.total_dim, dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            w = chi[2 * a + b] / math.sqrt(2)
-            amps[radix.index_of((a, b, BOT, BOT))] += w
-            amps[radix.index_of((BOT, BOT, a, b))] += w
-    return MixedRadixState(radix, amps)
+    terms = []
+    for k, pair in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        w = chi[k] / math.sqrt(2)
+        terms += [(pair + (BOT, BOT), w), ((BOT, BOT) + pair, w)]
+    return basis_sum_state((3,) * 4, terms)
 
 
 def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
@@ -521,13 +468,8 @@ def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
 
 def controlled_pair_not(control_level: int) -> GateSpec:
     """Qutrit-qutrit gate: X on the target's {0,1} subspace iff control at level."""
-    m = np.eye(9, dtype=complex)
-    for t_lv in (0, 1):
-        src = control_level * 3 + t_lv
-        dst = control_level * 3 + (1 - t_lv)
-        m[src, src] = 0.0
-        m[dst, src] = 1.0
-    return GateSpec(m, (3, 3))
+    return basis_map_gate((3, 3), lambda x: (x[0], 1 - x[1])
+                          if x[0] == control_level and x[1] < 2 else x)
 
 
 def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
@@ -544,28 +486,14 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
         raise ValueError(f"the doubling encoder needs a power-of-two size, got {n}")
     c = _as_logical(psi)
     state = pure_state((3,), np.array([c[0], c[1], 0.0], dtype=complex))
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    bot = np.zeros(3, dtype=complex)
-    bot[BOT] = 1.0
-    cswap = gate_cswap(3)
     flag = gate_presence_flag()
     ancilla_checks = []
-    m = 1
-    while m < n:
-        new_amps = bot
-        for _ in range(m - 1):
-            new_amps = np.kron(new_amps, bot)
-        state = _append_sites(state, (3,) * m, new_amps)
-        state = _append_sites(state, (2,), plus)
-        anc = 2 * m
-        for i in range(m):
-            state = apply_unitary(state, cswap, [anc, i, m + i])
-        for j in range(m, 2 * m):
-            state = apply_unitary(state, flag, [j, anc])
+    while state.n_sites < n:
+        state = _doubling_stage(state, BOT, flag)
+        anc = state.n_sites - 1
         if return_ancilla_checks:
             ancilla_checks.append(_site_reduced(state, anc))
         state = _project_site(state, anc, 0)
-        m *= 2
     if return_ancilla_checks:
         return state, ancilla_checks
     return state
@@ -653,12 +581,13 @@ def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
     if n < 1:
         raise ValueError("need at least one unerased site")
     m = math.ceil(math.log2(n + 1))
+    bits = RadixVector((2,) * m)
     ops = []
     for i in range(n):
-        code = i + 1
-        for bit in range(m):
-            if (code >> bit) & 1:
-                ops.extend(presence_pair(i, n + (m - 1 - bit)))
+        code = bits.levels_of(i + 1)
+        for j in reversed(range(m)):  # least significant bit first
+            if code[j]:
+                ops.extend(presence_pair(i, n + j))
     return ops, m
 
 
@@ -695,12 +624,11 @@ def _measure_ancillas(state: MixedRadixState, n_anc: int, ops) -> list:
     post state.
     """
     n = state.n_sites
+    readout = RadixVector((2,) * n_anc)
     combined: dict[int, list[tuple[float, np.ndarray]]] = {}
     for weight, branch in _decoder_branches(state, n_anc, ops):
         for levels, prob, post in measure_sites(branch, range(n, n + n_anc)):
-            outcome = 0
-            for bit in levels:
-                outcome = (outcome << 1) | bit
+            outcome = readout.index_of(levels)
             for site in reversed(range(n, n + n_anc)):
                 post = _project_site(post, site, levels[site - n])
             combined.setdefault(outcome, []).append((weight * prob, post.array))

@@ -251,13 +251,16 @@ def test_cli_runs_apples(tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
-    for argv in (["--config", str(tmp_path / "missing.yaml")],
-                 ["--out", str(a_file)],              # output path is a file
-                 ["--out", str(a_file / "sub")]):     # output path lies under a file
+    (tmp_path / "blocked" / "apples.csv").mkdir(parents=True)
+    for argv, message in (
+            (["--config", str(tmp_path / "missing.yaml")], "cannot read config file"),
+            (["--out", str(a_file)], "cannot create output directory"),  # a file
+            (["--out", str(a_file / "sub")], "cannot create output directory"),  # under a file
+            (["--out", str(tmp_path / "blocked")], "cannot write"),  # the CSV path is a directory
+            (["--trials", "10000001"], "trials must be at most")):
         assert main(["apples"] + argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err, argv
-    assert "cannot create output directory" in err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err, argv
 
 
 def test_cli_verify_failure_exit_code(tmp_path):
@@ -311,6 +314,7 @@ OUT_OF_RANGE = [
     ("correlated-errors", {"n_processors": 0}),
     ("allocation-report", {"n_p_list": [1]}),
     ("allocation-report", {"ell_c_max": 1}),
+    ("allocation-report", {"n_p_list": [5], "ell_c_max": 8}),
     ("apples", {"bin_probs": []}),
     ("apples", {"bin_probs": [0.5]}),
     ("wstate-verify", {"max_total_sites": 12}),
@@ -332,6 +336,36 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+# in range, and each crashed with a raw traceback or wrote a non-finite value
+IN_RANGE_EDGES = [
+    ("apples", {"bin_probs": [0.6, 0.6, 0.6, 0.6]}),  # break-even exactly at p_c = 0
+    ("apples", {"bin_probs": [0.99, 0.99, 0.99, 0.99]}),
+    # P(0) + P(1) of the mixed barrel is 9.3e-18, lost when taken as 1 - ruin
+    ("apples", {"bin_probs": [0.896, 1 - 2**-53, 0.596, 1 - 2**-53]}),
+    # a processor at rate 1 zeroes the exact bound of its profile
+    ("bound-validate", {"n_list": [3], "rate_points": 2, "mean_rate_min": 0.5,
+                        "mean_rate_max": 1.0, "std_factor": 1.0, "rate_clip_max": 1.0,
+                        "lemma_cases": 20}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "experiment,params", IN_RANGE_EDGES,
+    ids=[f"{e}-{i}" for i, (e, _) in enumerate(IN_RANGE_EDGES)])
+def test_cli_in_range_edge_cases_run(tmp_path, capsys, experiment, params):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
+    trials = "1000" if REGISTRY[experiment].monte_carlo else "0"
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path),
+                 "--trials", trials]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / f"{experiment}.csv") as f:
+        for row in csv.DictReader(f):
+            for key, value in row.items():
+                assert not _is_number(value) or math.isfinite(float(value)), (key, value)
 
 
 # small settings for the other parameters, so that the walk stays quick
@@ -370,6 +404,22 @@ def test_registry_minimum_runs_and_one_step_below_is_rejected(tmp_path, experime
 # config fuzz
 
 
+# caps on drawn values, and on the length of list settings, so each example stays quick
+FUZZ_CAPS = {
+    "correlated-errors": {"rate_points": 3},
+    "bound-validate": {"rate_points": 3, "lemma_cases": 50, "n_list": 3},
+    "allocation-report": {"ell_c_max": 60, "n_p_list": 2},
+    "apples": {},
+}
+# the number of CSV rows a run of the drawn params writes
+FUZZ_ROWS = {
+    "correlated-errors": lambda p: p["rate_points"],
+    "bound-validate": lambda p: len(p["n_list"]) * p["rate_points"] + 2,
+    "allocation-report": lambda p: sum(max(0, p["ell_c_max"] - n_p) for n_p in p["n_p_list"]),
+    "apples": lambda p: 6,
+}
+
+
 def _in_range(spec, hi=None):
     hi = spec.hi if hi is None else hi
     if spec.type is int:
@@ -377,39 +427,59 @@ def _in_range(spec, hi=None):
     return st.floats(spec.lo, hi)
 
 
-CORR = REGISTRY["correlated-errors"]
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @st.composite
-def corr_params(draw):
-    specs = CORR.params
-    params = {name: draw(_in_range(spec, 3 if name == "rate_points" else None))
-              for name, spec in specs.items()}
-    for a, b in CORR.ordered:
+def fuzz_params(draw, experiment):
+    entry, caps = REGISTRY[experiment], FUZZ_CAPS[experiment]
+    params = {}
+    for name, spec in entry.params.items():
+        if spec.size:
+            lo, hi = spec.size[0], spec.size[1] or caps[name]
+            entries = _in_range(spec)
+            # equal entries are an edge of their own: equal apple bins break even at 0
+            params[name] = draw(st.lists(entries, min_size=lo, max_size=hi)
+                                | st.builds(lambda v, k: [v] * k, entries, st.integers(lo, hi)))
+        else:
+            params[name] = draw(_in_range(spec, caps.get(name)))
+    for a, b in entry.ordered:
         params[a], params[b] = sorted((params[a], params[b]))
     # one setting one step outside its range, below lo or above hi
-    name = draw(st.sampled_from(sorted(specs)))
-    spec = specs[name]
+    name = draw(st.sampled_from(sorted(entry.params)))
+    spec = entry.params[name]
     ends = [(spec.lo, -math.inf)] + ([(spec.hi, math.inf)] if spec.hi is not None else [])
     edge, away = draw(st.sampled_from(ends))
     outside = edge + (1 if away > 0 else -1) if spec.type is int else math.nextafter(edge, away)
+    if spec.size:  # a list with its first entry outside the range
+        outside = [outside] + params[name][1:]
     return params, dict(params, **{name: outside})
 
 
+@pytest.mark.parametrize("experiment", sorted(FUZZ_CAPS))
 @settings(max_examples=100, deadline=2000,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(corr_params())
-def test_correlated_errors_config_fuzz(tmp_path, drawn):
-    params, bad = drawn
+@given(data=st.data())
+def test_config_fuzz(tmp_path, capsys, experiment, data):
+    params, bad = data.draw(fuzz_params(experiment))
+    entry = REGISTRY[experiment]
     path = tmp_path / "c.yaml"
-    argv = ["correlated-errors", "--config", str(path), "--trials", "100", "--out", str(tmp_path)]
-    path.write_text(yaml.safe_dump({"experiment": "correlated-errors", "params": params}))
-    assert main(argv) == 0
-    with open(tmp_path / "correlated-errors.csv") as f:
+    argv = [experiment, "--config", str(path), "--out", str(tmp_path)]
+    if entry.monte_carlo:
+        argv += ["--trials", "100"]
+    path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
+    assert main(argv) in ((0, 3) if entry.verify else (0,))
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / f"{experiment}.csv") as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == params["rate_points"]
+    assert len(rows) == FUZZ_ROWS[experiment](params)
     for row in rows:
         for key, value in row.items():
-            assert key == "experiment" or math.isfinite(float(value)), (key, value)
-    path.write_text(yaml.safe_dump({"experiment": "correlated-errors", "params": bad}))
+            assert not _is_number(value) or math.isfinite(float(value)), (key, value)
+    path.write_text(yaml.safe_dump({"experiment": experiment, "params": bad}))
     assert main(argv) == 2

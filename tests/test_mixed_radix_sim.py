@@ -9,7 +9,9 @@ from daqec.mixed_radix_sim import (
     RadixVector,
     apply_channel,
     apply_unitary,
+    basis_map_gate,
     basis_state,
+    basis_sum_state,
     depolarizing_channel,
     dump_state,
     embed_unitary,
@@ -70,6 +72,34 @@ def test_dimension_cap():
 def test_state_normalization_enforced():
     with pytest.raises(ValueError):
         pure_state((2,), np.array([1.0, 1.0]))
+
+
+def test_basis_sum_state_adds_repeated_terms():
+    s = basis_sum_state((3, 2), [((2, 1), 0.6), ((0, 0), 0.5j), ((0, 0), 0.3j)])
+    ref = np.zeros(6, dtype=complex)
+    ref[5], ref[0] = 0.6, 0.8j
+    np.testing.assert_allclose(s.array, ref, atol=1e-15)
+    with pytest.raises(ValueError):  # the sum must be normalized
+        basis_sum_state((2,), [((0,), 0.6), ((0,), 0.6)])
+
+
+def test_basis_map_gate_literal_matrices():
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    g = basis_map_gate((2, 2), lambda x: (x[0], x[0] ^ x[1]))
+    assert g.site_dims == (2, 2) and np.array_equal(g.matrix, cnot)
+    assert np.array_equal(basis_map_gate((2, 2), lambda x: (x[1], x[0])).matrix, swap)
+    assert np.array_equal(basis_map_gate((3,), lambda x: (2 - x[0],)).matrix, U02)
+    # mixed radix: |a, b> -> |a, (a + b) mod 2> on a qutrit and a qubit
+    g = basis_map_gate((3, 2), lambda x: (x[0], (x[0] + x[1]) % 2))
+    ref = np.eye(6)
+    ref[[2, 3]] = ref[[3, 2]]  # |1,0> <-> |1,1>; |0,b> and |2,b> stay
+    assert np.array_equal(g.matrix, ref)
+
+
+def test_basis_map_gate_rejects_map_that_is_not_one_to_one():
+    with pytest.raises(ValueError):
+        basis_map_gate((2, 2), lambda x: (x[0], 0))
 
 
 def test_radix_vector_rejects_trivial_sites():
