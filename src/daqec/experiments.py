@@ -13,6 +13,7 @@ with a fixed chunk size, so outputs are byte-identical at any thread count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -713,6 +714,15 @@ def run_experiment(cfg: ExperimentConfig):
     return REGISTRY[cfg.experiment].runner(cfg)
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an OSError while writing `path` as a config error naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+
+
 def execute(cfg: ExperimentConfig) -> int:
     """Run, write CSV + summary JSON, and return the process exit code."""
     from . import __version__
@@ -724,22 +734,23 @@ def execute(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
     rows, columns, extra, ok = run_experiment(cfg)
     ok = ok and bool(rows)  # a run that checked nothing has not passed
-    try:
-        write_csv(out / f"{cfg.experiment}.csv", columns, rows)
-        summary = {
-            "experiment": cfg.experiment,
-            "config": resolved_config(cfg),
-            "version": __version__,
-            "numpy_version": np.__version__,
-            "wall_time_s": round(time.time() - start, 3),
-            "rows": len(rows),
-            "ok": ok,
-            "results": extra,
-        }
-        (out / f"{cfg.experiment}_summary.json").write_text(
+    csv_path = out / f"{cfg.experiment}.csv"
+    with _writing(csv_path):
+        write_csv(csv_path, columns, rows)
+    summary = {
+        "experiment": cfg.experiment,
+        "config": resolved_config(cfg),
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "wall_time_s": round(time.time() - start, 3),
+        "rows": len(rows),
+        "ok": ok,
+        "results": extra,
+    }
+    summary_path = out / f"{cfg.experiment}_summary.json"
+    with _writing(summary_path):
+        summary_path.write_text(
             json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
-    except OSError as e:
-        raise ConfigError(f"cannot write {e.filename}: {e.strerror}") from e
     if REGISTRY[cfg.experiment].verify and not ok:
         return 3
     return 0

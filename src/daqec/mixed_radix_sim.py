@@ -169,24 +169,23 @@ class KrausChannel:
 # construction
 
 
-def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int],
-                cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
-    """Computational basis state with the given digit per site."""
+def _capped_radix(radix: RadixVector | Sequence[int], cap: int) -> RadixVector:
     if not isinstance(radix, RadixVector):
         radix = RadixVector(tuple(radix))
     if radix.total_dim > cap:
         raise ValueError(f"register dimension {radix.total_dim} exceeds cap {cap}")
-    amps = np.zeros(radix.total_dim, dtype=complex)
-    amps[radix.index_of(levels)] = 1.0
-    return MixedRadixState(radix, amps)
+    return radix
+
+
+def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int],
+                cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
+    """Computational basis state with the given digit per site."""
+    return basis_sum_state(radix, [(levels, 1.0)], cap)
 
 
 def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray,
                cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
-    if not isinstance(radix, RadixVector):
-        radix = RadixVector(tuple(radix))
-    if radix.total_dim > cap:
-        raise ValueError(f"register dimension {radix.total_dim} exceeds cap {cap}")
+    radix = _capped_radix(radix, cap)
     amps = np.asarray(amplitudes, dtype=complex)
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > ATOL_CONSTRUCT:
@@ -194,16 +193,17 @@ def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray,
     return MixedRadixState(radix, amps)
 
 
-def basis_sum_state(dims: Sequence[int], terms) -> MixedRadixState:
+def basis_sum_state(radix: RadixVector | Sequence[int], terms,
+                    cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
     """Pure state sum(amplitude |levels>) over (levels, amplitude) terms.
 
     Repeated levels add up; the sum must be normalized.
     """
-    radix = RadixVector(tuple(dims))
+    radix = _capped_radix(radix, cap)
     amps = np.zeros(radix.total_dim, dtype=complex)
     for levels, amp in terms:
         amps[radix.index_of(levels)] += amp
-    return MixedRadixState(radix, amps)
+    return pure_state(radix, amps, cap)
 
 
 def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
@@ -343,7 +343,8 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
         inv = np.argsort(list(sites) + rest)
         return MixedRadixState(state.radix, np.transpose(full, inv).reshape(-1))
 
-    levels_of = RadixVector(meas_dims).levels_of
+    # no measured site leaves the one empty outcome, which RadixVector cannot hold
+    levels_of = RadixVector(meas_dims).levels_of if sites else (lambda o: ())
     if rng is None:
         results = []
         for o in range(m_total):

@@ -256,7 +256,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             (["--config", str(tmp_path / "missing.yaml")], "cannot read config file"),
             (["--out", str(a_file)], "cannot create output directory"),  # a file
             (["--out", str(a_file / "sub")], "cannot create output directory"),  # under a file
-            (["--out", str(tmp_path / "blocked")], "cannot write"),  # the CSV path is a directory
+            # the CSV path is a directory
+            (["--out", str(tmp_path / "blocked")], f"cannot write {tmp_path / 'blocked' / 'apples.csv'}:"),
             (["--trials", "10000001"], "trials must be at most")):
         assert main(["apples"] + argv) == 2, argv
         err = capsys.readouterr().err
@@ -338,34 +339,73 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     assert "Traceback" not in err
 
 
-# in range, and each crashed with a raw traceback or wrote a non-finite value
+# the cells of each experiment's CSV that hold text, and those left blank in a
+# given row; every other cell must parse as a finite number, so a dropped or
+# blank numeric column fails
+CSV_TEXT = {
+    "correlated-errors": {"experiment"},
+    "apples": {"experiment", "check", "pass"},
+    "allocation-report": {"experiment", "formula_valid", "pass"},
+    "bound-validate": {"experiment", "kind"},
+}
+_SWEEP_ONLY = {"n", "mean_rate", "mean_difference", "mean_bound_exact", "mean_bound_approx",
+               "frac_meeting_exact_bound", "median_ratio_exact", "median_ratio_approx"}
+CSV_BLANK = {
+    "correlated-errors": lambda row, p: set(),
+    "apples": lambda row, p: set(),
+    # brute force runs only up to brute_force_ell_max and n_p = 3
+    "allocation-report": lambda row, p: (
+        set() if int(row["ell_c"]) <= p["brute_force_ell_max"] and int(row["n_p"]) <= 3
+        else {"brute_force_min"}),
+    "bound-validate": lambda row, p: set() if row["kind"] == "sweep" else _SWEEP_ONLY,
+}
+
+
+def _assert_cells(experiment, params, rows):
+    params = {name: spec.default for name, spec in REGISTRY[experiment].params.items()} | params
+    for row in rows:
+        blank = CSV_BLANK[experiment](row, params)
+        for key, value in row.items():
+            if key in blank:
+                assert value == "", (key, value)
+            elif key in CSV_TEXT[experiment]:
+                assert value, key
+            else:
+                assert math.isfinite(float(value)), (key, value)
+
+
+# in range, and each crashed with a raw traceback or wrote a non-finite value;
+# the anchor is set to each cutoff, so a run whose checks hold exits 0
 IN_RANGE_EDGES = [
-    ("apples", {"bin_probs": [0.6, 0.6, 0.6, 0.6]}),  # break-even exactly at p_c = 0
-    ("apples", {"bin_probs": [0.99, 0.99, 0.99, 0.99]}),
-    # P(0) + P(1) of the mixed barrel is 9.3e-18, lost when taken as 1 - ruin
-    ("apples", {"bin_probs": [0.896, 1 - 2**-53, 0.596, 1 - 2**-53]}),
+    # break-even exactly at p_c = 0
+    pytest.param("apples", {"bin_probs": [0.6] * 4, "cutoff_anchor": 0.0}, 0, id="apples-0"),
+    pytest.param("apples", {"bin_probs": [0.99] * 4, "cutoff_anchor": 0.0}, 0, id="apples-1"),
+    # P(0) + P(1) of the mixed barrel is 9.3e-18, lost when taken as 1 - ruin; every
+    # packing's success is 0.0, so optimal_packing_bruteforce keeps the first one
+    # and the optimal-odds-spread check fails (a FOUND line in CHANGES.md)
+    pytest.param("apples", {"bin_probs": [0.896, 1 - 2**-53, 0.596, 1 - 2**-53],
+                            "cutoff_anchor": 0.941}, 0, id="apples-2",
+                 marks=pytest.mark.xfail(strict=True, reason="tie among zero-success packings")),
     # a processor at rate 1 zeroes the exact bound of its profile
-    ("bound-validate", {"n_list": [3], "rate_points": 2, "mean_rate_min": 0.5,
-                        "mean_rate_max": 1.0, "std_factor": 1.0, "rate_clip_max": 1.0,
-                        "lemma_cases": 20}),
+    pytest.param("bound-validate", {"n_list": [3], "rate_points": 2, "mean_rate_min": 0.5,
+                                    "mean_rate_max": 1.0, "std_factor": 1.0,
+                                    "rate_clip_max": 1.0, "lemma_cases": 20},
+                 0, id="bound-validate-3"),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "experiment,params", IN_RANGE_EDGES,
-    ids=[f"{e}-{i}" for i, (e, _) in enumerate(IN_RANGE_EDGES)])
-def test_cli_in_range_edge_cases_run(tmp_path, capsys, experiment, params):
+@pytest.mark.parametrize("experiment,params,code", IN_RANGE_EDGES)
+def test_cli_in_range_edge_cases_run(tmp_path, capsys, experiment, params, code):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
     trials = "1000" if REGISTRY[experiment].monte_carlo else "0"
-    assert main([experiment, "--config", str(path), "--out", str(tmp_path),
-                 "--trials", trials]) in (0, 3)
+    exit_code = main([experiment, "--config", str(path), "--out", str(tmp_path),
+                      "--trials", trials])
     assert "Traceback" not in capsys.readouterr().err
     with open(tmp_path / f"{experiment}.csv") as f:
-        for row in csv.DictReader(f):
-            for key, value in row.items():
-                assert not _is_number(value) or math.isfinite(float(value)), (key, value)
+        _assert_cells(experiment, params, list(csv.DictReader(f)))
+    assert exit_code == code
 
 
 # small settings for the other parameters, so that the walk stays quick
@@ -427,14 +467,6 @@ def _in_range(spec, hi=None):
     return st.floats(spec.lo, hi)
 
 
-def _is_number(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 @st.composite
 def fuzz_params(draw, experiment):
     entry, caps = REGISTRY[experiment], FUZZ_CAPS[experiment]
@@ -478,8 +510,6 @@ def test_config_fuzz(tmp_path, capsys, experiment, data):
     with open(tmp_path / f"{experiment}.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == FUZZ_ROWS[experiment](params)
-    for row in rows:
-        for key, value in row.items():
-            assert not _is_number(value) or math.isfinite(float(value)), (key, value)
+    _assert_cells(experiment, params, rows)
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": bad}))
     assert main(argv) == 2

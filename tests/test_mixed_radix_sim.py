@@ -81,6 +81,8 @@ def test_basis_sum_state_adds_repeated_terms():
     np.testing.assert_allclose(s.array, ref, atol=1e-15)
     with pytest.raises(ValueError):  # the sum must be normalized
         basis_sum_state((2,), [((0,), 0.6), ((0,), 0.6)])
+    with pytest.raises(ValueError):  # the same cap as basis_state
+        basis_sum_state((2,) * 23, [((0,) * 23, 1.0)])
 
 
 def test_basis_map_gate_literal_matrices():
@@ -244,6 +246,17 @@ def test_measure_deterministic_qubit():
     assert len(res) == 1
     levels, p, post = res[0]
     assert levels == (0,) and abs(p - 1.0) < 1e-12
+
+
+def test_measure_no_sites_is_the_one_empty_outcome():
+    pure = bell_pair()
+    mixed = apply_channel(pure, depolarizing_channel(2, 1, 0.5), [0])
+    for s in (pure, mixed):
+        [(levels, p, post)] = measure_sites(s, [])
+        assert levels == () and abs(p - 1.0) < 1e-12
+        np.testing.assert_allclose(post.array, s.array, atol=1e-12)
+        levels, p, _ = measure_sites(s, [], rng=np.random.default_rng(0))
+        assert levels == () and abs(p - 1.0) < 1e-12
 
 
 def test_measure_site_validity():
