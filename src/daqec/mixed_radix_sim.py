@@ -231,6 +231,10 @@ def to_density(state: MixedRadixState, cap: int = DEFAULT_DENSITY_CAP) -> MixedR
 
 # ---------------------------------------------------------------------------
 # tensor plumbing
+#
+# A state is a tensor with one ket axis per site; a density has a second set
+# of bra axes, in the same site order, that moves with the conjugate. The
+# helpers below are the only places that know this rule.
 
 
 def _tensorized(matrix: np.ndarray, site_dims: tuple[int, ...]) -> np.ndarray:
@@ -243,56 +247,78 @@ def _apply_axes(arr: np.ndarray, op_t: np.ndarray, axes: tuple[int, ...]) -> np.
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def _check_sites(radix: RadixVector, sites: tuple[int, ...], site_dims: tuple[int, ...]):
+def _tensor(state: MixedRadixState) -> np.ndarray:
+    """The state as a tensor: its ket axes, then its bra axes for a density."""
+    dims = state.radix.dims
+    return state.array.reshape(dims + dims if state.is_density else dims)
+
+
+def _front_axes(state: MixedRadixState, sites: Sequence[int]) -> tuple[int, ...]:
+    """Axis order that brings the sites, in the given order, before the rest."""
+    n = state.n_sites
+    order = tuple(sites) + tuple(s for s in range(n) if s not in sites)
+    return order + tuple(n + s for s in order) if state.is_density else order
+
+
+def _split(state: MixedRadixState, sites: Sequence[int]) -> np.ndarray:
+    """The sites against the rest: (M, R) for a pure state, (M, R, M, R) for a density."""
+    m = math.prod(state.dims[s] for s in sites)
+    shape = (m, state.radix.total_dim // m) * (2 if state.is_density else 1)
+    return np.transpose(_tensor(state), _front_axes(state, sites)).reshape(shape)
+
+
+def _unsplit(state: MixedRadixState, grouped: np.ndarray, sites: Sequence[int]) -> np.ndarray:
+    """Inverse of _split: the grouped array as a state array of the register."""
+    out = np.empty_like(state.array)
+    moved = np.transpose(out.reshape(_tensor(state).shape), _front_axes(state, sites))
+    moved[...] = grouped.reshape(moved.shape)
+    return out
+
+
+def _check_sites(radix: RadixVector, sites: Sequence[int],
+                 site_dims: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Distinct sites of the register; with site_dims, each of that dimension."""
+    sites = tuple(sites)
     if len(set(sites)) != len(sites):
-        raise ValueError(f"duplicate target sites {sites}")
-    for s, d in zip(sites, site_dims, strict=True):
+        raise ValueError(f"duplicate sites {sites}")
+    for s in sites:
         if not 0 <= s < radix.n_sites:
             raise ValueError(f"site {s} out of range")
-        if radix.dims[s] != d:
-            raise ValueError(f"site {s} has dimension {radix.dims[s]}, gate expects {d}")
+    if site_dims is not None:
+        for s, d in zip(sites, site_dims, strict=True):
+            if radix.dims[s] != d:
+                raise ValueError(f"site {s} has dimension {radix.dims[s]}, gate expects {d}")
+    return sites
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
 
+def _conjugated(state: MixedRadixState, op_t: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    """op on the ket axes of the sites, op* on their bra axes, as a state array."""
+    out = _apply_axes(_tensor(state), op_t, sites)
+    if state.is_density:
+        out = _apply_axes(out, op_t.conj(), tuple(state.n_sites + s for s in sites))
+    return out.reshape(state.array.shape)
+
+
 def apply_unitary(state: MixedRadixState, gate: GateSpec,
                   sites: Sequence[int]) -> MixedRadixState:
     """Apply a unitary to the given sites: U|psi> or U rho U†."""
-    sites = tuple(sites)
-    _check_sites(state.radix, sites, gate.site_dims)
-    op = _tensorized(gate.matrix, gate.site_dims)
-    dims = state.radix.dims
-    n = len(dims)
-    if state.is_density:
-        rho = state.array.reshape(dims + dims)
-        rho = _apply_axes(rho, op, sites)
-        rho = _apply_axes(rho, op.conj(), tuple(n + s for s in sites))
-        dim = state.radix.total_dim
-        return MixedRadixState(state.radix, rho.reshape(dim, dim))
-    psi = _apply_axes(state.array.reshape(dims), op, sites)
-    return MixedRadixState(state.radix, psi.reshape(-1))
+    sites = _check_sites(state.radix, sites, gate.site_dims)
+    return MixedRadixState(state.radix,
+                           _conjugated(state, _tensorized(gate.matrix, gate.site_dims), sites))
 
 
 def apply_channel(state: MixedRadixState, ch: KrausChannel,
                   sites: Sequence[int],
                   density_cap: int = DEFAULT_DENSITY_CAP) -> MixedRadixState:
     """Apply a Kraus channel; pure inputs are promoted to density matrices."""
-    sites = tuple(sites)
-    _check_sites(state.radix, sites, ch.site_dims)
+    sites = _check_sites(state.radix, sites, ch.site_dims)
     state = to_density(state, cap=density_cap)
-    dims = state.radix.dims
-    n = len(dims)
-    dim = state.radix.total_dim
-    rho = state.array.reshape(dims + dims)
-    out = np.zeros_like(rho)
-    for k in ch.ops:
-        op = _tensorized(k, ch.site_dims)
-        term = _apply_axes(rho, op, sites)
-        term = _apply_axes(term, op.conj(), tuple(n + s for s in sites))
-        out += term
-    return MixedRadixState(state.radix, out.reshape(dim, dim))
+    return MixedRadixState(state.radix, sum(
+        _conjugated(state, _tensorized(k, ch.site_dims), sites) for k in ch.ops))
 
 
 def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
@@ -301,91 +327,49 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
     With rng=None every outcome of probability > 1e-12 is enumerated and
     [(levels, probability, post_state)] is returned, outcomes ascending.
     With a numpy Generator a single (levels, probability, post_state) is
-    sampled with those exact probabilities.
+    sampled from those outcomes, with their probabilities renormalized.
     """
-    sites = tuple(sites)
-    for s in sites:
-        if not 0 <= s < state.n_sites:
-            raise ValueError(f"site {s} out of range")
-    if len(set(sites)) != len(sites):
-        raise ValueError("duplicate measured sites")
-    dims = state.radix.dims
-    n = len(dims)
-    meas_dims = tuple(dims[s] for s in sites)
-    m_total = math.prod(meas_dims)
-    rest = [i for i in range(n) if i not in sites]
-
+    sites = _check_sites(state.radix, sites)
+    grouped = _split(state, sites)
     if state.is_density:
-        rho = state.array.reshape(dims + dims)
-        perm = list(sites) + rest + [n + s for s in sites] + [n + r for r in rest]
-        moved = np.transpose(rho, perm)
-        r_total = state.radix.total_dim // m_total
-        blocks = moved.reshape(m_total, r_total, m_total, r_total)
-        probs = np.einsum("arar->a", blocks).real
+        probs = np.einsum("arar->a", grouped).real
     else:
-        psi = state.array.reshape(dims)
-        moved = np.transpose(psi, list(sites) + rest)
-        rows = moved.reshape(m_total, -1)
-        probs = np.sum(np.abs(rows) ** 2, axis=1)
+        probs = np.sum(np.abs(grouped) ** 2, axis=1)
 
-    def _post(outcome_idx: int, p: float) -> MixedRadixState:
-        if state.is_density:
-            proj = np.zeros_like(blocks)
-            proj[outcome_idx, :, outcome_idx, :] = blocks[outcome_idx, :, outcome_idx, :] / p
-            full = proj.reshape([dims[i] for i in sites] + [dims[i] for i in rest]
-                                + [dims[i] for i in sites] + [dims[i] for i in rest])
-            inv = np.argsort(perm)
-            dim = state.radix.total_dim
-            return MixedRadixState(state.radix, np.transpose(full, inv).reshape(dim, dim))
-        out = np.zeros_like(rows)
-        out[outcome_idx] = rows[outcome_idx] / math.sqrt(p)
-        full = out.reshape([dims[i] for i in sites] + [dims[i] for i in rest])
-        inv = np.argsort(list(sites) + rest)
-        return MixedRadixState(state.radix, np.transpose(full, inv).reshape(-1))
+    def _post(o: int) -> MixedRadixState:
+        # outcome o's row of a pure state, its diagonal block of a density
+        block = (o, slice(None), o) if state.is_density else (o,)
+        out = np.zeros_like(grouped)
+        out[block] = grouped[block] / (probs[o] if state.is_density else math.sqrt(probs[o]))
+        return MixedRadixState(state.radix, _unsplit(state, out, sites))
 
     # no measured site leaves the one empty outcome, which RadixVector cannot hold
+    meas_dims = tuple(state.dims[s] for s in sites)
     levels_of = RadixVector(meas_dims).levels_of if sites else (lambda o: ())
-    if rng is None:
-        results = []
-        for o in range(m_total):
-            p = float(probs[o])
-            if p > AMP_EPS:
-                results.append((levels_of(o), p, _post(o, p)))
-        return results
-
-    norm = probs / probs.sum()
-    o = int(rng.choice(m_total, p=norm))
-    p = float(probs[o])
-    return levels_of(o), p, _post(o, p)
+    outcomes = [o for o in range(len(probs)) if probs[o] > AMP_EPS]
+    if rng is not None:
+        kept = probs[outcomes]
+        outcomes = [outcomes[int(rng.choice(len(outcomes), p=kept / kept.sum()))]]
+    results = [(levels_of(o), float(probs[o]), _post(o)) for o in outcomes]
+    return results if rng is None else results[0]
 
 
 def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> MixedRadixState:
     """Reduced density operator on the kept sites (ascending register order)."""
-    keep = sorted(set(keep_sites))
+    keep = list(_check_sites(state.radix, sorted(set(keep_sites))))
     if not keep:
         raise ValueError("must keep at least one site")
-    for s in keep:
-        if not 0 <= s < state.n_sites:
-            raise ValueError(f"site {s} out of range")
-    dims = state.radix.dims
-    n = len(dims)
-    traced = tuple(i for i in range(n) if i not in keep)
-    new_radix = RadixVector(tuple(dims[i] for i in keep))
-    if not traced:
-        st = to_density(state, cap=max(DEFAULT_DENSITY_CAP, state.radix.total_dim))
-        return MixedRadixState(new_radix, st.array.copy())
-    kdim = new_radix.total_dim
+    new_radix = RadixVector(tuple(state.dims[s] for s in keep))
     if state.is_density:
-        rho = state.array.reshape(dims + dims)
-        out = np.trace(rho, axis1=traced[-1], axis2=n + traced[-1])
-        remaining = [i for i in range(n) if i != traced[-1]]
-        for t in reversed(traced[:-1]):
-            pos = remaining.index(t)
-            out = np.trace(out, axis1=pos, axis2=len(remaining) + pos)
-            remaining.remove(t)
-        return MixedRadixState(new_radix, out.reshape(kdim, kdim))
-    psi = state.array.reshape(dims)
-    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
+        # a traced site's bra axis takes its ket axis's label, so einsum sums
+        # the diagonal in place instead of copying the density first
+        n = state.n_sites
+        bra = [n + s if s in keep else s for s in range(n)]
+        rho = np.einsum(_tensor(state), list(range(n)) + bra, keep + [n + s for s in keep])
+    else:
+        rows = _split(state, keep)
+        rho = rows @ rows.conj().T
+    kdim = new_radix.total_dim
     return MixedRadixState(new_radix, rho.reshape(kdim, kdim))
 
 
@@ -461,16 +445,8 @@ def permute_sites(state: MixedRadixState, order: Sequence[int]) -> MixedRadixSta
     order = tuple(order)
     if sorted(order) != list(range(state.n_sites)):
         raise ValueError(f"{order} is not a permutation of the sites")
-    dims = state.radix.dims
-    n = len(dims)
-    new_radix = RadixVector(tuple(dims[i] for i in order))
-    if state.is_density:
-        rho = state.array.reshape(dims + dims)
-        perm = list(order) + [n + i for i in order]
-        dim = state.radix.total_dim
-        return MixedRadixState(new_radix, np.transpose(rho, perm).reshape(dim, dim))
-    psi = state.array.reshape(dims)
-    return MixedRadixState(new_radix, np.transpose(psi, order).reshape(-1))
+    new_radix = RadixVector(tuple(state.dims[i] for i in order))
+    return MixedRadixState(new_radix, _split(state, order).reshape(state.array.shape))
 
 
 def permute_gate_sites(gate: GateSpec, order: Sequence[int]) -> GateSpec:

@@ -50,21 +50,15 @@ class SteaneBlock:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Two-qubit depolarizing parameters and optional per-processor rates."""
+    """Two-qubit depolarizing parameters within and across processors."""
 
     p_local: float = 0.0
     p_remote: float = 0.0
-    per_processor_rates: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for p in (self.p_local, self.p_remote):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"noise parameter {p} outside [0, 1]")
-        if self.per_processor_rates is not None:
-            rates = tuple(float(r) for r in self.per_processor_rates)
-            object.__setattr__(self, "per_processor_rates", rates)
-            if any(not 0.0 <= r <= 1.0 for r in rates):
-                raise ValueError("per-processor rates must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -332,21 +326,14 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
     meas = measured[len(measured) - 6 * nb:]
     x_flips = np.zeros((nb, n_trials), dtype=bool)
     z_flips = np.zeros((nb, n_trials), dtype=bool)
-    trial_idx = np.arange(n_trials)
     for b, block in enumerate(layout.blocks):
         mb = meas[6 * b: 6 * b + 6]
-        # X-type generators flag Z errors, Z-type generators flag X errors
-        sz = mb[0].astype(np.int64) + 2 * mb[1] + 4 * mb[2]
-        sx = mb[3].astype(np.int64) + 2 * mb[4] + 4 * mb[5]
-        data = np.array(block.data)
-        rows = trial_idx[sz > 0]
-        if rows.size:
-            z[rows, data[sz[rows] - 1]] ^= True
-        rows = trial_idx[sx > 0]
-        if rows.size:
-            x[rows, data[sx[rows] - 1]] ^= True
-        x_flips[b] = np.bitwise_xor.reduce(x[:, data], axis=1)
-        z_flips[b] = np.bitwise_xor.reduce(z[:, data], axis=1)
+        # lookup decoding flips one data qubit iff the syndrome is nonzero, so the
+        # logical flip is the data parity XOR [syndrome != 0]; X-type generators
+        # flag Z errors, Z-type generators flag X errors
+        data = list(block.data)
+        z_flips[b] = np.bitwise_xor.reduce(z[:, data], axis=1) ^ (mb[0] | mb[1] | mb[2])
+        x_flips[b] = np.bitwise_xor.reduce(x[:, data], axis=1) ^ (mb[3] | mb[4] | mb[5])
     return x_flips, z_flips
 
 

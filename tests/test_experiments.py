@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,14 +340,17 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     assert "Traceback" not in err
 
 
-# the cells of each experiment's CSV that hold text, and those left blank in a
-# given row; every other cell must parse as a finite number, so a dropped or
-# blank numeric column fails
+# the cells of a row of each experiment's CSV that hold text, and those left
+# blank; a text cell must be one lower-case word and every other cell must parse
+# as a finite number, so a dropped, shifted or blank numeric column fails
 CSV_TEXT = {
-    "correlated-errors": {"experiment"},
-    "apples": {"experiment", "check", "pass"},
-    "allocation-report": {"experiment", "formula_valid", "pass"},
-    "bound-validate": {"experiment", "kind"},
+    "correlated-errors": lambda row: {"experiment"},
+    "apples": lambda row: {"experiment", "check", "pass"},
+    "allocation-report": lambda row: {"experiment", "formula_valid", "pass"},
+    "bound-validate": lambda row: {"experiment", "kind"},
+    # the W-preparation rows name the site dimension in n_e, as d=<d>
+    "wstate-verify": lambda row: {"experiment", "check", "pass"} | (
+        {"n_e"} if row["check"] == "w-preparation" else set()),
 }
 _SWEEP_ONLY = {"n", "mean_rate", "mean_difference", "mean_bound_exact", "mean_bound_approx",
                "frac_meeting_exact_bound", "median_ratio_exact", "median_ratio_approx"}
@@ -358,18 +362,22 @@ CSV_BLANK = {
         set() if int(row["ell_c"]) <= p["brute_force_ell_max"] and int(row["n_p"]) <= 3
         else {"brute_force_min"}),
     "bound-validate": lambda row, p: set() if row["kind"] == "sweep" else _SWEEP_ONLY,
+    # the minimum-fidelity rows pool every n; the expected-swaps rows have no erasures
+    "wstate-verify": lambda row, p: (
+        {"n", "n_e"} if row["check"].endswith("min-fidelity")
+        else {"n_e"} if row["check"] == "expected-swaps" else set()),
 }
 
 
 def _assert_cells(experiment, params, rows):
     params = {name: spec.default for name, spec in REGISTRY[experiment].params.items()} | params
     for row in rows:
-        blank = CSV_BLANK[experiment](row, params)
+        blank, text = CSV_BLANK[experiment](row, params), CSV_TEXT[experiment](row)
         for key, value in row.items():
             if key in blank:
                 assert value == "", (key, value)
-            elif key in CSV_TEXT[experiment]:
-                assert value, key
+            elif key in text:
+                assert re.fullmatch(r"[a-z][a-z0-9=-]*", value), (key, value)
             else:
                 assert math.isfinite(float(value)), (key, value)
 
@@ -450,6 +458,7 @@ FUZZ_CAPS = {
     "bound-validate": {"rate_points": 3, "lemma_cases": 50, "n_list": 3},
     "allocation-report": {"ell_c_max": 60, "n_p_list": 2},
     "apples": {},
+    "wstate-verify": {"max_total_sites": 6, "n_unitaries": 3, "n_random_logical": 2},
 }
 # the number of CSV rows a run of the drawn params writes
 FUZZ_ROWS = {
@@ -457,6 +466,9 @@ FUZZ_ROWS = {
     "bound-validate": lambda p: len(p["n_list"]) * p["rate_points"] + 2,
     "allocation-report": lambda p: sum(max(0, p["ell_c_max"] - n_p) for n_p in p["n_p_list"]),
     "apples": lambda p: 6,
+    # two decoder rows per (total sites, erasures), then 11 fixed checks
+    "wstate-verify": lambda p: 11 + sum(
+        2 * (min(p["max_erasures"], total - 1) + 1) for total in range(2, p["max_total_sites"] + 1)),
 }
 
 

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daqec.mixed_radix_sim import (
+    AMP_EPS,
     GateSpec,
     KrausChannel,
+    MixedRadixState,
     RadixVector,
     apply_channel,
     apply_unitary,
@@ -312,6 +316,20 @@ def test_measure_sampling_matches_enumeration(rng):
         assert abs(counts[levels] / n - p) < 4 * sigma + 1e-12
 
 
+def test_measure_sampling_skips_rounding_negative_outcomes():
+    # U U† three times leaves -5e-17 on the diagonal, which rng.choice rejected
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    s = to_density(basis_state((2, 3), (0, 0)))
+    for _ in range(3):
+        s = apply_unitary(s, GateSpec(q, (2, 3)), [0, 1])
+        s = apply_unitary(s, GateSpec(q.conj().T, (2, 3)), [0, 1])
+    assert np.min(np.diag(s.array).real) < 0
+    [(levels, p, _)] = measure_sites(s, [0, 1])
+    assert levels == (0, 0)
+    assert measure_sites(s, [0, 1], np.random.default_rng(1))[:2] == (levels, p)
+
+
 def test_measure_density_input():
     rho = to_density(bell_pair())
     res = measure_sites(rho, [0])
@@ -440,3 +458,98 @@ def test_dump_format():
     assert [ln.split("\t")[0] for ln in lines] == ["0", "3"]
     with pytest.raises(ValueError):
         dump_state(to_density(bell_pair()))
+
+
+# ---------------------------------------------------------------------------
+# index-mask oracle: explicit sums over basis indices, digits from levels_of
+
+
+def _digits(radix):
+    return np.array([radix.levels_of(i) for i in range(radix.total_dim)])
+
+
+def _oracle_measure(state, sites):
+    digits = _digits(state.radix)
+    out = []
+    for levels in itertools.product(*(range(state.dims[s]) for s in sites)):
+        mask = np.all(digits[:, list(sites)] == levels, axis=1)
+        weights = np.diag(state.array).real if state.is_density else np.abs(state.array) ** 2
+        p = float(np.sum(weights[mask]))
+        if p <= AMP_EPS:
+            continue
+        if state.is_density:
+            out.append((levels, p, state.array * np.outer(mask, mask) / p))
+        else:
+            out.append((levels, p, state.array * mask / math.sqrt(p)))
+    return out
+
+
+def _oracle_partial_trace(state, keep):
+    keep = sorted(set(keep))
+    traced = [s for s in range(state.n_sites) if s not in keep]
+    digits = _digits(state.radix)
+    kept = RadixVector(tuple(state.dims[s] for s in keep))
+    k_idx = [kept.index_of(row) for row in digits[:, keep]]
+    rho = state.array if state.is_density else np.outer(state.array, state.array.conj())
+    out = np.zeros((kept.total_dim, kept.total_dim), dtype=complex)
+    for i in range(state.radix.total_dim):
+        for j in range(state.radix.total_dim):
+            if np.array_equal(digits[i, traced], digits[j, traced]):
+                out[k_idx[i], k_idx[j]] += rho[i, j]
+    return out
+
+
+def _oracle_permute(state, order):
+    new = RadixVector(tuple(state.dims[i] for i in order))
+    idx = [new.index_of(row) for row in _digits(state.radix)[:, list(order)]]
+    out = np.zeros_like(state.array)
+    if state.is_density:
+        out[np.ix_(idx, idx)] = state.array
+    else:
+        out[idx] = state.array
+    return out
+
+
+@st.composite
+def _registers(draw):
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(dims)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    w = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    rho = w @ w.conj().T
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    order = tuple(draw(st.permutations(range(len(dims)))))
+    sites = order[:draw(st.integers(0, len(dims)))]
+    pure = pure_state(dims, v / np.linalg.norm(v))
+    return pure, MixedRadixState(RadixVector(dims), rho), sites, order
+
+
+def _assert_measure_equal(res, ref):
+    assert [levels for levels, _, _ in res] == [levels for levels, _, _ in ref]
+    for (_, p, post), (_, p_ref, post_ref) in zip(res, ref):
+        assert abs(p - p_ref) < 1e-12
+        np.testing.assert_allclose(post.array, post_ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_registers())
+def test_site_operations_match_index_mask_oracle(register):
+    pure, mixed, sites, order = register
+    for s in (pure, mixed, to_density(pure)):
+        _assert_measure_equal(measure_sites(s, sites), _oracle_measure(s, sites))
+        if sites:
+            np.testing.assert_allclose(partial_trace(s, sites).array,
+                                       _oracle_partial_trace(s, sites), rtol=0, atol=1e-12)
+        permuted = permute_sites(s, order)
+        assert permuted.dims == tuple(s.dims[i] for i in order)
+        np.testing.assert_allclose(permuted.array, _oracle_permute(s, order), rtol=0, atol=1e-12)
+    # the density path is the to_density of the pure path
+    _assert_measure_equal(
+        measure_sites(to_density(pure), sites),
+        [(levels, p, to_density(post).array) for levels, p, post in measure_sites(pure, sites)])
+    if sites:
+        np.testing.assert_allclose(partial_trace(to_density(pure), sites).array,
+                                   partial_trace(pure, sites).array, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(permute_sites(to_density(pure), order).array,
+                               to_density(permute_sites(pure, order)).array, rtol=0, atol=1e-12)

@@ -474,4 +474,4 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-0.1, 0.0)
     with pytest.raises(ValueError):
-        NoiseSpec(0.0, 0.0, per_processor_rates=(0.2, 1.2))
+        NoiseSpec(0.0, 1.2)
