@@ -119,9 +119,16 @@ def apply_ops(state: MixedRadixState, ops) -> MixedRadixState:
 
 @dataclass
 class DecodeBranch:
+    """One ancilla readout of a measuring decoder.
+
+    post_state is the qutrit register after the readout, as a tuple of
+    (weight within the readout, pure state) branches whose weights sum to
+    one; on success the logical content sits at site 0.
+    """
+
     outcome: int                 # ancilla readout as an integer, 0 = heralded failure
     probability: float
-    post_state: MixedRadixState  # qutrit register only, logical content at site 0
+    post_state: tuple
     psi_site: int | None         # site that held the logical state (None on failure)
 
 
@@ -224,9 +231,8 @@ def _append_sites(state: MixedRadixState, new_dims: tuple[int, ...],
     return MixedRadixState(radix, np.kron(state.array, new_amps))
 
 
-def _project_site(state: MixedRadixState, site: int, level: int,
-                  atol: float = 1e-9) -> MixedRadixState:
-    """Remove a site that is (up to atol) guaranteed to sit at `level`."""
+def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixState:
+    """Remove a site that is (up to 1e-9 in weight) guaranteed to sit at `level`."""
     if state.is_density:
         raise ValueError("can only project pure states")
     dims = state.radix.dims
@@ -235,7 +241,7 @@ def _project_site(state: MixedRadixState, site: int, level: int,
     sl[site] = level
     kept = psi[tuple(sl)].reshape(-1)
     norm2 = float(np.sum(np.abs(kept) ** 2))
-    if abs(norm2 - 1.0) > atol:
+    if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"site {site} not disentangled in level {level} (weight {norm2})")
     new_dims = tuple(d for i, d in enumerate(dims) if i != site)
     return MixedRadixState(RadixVector(new_dims), kept / math.sqrt(norm2))
@@ -513,62 +519,42 @@ def logical_unitary(state: MixedRadixState, u: np.ndarray) -> MixedRadixState:
 
 
 def erase(state: MixedRadixState, pattern: ErasurePattern):
-    """Trace out the erased sites; their locations stay classical metadata.
+    """Lose the erased sites; their locations stay classical metadata.
 
-    Returns (reduced state on the surviving sites, pattern). Site indices
-    of the reduced register are the surviving sites in ascending order.
+    Tracing a site out is measuring it and forgetting the outcome, so the
+    erased word is returned as the ensemble that measuring the erased
+    sites gives. Returns (branches, pattern): branches is a tuple of
+    (probability, pure state on the surviving sites), one per outcome of
+    probability > 1e-12, outcomes ascending, with no density built. Site
+    indices of each branch are the surviving sites in ascending order.
+    With no erased site the one branch is the word itself.
     """
     n = state.n_sites
+    if state.is_density:
+        raise ValueError("erase takes a pure word")
     if any(not 0 <= i < n for i in pattern.erased):
         raise ValueError("erasure pattern outside the block")
     if len(pattern.erased) == n:
         raise ValueError("cannot erase every site")
     if not pattern.erased:
-        return state, pattern
-    keep = [i for i in range(n) if i not in pattern.erased]
-    return partial_trace(state, keep), pattern
+        return ((1.0, state),), pattern
+    erased = sorted(pattern.erased)
+    branches = []
+    for levels, prob, post in measure_sites(state, erased):
+        for site, level in reversed(list(zip(erased, levels))):
+            post = _project_site(post, site, level)
+        branches.append((prob, post))
+    return tuple(branches), pattern
 
 
-def _pure_branches(state: MixedRadixState, atol: float = 1e-8):
-    """Decompose a state into weighted pure branches.
-
-    Pure states pass through. For densities in the erased-codeword family
-    (a codeword branch plus an all-flag branch) the split is read off
-    directly; anything else falls back to an eigendecomposition.
-    """
-    if not state.is_density:
-        return [(1.0, state.array)]
-    dim = state.radix.total_dim
-    rho = state.array
-    if all(d == 3 for d in state.radix.dims):
-        bot_idx = state.radix.index_of((BOT,) * state.n_sites)
-        w_fail = float(rho[bot_idx, bot_idx].real)
-        # erasure leaves no coherence between the all-flag branch and the
-        # rest; anything else must take the eigendecomposition below
-        cross = rho[bot_idx, :].copy()
-        cross[bot_idx] = 0.0
-        if float(np.max(np.abs(cross))) > atol:
-            vals, vecs = np.linalg.eigh(rho)
-            return [(float(v), vecs[:, i]) for i, v in enumerate(vals) if v > AMP_BRANCH]
-        rest = rho.copy()
-        if w_fail > AMP_BRANCH:
-            rest[bot_idx, :] = 0.0
-            rest[:, bot_idx] = 0.0
-        w_rest = float(np.trace(rest).real)
-        branches = []
-        if w_rest > AMP_BRANCH:
-            col = int(np.argmax(np.sum(np.abs(rest) ** 2, axis=0)))
-            v = rest[:, col]
-            v = v / np.linalg.norm(v)
-            if float(np.max(np.abs(rest - w_rest * np.outer(v, v.conj())))) <= atol:
-                branches.append((w_rest, v))
-                if w_fail > AMP_BRANCH:
-                    e = np.zeros(dim, dtype=complex)
-                    e[bot_idx] = 1.0
-                    branches.append((w_fail, e))
-                return branches
-    vals, vecs = np.linalg.eigh(rho)
-    return [(float(v), vecs[:, i]) for i, v in enumerate(vals) if v > AMP_BRANCH]
+def _ensemble(state) -> tuple:
+    """The (weight, pure state) branches of a decoder input; a pure state is one branch."""
+    if not isinstance(state, MixedRadixState):
+        return tuple(state)
+    if state.is_density:
+        raise ValueError("pass a pure state or the weighted pure branches that erase "
+                         "returns, not a density")
+    return ((1.0, state),)
 
 
 def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
@@ -591,74 +577,64 @@ def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
     return ops, m
 
 
-def _mix(radix: RadixVector, parts) -> MixedRadixState:
-    """The one pure state of a single branch, else the density sum of w |v><v|."""
-    if len(parts) == 1:
-        return MixedRadixState(radix, parts[0][1])
-    dim = radix.total_dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, v in parts:
-        rho += w * np.outer(v, v.conj())
-    return MixedRadixState(radix, rho)
-
-
-def _decoder_branches(state: MixedRadixState, n_anc: int, ops) -> list:
-    """(weight, state) per pure branch of `state`, with `n_anc` qubit ancillas
-    appended in |0...0> and the decoder gates applied."""
+def _decoder_branches(branches, n_anc: int, ops) -> list:
+    """(weight, state) per branch, with `n_anc` qubit ancillas appended in
+    |0...0> and the decoder gates applied."""
     anc0 = np.zeros(2**n_anc, dtype=complex)
     anc0[0] = 1.0
-    radix = RadixVector((3,) * state.n_sites)
-    out = []
-    for weight, amps in _pure_branches(state):
-        branch = _append_sites(MixedRadixState(radix, amps), (2,) * n_anc, anc0)
-        out.append((weight, apply_ops(branch, ops)))
-    return out
+    return [(weight, apply_ops(_append_sites(branch, (2,) * n_anc, anc0), ops))
+            for weight, branch in branches]
 
 
-def _measure_ancillas(state: MixedRadixState, n_anc: int, ops) -> list:
+def _measure_ancillas(branches, n_anc: int, ops) -> list:
     """Run a measuring decoder and read its ancillas out.
 
-    Returns (outcome, probability, qutrit post state) per ancilla readout,
-    in ascending order, with the readout bits taken most significant
-    first. Input branches that give the same readout are mixed into one
-    post state.
+    Returns (outcome, probability, qutrit post branches) per ancilla
+    readout, in ascending order, with the readout bits taken most
+    significant first. The post branches of a readout are the input
+    branches that gave it, as (weight within the readout, pure state).
     """
-    n = state.n_sites
+    n = branches[0][1].n_sites
     readout = RadixVector((2,) * n_anc)
-    combined: dict[int, list[tuple[float, np.ndarray]]] = {}
-    for weight, branch in _decoder_branches(state, n_anc, ops):
+    combined: dict[int, list[tuple[float, MixedRadixState]]] = {}
+    for weight, branch in _decoder_branches(branches, n_anc, ops):
         for levels, prob, post in measure_sites(branch, range(n, n + n_anc)):
-            outcome = readout.index_of(levels)
             for site in reversed(range(n, n + n_anc)):
                 post = _project_site(post, site, levels[site - n])
-            combined.setdefault(outcome, []).append((weight * prob, post.array))
+            combined.setdefault(readout.index_of(levels), []).append((weight * prob, post))
     out = []
     for outcome in sorted(combined):
         parts = combined[outcome]
         prob = sum(w for w, _ in parts)
         if prob > AMP_BRANCH:
-            post = _mix(RadixVector((3,) * n), [(w / prob, v) for w, v in parts])
-            out.append((outcome, prob, post))
+            out.append((outcome, prob, tuple((w / prob, v) for w, v in parts)))
     return out
 
 
-def decode_measure(state: MixedRadixState) -> DecodeOutcome:
+def _swapped(branches, site: int) -> tuple:
+    """Each branch with site 0 and `site` swapped."""
+    swap = gate_swap(3)
+    return tuple((w, apply_unitary(v, swap, [0, site])) for w, v in branches)
+
+
+def decode_measure(state) -> DecodeOutcome:
     """Measurement decoder on n unerased qutrit sites.
 
-    Appends the flag ancillas, enumerates their readout, and swaps the
-    located logical state to site 0 conditioned on the (classical)
-    outcome. Readout zero is heralded failure. For erased codewords the
-    success probability is exactly n/(n+n_e).
+    Takes a pure state or the weighted pure branches that `erase` returns,
+    and runs once per branch. Appends the flag ancillas, enumerates their
+    readout, and swaps the located logical state to site 0 conditioned on
+    the (classical) outcome. Readout zero is heralded failure. For erased
+    codewords the success probability is exactly n/(n+n_e).
     """
-    n = state.n_sites
+    ensemble = _ensemble(state)
+    n = ensemble[0][1].n_sites
     ops, m = measure_decoder_ops(n)
     cnots = sum(1 for op in ops if op.kind == "cnot")
-    swap = gate_swap(3)
 
     branches = []
     success = 0.0
     failure = 0.0
-    for outcome, prob, post in _measure_ancillas(state, m, ops):
+    for outcome, prob, post in _measure_ancillas(ensemble, m, ops):
         if outcome == 0:
             failure += prob
             branches.append(DecodeBranch(0, prob, post, None))
@@ -669,13 +645,13 @@ def decode_measure(state: MixedRadixState) -> DecodeOutcome:
             branches.append(DecodeBranch(outcome, prob, post, None))
             continue
         if site != 0:
-            post = apply_unitary(post, swap, [0, site])
+            post = _swapped(post, site)
         success += prob
         branches.append(DecodeBranch(outcome, prob, post, site))
     return DecodeOutcome(branches, success, failure, m, cnots)
 
 
-def decode_measure_n2_single_ancilla(state: MixedRadixState) -> DecodeOutcome:
+def decode_measure_n2_single_ancilla(state) -> DecodeOutcome:
     """Minimal two-site decoder with a single flag ancilla.
 
     Only the second site is flagged: readout 1 locates the logical state
@@ -684,16 +660,15 @@ def decode_measure_n2_single_ancilla(state: MixedRadixState) -> DecodeOutcome:
     not heralded. The general decoder above uses two ancillas for n=2
     precisely to recover that herald.
     """
-    if state.n_sites != 2:
+    ensemble = _ensemble(state)
+    if ensemble[0][1].n_sites != 2:
         raise ValueError("this variant is defined for two unerased sites")
-    swap = gate_swap(3)
     branches = []
     success = 0.0
-    for outcome, prob, post in _measure_ancillas(state, 1, presence_pair(1, 2)):
+    for outcome, prob, post in _measure_ancillas(ensemble, 1, presence_pair(1, 2)):
         if outcome == 1:
-            post = apply_unitary(post, swap, [0, 1])
             success += prob
-            branches.append(DecodeBranch(1, prob, post, 1))
+            branches.append(DecodeBranch(1, prob, _swapped(post, 1), 1))
         else:
             branches.append(DecodeBranch(0, prob, post, None))
     return DecodeOutcome(branches, success, 0.0, 1, 2)
@@ -732,49 +707,51 @@ def elective_decoder_ops(n: int, target_site: int) -> tuple[list[GateOp], int]:
     return ops, rounds
 
 
-def decode_elective(state: MixedRadixState, target_site: int,
-                    keep_ancillas: bool = False):
+def decode_elective(state, target_site: int, keep_ancillas: bool = False):
     """Decode into a chosen site without measuring.
 
-    Returns (post state, ancilla count). By default the ancillas are
-    explicitly reset and dropped: each pure branch leaves them in a
-    product with the qutrit register, which is verified, so the reset
-    never disturbs the data. With keep_ancillas=True the pre-reset joint
-    state is returned (Hadamards are still applied for power-of-two n,
-    which suffices to reset the ancillas in the failure-free case).
+    Takes a pure state or the weighted pure branches that `erase` returns,
+    and runs once per branch. Returns (post branches, ancilla count), the
+    post branches a tuple of (weight, pure state) in input order. By
+    default the ancillas are explicitly reset and dropped: each branch
+    leaves them in a product with the qutrit register, which is verified,
+    so the reset never disturbs the data. With keep_ancillas=True each
+    branch is the pre-reset joint state (Hadamards are still applied for
+    power-of-two n, which suffices to reset the ancillas in the
+    failure-free case).
     """
-    n = state.n_sites
+    ensemble = _ensemble(state)
+    n = ensemble[0][1].n_sites
     ops, m = elective_decoder_ops(n, target_site)
-    power_of_two = n & (n - 1) == 0
+    resets = range(n, n + m) if n & (n - 1) == 0 else ()
     h = GateSpec(_H2, (2,))
+    qutrits = RadixVector((3,) * n)
 
-    processed = []
-    for weight, branch in _decoder_branches(state, m, ops):
-        if power_of_two:
-            for j in range(m):
-                branch = apply_unitary(branch, h, [n + j])
-        processed.append((weight, branch))
-
-    if keep_ancillas:
-        return _mix(RadixVector((3,) * n + (2,) * m), [(w, b.array) for w, b in processed]), m
-
-    # explicit reset: every branch factorizes as qutrits (x) ancillas
-    qudit_branches = []
-    for w, b in processed:
-        mat = b.array.reshape(3**n, 2**m)
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        if s.size > 1 and s[1] > 1e-7:
-            raise ValueError("ancillas left entangled with the data register")
-        qudit_branches.append((w, u[:, 0]))
-    return _mix(RadixVector((3,) * n), qudit_branches), m
+    out = []
+    for weight, branch in _decoder_branches(ensemble, m, ops):
+        for site in resets:
+            branch = apply_unitary(branch, h, [site])
+        if not keep_ancillas:
+            # explicit reset: every branch factorizes as qutrits (x) ancillas
+            u, s, _ = np.linalg.svd(branch.array.reshape(3**n, 2**m), full_matrices=False)
+            if s.size > 1 and s[1] > 1e-7:
+                raise ValueError("ancillas left entangled with the data register")
+            branch = MixedRadixState(qutrits, u[:, 0])
+        out.append((weight, branch))
+    return tuple(out), m
 
 
-def decoded_site_fidelity(state: MixedRadixState, site: int, psi) -> float:
-    """Overlap of the reduced state at `site` with the logical input."""
+def ensemble_fidelity(state, reference: MixedRadixState) -> float:
+    """Sum of w |<ref|v>|^2 over weighted pure branches (a pure state is one)."""
+    return sum(w * fidelity(v, reference) for w, v in _ensemble(state))
+
+
+def decoded_site_fidelity(state, site: int, psi) -> float:
+    """Weighted overlap of each branch's reduced state at `site` with the logical input."""
     c = _as_logical(psi)
-    red = partial_trace(state, [site]).array
     v = np.array([c[0], c[1], 0.0], dtype=complex)
-    return float(np.real(v.conj() @ red @ v))
+    return sum(w * float(np.real(v.conj() @ partial_trace(b, [site]).array @ v))
+               for w, b in _ensemble(state))
 
 
 def expected_swaps(n: int) -> float:

@@ -48,7 +48,7 @@ def test_criterion_1_decoder_exactness():
             expected = n / total
             got_measure = wsc.decode_measure(state).success_probability
             post, _ = wsc.decode_elective(state, 0)
-            got_elective = fidelity(post, _psi_at(PSI, n, 0))
+            got_elective = wsc.ensemble_fidelity(post, _psi_at(PSI, n, 0))
             worst = max(worst, abs(got_measure - expected), abs(got_elective - expected))
             assert abs(got_measure - expected) <= 1e-9, (total, n_e, "measure")
             assert abs(got_elective - expected) <= 1e-9, (total, n_e, "elective")

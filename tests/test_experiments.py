@@ -319,6 +319,7 @@ OUT_OF_RANGE = [
     ("allocation-report", {"n_p_list": [5], "ell_c_max": 8}),
     ("apples", {"bin_probs": []}),
     ("apples", {"bin_probs": [0.5]}),
+    ("wstate-verify", {"max_total_sites": 11}),
     ("wstate-verify", {"max_total_sites": 12}),
     ("wstate-verify", {"n_unitaries": -5}),
     ("wstate-verify", {"n_random_logical": 0}),
@@ -399,6 +400,9 @@ IN_RANGE_EDGES = [
                                     "mean_rate_max": 1.0, "std_factor": 1.0,
                                     "rate_clip_max": 1.0, "lemma_cases": 20},
                  0, id="bound-validate-3"),
+    # the top of the range: an erased 10-site word is a set of pure branches
+    pytest.param("wstate-verify", {"max_total_sites": 10, "n_unitaries": 3,
+                                   "n_random_logical": 1}, 0, id="wstate-verify-10"),
 ]
 
 

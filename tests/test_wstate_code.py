@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daqec.mixed_radix_sim import (
     MixedRadixState,
@@ -25,11 +26,13 @@ from daqec.wstate_code import (
     decode_elective,
     decode_measure,
     decoded_site_fidelity,
+    decode_measure_n2_single_ancilla,
     elective_decoder_ops,
     encode,
     encode_alt,
     encode_pair_state,
     encode_two,
+    ensemble_fidelity,
     erase,
     expected_swaps,
     gate_u02,
@@ -56,6 +59,18 @@ def psi_at_site(psi, n, site):
         levels[site] = lv
         amps[radix.index_of(levels)] = psi[lv]
     return MixedRadixState(radix, amps)
+
+
+def density_of(branches):
+    """Sum of w |v><v| over weighted pure branches."""
+    return sum(w * np.outer(v.array, v.array.conj()) for w, v in branches)
+
+
+def assert_pure_branches(branches, dims):
+    assert isinstance(branches, tuple)
+    for w, v in branches:
+        assert isinstance(w, float) and w > 0
+        assert isinstance(v, MixedRadixState) and not v.is_density and v.radix.dims == dims
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +363,25 @@ def test_permutation_invariance(rng):
 def test_erase_empty_pattern_is_identity():
     w = encode(PSI, 3)
     out, pattern = erase(w, ErasurePattern(set()))
-    assert out is w and pattern.n_e == 0
+    ((weight, branch),) = out
+    assert weight == 1.0 and branch is w and pattern.n_e == 0
 
 
 def test_erase_one_site_gives_rank_two_mixture():
     w = encode([1, 0], 3)
     red, _ = erase(w, ErasurePattern({0}))
-    assert red.is_density and red.radix.dims == (3, 3)
+    assert_pure_branches(red, (3, 3))
+    assert np.linalg.matrix_rank(density_of(red), tol=1e-9) == 2
     beta = np.zeros(9, dtype=complex)
     rx = RadixVector((3, 3))
     beta[rx.index_of((0, 2))] = beta[rx.index_of((2, 0))] = 1 / math.sqrt(2)
-    assert abs(fidelity(red, pure_state((3, 3), beta)) - 2 / 3) < 1e-9
+    assert abs(ensemble_fidelity(red, pure_state((3, 3), beta)) - 2 / 3) < 1e-9
 
 
 def test_erase_two_of_three():
     w = encode([1, 0], 3)
     red, _ = erase(w, ErasurePattern({1, 2}))
-    np.testing.assert_allclose(np.diag(red.array).real, [1 / 3, 0, 2 / 3], atol=1e-10)
+    np.testing.assert_allclose(np.diag(density_of(red)).real, [1 / 3, 0, 2 / 3], atol=1e-10)
 
 
 def test_erase_all_sites_rejected():
@@ -416,7 +433,6 @@ def test_decode_measure_cnot_budget():
 
 
 def test_decode_measure_n2_single_ancilla_variant():
-    from daqec.wstate_code import decode_measure_n2_single_ancilla
     red, _ = erase(encode(PSI, 3), ErasurePattern({0}))
     out = decode_measure_n2_single_ancilla(red)
     # readout 1 finds the logical state at site 1 with probability 1/3
@@ -450,14 +466,14 @@ def test_decode_elective_minimal_case():
     red, _ = erase(encode([1, 0], 3), ErasurePattern({2}))
     post, ancillas = decode_elective(red, 0)
     assert ancillas == 1
-    site0 = partial_trace(post, [0]).array
+    site0 = sum(w * partial_trace(v, [0]).array for w, v in post)
     np.testing.assert_allclose(np.diag(site0).real, [2 / 3, 0, 1 / 3], atol=1e-9)
 
 
 def test_decode_elective_n7_target6():
     post, ancillas = decode_elective(encode(PSI, 7), 6)
     assert ancillas == 3
-    assert abs(fidelity(post, psi_at_site(PSI, 7, 6)) - 1.0) < 1e-9
+    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 7, 6)) - 1.0) < 1e-9
 
 
 def test_decode_elective_cswap_budget():
@@ -475,7 +491,7 @@ def test_decode_elective_matches_measure_decoder():
             state, _ = erase(encode(PSI, total), ErasurePattern(range(n, total)))
             measure_succ = decode_measure(state).success_probability
             post, _ = decode_elective(state, 0)
-            elective_succ = fidelity(post, psi_at_site(PSI, n, 0))
+            elective_succ = ensemble_fidelity(post, psi_at_site(PSI, n, 0))
             assert abs(measure_succ - elective_succ) < 1e-9
             assert abs(measure_succ - n / total) < 1e-9
 
@@ -484,7 +500,8 @@ def test_decode_elective_ancilla_factorization_pure():
     # failure-free case: pre-reset joint is an exact product and the
     # Hadamards return every ancilla to |0>
     for n in (2, 4):
-        joint, m = decode_elective(encode(PSI, n), n - 1, keep_ancillas=True)
+        ((weight, joint),), m = decode_elective(encode(PSI, n), n - 1, keep_ancillas=True)
+        assert weight == 1.0
         qudits = list(range(n))
         ancillas = list(range(n, n + m))
         rho_joint = to_density(joint, cap=joint.radix.total_dim).array
@@ -499,7 +516,7 @@ def test_decode_elective_ancilla_factorization_pure():
 
 
 def test_decode_elective_factorization_odd_n():
-    joint, m = decode_elective(encode(PSI, 3), 0, keep_ancillas=True)
+    ((_, joint),), m = decode_elective(encode(PSI, 3), 0, keep_ancillas=True)
     mat = joint.array.reshape(27, 2**m)
     s = np.linalg.svd(mat, compute_uv=False)
     assert s[1] < 1e-9  # Schmidt rank one across the ancilla cut
@@ -507,11 +524,11 @@ def test_decode_elective_factorization_odd_n():
 
 def test_decode_elective_reset_after_erasure():
     # with a failure branch the explicit reset still returns a clean
-    # qutrit-only density of the right weights
+    # qutrit-only ensemble of the right weights
     state, _ = erase(encode(PSI, 4), ErasurePattern({3}))
     post, _ = decode_elective(state, 1)
-    assert post.radix.dims == (3, 3, 3)
-    assert abs(fidelity(post, psi_at_site(PSI, 3, 1)) - 3 / 4) < 1e-9
+    assert_pure_branches(post, (3, 3, 3))
+    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 3, 1)) - 3 / 4) < 1e-9
 
 
 def test_decode_elective_invalid_target():
@@ -522,46 +539,88 @@ def test_decode_elective_invalid_target():
 def test_decode_elective_middle_target_after_erasure():
     state, _ = erase(encode(PSI, 5), ErasurePattern({4}))
     post, _ = decode_elective(state, 2)
-    assert abs(fidelity(post, psi_at_site(PSI, 4, 2)) - 4 / 5) < 1e-9
+    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 4, 2)) - 4 / 5) < 1e-9
 
 
 def test_coherent_flag_superposition_not_mistaken_for_erasure():
     # a pure superposition with the all-flag state is not an erased
-    # codeword; its density must split into its true eigenvector, keeping
-    # the decoders' branch probabilities identical to the pure-state run
+    # codeword; the measurement decoder still reads half its weight as
+    # heralded failure and splits the rest over the two sites
     cw = encode(PSI, 2).array
     bot = np.zeros(9, dtype=complex)
     bot[RadixVector((3, 3)).index_of((2, 2))] = 1.0
     v = (cw + bot) / math.sqrt(2)
     pure = MixedRadixState(RadixVector((3, 3)), v)
-    dens = MixedRadixState(RadixVector((3, 3)), np.outer(v, v.conj()))
     out_pure = decode_measure(pure)
-    out_dens = decode_measure(dens)
     pp = {b.outcome: b.probability for b in out_pure.branches}
-    pd = {b.outcome: b.probability for b in out_dens.branches}
-    assert set(pp) == set(pd)
-    for k in pp:
-        assert abs(pp[k] - pd[k]) < 1e-9
+    assert set(pp) == {0, 1, 2}
+    for k, expected in ((0, 0.5), (1, 0.25), (2, 0.25)):
+        assert abs(pp[k] - expected) < 1e-9
     # the measurement-free decoder cannot disentangle its ancillas from
     # such a state and must say so rather than dropping the coherence
     with pytest.raises(ValueError):
-        decode_elective(dens, 0)
+        decode_elective(pure, 0)
 
 
 def test_decoders_accept_generic_rank_two_mixture():
-    # a mixture of two different codewords is outside the erased-codeword
-    # family, forcing the generic eigendecomposition branch split
-    a = encode([1, 0], 3).array
-    b = encode([0, 1], 3).array
-    rho = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
-    state = MixedRadixState(RadixVector((3, 3, 3)), rho)
-    out = decode_measure(state)
+    # a mixture of two different codewords, given as its two branches
+    a = encode([1, 0], 3)
+    b = encode([0, 1], 3)
+    out = decode_measure(((0.5, a), (0.5, b)))
     assert abs(out.success_probability - 1.0) < 1e-9
     assert out.heralded_failure_probability < 1e-12
     # each readout branch carries the right mixed logical content at site 0
     total = sum(b_.probability * decoded_site_fidelity(b_.post_state, 0, [1, 0])
                 for b_ in out.branches)
     assert abs(total - 0.5) < 1e-9
+
+
+def test_decoders_return_weighted_pure_branches():
+    state, _ = erase(encode(PSI, 5), ErasurePattern({1, 3}))
+    pair, _ = erase(encode(PSI, 3), ErasurePattern({0}))
+    assert_pure_branches(state, (3, 3, 3))
+    for out, dims in ((decode_measure(state), (3, 3, 3)),
+                      (decode_measure_n2_single_ancilla(pair), (3, 3))):
+        for b in out.branches:
+            assert_pure_branches(b.post_state, dims)
+            assert abs(sum(w for w, _ in b.post_state) - 1.0) < 1e-12
+    assert_pure_branches(decode_elective(state, 1)[0], (3, 3, 3))
+    assert_pure_branches(decode_elective(state, 1, keep_ancillas=True)[0], (3, 3, 3, 2, 2))
+
+
+@st.composite
+def _erased_words(draw):
+    """A codeword of 2-6 sites or a random pure qutrit register of 1-5 sites,
+    with an erasure set that leaves at least one site."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        word = encode(v / np.linalg.norm(v), n)
+    else:
+        n = draw(st.integers(1, 5))
+        v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+        word = pure_state((3,) * n, v / np.linalg.norm(v))
+    return word, ErasurePattern(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_erased_words())
+def test_erase_branches_match_partial_trace_oracle(case):
+    word, pattern = case
+    branches, _ = erase(word, pattern)
+    survivors = [i for i in range(word.n_sites) if i not in pattern.erased]
+    dims = (3,) * len(survivors)
+    assert_pure_branches(branches, dims)
+    # measure_sites drops outcomes of probability <= 1e-12
+    rho = density_of(branches)
+    np.testing.assert_allclose(rho, partial_trace(word, survivors).array, rtol=0, atol=1e-10)
+    dens = MixedRadixState(RadixVector(dims), rho)
+    for call in (decode_measure, decode_measure_n2_single_ancilla,
+                 lambda state: decode_elective(state, 0),
+                 lambda state: erase(state, ErasurePattern(()))):
+        with pytest.raises(ValueError, match="erase"):
+            call(dens)
 
 
 # ---------------------------------------------------------------------------
