@@ -32,6 +32,12 @@ from . import wstate_code as wsc
 from .mixed_radix_sim import basis_sum_state, fidelity
 
 DEFAULT_SEED = 20250811
+# Version of the draws behind the Monte Carlo outputs, written into every
+# summary. Scheme 1: pnl-sweep drew one uniform per trial for every noisy CNOT.
+# Scheme 2: it draws the geometric gaps between hits over all (op, trial)
+# positions of a chunk's circuit at the largest rate, thins them to each op's
+# rate, then draws one Pauli per hit. A change of the draws bumps it.
+RNG_SCHEME = 2
 DEFAULT_CHUNK = 8192
 MIN_MC_TRIALS = 100
 
@@ -688,7 +694,7 @@ REGISTRY = {
     }, monte_carlo=True, verify=True, ordered=_RATE_GRID),
     "wstate-verify": Experiment(run_wstate_verify, 1, {
         "max_total_sites": Param(int, 8, 2, 10),
-        "max_erasures": Param(int, 3, 0, 7),
+        "max_erasures": Param(int, 3, 0, 9),
         "n_unitaries": Param(int, 100, 1),
         "n_random_logical": Param(int, 20, 1),
     }, verify=True),
@@ -744,6 +750,7 @@ def execute(cfg: ExperimentConfig) -> int:
         "config": resolved_config(cfg),
         "version": __version__,
         "numpy_version": np.__version__,
+        "rng_scheme": RNG_SCHEME,
         "wall_time_s": round(time.time() - start, 3),
         "rows": len(rows),
         "ok": ok,

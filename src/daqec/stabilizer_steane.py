@@ -3,17 +3,20 @@
 Errors are tracked as X/Z bits per physical qubit and conjugated through
 H and CNOT; two-qubit gates are followed by depolarizing noise whose
 strength depends on whether the gate crosses a processor boundary. The
-module provides the standard seven-processor layouts (one block per
-processor vs. fully distributed), a mirrored GHZ-type transversal circuit
-of configurable depth, terminal syndrome extraction with lookup decoding,
-and an exact per-block failure-probability evaluator for code-capacity
-noise with processor-dependent single-qubit rates, a 256-state transfer
-that adds only nonnegative terms and so keeps relative precision.
+engine runs a circuit in layers of disjoint gates on frames packed 64
+trials to a word and draws only the noise hits. The module provides the
+standard seven-processor layouts (one block per processor vs. fully
+distributed), a mirrored GHZ-type transversal circuit of configurable
+depth, terminal syndrome extraction with lookup decoding, and an exact
+per-block failure-probability evaluator for code-capacity noise with
+processor-dependent single-qubit rates, a 256-state transfer that adds
+only nonnegative terms and so keeps relative precision.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,48 +148,6 @@ class PauliFrame:
 
 
 # ---------------------------------------------------------------------------
-# syndromes and lookup decoding
-
-
-def syndrome(frame: PauliFrame, block: SteaneBlock):
-    """(X-error syndrome, Z-error syndrome), three bits each.
-
-    The X-error syndrome is what the Z-type generators would flag, and
-    vice versa.
-    """
-    data = np.array(block.data)
-    sx = tuple(int(np.bitwise_xor.reduce(frame.x[data[list(sup)]])) for sup in GENERATOR_SUPPORTS)
-    sz = tuple(int(np.bitwise_xor.reduce(frame.z[data[list(sup)]])) for sup in GENERATOR_SUPPORTS)
-    return sx, sz
-
-
-def lookup_decode(frame: PauliFrame, block: SteaneBlock):
-    """Apply the weight-<=1 correction for each syndrome.
-
-    Returns (corrected frame, (logical_x_flip, logical_z_flip)); the flips
-    report whether the residual error anticommutes with logical Z and
-    logical X respectively.
-    """
-    out = frame.copy()
-    vx, vz = (bits[0] + 2 * bits[1] + 4 * bits[2] for bits in syndrome(frame, block))
-    if vx:
-        out.x[block.data[vx - 1]] ^= True
-    if vz:
-        out.z[block.data[vz - 1]] ^= True
-    data = list(block.data)
-    logical_x_flip = bool(np.bitwise_xor.reduce(out.x[data]))
-    logical_z_flip = bool(np.bitwise_xor.reduce(out.z[data]))
-    return out, (logical_x_flip, logical_z_flip)
-
-
-def correctable(n_e: int, n_pauli: int, d: int) -> bool:
-    """Erasure/Pauli mix within distance: n_e + 2*n_pauli <= d - 1."""
-    if min(n_e, n_pauli, d) < 0:
-        raise ValueError("arguments must be nonnegative")
-    return n_e + 2 * n_pauli <= d - 1
-
-
-# ---------------------------------------------------------------------------
 # circuits
 
 
@@ -246,13 +207,103 @@ def syndrome_extraction_circuit(block: SteaneBlock, layout: MachineLayout) -> Cl
     return circ
 
 
-def count_remote_gates(circuit: CliffordCircuit, layout: MachineLayout) -> int:
-    proc = layout.qubit_processor
-    return sum(1 for op in circuit.ops if op[0] == "CNOT" and proc[op[1]] != proc[op[2]])
-
-
 # ---------------------------------------------------------------------------
 # circuit-level engine
+
+
+# Op kinds, in the order a layer applies them. The ops of one layer touch
+# disjoint qubits, so that order changes nothing.
+_CNOT, _H, _PREP, _MEAS_Z, _MEAS_X = range(5)
+_KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
+          "MEAS_Z": _MEAS_Z, "MEAS_X": _MEAS_X}
+_NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of the noise
+
+
+def _schedule(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
+    """Sort the ops into steps of one (ASAP layer, kind) each.
+
+    An op's layer is one more than the last layer of any of its qubits.
+    Returns, in sorted order, each op's first qubit, second qubit (the
+    first again for a one-qubit op), measurement index in op order and
+    noise rate (zero for any op but a CNOT); then the step bounds and kinds.
+    """
+    last = [0] * circuit.n_qubits
+    rows = []
+    for op in circuit.ops:
+        kind = _KINDS.get(op[0])
+        if kind is None:
+            raise ValueError(f"unknown op {op}")
+        a = b = op[1]
+        if kind == _CNOT:
+            b = op[2]
+        layer = last[a] = last[b] = max(last[a], last[b]) + 1
+        rows.append((layer, kind, a, b))
+    layer, kind, a, b = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    proc = np.asarray(layout.qubit_processor)
+    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local) * (kind == _CNOT)
+    meas = np.cumsum(kind >= _MEAS_Z) - 1
+    order = np.lexsort((kind, layer))
+    keys = np.stack((layer, kind))[:, order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
+    ends = np.append(starts[1:], order.size)
+    return (a[order], b[order], meas[order], rate[order], starts.tolist(), ends.tolist(),
+            kind[order][starts].tolist())
+
+
+class _Depolarizer:
+    """Depolarizing hits after the CNOTs of a schedule, drawn as its steps reach them.
+
+    Position o * n_trials + k stands for op o of the schedule in trial k,
+    and is hit with the op's rate. The positions hit at the largest rate
+    come from cumulative geometric gaps, so the draws scale with the hits,
+    and each is kept with probability rate / largest rate. A kept hit takes
+    one of the 15 nontrivial two-qubit Paulis uniformly, the bits
+    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry
+    (op, frame row, word, bit) per set bit; x rows come first, z rows after.
+    """
+
+    def __init__(self, rng: np.random.Generator, a, b, rate, n_qubits: int, n_trials: int):
+        self.rng, self.n = rng, n_trials
+        self.rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
+        self.p = float(rate.max(initial=0.0))
+        self.keep = rate / self.p if self.p > 0.0 else rate
+        self.end = rate.size * n_trials   # one past the last position
+        self.last = -1 if self.p > 0.0 else self.end  # every hit up to here is drawn
+        empty = np.zeros(0, dtype=np.int64)
+        self.pending = (empty, empty, empty, empty.astype(np.uint64))
+
+    def _draw(self):
+        mean = (self.end - 1 - self.last) * self.p
+        size = int(min(mean + 6.0 * math.sqrt(mean) + 16, _NOISE_BATCH))
+        # a gap capped at end + 1 still lands past the end, and the sums stay
+        # far from overflow at any rate
+        pos = self.last + np.cumsum(np.minimum(self.rng.geometric(self.p, size), self.end + 1))
+        self.last = int(pos[-1])
+        op, trial = np.divmod(pos[:np.searchsorted(pos, self.end)], self.n)
+        kept = self.rng.random(op.size) < self.keep[op]
+        op, trial = op[kept], trial[kept]
+        pauli = self.rng.integers(1, 16, size=op.size)
+        hit, which = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)  # in op order
+        op, trial = op[hit], trial[hit]
+        bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
+        drawn = (op, self.rows[op, which], trial >> 6, bits)
+        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, drawn))
+
+    def before(self, stop: int):
+        """((rows, words), bits) of the entries at ops before `stop` not yet returned."""
+        while self.last < stop * self.n - 1:
+            self._draw()
+        k = np.searchsorted(self.pending[0], stop)
+        _, rows, words, bits = (entry[:k] for entry in self.pending)
+        self.pending = tuple(entry[k:] for entry in self.pending)
+        return (rows, words), bits
+
+
+def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
+    """Bools of packed trial words along the last axis; trial k is bit k % 64
+    of word k // 64."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n_trials].astype(bool)
 
 
 def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
@@ -264,50 +315,41 @@ def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: Nois
     of the 15 nontrivial two-qubit Paulis applied uniformly at random.
     Preparations reset a qubit's frame; measurements record the bit that
     would flip the ideal outcome. Frames start trivial unless an initial
-    frame (broadcast to all trials) is injected. Returns (x, z, measured)
-    with x/z of shape (n_trials, n_qubits) and measured a list in op order.
+    frame (broadcast to all trials) is injected.
+
+    The ops run in ASAP layers of disjoint gates, one step per (layer,
+    kind), on frames packed 64 trials to a `uint64` word
+    (trial k is bit k % 64 of word k // 64; bits past n_trials stay
+    zero). Returns (x, z, measured): x and z of shape (n_qubits, words),
+    measured of shape (measurements, words) in op order.
     """
-    nq = circuit.n_qubits
-    proc = layout.qubit_processor
-    if initial is None:
-        x = np.zeros((n_trials, nq), dtype=bool)
-        z = np.zeros((n_trials, nq), dtype=bool)
-    else:
-        x = np.tile(initial.x, (n_trials, 1))
-        z = np.tile(initial.z, (n_trials, 1))
-    measured: list[np.ndarray] = []
-    for op in circuit.ops:
-        tag = op[0]
-        if tag == "CNOT":
-            c, t = op[1], op[2]
-            x[:, t] ^= x[:, c]
-            z[:, c] ^= z[:, t]
-            p = noise.p_remote if proc[c] != proc[t] else noise.p_local
-            if p > 0.0:
-                hit = rng.random(n_trials) < p
-                rows = np.nonzero(hit)[0]
-                if rows.size:
-                    pl = rng.integers(1, 16, size=rows.size)
-                    x[rows, c] ^= (pl >> 3 & 1).astype(bool)
-                    z[rows, c] ^= (pl >> 2 & 1).astype(bool)
-                    x[rows, t] ^= (pl >> 1 & 1).astype(bool)
-                    z[rows, t] ^= (pl & 1).astype(bool)
-        elif tag == "H":
-            q = op[1]
-            tmp = x[:, q].copy()
-            x[:, q] = z[:, q]
-            z[:, q] = tmp
-        elif tag in ("PREP_Z", "PREP_X"):
-            q = op[1]
-            x[:, q] = False
-            z[:, q] = False
-        elif tag == "MEAS_Z":
-            measured.append(x[:, op[1]].copy())
-        elif tag == "MEAS_X":
-            measured.append(z[:, op[1]].copy())
+    a, b, meas, rate, starts, ends, kinds = _schedule(circuit, layout, noise)
+    nq, words = circuit.n_qubits, (n_trials + 63) // 64
+    start = PauliFrame.zeros(nq) if initial is None else initial
+    ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if n_trials % 64:
+        ones[-1] = np.uint64((1 << n_trials % 64) - 1)
+    # rows 0..nq-1 hold the x frames, rows nq.. the z frames
+    frames = np.where(np.concatenate((start.x, start.z)).astype(bool)[:, None], ones,
+                      np.uint64(0))
+    # a CNOT (c, t) xors the rows (x_c, z_t) into (x_t, z_c); a one-qubit op
+    # (b = a) acts on the rows (x_a, z_a)
+    src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
+    measured = np.zeros((int(meas.max(initial=-1)) + 1, words), dtype=np.uint64)
+    noisy = _Depolarizer(rng, a, b, rate, nq, n_trials)
+    for lo, hi, kind in zip(starts, ends, kinds):
+        rows = src[:, lo:hi]
+        if kind == _CNOT:
+            frames[dst[:, lo:hi]] ^= frames[rows]
+            # unbuffered, because several hits can share a word
+            np.bitwise_xor.at(frames, *noisy.before(hi))
+        elif kind == _H:
+            frames[rows] = frames[rows[::-1]]
+        elif kind == _PREP:
+            frames[rows] = 0
         else:
-            raise ValueError(f"unknown op {op}")
-    return x, z, measured
+            measured[meas[lo:hi]] = frames[rows[0 if kind == _MEAS_Z else 1]]
+    return frames[:nq], frames[nq:], measured
 
 
 def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
@@ -323,18 +365,15 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
     nb = len(layout.blocks)
     if len(measured) < 6 * nb:
         raise ValueError("missing extraction measurements")
-    meas = measured[len(measured) - 6 * nb:]
-    x_flips = np.zeros((nb, n_trials), dtype=bool)
-    z_flips = np.zeros((nb, n_trials), dtype=bool)
-    for b, block in enumerate(layout.blocks):
-        mb = meas[6 * b: 6 * b + 6]
-        # lookup decoding flips one data qubit iff the syndrome is nonzero, so the
-        # logical flip is the data parity XOR [syndrome != 0]; X-type generators
-        # flag Z errors, Z-type generators flag X errors
-        data = list(block.data)
-        z_flips[b] = np.bitwise_xor.reduce(z[:, data], axis=1) ^ (mb[0] | mb[1] | mb[2])
-        x_flips[b] = np.bitwise_xor.reduce(x[:, data], axis=1) ^ (mb[3] | mb[4] | mb[5])
-    return x_flips, z_flips
+    # (block, generator, word); each block reads its X-type generators first
+    syn = measured[len(measured) - 6 * nb:].reshape(nb, 6, -1)
+    data = np.array([block.data for block in layout.blocks])
+    # lookup decoding flips one data qubit iff the syndrome is nonzero, so the
+    # logical flip is the data parity XOR [syndrome != 0]; X-type generators
+    # flag Z errors, Z-type generators flag X errors
+    z_flips = np.bitwise_xor.reduce(z[data], axis=1) ^ np.bitwise_or.reduce(syn[:, :3], axis=1)
+    x_flips = np.bitwise_xor.reduce(x[data], axis=1) ^ np.bitwise_or.reduce(syn[:, 3:], axis=1)
+    return unpack_trials(x_flips, n_trials), unpack_trials(z_flips, n_trials)
 
 
 # ---------------------------------------------------------------------------

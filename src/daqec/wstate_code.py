@@ -548,9 +548,17 @@ def erase(state: MixedRadixState, pattern: ErasurePattern):
 
 
 def _ensemble(state) -> tuple:
-    """The (weight, pure state) branches of a decoder input; a pure state is one branch."""
+    """The (weight, pure state) branches of a decoder input; a pure state is one branch.
+
+    The weights of an ensemble must be nonnegative and sum to one within 1e-9.
+    """
     if not isinstance(state, MixedRadixState):
-        return tuple(state)
+        branches = tuple(state)
+        weights = [w for w, _ in branches]
+        # written as `not w >= 0` so that NaN fails too
+        if any(not w >= 0.0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= 1e-9:
+            raise ValueError("ensemble weights must be nonnegative and sum to one")
+        return branches
     if state.is_density:
         raise ValueError("pass a pure state or the weighted pure branches that erase "
                          "returns, not a density")

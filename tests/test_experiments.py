@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import json
 import math
 import re
+import resource
+import signal
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from daqec.cli import main
 from daqec.experiments import (
     REGISTRY,
+    RNG_SCHEME,
     ConfigError,
     binomial_ci95,
     chunk_plan,
@@ -301,6 +305,7 @@ def test_summary_echoes_resolved_config(tmp_path):
     assert summary["config"]["seed"] == 77
     assert "wall_time_s" in summary
     assert "version" in summary
+    assert summary["rng_scheme"] == RNG_SCHEME
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +326,7 @@ OUT_OF_RANGE = [
     ("apples", {"bin_probs": [0.5]}),
     ("wstate-verify", {"max_total_sites": 11}),
     ("wstate-verify", {"max_total_sites": 12}),
+    ("wstate-verify", {"max_erasures": 10}),
     ("wstate-verify", {"n_unitaries": -5}),
     ("wstate-verify", {"n_random_logical": 0}),
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
@@ -345,6 +351,7 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
 # blank; a text cell must be one lower-case word and every other cell must parse
 # as a finite number, so a dropped, shifted or blank numeric column fails
 CSV_TEXT = {
+    "pnl-sweep": lambda row: {"experiment", "scheme"},
     "correlated-errors": lambda row: {"experiment"},
     "apples": lambda row: {"experiment", "check", "pass"},
     "allocation-report": lambda row: {"experiment", "formula_valid", "pass"},
@@ -356,6 +363,7 @@ CSV_TEXT = {
 _SWEEP_ONLY = {"n", "mean_rate", "mean_difference", "mean_bound_exact", "mean_bound_approx",
                "frac_meeting_exact_bound", "median_ratio_exact", "median_ratio_approx"}
 CSV_BLANK = {
+    "pnl-sweep": lambda row, p: set(),
     "correlated-errors": lambda row, p: set(),
     "apples": lambda row, p: set(),
     # brute force runs only up to brute_force_ell_max and n_p = 3
@@ -403,6 +411,9 @@ IN_RANGE_EDGES = [
     # the top of the range: an erased 10-site word is a set of pure branches
     pytest.param("wstate-verify", {"max_total_sites": 10, "n_unitaries": 3,
                                    "n_random_logical": 1}, 0, id="wstate-verify-10"),
+    # criterion 1 up to nine erasures of a 10-site word, the top of both ranges
+    pytest.param("wstate-verify", {"max_total_sites": 10, "max_erasures": 9, "n_unitaries": 3,
+                                   "n_random_logical": 1}, 0, id="wstate-verify-10-9"),
 ]
 
 
@@ -456,8 +467,11 @@ def test_registry_minimum_runs_and_one_step_below_is_rejected(tmp_path, experime
 # config fuzz
 
 
-# caps on drawn values, and on the length of list settings, so each example stays quick
+# caps on drawn values, and on the length of list settings, so each example stays
+# quick; a (length, value) pair caps both the length and the entries of a list
 FUZZ_CAPS = {
+    "pnl-sweep": {"n_blocks": 4, "depth_min": 30, "depth_max": 30, "depth_points": 4,
+                  "depths": (3, 30)},
     "correlated-errors": {"rate_points": 3},
     "bound-validate": {"rate_points": 3, "lemma_cases": 50, "n_list": 3},
     "allocation-report": {"ell_c_max": 60, "n_p_list": 2},
@@ -466,6 +480,10 @@ FUZZ_CAPS = {
 }
 # the number of CSV rows a run of the drawn params writes
 FUZZ_ROWS = {
+    # one row per (layout, depth); the geometric grid drops repeated depths
+    "pnl-sweep": lambda p: 2 * (len(p["depths"]) or len(
+        {max(1, round(v)) for v in np.geomspace(p["depth_min"], p["depth_max"],
+                                                p["depth_points"])})),
     "correlated-errors": lambda p: p["rate_points"],
     "bound-validate": lambda p: len(p["n_list"]) * p["rate_points"] + 2,
     "allocation-report": lambda p: sum(max(0, p["ell_c_max"] - n_p) for n_p in p["n_p_list"]),
@@ -489,8 +507,10 @@ def fuzz_params(draw, experiment):
     params = {}
     for name, spec in entry.params.items():
         if spec.size:
-            lo, hi = spec.size[0], spec.size[1] or caps[name]
-            entries = _in_range(spec)
+            length, value = caps[name] if isinstance(caps.get(name), tuple) else (
+                caps.get(name), None)
+            lo, hi = spec.size[0], min(n for n in (spec.size[1], length) if n is not None)
+            entries = _in_range(spec, value)
             # equal entries are an edge of their own: equal apple bins break even at 0
             params[name] = draw(st.lists(entries, min_size=lo, max_size=hi)
                                 | st.builds(lambda v, k: [v] * k, entries, st.integers(lo, hi)))
@@ -509,6 +529,42 @@ def fuzz_params(draw, experiment):
     return params, dict(params, **{name: outside})
 
 
+@contextlib.contextmanager
+def _bounded(seconds: float, memory_bytes: int):
+    """Raise TimeoutError in the main thread once `seconds` of wall time pass,
+    and MemoryError once the process maps `memory_bytes` more than it does now.
+
+    A hang fails instead of hanging (a deadline alone waits for it to end),
+    and one that allocates as it loops, as the mirror builder did for one
+    block, cannot exhaust the machine's memory first.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * resource.getpagesize()
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    previous = signal.signal(signal.SIGALRM, expire)
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + memory_bytes, limits[1]))
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_bounds_stop_a_hang():
+    with pytest.raises(TimeoutError), _bounded(0.05, 2**30):
+        while True:
+            pass
+    grown = []
+    with pytest.raises(MemoryError), _bounded(60.0, 2**28):
+        while True:
+            grown.append(bytearray(2**20))
+    del grown
+
+
 @pytest.mark.parametrize("experiment", sorted(FUZZ_CAPS))
 @settings(max_examples=100, deadline=2000,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -521,11 +577,14 @@ def test_config_fuzz(tmp_path, capsys, experiment, data):
     if entry.monte_carlo:
         argv += ["--trials", "100"]
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
-    assert main(argv) in ((0, 3) if entry.verify else (0,))
+    with _bounded(10.0, 2**30):
+        code = main(argv)
+    assert code in ((0, 3) if entry.verify else (0,))
     assert "Traceback" not in capsys.readouterr().err
     with open(tmp_path / f"{experiment}.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == FUZZ_ROWS[experiment](params)
     _assert_cells(experiment, params, rows)
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": bad}))
-    assert main(argv) == 2
+    with _bounded(10.0, 2**30):
+        assert main(argv) == 2

@@ -4,29 +4,29 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
 from daqec import allocation as alc
 from daqec import stabilizer_steane as stn
 from daqec.stabilizer_steane import (
     CliffordCircuit,
+    GENERATOR_SUPPORTS,
     MachineLayout,
     NoiseSpec,
     HAMMING_CHECK,
     N_DATA,
     PauliFrame,
+    SteaneBlock,
     build_ghz_mirror,
-    correctable,
-    count_remote_gates,
     dqec_layout,
     lqec_layout,
-    lookup_decode,
     run_circuit_trials,
     simulate_frames,
     steane_failure_probabilities,
     steane_failure_probabilities_batch,
     steane_failure_probabilities_uniform,
-    syndrome,
     syndrome_extraction_circuit,
+    unpack_trials,
 )
 
 
@@ -141,6 +141,159 @@ def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 102
         p_both[lo:hi] = accj.sum(axis=1)
     p_any = 2.0 * p_x - p_both
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+
+
+# ---------------------------------------------------------------------------
+# syndromes and lookup decoding of single frames; the package decodes by the
+# flip rule of run_circuit_trials and has no other caller for these
+
+
+def syndrome(frame: PauliFrame, block: SteaneBlock):
+    """(X-error syndrome, Z-error syndrome), three bits each.
+
+    The X-error syndrome is what the Z-type generators would flag, and
+    vice versa.
+    """
+    data = np.array(block.data)
+    sx = tuple(int(np.bitwise_xor.reduce(frame.x[data[list(sup)]])) for sup in GENERATOR_SUPPORTS)
+    sz = tuple(int(np.bitwise_xor.reduce(frame.z[data[list(sup)]])) for sup in GENERATOR_SUPPORTS)
+    return sx, sz
+
+
+def lookup_decode(frame: PauliFrame, block: SteaneBlock):
+    """Apply the weight-<=1 correction for each syndrome.
+
+    Returns (corrected frame, (logical_x_flip, logical_z_flip)); the flips
+    report whether the residual error anticommutes with logical Z and
+    logical X respectively.
+    """
+    out = frame.copy()
+    vx, vz = (bits[0] + 2 * bits[1] + 4 * bits[2] for bits in syndrome(frame, block))
+    if vx:
+        out.x[block.data[vx - 1]] ^= True
+    if vz:
+        out.z[block.data[vz - 1]] ^= True
+    data = list(block.data)
+    logical_x_flip = bool(np.bitwise_xor.reduce(out.x[data]))
+    logical_z_flip = bool(np.bitwise_xor.reduce(out.z[data]))
+    return out, (logical_x_flip, logical_z_flip)
+
+
+def correctable(n_e: int, n_pauli: int, d: int) -> bool:
+    """Erasure/Pauli mix within distance: n_e + 2*n_pauli <= d - 1."""
+    if min(n_e, n_pauli, d) < 0:
+        raise ValueError("arguments must be nonnegative")
+    return n_e + 2 * n_pauli <= d - 1
+
+
+def count_remote_gates(circuit: CliffordCircuit, layout: MachineLayout) -> int:
+    proc = layout.qubit_processor
+    return sum(1 for op in circuit.ops if op[0] == "CNOT" and proc[op[1]] != proc[op[2]])
+
+
+# ---------------------------------------------------------------------------
+# frame-engine oracles: the op-by-op engine on (trials, qubits) bool frames
+# that the layered, packed engine replaced, and the exact distribution of
+# frames and measurement records of a small register
+
+
+def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
+                              noise: NoiseSpec, rng: np.random.Generator, n_trials: int,
+                              initial: PauliFrame | None = None):
+    """Propagate `n_trials` Pauli frames op by op, drawing noise per gate.
+
+    Returns (x, z, measured) with x/z of shape (n_trials, n_qubits) and
+    measured a list of per-trial bool arrays in op order.
+    """
+    nq = circuit.n_qubits
+    proc = layout.qubit_processor
+    if initial is None:
+        x = np.zeros((n_trials, nq), dtype=bool)
+        z = np.zeros((n_trials, nq), dtype=bool)
+    else:
+        x = np.tile(initial.x, (n_trials, 1))
+        z = np.tile(initial.z, (n_trials, 1))
+    measured: list[np.ndarray] = []
+    for op in circuit.ops:
+        tag = op[0]
+        if tag == "CNOT":
+            c, t = op[1], op[2]
+            x[:, t] ^= x[:, c]
+            z[:, c] ^= z[:, t]
+            p = noise.p_remote if proc[c] != proc[t] else noise.p_local
+            if p > 0.0:
+                hit = rng.random(n_trials) < p
+                rows = np.nonzero(hit)[0]
+                if rows.size:
+                    pl = rng.integers(1, 16, size=rows.size)
+                    x[rows, c] ^= (pl >> 3 & 1).astype(bool)
+                    z[rows, c] ^= (pl >> 2 & 1).astype(bool)
+                    x[rows, t] ^= (pl >> 1 & 1).astype(bool)
+                    z[rows, t] ^= (pl & 1).astype(bool)
+        elif tag == "H":
+            q = op[1]
+            tmp = x[:, q].copy()
+            x[:, q] = z[:, q]
+            z[:, q] = tmp
+        elif tag in ("PREP_Z", "PREP_X"):
+            q = op[1]
+            x[:, q] = False
+            z[:, q] = False
+        elif tag == "MEAS_Z":
+            measured.append(x[:, op[1]].copy())
+        elif tag == "MEAS_X":
+            measured.append(z[:, op[1]].copy())
+        else:
+            raise ValueError(f"unknown op {op}")
+    return x, z, measured
+
+
+def packed_engine(circuit, layout, noise, rng, n_trials, initial=None):
+    """simulate_frames with its words unpacked to the reference's layout."""
+    x, z, measured = simulate_frames(circuit, layout, noise, rng, n_trials, initial)
+    return (unpack_trials(x, n_trials).T, unpack_trials(z, n_trials).T,
+            list(unpack_trials(measured, n_trials)))
+
+
+def exact_frame_distribution(circuit: CliffordCircuit, layout: MachineLayout,
+                             noise: NoiseSpec, initial: PauliFrame) -> np.ndarray:
+    """Exact distribution over (x frame, z frame, measurement record).
+
+    State bit q is x of qubit q, bit n + q its z, and bit 2n + k the k-th
+    measurement. H, a CNOT, PREP and MEAS map states to states; a noisy
+    CNOT then keeps 1 - p of each state's mass and moves p/15 along each
+    of the 15 two-qubit Paulis on its qubits.
+    """
+    n = circuit.n_qubits
+    n_meas = sum(op[0].startswith("MEAS") for op in circuit.ops)
+    s = np.arange(1 << (2 * n + n_meas))
+    dist = np.zeros(s.size)
+    dist[sum(int(b) << q for q, b in enumerate(np.concatenate((initial.x, initial.z))))] = 1.0
+    proc = layout.qubit_processor
+    k = 0
+
+    def bit(i):
+        return s >> i & 1
+
+    for op in circuit.ops:
+        tag, q = op[0], op[1]
+        if tag == "CNOT":
+            t = op[2]
+            image = s ^ (bit(q) << t) ^ (bit(n + t) << (n + q))
+        elif tag == "H":
+            image = s ^ ((bit(q) ^ bit(n + q)) * ((1 << q) | (1 << (n + q))))
+        elif tag in ("PREP_Z", "PREP_X"):
+            image = s & ~((1 << q) | (1 << (n + q)))
+        else:
+            image = s | (bit(q if tag == "MEAS_Z" else n + q) << (2 * n + k))
+            k += 1
+        dist = np.bincount(image, weights=dist, minlength=s.size)
+        if tag == "CNOT":
+            p = noise.p_remote if proc[q] != proc[t] else noise.p_local
+            masks = [(pl >> 3 & 1) << q | (pl >> 2 & 1) << (n + q) | (pl >> 1 & 1) << t
+                     | (pl & 1) << (n + t) for pl in range(1, 16)]
+            dist = (1.0 - p) * dist + p / 15.0 * sum(dist[s ^ m] for m in masks)
+    return dist
 
 
 NO_NOISE = NoiseSpec(0.0, 0.0)
@@ -268,10 +421,12 @@ def test_cnot_conjugation_matches_dense(bits):
     frame = PauliFrame(np.array([x0, x1], dtype=bool), np.array([z0, z1], dtype=bool))
     xs, zs, _ = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
                                 initial=frame)
+    assert xs.shape == zs.shape == (2, 1)  # qubit-major, one word of trials
+    xs, zs = unpack_trials(xs, 1), unpack_trials(zs, 1)
     before = np.kron(_pauli(x0, z0), _pauli(x1, z1))
     cnot = np.eye(4)[[0, 1, 3, 2]]
     after_dense = cnot @ before @ cnot
-    after_frame = np.kron(_pauli(xs[0, 0], zs[0, 0]), _pauli(xs[0, 1], zs[0, 1]))
+    after_frame = np.kron(_pauli(xs[0, 0], zs[0, 0]), _pauli(xs[1, 0], zs[1, 0]))
     assert _proportional(after_dense, after_frame)
 
 
@@ -283,11 +438,128 @@ def test_h_conjugation_matches_dense(bits):
     frame = PauliFrame(np.array([x0], dtype=bool), np.array([z0], dtype=bool))
     xs, zs, _ = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
                                 initial=frame)
+    xs, zs = unpack_trials(xs, 1), unpack_trials(zs, 1)
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     after_dense = h @ _pauli(x0, z0) @ h
     after_frame = _pauli(xs[0, 0], zs[0, 0])
     assert _proportional(after_dense, after_frame)
 
+
+# ---------------------------------------------------------------------------
+# the layered, packed engine against its oracles
+
+
+@st.composite
+def small_circuits(draw, max_qubits: int, max_ops: int, max_meas: int):
+    """A random circuit on 2..max_qubits qubits spread over two processors,
+    with an initial frame to inject."""
+    n = draw(st.integers(2, max_qubits))
+    qubit = st.integers(0, n - 1)
+    op = st.one_of(
+        st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda ct: ("CNOT", *ct)),
+        st.tuples(st.sampled_from(["H", "PREP_Z", "PREP_X", "MEAS_Z", "MEAS_X"]), qubit))
+    ops = draw(st.lists(op, max_size=max_ops).filter(
+        lambda ops: sum(o[0].startswith("MEAS") for o in ops) <= max_meas))
+    procs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    return (CliffordCircuit(n, ops), MachineLayout("small", (), tuple(procs), 2),
+            PauliFrame(draw(bits), draw(bits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_circuits(max_qubits=6, max_ops=24, max_meas=24),
+       st.sampled_from([1, 63, 64, 65, 130]))
+def test_packed_engine_matches_reference_bit_for_bit_without_noise(case, n_trials):
+    circuit, layout, initial = case
+    rx, rz, rm = reference_simulate_frames(circuit, layout, NO_NOISE,
+                                           np.random.default_rng(0), n_trials, initial)
+    x, z, measured = simulate_frames(circuit, layout, NO_NOISE, np.random.default_rng(0),
+                                     n_trials, initial)
+    words = (n_trials + 63) // 64
+    assert x.dtype == z.dtype == measured.dtype == np.uint64
+    assert x.shape == z.shape == (circuit.n_qubits, words)
+    assert measured.shape == (len(rm), words)
+    for got, want in ((x, rx.T), (z, rz.T), (measured, np.reshape(rm, (-1, n_trials)))):
+        bits = unpack_trials(got, 64 * words)
+        assert np.array_equal(bits[:, :n_trials], want)
+        assert not bits[:, n_trials:].any()  # the tail of the last word stays zero
+
+
+def _outcomes(x, z, measured) -> np.ndarray:
+    """Each trial's state index in the layout of exact_frame_distribution."""
+    bits = np.concatenate([x, z, np.reshape(measured, (-1, len(x))).T], axis=1)
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[1]))
+
+
+def _g_test(states: np.ndarray, probs: np.ndarray) -> float:
+    """p-value of a G-test of sampled states against exact probabilities.
+
+    States of expected count below 5 are pooled into one bin; a sample of
+    a state of probability zero fails outright.
+    """
+    counts = np.bincount(states, minlength=probs.size)
+    assert not counts[probs == 0.0].any(), "sampled an impossible frame or record"
+    expected = states.size * probs
+    small = expected < 5.0
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    obs, exp = obs[exp > 0.0], exp[exp > 0.0]
+    if obs.size < 2:
+        return 1.0
+    hit = obs > 0
+    g = 2.0 * np.sum(obs[hit] * np.log(obs[hit] / exp[hit]))
+    return float(chi2.sf(g, obs.size - 1))
+
+
+ENGINES = {"packed": packed_engine, "reference": reference_simulate_frames}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=small_circuits(max_qubits=5, max_ops=12, max_meas=5),
+       p_local=st.floats(0.0, 0.5), p_remote=st.floats(0.0, 0.5))
+def test_sampled_frames_match_exact_distribution(engine, case, p_local, p_remote):
+    circuit, layout, initial = case
+    noise = NoiseSpec(p_local, p_remote)
+    n_trials = 20000
+    sampled = _outcomes(*ENGINES[engine](circuit, layout, noise, np.random.default_rng(7),
+                                         n_trials, initial))
+    probs = exact_frame_distribution(circuit, layout, noise, initial)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert _g_test(sampled, probs) > 1e-6
+
+
+def test_depolarizer_keeps_drawing_until_each_step_is_covered():
+    class EveryPosition:  # unit gaps whatever the rate, every hit kept, always X on the control
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+        def random(self, size):
+            return np.zeros(size)
+
+        def integers(self, lo, hi, size):
+            return np.full(size, 8)
+    a, b = np.array([0, 2, 1]), np.array([1, 3, 0])
+    noisy = stn._Depolarizer(EveryPosition(), a, b, np.array([0.5, 0.5, 0.25]), 4, 1000)
+    frames = np.zeros((8, 16), dtype=np.uint64)
+    np.bitwise_xor.at(frames, *noisy.before(1))
+    assert np.array_equal(unpack_trials(frames, 1000).sum(axis=1), [1000, 0, 0, 0, 0, 0, 0, 0])
+    np.bitwise_xor.at(frames, *noisy.before(3))  # needs more than one more batch of gaps
+    assert np.array_equal(unpack_trials(frames, 1000).sum(axis=1), [1000, 1000, 1000, 0, 0, 0,
+                                                                    0, 0])
+    assert noisy.before(3)[1].size == 0
+
+
+def test_depolarizer_at_the_ends_of_the_rate_range():
+    rng = np.random.default_rng(3)
+    a, b = np.array([0]), np.array([1])
+    # every position is hit, each by a nontrivial Pauli on the pair
+    frames = np.zeros((4, 2), dtype=np.uint64)
+    np.bitwise_xor.at(frames, *stn._Depolarizer(rng, a, b, np.ones(1), 2, 77).before(1))
+    assert unpack_trials(frames, 77).any(axis=0).all()
+    # a gap too long for int64 ends the hits instead of wrapping around
+    (rows, words), bits = stn._Depolarizer(rng, a, b, np.full(1, 5e-324), 2, 10**6).before(1)
+    assert rows.size == words.size == bits.size == 0
 
 # ---------------------------------------------------------------------------
 # circuits
@@ -337,7 +609,7 @@ def test_injected_error_shows_in_extracted_syndrome(kind, q):
     circ.extend(syndrome_extraction_circuit(block, layout))
     _, _, measured = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0),
                                      1, initial=frame)
-    got = [int(m[0]) for m in measured]
+    got = [int(m[0]) for m in unpack_trials(measured, 1)]
     # first three readouts are the X-type generators (detect Z errors)
     assert got[:3] == list(want_sz)
     assert got[3:] == list(want_sx)

@@ -588,6 +588,19 @@ def test_decoders_return_weighted_pure_branches():
     assert_pure_branches(decode_elective(state, 1, keep_ancillas=True)[0], (3, 3, 3, 2, 2))
 
 
+
+@pytest.mark.parametrize("weights", [(2.0,), (1.5, -0.5), (0.5, 0.5 - 2e-9), (float("nan"),), ()])
+def test_unnormalised_ensembles_are_rejected(weights):
+    word = encode(PSI, 3)
+    ensemble = tuple((w, word) for w in weights)
+    for use in (decode_measure, lambda e: decode_elective(e, 0),
+                lambda e: ensemble_fidelity(e, word)):
+        with pytest.raises(ValueError, match="sum to one"):
+            use(ensemble)
+    # rounding within 1e-9 of one is accepted
+    assert abs(decode_measure(((0.5, word), (0.5 + 1e-12, word))).success_probability
+               - 1.0) < 1e-9
+
 @st.composite
 def _erased_words(draw):
     """A codeword of 2-6 sites or a random pure qutrit register of 1-5 sites,
