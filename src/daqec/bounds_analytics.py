@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,10 @@ def optimal_packing_bruteforce(bin_probs):
     Items within a bin are interchangeable, so packings are matrices with
     rows (bins) and columns (barrels) summing to n; barrels are unordered.
     Maximizes the probability that no barrel has two or more spoiled
-    items. Returns (packing matrix, success probability, per-barrel odds
-    sums). Guarded to n <= 4.
+    items; among packings of equal success (all 0.0 when bins are nearly
+    certain to spoil) keeps the one whose odds sums are most nearly equal.
+    Returns (packing matrix, success probability, per-barrel odds sums).
+    Guarded to n <= 4.
     """
     probs = np.asarray(bin_probs, dtype=float)
     n = probs.size
@@ -211,15 +212,14 @@ def optimal_packing_bruteforce(bin_probs):
         raise ValueError("instance too large for exhaustive packing search")
     best = None
     for columns in _packings(n):
-        success = 1.0
-        for col in columns:
-            barrel = np.repeat(probs, col)
-            success *= 1.0 - barrel_ruin_two_or_more(barrel)
-        if best is None or success > best[1]:
-            best = (columns, success)
-    columns, success = best
+        barrels = [np.repeat(probs, col) for col in columns]
+        success = math.prod(1.0 - barrel_ruin_two_or_more(b) for b in barrels)
+        odds = tuple(barrel_odds_sum(b) for b in barrels)
+        key = (success, min(odds) - max(odds))
+        if best is None or key > best[0]:
+            best = (key, columns, odds)
+    (success, _), columns, odds = best
     matrix = np.array(columns).T  # rows = bins, columns = barrels
-    odds = tuple(barrel_odds_sum(np.repeat(probs, col)) for col in columns)
     return matrix, success, odds
 
 
@@ -271,19 +271,47 @@ def contamination_cutoff_exact(p, n: int | None = None) -> float:
     return 1.0 - (b ** (1.0 / n) / a) ** (1.0 / pairs)
 
 
-def contamination_cutoff_exact_oracle(p, n: int | None = None) -> float:
-    """Same cutoff found by a numerical root solve instead of the closed form."""
-    probs = np.asarray(p, dtype=float)
-    n = probs.size if n is None else n
+def _bisect_root(gap, lo: float, hi: float) -> float:
+    """Last float r in [lo, hi) with gap(r) > 0 >= gap(next float), for gap(lo) > 0.
+
+    Halves the bracket until its midpoint rounds to one of its ends; raises
+    ValueError, as a bracketing root solver does, when gap(hi) > 0 too.
+    """
+    if gap(hi) > 0.0:
+        raise ValueError("gap does not change sign on the bracket")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _cutoff_root(gap) -> float:
+    """Root of a cutoff's gap on [0, 1); equal bins break even at p_c = 0,
+    where rounding can leave gap(0) <= 0."""
+    return 0.0 if gap(0.0) <= 0.0 else _bisect_root(gap, 0.0, 1.0 - 1e-12)
+
+
+def _exact_gap(probs: np.ndarray, n: int):
+    """Mixed minus uniform total success at contamination p_c, two-or-more rule."""
     a = sum(_spoiled_none_and_one(probs))
     b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
     pairs = n * (n - 1) // 2
+    return lambda pc: ((1.0 - pc) ** pairs * a) ** n - b
 
-    def gap(pc):
-        return ((1.0 - pc) ** pairs * a) ** n - b
 
-    # equal bins break even at p_c = 0, where rounding can leave gap(0) <= 0
-    return 0.0 if gap(0.0) <= 0.0 else float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))
+def _approx_gap(probs: np.ndarray, n: int):
+    """Mixed minus uniform total success at contamination p_c, k/n rule."""
+    good = 1.0 - probs
+    mean, target = float(np.mean(good)), float(np.prod(good))
+    return lambda pc: ((1.0 - pc) ** (n - 1) * mean) ** n - target
+
+
+def contamination_cutoff_exact_oracle(p, n: int | None = None) -> float:
+    """Same cutoff found by a numerical root solve instead of the closed form."""
+    probs = np.asarray(p, dtype=float)
+    return _cutoff_root(_exact_gap(probs, probs.size if n is None else n))
 
 
 def contamination_cutoff_approx(p, n: int | None = None) -> float:
@@ -305,12 +333,6 @@ def contamination_cutoff_approx(p, n: int | None = None) -> float:
 
 
 def contamination_cutoff_approx_oracle(p, n: int | None = None) -> float:
+    """Same cutoff found by a numerical root solve instead of the closed form."""
     probs = np.asarray(p, dtype=float)
-    n = probs.size if n is None else n
-    good = 1.0 - probs
-    target = float(np.prod(good))
-
-    def gap(pc):
-        return ((1.0 - pc) ** (n - 1) * float(np.mean(good))) ** n - target
-
-    return 0.0 if gap(0.0) <= 0.0 else float(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14))
+    return _cutoff_root(_approx_gap(probs, probs.size if n is None else n))

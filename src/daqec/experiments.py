@@ -23,6 +23,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+# numpy loads its random module on first use; every experiment draws from it,
+# so load it here and keep that cost out of the first run's wall_time_s
+import numpy.random  # noqa: F401
 import yaml
 
 from . import allocation as alc

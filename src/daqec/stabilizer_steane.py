@@ -455,13 +455,14 @@ def steane_failure_probabilities_uniform(eps) -> dict:
     """Exact failure probabilities when all seven qubits share one rate.
 
     Sums weight polynomials over the pattern counts _CX_W and _CB_W, which
-    makes sweeping many uniform rates cheap.
+    makes sweeping many uniform rates cheap. Accumulates one weight at a
+    time, so every temporary has the length of eps.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    w = np.arange(N_DATA + 1)
-    p = (2.0 * eps / 3.0)[:, None]
-    p_x = (_CX_W * p**w * (1.0 - p) ** (N_DATA - w)).sum(axis=1)
-    py = (eps / 3.0)[:, None]
-    p_both = (_CB_W * py**w * (1.0 - eps[:, None]) ** (N_DATA - w)).sum(axis=1)
+    p, py = 2.0 * eps / 3.0, eps / 3.0
+    p_x, p_both = np.zeros_like(eps), np.zeros_like(eps)
+    for w in range(N_DATA + 1):
+        p_x += _CX_W[w] * p**w * (1.0 - p) ** (N_DATA - w)
+        p_both += _CB_W[w] * py**w * (1.0 - eps) ** (N_DATA - w)
     p_any = 2.0 * p_x - p_both
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}

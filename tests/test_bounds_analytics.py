@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from daqec.bounds_analytics import (
     ProcessorErrorProfile,
+    _approx_gap,
+    _bisect_root,
+    _exact_gap,
     advantage_report,
     barrel_odds_sum,
     barrel_ruin_odds_form,
@@ -164,6 +169,20 @@ def test_packing_unbalanced_bins_equalize_odds():
     assert success > 0
 
 
+def test_packing_tie_keeps_most_equal_odds():
+    # every packing's success underflows to 0.0; the one-per-bin barrels, and the
+    # packings equal to them because bins 1 and 3 are the same, have equal odds
+    bins = [0.896, 1 - 2**-53, 0.596, 1 - 2**-53]
+    matrix, success, odds = optimal_packing_bruteforce(bins)
+    assert success == 0.0
+    assert max(odds) - min(odds) == 0.0
+    one_per_bin = barrel_odds_sum(bins)
+    assert all(o == one_per_bin for o in odds)
+    np.testing.assert_array_equal(matrix[0], 1)
+    np.testing.assert_array_equal(matrix[2], 1)
+    np.testing.assert_array_equal(matrix[1] + matrix[3], 2)
+
+
 def test_packing_guard():
     with pytest.raises(ValueError):
         optimal_packing_bruteforce([0.1] * 5)
@@ -215,6 +234,45 @@ def test_cutoff_approx_value_and_oracle():
     closed = contamination_cutoff_approx(bins)
     assert abs(closed - 0.031) < 0.002
     assert abs(closed - contamination_cutoff_approx_oracle(bins)) < 1e-10
+
+
+ORACLES = [(contamination_cutoff_exact_oracle, _exact_gap),
+           (contamination_cutoff_approx_oracle, _approx_gap)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 0.95, exclude_min=True, exclude_max=True),
+                min_size=2, max_size=4))
+def test_cutoff_oracles_bracket_the_root(bins):
+    probs = np.asarray(bins)
+    for oracle, make_gap in ORACLES:
+        gap = make_gap(probs, probs.size)
+        root = oracle(bins)
+        if gap(0.0) <= 0.0:  # break-even at p_c = 0
+            assert root == 0.0
+            continue
+        # the last float with gap > 0: exact in floating point
+        assert gap(root) > 0.0 >= gap(math.nextafter(root, 1.0))
+        assert abs(root - brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14)) <= 1e-13
+
+
+def test_cutoff_oracles_raise_without_sign_change():
+    # a bin certain to spoil: uniform barrels never succeed, so mixing pays at any p_c
+    for oracle, make_gap in ORACLES:
+        gap = make_gap(np.array([1.0, 0.0]), 2)
+        assert gap(0.0) > 0.0 and gap(1.0 - 1e-12) > 0.0
+        with pytest.raises(ValueError):
+            oracle([1.0, 0.0])
+        with pytest.raises(ValueError):
+            brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-14)
+    with pytest.raises(ValueError):
+        _bisect_root(lambda x: 1.0 - x, 0.0, 0.5)
+
+
+def test_bisect_root_is_the_last_positive_float():
+    r = _bisect_root(lambda x: 0.3 - x, 0.0, 1.0)
+    assert r < 0.3 <= math.nextafter(r, 1.0)
+    assert _bisect_root(lambda x: 0.3 - x, 0.0, 0.3) == math.nextafter(0.3, 0.0)
 
 
 def test_cutoff_approx_identical_bins_zero():

@@ -2,15 +2,19 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import resource
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import daqec
 from daqec.cli import main
 from daqec.experiments import (
     REGISTRY,
@@ -253,6 +257,24 @@ def test_cli_runs_apples(tmp_path):
     assert summary["config"]["params"]["bin_probs"] == [0.6, 0.2, 0.05]
 
 
+def test_runs_do_not_import_scipy(tmp_path):
+    # scipy's import was most of daqec's start-up; the package needs only numpy and pyyaml
+    script = (
+        "import sys\n"
+        "from daqec.cli import main\n"
+        f"assert main(['apples', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['correlated-errors', '--trials', '100', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(daqec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+    assert (tmp_path / "correlated-errors.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -398,11 +420,9 @@ IN_RANGE_EDGES = [
     pytest.param("apples", {"bin_probs": [0.6] * 4, "cutoff_anchor": 0.0}, 0, id="apples-0"),
     pytest.param("apples", {"bin_probs": [0.99] * 4, "cutoff_anchor": 0.0}, 0, id="apples-1"),
     # P(0) + P(1) of the mixed barrel is 9.3e-18, lost when taken as 1 - ruin; every
-    # packing's success is 0.0, so optimal_packing_bruteforce keeps the first one
-    # and the optimal-odds-spread check fails (a FOUND line in CHANGES.md)
+    # packing's success is 0.0, and the tie goes to the most nearly equal odds sums
     pytest.param("apples", {"bin_probs": [0.896, 1 - 2**-53, 0.596, 1 - 2**-53],
-                            "cutoff_anchor": 0.941}, 0, id="apples-2",
-                 marks=pytest.mark.xfail(strict=True, reason="tie among zero-success packings")),
+                            "cutoff_anchor": 0.941}, 0, id="apples-2"),
     # a processor at rate 1 zeroes the exact bound of its profile
     pytest.param("bound-validate", {"n_list": [3], "rate_points": 2, "mean_rate_min": 0.5,
                                     "mean_rate_max": 1.0, "std_factor": 1.0,
