@@ -3,20 +3,22 @@
 Errors are tracked as X/Z bits per physical qubit and conjugated through
 H and CNOT; two-qubit gates are followed by depolarizing noise whose
 strength depends on whether the gate crosses a processor boundary. The
-engine runs a circuit in layers of disjoint gates on frames packed 64
-trials to a word and draws only the noise hits. The module provides the
-standard seven-processor layouts (one block per processor vs. fully
-distributed), a mirrored GHZ-type transversal circuit of configurable
-depth, terminal syndrome extraction with lookup decoding, and an exact
-per-block failure-probability evaluator for code-capacity noise with
-processor-dependent single-qubit rates, a 256-state transfer that adds
-only nonnegative terms and so keeps relative precision.
+engine compiles each circuit once, by one backward pass over its layers
+of disjoint gates, into the decoder bits that an error after each CNOT
+flips; a trial then draws only its noise hits and xors their table rows.
+The module provides the standard seven-processor layouts (one block per
+processor vs. fully distributed), a mirrored GHZ-type transversal circuit
+of configurable depth, terminal syndrome extraction with lookup decoding,
+and an exact per-block failure-probability evaluator for code-capacity
+noise with processor-dependent single-qubit rates, a 256-state transfer
+that adds only nonnegative terms and so keeps relative precision.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,21 +134,6 @@ class CliffordCircuit:
         self.ops.extend(other.ops)
 
 
-@dataclass
-class PauliFrame:
-    """Accumulated X/Z error bits, one of each per physical qubit."""
-
-    x: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_qubits: int) -> "PauliFrame":
-        return cls(np.zeros(n_qubits, dtype=bool), np.zeros(n_qubits, dtype=bool))
-
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.x.copy(), self.z.copy())
-
-
 # ---------------------------------------------------------------------------
 # circuits
 
@@ -211,12 +198,13 @@ def syndrome_extraction_circuit(block: SteaneBlock, layout: MachineLayout) -> Cl
 # circuit-level engine
 
 
-# Op kinds, in the order a layer applies them. The ops of one layer touch
-# disjoint qubits, so that order changes nothing.
+# Op kinds, in the order the schedule lists the ops of one layer. The ops of
+# one layer touch disjoint qubits, so they commute.
 _CNOT, _H, _PREP, _MEAS_Z, _MEAS_X = range(5)
 _KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
           "MEAS_Z": _MEAS_Z, "MEAS_X": _MEAS_X}
 _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of the noise
+_PAULI_BITS = np.array([8, 4, 2, 1])  # x_c, z_c, x_t, z_t of a Pauli number in 1..15
 
 
 def _schedule(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
@@ -250,106 +238,127 @@ def _schedule(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec)
             kind[order][starts].tolist())
 
 
-class _Depolarizer:
-    """Depolarizing hits after the CNOTs of a schedule, drawn as its steps reach them.
+def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int):
+    """Depolarizing hits after the CNOTs of a schedule, in batches of (op, trial, which).
 
     Position o * n_trials + k stands for op o of the schedule in trial k,
     and is hit with the op's rate. The positions hit at the largest rate
     come from cumulative geometric gaps, so the draws scale with the hits,
     and each is kept with probability rate / largest rate. A kept hit takes
     one of the 15 nontrivial two-qubit Paulis uniformly, the bits
-    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry
-    (op, frame row, word, bit) per set bit; x rows come first, z rows after.
+    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry per
+    set bit, `which` being the bit's index in that order.
     """
-
-    def __init__(self, rng: np.random.Generator, a, b, rate, n_qubits: int, n_trials: int):
-        self.rng, self.n = rng, n_trials
-        self.rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
-        self.p = float(rate.max(initial=0.0))
-        self.keep = rate / self.p if self.p > 0.0 else rate
-        self.end = rate.size * n_trials   # one past the last position
-        self.last = -1 if self.p > 0.0 else self.end  # every hit up to here is drawn
-        empty = np.zeros(0, dtype=np.int64)
-        self.pending = (empty, empty, empty, empty.astype(np.uint64))
-
-    def _draw(self):
-        mean = (self.end - 1 - self.last) * self.p
+    p = float(rate.max(initial=0.0))
+    if p == 0.0:
+        return
+    keep = rate / p
+    end = rate.size * n_trials  # one past the last position
+    last = -1                   # every hit up to here is drawn
+    while last < end - 1:
+        mean = (end - 1 - last) * p
         size = int(min(mean + 6.0 * math.sqrt(mean) + 16, _NOISE_BATCH))
         # a gap capped at end + 1 still lands past the end, and the sums stay
         # far from overflow at any rate
-        pos = self.last + np.cumsum(np.minimum(self.rng.geometric(self.p, size), self.end + 1))
-        self.last = int(pos[-1])
-        op, trial = np.divmod(pos[:np.searchsorted(pos, self.end)], self.n)
-        kept = self.rng.random(op.size) < self.keep[op]
-        op, trial = op[kept], trial[kept]
-        pauli = self.rng.integers(1, 16, size=op.size)
-        hit, which = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)  # in op order
-        op, trial = op[hit], trial[hit]
-        bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
-        drawn = (op, self.rows[op, which], trial >> 6, bits)
-        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, drawn))
-
-    def before(self, stop: int):
-        """((rows, words), bits) of the entries at ops before `stop` not yet returned."""
-        while self.last < stop * self.n - 1:
-            self._draw()
-        k = np.searchsorted(self.pending[0], stop)
-        _, rows, words, bits = (entry[:k] for entry in self.pending)
-        self.pending = tuple(entry[k:] for entry in self.pending)
-        return (rows, words), bits
+        pos = last + np.cumsum(np.minimum(rng.geometric(p, size), end + 1))
+        last = int(pos[-1])
+        pos = pos[:np.searchsorted(pos, end)]
+        op = pos // n_trials
+        kept = np.flatnonzero(rng.random(op.size) < keep[op])
+        pauli = rng.integers(1, 16, size=kept.size)
+        # entry 4 * i + j for bit j of kept hit i, so in op order
+        bit = np.flatnonzero(pauli[:, None] & _PAULI_BITS != 0)
+        kept = kept[bit >> 2]
+        op = op[kept]
+        yield op, pos[kept] - op * n_trials, bit & 3
 
 
-def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
-    """Bools of packed trial words along the last axis; trial k is bit k % 64
-    of word k // 64."""
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n_trials].astype(bool)
+def _compile(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
+    """The rate of each op in schedule order, and what an error after it flips.
+
+    The decoder reads one byte per block: bits 0..5 the readouts of its six
+    extraction generators (the last 6 * n_blocks measurements, block by
+    block, X-type generators first), bit 6 its data X parity and bit 7 its
+    data Z parity. Block i is byte i % 8 of the little-endian `uint64` word
+    i // 8. Frames are linear over GF(2), so one backward pass over the
+    schedule finds, for every frame bit, the decoder bits that an error on
+    it would flip: a CNOT (c, t) xors the x_t and z_c rows into x_c and
+    z_t, H swaps x and z, a preparation clears both, and a measurement adds
+    its readout bit to the frame bit it reads. table[o, j] holds the flips
+    of the j-th of (x_c, z_c, x_t, z_t) right after CNOT o, and is zero for
+    any other op.
+    """
+    a, b, meas, rate, starts, ends, kinds = _schedule(circuit, layout, noise)
+    nq, nb = circuit.n_qubits, len(layout.blocks)
+    n_meas = int(meas.max(initial=-1)) + 1
+    if n_meas < 6 * nb:
+        raise ValueError("missing extraction measurements")
+    octets = 8 * ((nb + 7) // 8)
+    data = np.array([block.data for block in layout.blocks]).reshape(nb, N_DATA)
+    # rows 0..nq-1 hold what an x error flips, rows nq.. what a z error does
+    flips = np.zeros((2 * nq, octets), dtype=np.uint8)
+    flips[data, np.arange(nb)[:, None]] = 1 << 6
+    flips[data + nq, np.arange(nb)[:, None]] = 1 << 7
+    k = np.arange(6 * nb)  # extraction readout k is generator k % 6 of block k // 6
+    readout = np.zeros((n_meas, octets), dtype=np.uint8)
+    readout[n_meas - 6 * nb + k, k // 6] = 1 << k % 6
+    flips, readout = flips.view("<u8"), readout.view("<u8")
+    src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
+    paulis = np.stack((a, a + nq, b, b + nq), axis=1)
+    table = np.zeros((a.size, 4, octets // 8), dtype="<u8")
+    for lo, hi, kind in zip(starts[::-1], ends[::-1], kinds[::-1]):
+        rows = src[:, lo:hi]
+        if kind == _CNOT:
+            table[lo:hi] = flips[paulis[lo:hi]]
+            flips[rows] ^= flips[dst[:, lo:hi]]
+        elif kind == _H:
+            flips[rows] = flips[rows[::-1]]
+        elif kind == _PREP:
+            flips[rows] = 0
+        else:
+            flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
+    return rate, table
+
+
+_compile_lock = threading.Lock()
+_compiled: dict = {}  # the latest circuit's _compile, keyed on its contents
+
+
+def _compile_once(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
+    """_compile, shared by the chunks of one point on any thread.
+
+    Only the latest circuit is kept: a point's chunks all run before the
+    next point's, and one table of a large register can take tens of MB.
+    """
+    key = (circuit.n_qubits, tuple(circuit.ops), layout, noise)
+    with _compile_lock:
+        if key not in _compiled:
+            _compiled.clear()
+            _compiled[key] = _compile(circuit, layout, noise)
+        return _compiled[key]
 
 
 def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
-                    rng: np.random.Generator, n_trials: int,
-                    initial: PauliFrame | None = None):
-    """Propagate `n_trials` independent Pauli frames through the circuit.
+                    rng: np.random.Generator, n_trials: int):
+    """Sample the decoder's inputs after `n_trials` noisy runs of the circuit.
 
     Each CNOT is followed, with the locality-dependent probability, by one
-    of the 15 nontrivial two-qubit Paulis applied uniformly at random.
-    Preparations reset a qubit's frame; measurements record the bit that
-    would flip the ideal outcome. Frames start trivial unless an initial
-    frame (broadcast to all trials) is injected.
+    of the 15 nontrivial two-qubit Paulis applied uniformly at random. The
+    circuit must end with the extraction of every block of the layout.
+    Each trial's decoder bits are the xor of the table rows of its hits
+    (see _compile), which gives the same bits as propagating the frames.
 
-    The ops run in ASAP layers of disjoint gates, one step per (layer,
-    kind), on frames packed 64 trials to a `uint64` word
-    (trial k is bit k % 64 of word k // 64; bits past n_trials stay
-    zero). Returns (x, z, measured): x and z of shape (n_qubits, words),
-    measured of shape (measurements, words) in op order.
+    Returns (x, z, syndromes), each of shape (n_blocks, n_trials) and dtype
+    uint8: the data X and Z parities (0 or 1) of each block, and its six
+    extraction readouts, generator g at bit g.
     """
-    a, b, meas, rate, starts, ends, kinds = _schedule(circuit, layout, noise)
-    nq, words = circuit.n_qubits, (n_trials + 63) // 64
-    start = PauliFrame.zeros(nq) if initial is None else initial
-    ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
-    if n_trials % 64:
-        ones[-1] = np.uint64((1 << n_trials % 64) - 1)
-    # rows 0..nq-1 hold the x frames, rows nq.. the z frames
-    frames = np.where(np.concatenate((start.x, start.z)).astype(bool)[:, None], ones,
-                      np.uint64(0))
-    # a CNOT (c, t) xors the rows (x_c, z_t) into (x_t, z_c); a one-qubit op
-    # (b = a) acts on the rows (x_a, z_a)
-    src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
-    measured = np.zeros((int(meas.max(initial=-1)) + 1, words), dtype=np.uint64)
-    noisy = _Depolarizer(rng, a, b, rate, nq, n_trials)
-    for lo, hi, kind in zip(starts, ends, kinds):
-        rows = src[:, lo:hi]
-        if kind == _CNOT:
-            frames[dst[:, lo:hi]] ^= frames[rows]
-            # unbuffered, because several hits can share a word
-            np.bitwise_xor.at(frames, *noisy.before(hi))
-        elif kind == _H:
-            frames[rows] = frames[rows[::-1]]
-        elif kind == _PREP:
-            frames[rows] = 0
-        else:
-            measured[meas[lo:hi]] = frames[rows[0 if kind == _MEAS_Z else 1]]
-    return frames[:nq], frames[nq:], measured
+    rate, table = _compile_once(circuit, layout, noise)
+    mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
+    for op, trial, which in _depolarizing_hits(rng, rate, n_trials):
+        # unbuffered, because several hits can share a trial
+        np.bitwise_xor.at(mask, trial, table[op, which])
+    octets = mask.view(np.uint8)[:, :len(layout.blocks)].T.copy()
+    return octets >> 6 & 1, octets >> 7, octets & 63
 
 
 def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
@@ -361,19 +370,13 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
     full = CliffordCircuit(circuit.n_qubits, list(circuit.ops))
     for block in layout.blocks:
         full.extend(syndrome_extraction_circuit(block, layout))
-    x, z, measured = simulate_frames(full, layout, noise, rng, n_trials)
-    nb = len(layout.blocks)
-    if len(measured) < 6 * nb:
-        raise ValueError("missing extraction measurements")
-    # (block, generator, word); each block reads its X-type generators first
-    syn = measured[len(measured) - 6 * nb:].reshape(nb, 6, -1)
-    data = np.array([block.data for block in layout.blocks])
+    x, z, syndromes = simulate_frames(full, layout, noise, rng, n_trials)
     # lookup decoding flips one data qubit iff the syndrome is nonzero, so the
     # logical flip is the data parity XOR [syndrome != 0]; X-type generators
-    # flag Z errors, Z-type generators flag X errors
-    z_flips = np.bitwise_xor.reduce(z[data], axis=1) ^ np.bitwise_or.reduce(syn[:, :3], axis=1)
-    x_flips = np.bitwise_xor.reduce(x[data], axis=1) ^ np.bitwise_or.reduce(syn[:, 3:], axis=1)
-    return unpack_trials(x_flips, n_trials), unpack_trials(z_flips, n_trials)
+    # (bits 0..2) flag Z errors, Z-type generators (bits 3..5) flag X errors
+    x_flips = x ^ (syndromes > 7)
+    z_flips = z ^ (syndromes & 7 > 0)
+    return x_flips.astype(bool), z_flips.astype(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,10 @@ IN_RANGE_EDGES = [
     # criterion 1 up to nine erasures of a 10-site word, the top of both ranges
     pytest.param("wstate-verify", {"max_total_sites": 10, "max_erasures": 9, "n_unitaries": 3,
                                    "n_random_logical": 1}, 0, id="wstate-verify-10-9"),
+    # the top of the pnl-sweep ranges: 100 blocks need 13 mask words, and the
+    # circuit has over 74,000 ops
+    pytest.param("pnl-sweep", {"n_blocks": 100, "depths": [10000]}, 0,
+                 id="pnl-sweep-100-10000"),
 ]
 
 

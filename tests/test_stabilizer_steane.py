@@ -1,12 +1,17 @@
+import importlib.util
 import itertools
 import math
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from daqec import allocation as alc
+from daqec import experiments
 from daqec import stabilizer_steane as stn
 from daqec.stabilizer_steane import (
     CliffordCircuit,
@@ -15,7 +20,6 @@ from daqec.stabilizer_steane import (
     NoiseSpec,
     HAMMING_CHECK,
     N_DATA,
-    PauliFrame,
     SteaneBlock,
     build_ghz_mirror,
     dqec_layout,
@@ -26,8 +30,22 @@ from daqec.stabilizer_steane import (
     steane_failure_probabilities_batch,
     steane_failure_probabilities_uniform,
     syndrome_extraction_circuit,
-    unpack_trials,
 )
+
+
+@dataclass
+class PauliFrame:
+    """Accumulated X/Z error bits, one of each per physical qubit."""
+
+    x: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_qubits: int) -> "PauliFrame":
+        return cls(np.zeros(n_qubits, dtype=bool), np.zeros(n_qubits, dtype=bool))
+
+    def copy(self) -> "PauliFrame":
+        return PauliFrame(self.x.copy(), self.z.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +210,10 @@ def count_remote_gates(circuit: CliffordCircuit, layout: MachineLayout) -> int:
 
 
 # ---------------------------------------------------------------------------
-# frame-engine oracles: the op-by-op engine on (trials, qubits) bool frames
-# that the layered, packed engine replaced, and the exact distribution of
-# frames and measurement records of a small register
+# frame-engine oracles: the op-by-op engine on (trials, qubits) bool frames,
+# the layered engine on packed frames that propagates every trial's whole
+# frame and draws the same noise stream as simulate_frames, and the exact
+# distribution of frames and measurement records of a small register
 
 
 def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
@@ -248,9 +267,136 @@ def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     return x, z, measured
 
 
+class Depolarizer:
+    """Depolarizing hits after the CNOTs of a schedule, drawn as its steps reach them.
+
+    Position o * n_trials + k stands for op o of the schedule in trial k,
+    and is hit with the op's rate. The positions hit at the largest rate
+    come from cumulative geometric gaps, so the draws scale with the hits,
+    and each is kept with probability rate / largest rate. A kept hit takes
+    one of the 15 nontrivial two-qubit Paulis uniformly, the bits
+    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry
+    (op, frame row, word, bit) per set bit; x rows come first, z rows after.
+    """
+
+    def __init__(self, rng: np.random.Generator, a, b, rate, n_qubits: int, n_trials: int):
+        self.rng, self.n = rng, n_trials
+        self.rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
+        self.p = float(rate.max(initial=0.0))
+        self.keep = rate / self.p if self.p > 0.0 else rate
+        self.end = rate.size * n_trials   # one past the last position
+        self.last = -1 if self.p > 0.0 else self.end  # every hit up to here is drawn
+        empty = np.zeros(0, dtype=np.int64)
+        self.pending = (empty, empty, empty, empty.astype(np.uint64))
+
+    def _draw(self):
+        mean = (self.end - 1 - self.last) * self.p
+        size = int(min(mean + 6.0 * math.sqrt(mean) + 16, stn._NOISE_BATCH))
+        pos = self.last + np.cumsum(np.minimum(self.rng.geometric(self.p, size), self.end + 1))
+        self.last = int(pos[-1])
+        op, trial = np.divmod(pos[:np.searchsorted(pos, self.end)], self.n)
+        kept = self.rng.random(op.size) < self.keep[op]
+        op, trial = op[kept], trial[kept]
+        pauli = self.rng.integers(1, 16, size=op.size)
+        hit, which = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)  # in op order
+        op, trial = op[hit], trial[hit]
+        bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
+        drawn = (op, self.rows[op, which], trial >> 6, bits)
+        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, drawn))
+
+    def before(self, stop: int):
+        """((rows, words), bits) of the entries at ops before `stop` not yet returned."""
+        while self.last < stop * self.n - 1:
+            self._draw()
+        k = np.searchsorted(self.pending[0], stop)
+        _, rows, words, bits = (entry[:k] for entry in self.pending)
+        self.pending = tuple(entry[k:] for entry in self.pending)
+        return (rows, words), bits
+
+
+def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
+    """Bools of packed trial words along the last axis; trial k is bit k % 64
+    of word k // 64."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n_trials].astype(bool)
+
+
+def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
+                            noise: NoiseSpec, rng: np.random.Generator, n_trials: int,
+                            initial: PauliFrame | None = None):
+    """Propagate `n_trials` Pauli frames through the circuit, step by step.
+
+    The ops run in the ASAP steps of stn._schedule on frames packed 64
+    trials to a `uint64` word (trial k is bit k % 64 of word k // 64; bits
+    past n_trials stay zero). Frames start trivial unless an initial frame
+    (broadcast to all trials) is injected. Returns (x, z, measured): x and z
+    of shape (n_qubits, words), measured of shape (measurements, words) in
+    op order.
+    """
+    a, b, meas, rate, starts, ends, kinds = stn._schedule(circuit, layout, noise)
+    nq, words = circuit.n_qubits, (n_trials + 63) // 64
+    start = PauliFrame.zeros(nq) if initial is None else initial
+    ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if n_trials % 64:
+        ones[-1] = np.uint64((1 << n_trials % 64) - 1)
+    # rows 0..nq-1 hold the x frames, rows nq.. the z frames
+    frames = np.where(np.concatenate((start.x, start.z)).astype(bool)[:, None], ones,
+                      np.uint64(0))
+    # a CNOT (c, t) xors the rows (x_c, z_t) into (x_t, z_c); a one-qubit op
+    # (b = a) acts on the rows (x_a, z_a)
+    src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
+    measured = np.zeros((int(meas.max(initial=-1)) + 1, words), dtype=np.uint64)
+    noisy = Depolarizer(rng, a, b, rate, nq, n_trials)
+    for lo, hi, kind in zip(starts, ends, kinds):
+        rows = src[:, lo:hi]
+        if kind == stn._CNOT:
+            frames[dst[:, lo:hi]] ^= frames[rows]
+            # unbuffered, because several hits can share a word
+            np.bitwise_xor.at(frames, *noisy.before(hi))
+        elif kind == stn._H:
+            frames[rows] = frames[rows[::-1]]
+        elif kind == stn._PREP:
+            frames[rows] = 0
+        else:
+            measured[meas[lo:hi]] = frames[rows[0 if kind == stn._MEAS_Z else 1]]
+    return frames[:nq], frames[nq:], measured
+
+
+def with_extraction(circuit: CliffordCircuit, layout: MachineLayout) -> CliffordCircuit:
+    """The circuit followed by the extraction of every block, as run_circuit_trials runs it."""
+    full = CliffordCircuit(circuit.n_qubits, list(circuit.ops))
+    for block in layout.blocks:
+        full.extend(syndrome_extraction_circuit(block, layout))
+    return full
+
+
+def layered_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout,
+                           noise: NoiseSpec, rng: np.random.Generator, n_trials: int):
+    """run_circuit_trials on the layered engine, decoding each block by the flip rule.
+
+    Returns (x_flips, z_flips), plus simulate_frames' (x, z, syndromes), all
+    of shape (n_blocks, n_trials).
+    """
+    x, z, measured = layered_simulate_frames(with_extraction(circuit, layout), layout, noise,
+                                             rng, n_trials)
+    nb = len(layout.blocks)
+    # (block, generator, word); each block reads its X-type generators first
+    syn = measured[len(measured) - 6 * nb:].reshape(nb, 6, -1)
+    data = np.array([block.data for block in layout.blocks])
+    x_parity = unpack_trials(np.bitwise_xor.reduce(x[data], axis=1), n_trials)
+    z_parity = unpack_trials(np.bitwise_xor.reduce(z[data], axis=1), n_trials)
+    readouts = unpack_trials(syn, n_trials)  # (block, generator, trial)
+    # lookup decoding flips one data qubit iff the syndrome is nonzero;
+    # X-type generators flag Z errors, Z-type generators flag X errors
+    x_flips = x_parity ^ readouts[:, 3:].any(axis=1)
+    z_flips = z_parity ^ readouts[:, :3].any(axis=1)
+    syndromes = np.tensordot(readouts, 1 << np.arange(6), axes=(1, 0))
+    return (x_flips, z_flips), (x_parity, z_parity, syndromes)
+
+
 def packed_engine(circuit, layout, noise, rng, n_trials, initial=None):
-    """simulate_frames with its words unpacked to the reference's layout."""
-    x, z, measured = simulate_frames(circuit, layout, noise, rng, n_trials, initial)
+    """layered_simulate_frames with its words unpacked to the reference's layout."""
+    x, z, measured = layered_simulate_frames(circuit, layout, noise, rng, n_trials, initial)
     return (unpack_trials(x, n_trials).T, unpack_trials(z, n_trials).T,
             list(unpack_trials(measured, n_trials)))
 
@@ -419,8 +565,8 @@ def test_cnot_conjugation_matches_dense(bits):
     layout = MachineLayout("tiny", (), (0, 0), 1)
     circ = CliffordCircuit(2, [("CNOT", 0, 1)])
     frame = PauliFrame(np.array([x0, x1], dtype=bool), np.array([z0, z1], dtype=bool))
-    xs, zs, _ = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
-                                initial=frame)
+    xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
+                                        initial=frame)
     assert xs.shape == zs.shape == (2, 1)  # qubit-major, one word of trials
     xs, zs = unpack_trials(xs, 1), unpack_trials(zs, 1)
     before = np.kron(_pauli(x0, z0), _pauli(x1, z1))
@@ -436,8 +582,8 @@ def test_h_conjugation_matches_dense(bits):
     layout = MachineLayout("tiny", (), (0,), 1)
     circ = CliffordCircuit(1, [("H", 0)])
     frame = PauliFrame(np.array([x0], dtype=bool), np.array([z0], dtype=bool))
-    xs, zs, _ = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
-                                initial=frame)
+    xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
+                                        initial=frame)
     xs, zs = unpack_trials(xs, 1), unpack_trials(zs, 1)
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     after_dense = h @ _pauli(x0, z0) @ h
@@ -446,7 +592,7 @@ def test_h_conjugation_matches_dense(bits):
 
 
 # ---------------------------------------------------------------------------
-# the layered, packed engine against its oracles
+# the engines against their oracles
 
 
 @st.composite
@@ -473,8 +619,8 @@ def test_packed_engine_matches_reference_bit_for_bit_without_noise(case, n_trial
     circuit, layout, initial = case
     rx, rz, rm = reference_simulate_frames(circuit, layout, NO_NOISE,
                                            np.random.default_rng(0), n_trials, initial)
-    x, z, measured = simulate_frames(circuit, layout, NO_NOISE, np.random.default_rng(0),
-                                     n_trials, initial)
+    x, z, measured = layered_simulate_frames(circuit, layout, NO_NOISE,
+                                             np.random.default_rng(0), n_trials, initial)
     words = (n_trials + 63) // 64
     assert x.dtype == z.dtype == measured.dtype == np.uint64
     assert x.shape == z.shape == (circuit.n_qubits, words)
@@ -529,37 +675,144 @@ def test_sampled_frames_match_exact_distribution(engine, case, p_local, p_remote
     assert _g_test(sampled, probs) > 1e-6
 
 
-def test_depolarizer_keeps_drawing_until_each_step_is_covered():
-    class EveryPosition:  # unit gaps whatever the rate, every hit kept, always X on the control
-        def geometric(self, p, size):
-            return np.ones(size, dtype=np.int64)
+class EveryPosition:
+    """A stand-in generator: unit gaps whatever the rate, every hit kept,
+    always X on the control."""
 
-        def random(self, size):
-            return np.zeros(size)
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
 
-        def integers(self, lo, hi, size):
-            return np.full(size, 8)
+    def random(self, size):
+        return np.zeros(size)
+
+    def integers(self, lo, hi, size):
+        return np.full(size, 8)
+
+
+def _apply_hits(batches, a, b, n_qubits, n_trials):
+    """Packed (2 * n_qubits, words) frames of the hits of _depolarizing_hits."""
+    rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
+    frames = np.zeros((2 * n_qubits, (n_trials + 63) // 64), dtype=np.uint64)
+    for op, trial, which in batches:
+        bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
+        np.bitwise_xor.at(frames, (rows[op, which], trial >> 6), bits)
+    return unpack_trials(frames, n_trials)
+
+
+def test_depolarizing_hits_keep_drawing_until_every_op_is_covered():
     a, b = np.array([0, 2, 1]), np.array([1, 3, 0])
-    noisy = stn._Depolarizer(EveryPosition(), a, b, np.array([0.5, 0.5, 0.25]), 4, 1000)
-    frames = np.zeros((8, 16), dtype=np.uint64)
-    np.bitwise_xor.at(frames, *noisy.before(1))
-    assert np.array_equal(unpack_trials(frames, 1000).sum(axis=1), [1000, 0, 0, 0, 0, 0, 0, 0])
-    np.bitwise_xor.at(frames, *noisy.before(3))  # needs more than one more batch of gaps
-    assert np.array_equal(unpack_trials(frames, 1000).sum(axis=1), [1000, 1000, 1000, 0, 0, 0,
-                                                                    0, 0])
-    assert noisy.before(3)[1].size == 0
+    batches = list(stn._depolarizing_hits(EveryPosition(), np.array([0.5, 0.5, 0.25]), 1000))
+    ops = np.concatenate([op for op, _, _ in batches])
+    assert np.all(np.diff(ops) >= 0)  # in op order, across batches too
+    op, trial, which = batches[0]
+    first = op < 1  # the first batch covers op 0 whole
+    assert np.array_equal(_apply_hits([(op[first], trial[first], which[first])], a, b, 4,
+                                      1000).sum(axis=1), [1000, 0, 0, 0, 0, 0, 0, 0])
+    assert len(batches) > 2  # ops 1 and 2 need more than one more batch of gaps
+    assert np.array_equal(_apply_hits(batches, a, b, 4, 1000).sum(axis=1),
+                          [1000, 1000, 1000, 0, 0, 0, 0, 0])
 
 
-def test_depolarizer_at_the_ends_of_the_rate_range():
+def test_depolarizing_hits_at_the_ends_of_the_rate_range():
     rng = np.random.default_rng(3)
     a, b = np.array([0]), np.array([1])
     # every position is hit, each by a nontrivial Pauli on the pair
-    frames = np.zeros((4, 2), dtype=np.uint64)
-    np.bitwise_xor.at(frames, *stn._Depolarizer(rng, a, b, np.ones(1), 2, 77).before(1))
-    assert unpack_trials(frames, 77).any(axis=0).all()
+    hits = stn._depolarizing_hits(rng, np.ones(1), 77)
+    assert _apply_hits(hits, a, b, 2, 77).any(axis=0).all()
     # a gap too long for int64 ends the hits instead of wrapping around
-    (rows, words), bits = stn._Depolarizer(rng, a, b, np.full(1, 5e-324), 2, 10**6).before(1)
-    assert rows.size == words.size == bits.size == 0
+    hits = list(stn._depolarizing_hits(rng, np.full(1, 5e-324), 10**6))
+    assert sum(op.size + trial.size + which.size for op, trial, which in hits) == 0
+
+
+LAYOUTS = {"lqec": lqec_layout, "dqec": dqec_layout}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(sorted(LAYOUTS)), n_blocks=st.integers(2, 10),
+       depth=st.integers(1, 30), p_local=st.floats(0.0, 0.5), p_remote=st.floats(0.0, 0.5),
+       n_trials=st.sampled_from([1, 63, 64, 65, 130]), seed=st.integers(0, 2**32 - 1))
+# nine and ten blocks need a second mask word
+@example(scheme="dqec", n_blocks=9, depth=5, p_local=0.05, p_remote=0.3, n_trials=65, seed=1)
+@example(scheme="lqec", n_blocks=10, depth=30, p_local=0.5, p_remote=0.0, n_trials=130, seed=2)
+def test_compiled_engine_matches_the_layered_oracle_bit_for_bit(scheme, n_blocks, depth,
+                                                                p_local, p_remote, n_trials,
+                                                                seed):
+    layout = LAYOUTS[scheme](n_blocks)
+    circuit = build_ghz_mirror(layout, depth)
+    noise = NoiseSpec(p_local, p_remote)
+    (want_x, want_z), want_inputs = layered_circuit_trials(
+        circuit, layout, noise, np.random.default_rng(seed), n_trials)
+    got_x, got_z = run_circuit_trials(circuit, layout, noise, np.random.default_rng(seed),
+                                      n_trials)
+    assert got_x.dtype == got_z.dtype == bool
+    assert got_x.shape == got_z.shape == (n_blocks, n_trials)
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_z, want_z)
+    got_inputs = simulate_frames(with_extraction(circuit, layout), layout, noise,
+                                 np.random.default_rng(seed), n_trials)
+    for got, want in zip(got_inputs, want_inputs, strict=True):
+        assert got.shape == (n_blocks, n_trials)
+        assert np.array_equal(got, want)
+
+
+def test_the_chunks_of_a_point_compile_its_circuit_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(circuit, layout, noise):
+        compiled.append(layout.name)
+        return compile_(circuit, layout, noise)
+    compile_ = stn._compile
+    monkeypatch.setattr(stn, "_compile", counting_compile)
+    stn._compiled.clear()
+    cfg = experiments.load_config("pnl-sweep", overrides={"trials": 500, "threads": 4})
+    cfg.chunk_size = 100  # five chunks per point
+    cfg.params["depths"] = [3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, so a race would show
+    try:
+        experiments.run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert compiled == ["lqec", "dqec"]
+
+
+def test_circuits_differing_in_one_op_get_different_tables():
+    layout = lqec_layout(3)
+    circuit = with_extraction(build_ghz_mirror(layout, 2), layout)
+    noise = NoiseSpec(0.01, 0.1)
+    rate, table = stn._compile_once(circuit, layout, noise)
+    first = circuit.ops.index(("CNOT", layout.blocks[0].data[0], layout.blocks[1].data[0]))
+    circuit.ops[first] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
+    other_rate, other_table = stn._compile_once(circuit, layout, noise)  # changed in place
+    assert np.array_equal(rate, other_rate)  # same locality, so same rates
+    assert not np.array_equal(table, other_table)
+    assert np.array_equal(other_table, stn._compile(circuit, layout, noise)[1])
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py, loaded from its file without touching it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_observes_a_real_simulate_frames_call():
+    # the benchmark's tracer unpacks simulate_frames' result and reads its
+    # arguments; this fails in the tests if that contract breaks
+    tr = _perfbench_tracer()
+    layout = dqec_layout()
+    circuit = build_ghz_mirror(layout, 4)
+    with tr.Tracer("t") as t:
+        stn.run_circuit_trials(circuit, layout, NoiseSpec(1e-3, 1e-2),
+                               np.random.default_rng(0), 100)
+    assert [s[1] for s in t.spans].count("stabilizer_steane.simulate_frames") == 1
+    gate_trials = t.counters["stabilizer_steane.simulate_frames.gate_trials"]
+    assert gate_trials == len(with_extraction(circuit, layout).ops) * 100
+    # one byte per block and trial for each of the X and Z parities
+    assert t.counters["stabilizer_steane.simulate_frames.frame_bytes"] == 2 * 7 * 100
+    assert stn.simulate_frames is simulate_frames  # the tracer put it back
+
 
 # ---------------------------------------------------------------------------
 # circuits
@@ -607,8 +860,8 @@ def test_injected_error_shows_in_extracted_syndrome(kind, q):
     want_sx, want_sz = syndrome(frame, block)
     circ = CliffordCircuit(layout.n_qubits)
     circ.extend(syndrome_extraction_circuit(block, layout))
-    _, _, measured = simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0),
-                                     1, initial=frame)
+    _, _, measured = layered_simulate_frames(circ, layout, NO_NOISE,
+                                             np.random.default_rng(0), 1, initial=frame)
     got = [int(m[0]) for m in unpack_trials(measured, 1)]
     # first three readouts are the X-type generators (detect Z errors)
     assert got[:3] == list(want_sz)
