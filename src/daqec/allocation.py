@@ -6,15 +6,15 @@ ell_c * n_L * (n_L-1) / 2 physical gate pairs in total; a gate is
 processor-nonlocal when its two endpoints (same transversal index,
 different blocks) live on different processors. This module constructs
 the even-partition allocation, evaluates the closed-form nonlocality
-factor and its simple bound, counts nonlocal gates directly, solves small
-instances exhaustively, and computes advantage-threshold circuit depths.
+factor and its simple bound, counts nonlocal gates directly, finds the
+exact optimum of small instances, and computes advantage-threshold circuit
+depths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 
 @dataclass(frozen=True)
@@ -217,34 +217,35 @@ def count_remote_pairs(alloc: Allocation, block_a: int, block_b: int, ell_c: int
 
 
 def brute_force_optimal(ell_c: int, n_L: int, n_p: int):
-    """Global minimum of the nonlocal gate count by exhaustive search.
+    """Exact global minimum of the nonlocal gate count, by a DP over loads.
 
-    Only the per-slice processor occupation profile matters for the
-    count, and slices are interchangeable, so the search runs over
-    multisets of per-slice occupation rows under the exact-fill capacity
-    constraint. Returns (min count, witness Allocation). Guarded to
-    ell_c <= 9 and n_L == n_p <= 3.
+    Only the per-slice processor occupation row matters for the count, so
+    slice by slice the search tracks each reachable vector of processor
+    loads, capped at ell_c, with the least cost that reaches it and one
+    row list that does. The n_L == n_p rows of every slice fill all
+    ell_c * n_p sites, so the full load vector is the one end state.
+    Returns (min count, witness Allocation). Guarded to ell_c <= 9 and
+    n_L == n_p <= 3.
     """
     if n_L != n_p:
         raise ValueError("exhaustive search assumes n_L == n_p")
     if ell_c > 9 or n_p > 3:
         raise ValueError("instance too large for exhaustive search")
-    rows = _compositions(n_L, n_p)
     pair_total = n_L * (n_L - 1) // 2
-    row_cost = {r: pair_total - sum(m * (m - 1) // 2 for m in r) for r in rows}
-    best = None
-    best_rows = None
-    for combo in combinations_with_replacement(rows, ell_c):
-        loads = [0] * n_p
-        for r in combo:
-            for p in range(n_p):
-                loads[p] += r[p]
-        if any(load > ell_c for load in loads):
-            continue
-        cost = sum(row_cost[r] for r in combo)
-        if best is None or cost < best:
-            best, best_rows = cost, combo
-    assert best_rows is not None
+    row_cost = {r: pair_total - sum(m * (m - 1) // 2 for m in r)
+                for r in _compositions(n_L, n_p)}
+    states = {(0,) * n_p: (0, ())}
+    for _ in range(ell_c):
+        reached = {}
+        for loads, (cost, chosen) in states.items():
+            for r, c in row_cost.items():
+                nxt = tuple(load + m for load, m in zip(loads, r))
+                if max(nxt) > ell_c:
+                    continue
+                if nxt not in reached or cost + c < reached[nxt][0]:
+                    reached[nxt] = (cost + c, chosen + (r,))
+        states = reached
+    [(best, best_rows)] = states.values()
     assign: dict[tuple[int, int], int] = {}
     for j, r in enumerate(best_rows):
         b = 0

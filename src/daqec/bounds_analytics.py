@@ -92,9 +92,10 @@ def advantage_report(profile: ProcessorErrorProfile) -> AdvantageReport:
     )
 
 
-def nth_root_gap(a: float, b: float, n: int):
-    """(a - b, n * b^((n-1)/n) * (a^(1/n) - b^(1/n))); the left never falls below the right."""
-    if not a >= b > 0:
+def nth_root_gap(a, b, n):
+    """(a - b, n * b^((n-1)/n) * (a^(1/n) - b^(1/n))) of numbers or equal-shape arrays;
+    the left never falls below the right."""
+    if not np.all((a >= b) & (b > 0)):
         raise ValueError("requires a >= b > 0")
     lhs = a - b
     rhs = n * b ** ((n - 1) / n) * (a ** (1.0 / n) - b ** (1.0 / n))

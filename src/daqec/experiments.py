@@ -14,6 +14,7 @@ with a fixed chunk size, so outputs are byte-identical at any thread count.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import time
@@ -39,8 +40,10 @@ DEFAULT_SEED = 20250811
 # summary. Scheme 1: pnl-sweep drew one uniform per trial for every noisy CNOT.
 # Scheme 2: it draws the geometric gaps between hits over all (op, trial)
 # positions of a chunk's circuit at the largest rate, thins them to each op's
-# rate, then draws one Pauli per hit. A change of the draws bumps it.
-RNG_SCHEME = 2
+# rate, then draws one Pauli per hit. Scheme 3: bound-validate's lemma checks
+# draw each chunk's cases at once through the seeded chunk map; pnl-sweep's
+# draws are scheme 2's. A change of the draws bumps it.
+RNG_SCHEME = 3
 DEFAULT_CHUNK = 8192
 MIN_MC_TRIALS = 100
 
@@ -442,32 +445,41 @@ def run_bound_validate(cfg: ExperimentConfig):
             })
             point_index += 1
 
-    cases = int(p["lemma_cases"])
-    rng = point_rng(cfg.master_seed, point_index, 0)
-    lemma1_viol = 0
-    for _ in range(cases):
-        n = int(rng.integers(2, 21))
-        profile = bnd.ProcessorErrorProfile(tuple(rng.uniform(0.0, 1.0, n)))
-        if bnd.success_dist(profile) < bnd.success_local(profile) - 1e-12:
-            lemma1_viol += 1
-    rng = point_rng(cfg.master_seed, point_index + 1, 0)
-    lemma2_viol = 0
-    for _ in range(cases):
-        b = float(rng.uniform(1e-6, 1.0))
-        a = float(rng.uniform(b, 1.0))
-        n = int(rng.integers(1, 31))
-        lhs, rhs = bnd.nth_root_gap(a, b, n)
-        if lhs < rhs - 1e-12:
-            lemma2_viol += 1
+    lemma_cfg = dataclasses.replace(cfg, trials=int(p["lemma_cases"]))
+    lemma1_viol = sum(_seeded_chunks(lemma_cfg, point_index, lemma1_violations))
+    lemma2_viol = sum(_seeded_chunks(lemma_cfg, point_index + 1, lemma2_violations))
     for kind, viol in (("lemma1", lemma1_viol), ("lemma2", lemma2_viol)):
         rows.append({
             "experiment": cfg.experiment, "kind": kind, "n": "", "mean_rate": "",
-            "trials": cases, "frac_meeting_exact_bound": "",
+            "trials": lemma_cfg.trials, "frac_meeting_exact_bound": "",
             "median_ratio_exact": "", "median_ratio_approx": "",
             "violations": viol, "seed": cfg.master_seed,
         })
     summary = {"lemma1_violations": lemma1_viol, "lemma2_violations": lemma2_viol}
     return rows, BOUND_COLUMNS, summary, lemma1_viol == 0 and lemma2_viol == 0
+
+
+def lemma_violations(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """Cases whose left side falls below the right by more than rounding slack."""
+    return int(np.count_nonzero(lhs < rhs - 1e-12))
+
+
+def lemma1_violations(rng: np.random.Generator, count: int) -> int:
+    """Lemma 1, mean(1 - eps)**n >= prod(1 - eps), on `count` profiles of n in
+    [2, 20] rates uniform on [0, 1], drawn as one flat array."""
+    n = rng.integers(2, 21, size=count)
+    x = 1.0 - rng.uniform(0.0, 1.0, n.sum())
+    starts = np.cumsum(n) - n
+    return lemma_violations((np.add.reduceat(x, starts) / n) ** n,
+                            np.multiply.reduceat(x, starts))
+
+
+def lemma2_violations(rng: np.random.Generator, count: int) -> int:
+    """Lemma 2 (bnd.nth_root_gap) on `count` cases 1e-6 <= b <= a <= 1, n in [1, 30]."""
+    b = rng.uniform(1e-6, 1.0, count)
+    a = rng.uniform(b, 1.0)
+    n = rng.integers(1, 31, size=count)
+    return lemma_violations(*bnd.nth_root_gap(a, b, n))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +705,7 @@ REGISTRY = {
         "rate_points": Param(int, 6, 1, 1000),
         "std_factor": Param(float, 0.5, 0.0, 10.0),
         "rate_clip_max": Param(float, 0.1, **_RATE),
-        "lemma_cases": Param(int, 10000, 1),
+        "lemma_cases": Param(int, 10000, 1, 10**7),
     }, monte_carlo=True, verify=True, ordered=_RATE_GRID),
     "wstate-verify": Experiment(run_wstate_verify, 1, {
         "max_total_sites": Param(int, 8, 2, 10),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -188,6 +189,31 @@ def test_brute_force_five_three():
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_optimal(10, 3, 3)
+
+
+def enumerated_optimum(ell_c: int, n_p: int) -> int:
+    """The least nonlocal count over every multiset of ell_c occupation rows
+    that keeps each processor within capacity ell_c (n_L == n_p)."""
+    rows = [r for r in product(range(n_p + 1), repeat=n_p) if sum(r) == n_p]
+    pair_total = n_p * (n_p - 1) // 2
+    best = None
+    for combo in combinations_with_replacement(rows, ell_c):
+        loads = [sum(r[p] for r in combo) for p in range(n_p)]
+        if max(loads) > ell_c:
+            continue
+        cost = sum(pair_total - sum(m * (m - 1) // 2 for m in r) for r in combo)
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+def test_brute_force_matches_enumeration():
+    for n_p in (2, 3):
+        for ell in range(n_p + 1, 10):
+            best, witness = brute_force_optimal(ell, n_p, n_p)
+            assert best == enumerated_optimum(ell, n_p), (ell, n_p)
+            witness.validate(ell, n_p)
+            assert eta_count(witness, ell, n_p).nonlocal_gates == best
 
 
 def test_brute_force_confirms_even_partition():

@@ -111,6 +111,13 @@ def test_nth_root_gap_property_sweep(rng):
 def test_nth_root_gap_domain():
     with pytest.raises(ValueError):
         nth_root_gap(0.5, 0.7, 3)
+    # arrays: one case out of its domain rejects the lot
+    with pytest.raises(ValueError):
+        nth_root_gap(np.array([0.9, 0.5]), np.array([0.3, 0.7]), np.array([2, 3]))
+    with pytest.raises(ValueError):
+        nth_root_gap(np.array([0.9, 0.5]), np.array([0.3, 0.0]), np.array([2, 3]))
+    lhs, rhs = nth_root_gap(np.array([0.9, 0.7]), np.array([0.3, 0.7]), np.array([2, 5]))
+    assert lhs.shape == rhs.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

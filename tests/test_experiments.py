@@ -15,6 +15,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import daqec
+from daqec import bounds_analytics as bnd
+from daqec import experiments
 from daqec.cli import main
 from daqec.experiments import (
     REGISTRY,
@@ -23,6 +25,9 @@ from daqec.experiments import (
     binomial_ci95,
     chunk_plan,
     execute,
+    lemma1_violations,
+    lemma2_violations,
+    lemma_violations,
     load_config,
     point_rng,
     resolved_config,
@@ -227,6 +232,69 @@ def test_bound_validate_means_ordered():
             assert r["mean_difference"] >= r["mean_bound_exact"] > 0.0
 
 
+def _sides_and_count(monkeypatch, chunk, seed, count):
+    """A lemma chunk's violation count, and the two sides it compared."""
+    seen = []
+
+    def record(lhs, rhs):
+        seen.append((lhs, rhs))
+        return lemma_violations(lhs, rhs)
+    monkeypatch.setattr(experiments, "lemma_violations", record)
+    violations = chunk(np.random.default_rng(seed), count)
+    [(lhs, rhs)] = seen
+    return violations, lhs, rhs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma1_chunk_matches_scalar_recount(monkeypatch, seed):
+    count = 400
+    violations, dist, local = _sides_and_count(monkeypatch, lemma1_violations, seed, count)
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 21, size=count)
+    eps = np.split(rng.uniform(0.0, 1.0, n.sum()), np.cumsum(n)[:-1])
+    profiles = [bnd.ProcessorErrorProfile(tuple(e)) for e in eps]
+    scalar_dist = np.array([bnd.success_dist(q) for q in profiles])
+    scalar_local = np.array([bnd.success_local(q) for q in profiles])
+    np.testing.assert_allclose(dist, scalar_dist, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(local, scalar_local, rtol=1e-12, atol=0)
+    assert violations == int(np.count_nonzero(scalar_dist < scalar_local - 1e-12)) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma2_chunk_matches_scalar_recount(monkeypatch, seed):
+    count = 400
+    violations, lhs, rhs = _sides_and_count(monkeypatch, lemma2_violations, seed, count)
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(1e-6, 1.0, count)
+    a = rng.uniform(b, 1.0)
+    n = rng.integers(1, 31, size=count)
+    scalar = np.array([bnd.nth_root_gap(float(a[i]), float(b[i]), int(n[i]))
+                       for i in range(count)])
+    np.testing.assert_array_equal(lhs, scalar[:, 0])
+    np.testing.assert_allclose(rhs, scalar[:, 1], rtol=1e-12, atol=0)
+    assert violations == int(np.count_nonzero(scalar[:, 0] < scalar[:, 1] - 1e-12)) == 0
+
+
+def test_lemma_violations_counts_beyond_the_slack():
+    lhs = np.array([0.5, 0.5, 0.5, 0.5])
+    rhs = np.array([0.5 + 3e-12, 0.5 + 5e-13, 0.5, 0.4])
+    assert lemma_violations(lhs, rhs) == 1
+    assert lemma_violations(lhs[1:], rhs[1:]) == 0
+
+
+def test_bound_validate_lemma_chunks_do_not_depend_on_threads(tmp_path):
+    outs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        cfg = load_config("bound-validate", overrides={"trials": 200, "threads": threads,
+                                                       "out": str(out)})
+        cfg.chunk_size = 64  # the 500 lemma cases span eight chunks
+        cfg.params.update({"n_list": [3], "rate_points": 1, "lemma_cases": 500})
+        assert execute(cfg) == 0
+        outs.append((out / "bound-validate.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_pnl_sweep_zero_noise_perfect_success(tmp_path):
     cfg = load_config("pnl-sweep")
     cfg.trials = 300
@@ -352,6 +420,7 @@ OUT_OF_RANGE = [
     ("wstate-verify", {"n_unitaries": -5}),
     ("wstate-verify", {"n_random_logical": 0}),
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
+    ("bound-validate", {"lemma_cases": 10**12}),
 ]
 
 
