@@ -210,12 +210,6 @@ def advantage_threshold_general(params: AllocationParams, d_enc_dec: int) -> tup
     return value, eta_valid and n_p < 5
 
 
-def count_remote_pairs(alloc: Allocation, block_a: int, block_b: int, ell_c: int) -> int:
-    """Nonlocal gates of one transversal block pair under this allocation."""
-    return sum(1 for j in range(ell_c)
-               if alloc.assign[(block_a, j)] != alloc.assign[(block_b, j)])
-
-
 def brute_force_optimal(ell_c: int, n_L: int, n_p: int):
     """Exact global minimum of the nonlocal gate count, by a DP over loads.
 

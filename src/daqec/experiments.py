@@ -710,8 +710,8 @@ REGISTRY = {
     "wstate-verify": Experiment(run_wstate_verify, 1, {
         "max_total_sites": Param(int, 8, 2, 10),
         "max_erasures": Param(int, 3, 0, 9),
-        "n_unitaries": Param(int, 100, 1),
-        "n_random_logical": Param(int, 20, 1),
+        "n_unitaries": Param(int, 100, 1, 10**5),
+        "n_random_logical": Param(int, 20, 1, 10**4),
     }, verify=True),
     "allocation-report": Experiment(run_allocation_report, 1, {
         # n_p >= 2 and only ell_c > n_p is reported, so ell_c_max = 3 gives the first row

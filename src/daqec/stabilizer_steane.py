@@ -412,17 +412,6 @@ _CX_W = _weight_counts(1)[_FLIP_X].sum(axis=0).astype(float)
 _CB_W = _weight_counts(3)[_FLIP_BOTH].sum(axis=0).astype(float)
 
 
-def steane_failure_probabilities(eps_per_qubit) -> dict:
-    """Exact logical failure probabilities of one block at code capacity.
-
-    eps_per_qubit are the seven depolarizing rates. Returns p_x and p_z
-    (marginal logical X / Z flip probabilities, equal under this noise),
-    p_both, and p_any = p_x + p_z - p_both.
-    """
-    out = steane_failure_probabilities_batch(np.asarray(eps_per_qubit, float)[None, :])
-    return {k: float(v[0]) for k, v in out.items()}
-
-
 def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
     """Vectorized exact failure probabilities for many rate vectors.
 

@@ -225,16 +225,12 @@ def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
 def _append_sites(state: MixedRadixState, new_dims: tuple[int, ...],
                   new_amps: np.ndarray) -> MixedRadixState:
     """Tensor fresh sites in a given pure state onto the right of the register."""
-    if state.is_density:
-        raise ValueError("can only extend pure states")
     radix = RadixVector(state.radix.dims + new_dims)
     return MixedRadixState(radix, np.kron(state.array, new_amps))
 
 
 def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixState:
     """Remove a site that is (up to 1e-9 in weight) guaranteed to sit at `level`."""
-    if state.is_density:
-        raise ValueError("can only project pure states")
     dims = state.radix.dims
     psi = state.array.reshape(dims)
     sl = [slice(None)] * len(dims)
@@ -245,10 +241,6 @@ def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixSt
         raise ValueError(f"site {site} not disentangled in level {level} (weight {norm2})")
     new_dims = tuple(d for i, d in enumerate(dims) if i != site)
     return MixedRadixState(RadixVector(new_dims), kept / math.sqrt(norm2))
-
-
-def _site_reduced(state: MixedRadixState, site: int) -> np.ndarray:
-    return partial_trace(state, [site]).array
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +326,6 @@ def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixSta
     The input must be a W state: fidelity against the direct construction
     is gated at 1 - 1e-8.
     """
-    if state.is_density:
-        raise ValueError("scaling expects a pure W state")
     dims = state.radix.dims
     d = dims[0]
     n = len(dims)
@@ -498,7 +488,7 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
         state = _doubling_stage(state, BOT, flag)
         anc = state.n_sites - 1
         if return_ancilla_checks:
-            ancilla_checks.append(_site_reduced(state, anc))
+            ancilla_checks.append(partial_trace(state, [anc]))
         state = _project_site(state, anc, 0)
     if return_ancilla_checks:
         return state, ancilla_checks
@@ -525,13 +515,11 @@ def erase(state: MixedRadixState, pattern: ErasurePattern):
     erased word is returned as the ensemble that measuring the erased
     sites gives. Returns (branches, pattern): branches is a tuple of
     (probability, pure state on the surviving sites), one per outcome of
-    probability > 1e-12, outcomes ascending, with no density built. Site
-    indices of each branch are the surviving sites in ascending order.
-    With no erased site the one branch is the word itself.
+    probability > 1e-12, outcomes ascending. Site indices of each branch
+    are the surviving sites in ascending order. With no erased site the
+    one branch is the word itself.
     """
     n = state.n_sites
-    if state.is_density:
-        raise ValueError("erase takes a pure word")
     if any(not 0 <= i < n for i in pattern.erased):
         raise ValueError("erasure pattern outside the block")
     if len(pattern.erased) == n:
@@ -559,9 +547,6 @@ def _ensemble(state) -> tuple:
         if any(not w >= 0.0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= 1e-9:
             raise ValueError("ensemble weights must be nonnegative and sum to one")
         return branches
-    if state.is_density:
-        raise ValueError("pass a pure state or the weighted pure branches that erase "
-                         "returns, not a density")
     return ((1.0, state),)
 
 
@@ -758,7 +743,7 @@ def decoded_site_fidelity(state, site: int, psi) -> float:
     """Weighted overlap of each branch's reduced state at `site` with the logical input."""
     c = _as_logical(psi)
     v = np.array([c[0], c[1], 0.0], dtype=complex)
-    return sum(w * float(np.real(v.conj() @ partial_trace(b, [site]).array @ v))
+    return sum(w * float(np.real(v.conj() @ partial_trace(b, [site]) @ v))
                for w, b in _ensemble(state))
 
 

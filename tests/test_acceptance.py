@@ -89,7 +89,7 @@ def test_criterion_3_w_preparation():
             assert f >= 1 - 1e-10, (n, d)
     for d in (2, 3):
         joint = wsc.scale_w(wsc.prepare_w2(d), keep_ancilla=True)
-        anc = partial_trace(joint, [joint.n_sites - 1]).array
+        anc = partial_trace(joint, [joint.n_sites - 1])
         assert float(np.abs(anc - np.array([[1, 0], [0, 0]])).max()) <= 1e-9
     print(f"\n[criterion 3] PASS W preparation matches the direct vectors at "
           f"fidelity >= 1-1e-10 for n in {{2,4,8}}, d in {{2,3}}; scaling "

@@ -9,7 +9,6 @@ from daqec.allocation import (
     advantage_threshold_basic,
     advantage_threshold_general,
     brute_force_optimal,
-    count_remote_pairs,
     eta_bound,
     eta_count,
     eta_formula,
@@ -249,6 +248,12 @@ def test_formula_below_bound():
             eta, valid = eta_formula(p)
             if valid:
                 assert eta <= eta_bound(p) + 1e-15
+
+
+def count_remote_pairs(alloc: Allocation, block_a: int, block_b: int, ell_c: int) -> int:
+    """Nonlocal gates of one transversal block pair under this allocation."""
+    return sum(1 for j in range(ell_c)
+               if alloc.assign[(block_a, j)] != alloc.assign[(block_b, j)])
 
 
 def test_count_remote_pairs_matches_eta_count():

@@ -419,6 +419,8 @@ OUT_OF_RANGE = [
     ("wstate-verify", {"max_erasures": 10}),
     ("wstate-verify", {"n_unitaries": -5}),
     ("wstate-verify", {"n_random_logical": 0}),
+    ("wstate-verify", {"n_unitaries": 10**12}),
+    ("wstate-verify", {"n_random_logical": 10**12}),
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
     ("bound-validate", {"lemma_cases": 10**12}),
 ]

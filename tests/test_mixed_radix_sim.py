@@ -8,25 +8,17 @@ from hypothesis import given, settings, strategies as st
 from daqec.mixed_radix_sim import (
     AMP_EPS,
     GateSpec,
-    KrausChannel,
-    MixedRadixState,
     RadixVector,
-    apply_channel,
     apply_unitary,
     basis_map_gate,
     basis_state,
     basis_sum_state,
-    depolarizing_channel,
     dump_state,
     embed_unitary,
     fidelity,
-    heisenberg_weyl_ops,
     measure_sites,
     partial_trace,
-    permute_gate_sites,
-    permute_sites,
     pure_state,
-    to_density,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -152,95 +144,6 @@ def test_gate_spec_rejects_non_unitary():
         GateSpec(np.array([[1, 1], [0, 1]], dtype=complex), (2,))
 
 
-def test_density_unitary_matches_pure():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = pure_state((2, 2), v / np.linalg.norm(v))
-    g = GateSpec(np.kron(H, H), (2, 2))
-    pure_out = apply_unitary(s, g, [0, 1])
-    dens_out = apply_unitary(to_density(s), g, [0, 1])
-    np.testing.assert_allclose(
-        dens_out.array, np.outer(pure_out.array, pure_out.array.conj()), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# channels
-
-
-def test_depolarizing_zero_strength_is_identity_channel():
-    ch = depolarizing_channel(2, 1, 0.0)
-    assert len(ch.ops) == 1
-    s = apply_channel(basis_state((2,), (0,)), ch, [0])
-    np.testing.assert_allclose(s.array, [[1, 0], [0, 0]], atol=1e-12)
-
-
-def test_two_qubit_depolarizing_structure():
-    p = 0.37
-    ch = depolarizing_channel(2, 2, p)
-    assert len(ch.ops) == 16
-    norms = sorted(float(np.linalg.norm(k) / 2) for k in ch.ops)  # ||K|| = w*sqrt(dim)
-    np.testing.assert_allclose(norms[:15], [math.sqrt(p / 15)] * 15, atol=1e-12)
-    np.testing.assert_allclose(norms[15], math.sqrt(1 - p), atol=1e-12)
-    total = sum(k.conj().T @ k for k in ch.ops)
-    np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
-
-
-def _hw_mixture(state_vec, d, n, p):
-    """Independent expansion: (1-p) rho + p * mean of nontrivial conjugations."""
-    rho = np.outer(state_vec, state_vec.conj())
-    singles = heisenberg_weyl_ops(d)
-    words = [np.eye(1)]
-    for _ in range(n):
-        words = [np.kron(w, s) for w in words for s in singles]
-    acc = np.zeros_like(rho)
-    for w in words[1:]:
-        acc += w @ rho @ w.conj().T
-    return (1 - p) * rho + p * acc / (len(words) - 1)
-
-
-def test_two_qubit_depolarizing_full_strength_explicit_sum():
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0
-    ref = _hw_mixture(v, 2, 2, 1.0)
-    out = apply_channel(basis_state((2, 2), (0, 0)), depolarizing_channel(2, 2, 1.0), [0, 1])
-    np.testing.assert_allclose(out.array, ref, atol=1e-12)
-    # uniform mixture over the 15 nontrivial conjugations of |00><00|
-    np.testing.assert_allclose(np.diag(ref).real, [3 / 15, 4 / 15, 4 / 15, 4 / 15], atol=1e-12)
-
-
-def test_single_qubit_depolarizing_kraus_expansion():
-    p = 0.3
-    v = np.array([1.0, 0.0], dtype=complex)
-    ref = _hw_mixture(v, 2, 1, p)
-    out = apply_channel(basis_state((2,), (0,)), depolarizing_channel(2, 1, p), [0])
-    np.testing.assert_allclose(out.array, ref, atol=1e-12)
-    np.testing.assert_allclose(np.diag(out.array).real, [1 - 2 * p / 3, 2 * p / 3], atol=1e-12)
-
-
-def test_single_qubit_depolarizing_full_on_plus():
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    out = apply_channel(pure_state((2,), plus), depolarizing_channel(2, 1, 1.0), [0])
-    ref = _hw_mixture(plus.astype(complex), 2, 1, 1.0)
-    np.testing.assert_allclose(out.array, ref, atol=1e-12)
-
-
-def test_channel_completeness_enforced():
-    with pytest.raises(ValueError):
-        KrausChannel((np.eye(2) * 0.5,), (2,))
-
-
-def test_depolarizing_rejects_bad_p():
-    with pytest.raises(ValueError):
-        depolarizing_channel(2, 1, 1.5)
-
-
-def test_qutrit_depolarizing_trace_preserving():
-    ch = depolarizing_channel(3, 1, 0.4)
-    assert len(ch.ops) == 9
-    s = apply_channel(basis_state((3,), (1,)), ch, [0])
-    assert abs(np.trace(s.array) - 1.0) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # measurement
 
@@ -253,14 +156,12 @@ def test_measure_deterministic_qubit():
 
 
 def test_measure_no_sites_is_the_one_empty_outcome():
-    pure = bell_pair()
-    mixed = apply_channel(pure, depolarizing_channel(2, 1, 0.5), [0])
-    for s in (pure, mixed):
-        [(levels, p, post)] = measure_sites(s, [])
-        assert levels == () and abs(p - 1.0) < 1e-12
-        np.testing.assert_allclose(post.array, s.array, atol=1e-12)
-        levels, p, _ = measure_sites(s, [], rng=np.random.default_rng(0))
-        assert levels == () and abs(p - 1.0) < 1e-12
+    s = bell_pair()
+    [(levels, p, post)] = measure_sites(s, [])
+    assert levels == () and abs(p - 1.0) < 1e-12
+    np.testing.assert_allclose(post.array, s.array, atol=1e-12)
+    levels, p, _ = measure_sites(s, [], rng=np.random.default_rng(0))
+    assert levels == () and abs(p - 1.0) < 1e-12
 
 
 def test_measure_site_validity():
@@ -316,30 +217,6 @@ def test_measure_sampling_matches_enumeration(rng):
         assert abs(counts[levels] / n - p) < 4 * sigma + 1e-12
 
 
-def test_measure_sampling_skips_rounding_negative_outcomes():
-    # U U† three times leaves -5e-17 on the diagonal, which rng.choice rejected
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    s = to_density(basis_state((2, 3), (0, 0)))
-    for _ in range(3):
-        s = apply_unitary(s, GateSpec(q, (2, 3)), [0, 1])
-        s = apply_unitary(s, GateSpec(q.conj().T, (2, 3)), [0, 1])
-    assert np.min(np.diag(s.array).real) < 0
-    [(levels, p, _)] = measure_sites(s, [0, 1])
-    assert levels == (0, 0)
-    assert measure_sites(s, [0, 1], np.random.default_rng(1))[:2] == (levels, p)
-
-
-def test_measure_density_input():
-    rho = to_density(bell_pair())
-    res = measure_sites(rho, [0])
-    assert len(res) == 2
-    for levels, p, post in res:
-        assert abs(p - 0.5) < 1e-12
-        assert post.is_density
-        assert abs(np.trace(post.array) - 1.0) < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # partial trace and fidelity
 
@@ -349,12 +226,13 @@ def test_partial_trace_product_state():
     red = partial_trace(s, [1])
     ref = np.zeros((3, 3))
     ref[2, 2] = 1.0
-    np.testing.assert_allclose(red.array, ref, atol=1e-12)
+    np.testing.assert_allclose(red, ref, atol=1e-12)
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     red = partial_trace(bell_pair(), [0])
-    np.testing.assert_allclose(red.array, np.eye(2) / 2, atol=1e-12)
+    assert isinstance(red, np.ndarray)
+    np.testing.assert_allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_codeword_reduction():
@@ -371,8 +249,8 @@ def test_partial_trace_codeword_reduction():
     bot = np.zeros(9, dtype=complex)
     bot[RadixVector((3, 3)).index_of((2, 2))] = 1.0
     ref = np.outer(bot, bot.conj()) / 3 + 2 * np.outer(beta, beta.conj()) / 3
-    np.testing.assert_allclose(red.array, ref, atol=1e-12)
-    assert abs(fidelity(red, pure_state((3, 3), beta)) - 2 / 3) < 1e-9
+    np.testing.assert_allclose(red, ref, atol=1e-12)
+    assert abs(np.real(beta.conj() @ red @ beta) - 2 / 3) < 1e-9
 
 
 def test_partial_trace_requires_kept_site():
@@ -415,36 +293,6 @@ def test_norm_preservation_random_circuits(rng):
         assert abs(np.linalg.norm(s.array) - 1.0) < 1e-9
 
 
-def test_trace_preservation_random_channels(rng):
-    s = to_density(basis_state((2, 2, 2), (0, 1, 0)))
-    for _ in range(20):
-        p = float(rng.uniform(0, 1))
-        sites = tuple(rng.choice(3, size=2, replace=False))
-        s = apply_channel(s, depolarizing_channel(2, 2, p), sites)
-        assert abs(np.trace(s.array) - 1.0) < 1e-9
-    assert s.min_eigenvalue() > -1e-9
-
-
-def test_gate_site_permutation_consistency(rng):
-    dims = (2, 3, 3)
-    v = rng.normal(size=18) + 1j * rng.normal(size=18)
-    s = pure_state(dims, v / np.linalg.norm(v))
-    g = _random_gate(rng, (3, 3))
-    a = apply_unitary(s, g, [1, 2])
-    b = apply_unitary(s, permute_gate_sites(g, (1, 0)), [2, 1])
-    np.testing.assert_allclose(a.array, b.array, atol=1e-10)
-
-
-def test_permute_sites_roundtrip(rng):
-    dims = (2, 3, 2)
-    v = rng.normal(size=12) + 1j * rng.normal(size=12)
-    s = pure_state(dims, v / np.linalg.norm(v))
-    p = permute_sites(s, (2, 0, 1))
-    assert p.radix.dims == (2, 2, 3)
-    back = permute_sites(p, (1, 2, 0))
-    np.testing.assert_allclose(back.array, s.array, atol=1e-12)
-
-
 def test_embed_unitary_fixes_upper_levels():
     e = embed_unitary(H, 3)
     np.testing.assert_allclose(e[2], [0, 0, 1], atol=1e-12)
@@ -456,8 +304,6 @@ def test_dump_format():
     assert dump_state(s) == "3\t11\t1\t0"
     lines = dump_state(bell_pair()).splitlines()
     assert [ln.split("\t")[0] for ln in lines] == ["0", "3"]
-    with pytest.raises(ValueError):
-        dump_state(to_density(bell_pair()))
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +316,12 @@ def _digits(radix):
 
 def _oracle_measure(state, sites):
     digits = _digits(state.radix)
+    weights = np.abs(state.array) ** 2
     out = []
     for levels in itertools.product(*(range(state.dims[s]) for s in sites)):
         mask = np.all(digits[:, list(sites)] == levels, axis=1)
-        weights = np.diag(state.array).real if state.is_density else np.abs(state.array) ** 2
         p = float(np.sum(weights[mask]))
-        if p <= AMP_EPS:
-            continue
-        if state.is_density:
-            out.append((levels, p, state.array * np.outer(mask, mask) / p))
-        else:
+        if p > AMP_EPS:
             out.append((levels, p, state.array * mask / math.sqrt(p)))
     return out
 
@@ -490,7 +332,7 @@ def _oracle_partial_trace(state, keep):
     digits = _digits(state.radix)
     kept = RadixVector(tuple(state.dims[s] for s in keep))
     k_idx = [kept.index_of(row) for row in digits[:, keep]]
-    rho = state.array if state.is_density else np.outer(state.array, state.array.conj())
+    rho = np.outer(state.array, state.array.conj())
     out = np.zeros((kept.total_dim, kept.total_dim), dtype=complex)
     for i in range(state.radix.total_dim):
         for j in range(state.radix.total_dim):
@@ -499,57 +341,27 @@ def _oracle_partial_trace(state, keep):
     return out
 
 
-def _oracle_permute(state, order):
-    new = RadixVector(tuple(state.dims[i] for i in order))
-    idx = [new.index_of(row) for row in _digits(state.radix)[:, list(order)]]
-    out = np.zeros_like(state.array)
-    if state.is_density:
-        out[np.ix_(idx, idx)] = state.array
-    else:
-        out[idx] = state.array
-    return out
-
-
 @st.composite
 def _registers(draw):
+    """A random pure state and a random ordered subset of its sites."""
     dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = math.prod(dims)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    w = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-    rho = w @ w.conj().T
-    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
     order = tuple(draw(st.permutations(range(len(dims)))))
     sites = order[:draw(st.integers(0, len(dims)))]
-    pure = pure_state(dims, v / np.linalg.norm(v))
-    return pure, MixedRadixState(RadixVector(dims), rho), sites, order
-
-
-def _assert_measure_equal(res, ref):
-    assert [levels for levels, _, _ in res] == [levels for levels, _, _ in ref]
-    for (_, p, post), (_, p_ref, post_ref) in zip(res, ref):
-        assert abs(p - p_ref) < 1e-12
-        np.testing.assert_allclose(post.array, post_ref, rtol=0, atol=1e-12)
+    return pure_state(dims, v / np.linalg.norm(v)), sites
 
 
 @settings(max_examples=150, deadline=None)
 @given(_registers())
 def test_site_operations_match_index_mask_oracle(register):
-    pure, mixed, sites, order = register
-    for s in (pure, mixed, to_density(pure)):
-        _assert_measure_equal(measure_sites(s, sites), _oracle_measure(s, sites))
-        if sites:
-            np.testing.assert_allclose(partial_trace(s, sites).array,
-                                       _oracle_partial_trace(s, sites), rtol=0, atol=1e-12)
-        permuted = permute_sites(s, order)
-        assert permuted.dims == tuple(s.dims[i] for i in order)
-        np.testing.assert_allclose(permuted.array, _oracle_permute(s, order), rtol=0, atol=1e-12)
-    # the density path is the to_density of the pure path
-    _assert_measure_equal(
-        measure_sites(to_density(pure), sites),
-        [(levels, p, to_density(post).array) for levels, p, post in measure_sites(pure, sites)])
+    s, sites = register
+    res, ref = measure_sites(s, sites), _oracle_measure(s, sites)
+    assert [levels for levels, _, _ in res] == [levels for levels, _, _ in ref]
+    for (_, p, post), (_, p_ref, post_ref) in zip(res, ref):
+        assert abs(p - p_ref) < 1e-12
+        np.testing.assert_allclose(post.array, post_ref, rtol=0, atol=1e-12)
     if sites:
-        np.testing.assert_allclose(partial_trace(to_density(pure), sites).array,
-                                   partial_trace(pure, sites).array, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(permute_sites(to_density(pure), order).array,
-                               to_density(permute_sites(pure, order)).array, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(s, sites), _oracle_partial_trace(s, sites),
+                                   rtol=0, atol=1e-12)

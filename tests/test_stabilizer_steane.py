@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from daqec import allocation as alc
 from daqec import experiments
 from daqec import stabilizer_steane as stn
 from daqec.stabilizer_steane import (
@@ -26,7 +25,6 @@ from daqec.stabilizer_steane import (
     lqec_layout,
     run_circuit_trials,
     simulate_frames,
-    steane_failure_probabilities,
     steane_failure_probabilities_batch,
     steane_failure_probabilities_uniform,
     syndrome_extraction_circuit,
@@ -877,12 +875,12 @@ def test_mirror_census_matches_allocation_count():
         for i, b in enumerate(layout.blocks):
             for j, q in enumerate(b.data):
                 assign[(i, j)] = layout.qubit_processor[q]
-        alloc = alc.Allocation(assign, {p: 13 for p in range(7)})
         # re-derive the logical layer sequence the builder tiles
         chain = [(a, a + 1) for a in range(6)]
         segment = chain + chain[::-1]
         layers = [segment[i % len(segment)] for i in range(depth)]
-        independent = sum(alc.count_remote_pairs(alloc, a, b, 7) for a, b in layers)
+        independent = sum(assign[(a, j)] != assign[(b, j)]
+                          for a, b in layers for j in range(7))
         assert engine_count == independent
 
 
@@ -932,6 +930,12 @@ def test_code_capacity_heterogeneous_distributed_wins():
     ler_dist = 1 - (1 - exact) ** 7
     ler_local = 1 - np.prod(1 - uni)
     assert ler_dist < ler_local
+
+
+def steane_failure_probabilities(eps_per_qubit) -> dict:
+    """Exact failure probabilities of one block: one row of the batch evaluator."""
+    out = steane_failure_probabilities_batch(np.asarray(eps_per_qubit, float)[None, :])
+    return {k: float(v[0]) for k, v in out.items()}
 
 
 def test_exact_evaluator_matches_sampling():

@@ -11,9 +11,7 @@ from daqec.mixed_radix_sim import (
     basis_state,
     fidelity,
     partial_trace,
-    permute_sites,
     pure_state,
-    to_density,
 )
 from daqec.wstate_code import (
     BOT,
@@ -70,7 +68,7 @@ def assert_pure_branches(branches, dims):
     assert isinstance(branches, tuple)
     for w, v in branches:
         assert isinstance(w, float) and w > 0
-        assert isinstance(v, MixedRadixState) and not v.is_density and v.radix.dims == dims
+        assert isinstance(v, MixedRadixState) and v.radix.dims == dims
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def test_scale_w_qutrits():
 
 def test_scale_w_ancilla_disentangled():
     joint = scale_w(prepare_w2(3), keep_ancilla=True)
-    anc = partial_trace(joint, [4]).array
+    anc = partial_trace(joint, [4])
     np.testing.assert_allclose(anc, [[1, 0], [0, 0]], atol=1e-9)
 
 
@@ -353,7 +351,8 @@ def test_permutation_invariance(rng):
     for n in (3, 4):
         w = encode(PSI, n)
         perm = tuple(rng.permutation(n))
-        assert abs(fidelity(permute_sites(w, perm), codeword_vector(PSI, n)) - 1.0) < 1e-9
+        permuted = MixedRadixState(w.radix, np.transpose(w.array.reshape(w.dims), perm).ravel())
+        assert abs(fidelity(permuted, codeword_vector(PSI, n)) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +465,7 @@ def test_decode_elective_minimal_case():
     red, _ = erase(encode([1, 0], 3), ErasurePattern({2}))
     post, ancillas = decode_elective(red, 0)
     assert ancillas == 1
-    site0 = sum(w * partial_trace(v, [0]).array for w, v in post)
+    site0 = sum(w * partial_trace(v, [0]) for w, v in post)
     np.testing.assert_allclose(np.diag(site0).real, [2 / 3, 0, 1 / 3], atol=1e-9)
 
 
@@ -504,9 +503,9 @@ def test_decode_elective_ancilla_factorization_pure():
         assert weight == 1.0
         qudits = list(range(n))
         ancillas = list(range(n, n + m))
-        rho_joint = to_density(joint, cap=joint.radix.total_dim).array
-        rho_a = partial_trace(joint, ancillas).array
-        rho_q = partial_trace(joint, qudits).array
+        rho_joint = np.outer(joint.array, joint.array.conj())
+        rho_a = partial_trace(joint, ancillas)
+        rho_q = partial_trace(joint, qudits)
         delta = rho_joint - np.kron(rho_q, rho_a)
         trace_norm = float(np.abs(np.linalg.eigvalsh(delta)).sum())
         assert trace_norm < 1e-9
@@ -627,13 +626,9 @@ def test_erase_branches_match_partial_trace_oracle(case):
     assert_pure_branches(branches, dims)
     # measure_sites drops outcomes of probability <= 1e-12
     rho = density_of(branches)
-    np.testing.assert_allclose(rho, partial_trace(word, survivors).array, rtol=0, atol=1e-10)
-    dens = MixedRadixState(RadixVector(dims), rho)
-    for call in (decode_measure, decode_measure_n2_single_ancilla,
-                 lambda state: decode_elective(state, 0),
-                 lambda state: erase(state, ErasurePattern(()))):
-        with pytest.raises(ValueError, match="erase"):
-            call(dens)
+    np.testing.assert_allclose(rho, partial_trace(word, survivors), rtol=0, atol=1e-10)
+    with pytest.raises(ValueError):  # a state is an amplitude vector, never a density
+        MixedRadixState(RadixVector(dims), rho)
 
 
 # ---------------------------------------------------------------------------
