@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from daqec.mixed_radix_sim import (
     AMP_EPS,
     GateSpec,
+    MixedRadixState,
     RadixVector,
     apply_unitary,
     basis_map_gate,
@@ -105,6 +106,25 @@ def test_radix_vector_rejects_trivial_sites():
         RadixVector((2, 1))
 
 
+def test_radix_vector_index_roundtrip():
+    radix = RadixVector((3, 2, 4))
+    for index in range(radix.total_dim):
+        assert radix.index_of(radix.levels_of(index)) == index
+    assert radix.levels_of(radix.index_of((2, 0, 3))) == (2, 0, 3)
+    with pytest.raises(ValueError):  # one level per site
+        radix.index_of((1, 1))
+
+
+def test_state_is_an_amplitude_vector():
+    radix = RadixVector((2, 2))
+    rho = np.outer(bell_pair().array, bell_pair().array.conj())
+    with pytest.raises(ValueError):  # a density matrix has the wrong shape
+        MixedRadixState(radix, rho)
+    with pytest.raises(ValueError):  # so has a vector of another register
+        MixedRadixState(radix, np.array([1.0, 0.0]))
+    assert MixedRadixState(radix, bell_pair().array).array.shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # unitaries
 
@@ -137,6 +157,30 @@ def test_apply_unitary_dimension_mismatch():
 def test_apply_unitary_duplicate_sites():
     with pytest.raises(ValueError):
         apply_unitary(bell_pair(), GateSpec(np.eye(4), (2, 2)), [1, 1])
+
+
+def test_gate_site_permutation_consistency(rng):
+    # a gate on sites [1, 2] is the gate with its two sites swapped on [2, 1]
+    dims = (2, 3, 3)
+    v = rng.normal(size=18) + 1j * rng.normal(size=18)
+    s = pure_state(dims, v / np.linalg.norm(v))
+    g = _random_gate(rng, (3, 3))
+    swapped = np.transpose(g.matrix.reshape(3, 3, 3, 3), (1, 0, 3, 2)).reshape(9, 9)
+    a = apply_unitary(s, g, [1, 2])
+    b = apply_unitary(s, GateSpec(swapped, (3, 3)), [2, 1])
+    np.testing.assert_allclose(a.array, b.array, atol=1e-10)
+
+
+def test_operations_leave_their_input_unchanged(rng):
+    dims = (2, 3, 2)
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    s = pure_state(dims, v / np.linalg.norm(v))
+    before = s.array.copy()
+    apply_unitary(s, _random_gate(rng, (3, 2)), [1, 2])
+    measure_sites(s, [0, 2])
+    measure_sites(s, [1], rng=rng)
+    partial_trace(s, [1])
+    assert np.array_equal(s.array, before)
 
 
 def test_gate_spec_rejects_non_unitary():
@@ -217,6 +261,20 @@ def test_measure_sampling_matches_enumeration(rng):
         assert abs(counts[levels] / n - p) < 4 * sigma + 1e-12
 
 
+def test_measure_commutes_with_unitary_on_other_sites(rng):
+    dims = (3, 2, 3)
+    v = rng.normal(size=18) + 1j * rng.normal(size=18)
+    s = pure_state(dims, v / np.linalg.norm(v))
+    g = _random_gate(rng, (2, 3))
+    first = [(levels, p, apply_unitary(post, g, [1, 2]))
+             for levels, p, post in measure_sites(s, [0])]
+    second = measure_sites(apply_unitary(s, g, [1, 2]), [0])
+    assert [levels for levels, _, _ in first] == [levels for levels, _, _ in second]
+    for (_, p, post), (_, q, ref) in zip(first, second):
+        assert abs(p - q) < 1e-12
+        np.testing.assert_allclose(post.array, ref.array, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # partial trace and fidelity
 
@@ -258,6 +316,45 @@ def test_partial_trace_requires_kept_site():
         partial_trace(bell_pair(), [])
 
 
+def test_partial_trace_rejects_out_of_range_site():
+    with pytest.raises(ValueError):
+        partial_trace(bell_pair(), [2])
+
+
+def test_partial_trace_is_a_density_matrix(rng):
+    dims = (2, 3, 2, 3)
+    for keep in ([0], [1, 3], [0, 1, 2], [0, 1, 2, 3]):
+        v = rng.normal(size=36) + 1j * rng.normal(size=36)
+        red = partial_trace(pure_state(dims, v / np.linalg.norm(v)), keep)
+        dim = math.prod(dims[k] for k in keep)
+        assert red.shape == (dim, dim)
+        np.testing.assert_allclose(red, red.conj().T, atol=1e-12)
+        assert abs(np.trace(red) - 1.0) < 1e-12
+        assert np.min(np.linalg.eigvalsh(red)) > -1e-12
+
+
+def test_partial_trace_sorts_and_dedupes_kept_sites(rng):
+    dims = (2, 3, 2)
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    s = pure_state(dims, v / np.linalg.norm(v))
+    ref = partial_trace(s, [0, 2])
+    np.testing.assert_allclose(partial_trace(s, [2, 0]), ref, rtol=0, atol=0)
+    np.testing.assert_allclose(partial_trace(s, [2, 0, 2]), ref, rtol=0, atol=0)
+
+
+def test_partial_trace_diagonal_matches_measurement(rng):
+    dims = (3, 2, 3)
+    v = rng.normal(size=18) + 1j * rng.normal(size=18)
+    s = pure_state(dims, v / np.linalg.norm(v))
+    for keep in ([0], [2], [0, 1], [0, 2]):
+        diag = np.diag(partial_trace(s, keep)).real
+        kept = RadixVector(tuple(dims[k] for k in keep))
+        probs = np.zeros(kept.total_dim)
+        for levels, p, _ in measure_sites(s, keep):
+            probs[kept.index_of(levels)] = p
+        np.testing.assert_allclose(diag, probs, rtol=0, atol=1e-12)
+
+
 def test_fidelity_self_and_orthogonal():
     s0 = basis_state((3,), (0,))
     s1 = basis_state((3,), (1,))
@@ -268,6 +365,18 @@ def test_fidelity_self_and_orthogonal():
 def test_fidelity_radix_mismatch():
     with pytest.raises(ValueError):
         fidelity(basis_state((2,), (0,)), basis_state((3,), (0,)))
+
+
+def test_fidelity_is_symmetric_overlap_squared(rng):
+    dims = (3, 2)
+    a, b = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(2))
+    sa = pure_state(dims, a / np.linalg.norm(a))
+    sb = pure_state(dims, b / np.linalg.norm(b))
+    f = fidelity(sa, sb)
+    assert abs(f - abs(np.vdot(sa.array, sb.array)) ** 2) < 1e-12
+    assert abs(fidelity(sb, sa) - f) < 1e-12
+    # blind to a global phase
+    assert abs(fidelity(pure_state(dims, np.exp(0.7j) * sa.array), sb) - f) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +408,21 @@ def test_embed_unitary_fixes_upper_levels():
     GateSpec(e, (3,))  # still unitary
 
 
+def test_embed_unitary_rejects_larger_matrix():
+    with pytest.raises(ValueError):
+        embed_unitary(U02, 2)
+
+
 def test_dump_format():
     s = basis_state((3, 2), (1, 1))
     assert dump_state(s) == "3\t11\t1\t0"
     lines = dump_state(bell_pair()).splitlines()
     assert [ln.split("\t")[0] for ln in lines] == ["0", "3"]
+
+
+def test_dump_format_comma_joins_digits_from_dimension_ten():
+    s = basis_state((10, 2), (9, 1))
+    assert dump_state(s) == "19\t9,1\t1\t0"
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +484,28 @@ def test_site_operations_match_index_mask_oracle(register):
     if sites:
         np.testing.assert_allclose(partial_trace(s, sites), _oracle_partial_trace(s, sites),
                                    rtol=0, atol=1e-12)
+
+
+def _oracle_full_matrix(radix, gate, sites):
+    """The gate as a matrix on the whole register, entry by entry."""
+    digits = _digits(radix)
+    local = RadixVector(gate.site_dims)
+    rest = [s for s in range(radix.n_sites) if s not in sites]
+    out = np.zeros((radix.total_dim, radix.total_dim), dtype=complex)
+    for i in range(radix.total_dim):
+        for j in range(radix.total_dim):
+            if np.array_equal(digits[i, rest], digits[j, rest]):
+                out[i, j] = gate.matrix[local.index_of(digits[i, list(sites)]),
+                                        local.index_of(digits[j, list(sites)])]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_registers(), st.integers(0, 2**32 - 1))
+def test_apply_unitary_matches_full_matrix_oracle(register, seed):
+    s, sites = register
+    sites = sites[:3] or (s.n_sites - 1,)
+    g = _random_gate(np.random.default_rng(seed), tuple(s.dims[k] for k in sites))
+    np.testing.assert_allclose(apply_unitary(s, g, sites).array,
+                               _oracle_full_matrix(s.radix, g, sites) @ s.array,
+                               rtol=0, atol=1e-12)
