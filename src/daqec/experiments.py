@@ -672,8 +672,9 @@ def run_apples(cfg: ExperimentConfig):
 # Ranges keep every accepted config runnable: each bound marks where a run
 # would divide by zero, index an empty layout, find nothing to check or
 # outgrow memory or time. An erased W word is kept as weighted pure branches,
-# so memory no longer caps max_total_sites; time does: the decoders take about
-# 3 s on a 10-site word, and each further site about triples that.
+# so memory no longer caps max_total_sites; time does: both decoders over every
+# erasure count of a 10-site word take about 1.3 s (2-core VM), and each
+# further site multiplies that by about 3.5.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.
 _RATE = dict(lo=1e-6, hi=1.0)

@@ -13,6 +13,7 @@ without coordination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,15 +95,23 @@ class MixedRadixState:
         return self.radix.n_sites
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSpec:
-    """Unitary acting on a fixed tuple of site dimensions."""
+    """Unitary acting on a fixed tuple of site dimensions.
+
+    A permutation gate also carries `perm`, the source of each output basis
+    state in the gate's local basis (out[i] = in[perm[i]]), and is applied as
+    an exact gather. The matrix is read-only, so one gate can be shared;
+    gates compare and hash by identity.
+    """
 
     matrix: np.ndarray
     site_dims: tuple[int, ...]
+    perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "site_dims", tuple(int(d) for d in self.site_dims))
         dim = math.prod(self.site_dims)
@@ -111,6 +120,11 @@ class GateSpec:
         err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
         if err > ATOL_CONSTRUCT:
             raise ValueError(f"matrix not unitary (deviation {err:.2e})")
+        if self.perm is not None:
+            perm = tuple(int(i) for i in self.perm)
+            object.__setattr__(self, "perm", perm)
+            if sorted(perm) != list(range(dim)) or not np.array_equal(mat, np.eye(dim)[list(perm)]):
+                raise ValueError("perm is not the permutation the matrix applies")
 
     @property
     def arity(self) -> int:
@@ -165,46 +179,56 @@ def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
     """
     radix = RadixVector(tuple(site_dims))
     m = np.zeros((radix.total_dim, radix.total_dim), dtype=complex)
+    perm = [0] * radix.total_dim
     for x in itertools.product(*(range(d) for d in radix.dims)):
-        m[radix.index_of(image(x)), radix.index_of(x)] = 1.0
-    return GateSpec(m, radix.dims)
+        i, j = radix.index_of(image(x)), radix.index_of(x)
+        m[i, j] = 1.0
+        perm[i] = j
+    return GateSpec(m, radix.dims, tuple(perm))
 
 
 # ---------------------------------------------------------------------------
 # tensor plumbing
 
 
-def _front_axes(state: MixedRadixState, sites: Sequence[int]) -> tuple[int, ...]:
+def _front_axes(n_sites: int, sites: Sequence[int]) -> tuple[int, ...]:
     """Axis order that brings the sites, in the given order, before the rest."""
-    return tuple(sites) + tuple(s for s in range(state.n_sites) if s not in sites)
+    return tuple(sites) + tuple(s for s in range(n_sites) if s not in sites)
 
 
-def _split(state: MixedRadixState, sites: Sequence[int]) -> np.ndarray:
-    """The amplitudes as an (M, R) matrix: the sites' digits against the rest."""
-    m = math.prod(state.dims[s] for s in sites)
-    return np.transpose(state.array.reshape(state.dims),
-                        _front_axes(state, sites)).reshape(m, -1)
+def _split(array: np.ndarray, dims: tuple[int, ...], sites: Sequence[int]) -> np.ndarray:
+    """A flat array over the register as an (M, R) matrix: the sites' digits against the rest."""
+    m = math.prod(dims[s] for s in sites)
+    return np.transpose(array.reshape(dims), _front_axes(len(dims), sites)).reshape(m, -1)
 
 
-def _unsplit(state: MixedRadixState, grouped: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    """Inverse of _split: the grouped array as an amplitude vector of the register."""
-    out = np.empty_like(state.array)
-    moved = np.transpose(out.reshape(state.dims), _front_axes(state, sites))
+def _unsplit(grouped: np.ndarray, dims: tuple[int, ...], sites: Sequence[int]) -> np.ndarray:
+    """Inverse of _split: the grouped array as a flat array over the register."""
+    out = np.empty(grouped.size, dtype=grouped.dtype)
+    moved = np.transpose(out.reshape(dims), _front_axes(len(dims), sites))
     moved[...] = grouped.reshape(moved.shape)
     return out
+
+
+def _gather(array: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...],
+            sites: Sequence[int]) -> np.ndarray:
+    """A flat array over the register with the sites' rows permuted: row i is row perm[i]."""
+    return _unsplit(_split(array, dims, sites)[list(perm)], dims, sites)
 
 
 def _check_sites(radix: RadixVector, sites: Sequence[int],
                  site_dims: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Distinct sites of the register; with site_dims, each of that dimension."""
     sites = tuple(sites)
+    if site_dims is not None and len(sites) != len(site_dims):
+        raise ValueError(f"gate acts on {len(site_dims)} sites, {len(sites)} given")
     if len(set(sites)) != len(sites):
         raise ValueError(f"duplicate sites {sites}")
     for s in sites:
         if not 0 <= s < radix.n_sites:
             raise ValueError(f"site {s} out of range")
     if site_dims is not None:
-        for s, d in zip(sites, site_dims, strict=True):
+        for s, d in zip(sites, site_dims):
             if radix.dims[s] != d:
                 raise ValueError(f"site {s} has dimension {radix.dims[s]}, gate expects {d}")
     return sites
@@ -218,10 +242,43 @@ def apply_unitary(state: MixedRadixState, gate: GateSpec,
                   sites: Sequence[int]) -> MixedRadixState:
     """Apply a unitary U to the given sites: U|psi>."""
     sites = _check_sites(state.radix, sites, gate.site_dims)
+    if gate.perm is not None:
+        return MixedRadixState(state.radix, _gather(state.array, state.dims, gate.perm, sites))
     k = len(sites)
     op = gate.matrix.reshape(gate.site_dims * 2)  # out axes first, in axes second
     out = np.tensordot(op, state.array.reshape(state.dims), axes=(tuple(range(k, 2 * k)), sites))
     return MixedRadixState(state.radix, np.moveaxis(out, tuple(range(k)), sites).reshape(-1))
+
+
+def apply_permutations(state: MixedRadixState, steps) -> MixedRadixState:
+    """Apply permutation gates, (gate, sites) in order, as one gather.
+
+    The flat index of the whole run is memoised on the register's dims and
+    each gate's perm and sites, so the same run on another state of the
+    register costs one gather.
+    """
+    key = []
+    for gate, sites in steps:
+        if gate.perm is None:
+            raise ValueError("apply_permutations takes permutation gates only")
+        key.append((gate.perm, _check_sites(state.radix, sites, gate.site_dims)))
+    return MixedRadixState(state.radix, state.array[_fused_index(state.dims, tuple(key))])
+
+
+# at most 32 indices are kept, each one int32 per amplitude (16 MB at the default cap)
+@functools.lru_cache(maxsize=32)
+def _fused_index(dims: tuple[int, ...], steps: tuple) -> np.ndarray:
+    """Flat index F such that psi[F] is psi with the (perm, sites) steps applied.
+
+    Gathering an array applies a step to it, so gathering the identity index
+    step after step composes the steps.
+    """
+    total = math.prod(dims)
+    index = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
+    for perm, sites in steps:
+        index = _gather(index, dims, perm, sites)
+    index.flags.writeable = False
+    return index
 
 
 def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
@@ -233,14 +290,14 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
     sampled from those outcomes, with their probabilities renormalized.
     """
     sites = _check_sites(state.radix, sites)
-    grouped = _split(state, sites)
+    grouped = _split(state.array, state.dims, sites)
     probs = np.sum(np.abs(grouped) ** 2, axis=1)
 
     def _post(o: int) -> MixedRadixState:
         # outcome o's row, renormalised, and zero elsewhere
         out = np.zeros_like(grouped)
         out[o] = grouped[o] / math.sqrt(probs[o])
-        return MixedRadixState(state.radix, _unsplit(state, out, sites))
+        return MixedRadixState(state.radix, _unsplit(out, state.dims, sites))
 
     # no measured site leaves the one empty outcome, which RadixVector cannot hold
     meas_dims = tuple(state.dims[s] for s in sites)
@@ -258,7 +315,7 @@ def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> np.ndarr
     keep = _check_sites(state.radix, sorted(set(keep_sites)))
     if not keep:
         raise ValueError("must keep at least one site")
-    rows = _split(state, keep)
+    rows = _split(state.array, state.dims, keep)
     return rows @ rows.conj().T
 
 

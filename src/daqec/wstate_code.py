@@ -15,6 +15,8 @@ budgets can be audited directly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ from .mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
     RadixVector,
+    apply_permutations,
     apply_unitary,
     basis_map_gate,
     basis_state,
@@ -112,8 +115,13 @@ class GateOp:
 
 
 def apply_ops(state: MixedRadixState, ops) -> MixedRadixState:
-    for op in ops:
-        state = apply_unitary(state, op.gate, op.sites)
+    """Apply the ops in order; each maximal run of permutation gates is one gather."""
+    for is_perm, run in itertools.groupby(ops, key=lambda op: op.gate.perm is not None):
+        if is_perm:
+            state = apply_permutations(state, [(op.gate, op.sites) for op in run])
+        else:
+            for op in run:
+                state = apply_unitary(state, op.gate, op.sites)
     return state
 
 
@@ -143,8 +151,12 @@ class DecodeOutcome:
 
 # ---------------------------------------------------------------------------
 # elementary gates
+#
+# The permutation gates are built once per argument and shared; a GateSpec's
+# matrix is read-only, so no caller can change a shared gate.
 
 
+@functools.cache
 def gate_u02() -> GateSpec:
     """Qutrit involution swapping |0> and |2>, fixing |1>."""
     return basis_map_gate((3,), lambda x: (2 - x[0],))
@@ -171,6 +183,7 @@ def gate_venc(phi) -> GateSpec:
     return gate_uenc(phi)
 
 
+@functools.cache
 def controlled_level_not(level: int, control_dim: int = 3) -> GateSpec:
     """Flip a qubit target iff the qudit control sits at the given level."""
     if not 0 <= level < control_dim:
@@ -178,23 +191,33 @@ def controlled_level_not(level: int, control_dim: int = 3) -> GateSpec:
     return basis_map_gate((control_dim, 2), lambda x: (x[0], x[1] ^ (x[0] == level)))
 
 
+@functools.cache
 def gate_presence_flag() -> GateSpec:
     """Flip a qubit target iff the qutrit control is not the flag level |2>."""
     return basis_map_gate((3, 2), lambda x: (x[0], x[1] ^ (x[0] != BOT)))
 
 
+@functools.cache
 def gate_absence_flag(d: int) -> GateSpec:
     """Flip a qubit target iff the d-level control is in |0>."""
     return controlled_level_not(0, d)
 
 
+@functools.cache
 def gate_cswap(d: int) -> GateSpec:
     """Swap two d-level sites conditioned on a qubit control being |1>."""
     return basis_map_gate((2, d, d), lambda x: (1, x[2], x[1]) if x[0] else x)
 
 
+@functools.cache
 def gate_swap(d: int) -> GateSpec:
     return basis_map_gate((d, d), lambda x: (x[1], x[0]))
+
+
+@functools.cache
+def _gate_x() -> GateSpec:
+    """Qubit NOT."""
+    return basis_map_gate((2,), lambda x: (1 - x[0],))
 
 
 def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
@@ -310,11 +333,8 @@ def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> Mixed
     state = _append_sites(state, (d,) * m, basis_state((d,) * m, (empty,) * m).array)
     state = _append_sites(state, (2,), _PLUS)
     cswap = gate_cswap(d)
-    for i in range(m):
-        state = apply_unitary(state, cswap, [2 * m, i, m + i])
-    for i in range(m, 2 * m):
-        state = apply_unitary(state, flag, [i, 2 * m])
-    return state
+    return apply_ops(state, [GateOp(cswap, (2 * m, i, m + i), "cswap") for i in range(m)]
+                     + [GateOp(flag, (i, 2 * m), "cnot") for i in range(m, 2 * m)])
 
 
 def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixState:
@@ -335,7 +355,7 @@ def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixSta
         raise ValueError("input is not a W state of this size")
     state = _doubling_stage(state, 0, gate_absence_flag(d))
     if n % 2 == 1:
-        state = apply_unitary(state, basis_map_gate((2,), lambda x: (1 - x[0],)), [2 * n])
+        state = apply_unitary(state, _gate_x(), [2 * n])
     if keep_ancilla:
         return state
     return _project_site(state, 2 * n, 0)
@@ -409,14 +429,9 @@ def encode(psi, n: int) -> MixedRadixState:
     if n < 2:
         raise ValueError("block size must be at least 2")
     c = _as_logical(psi)
-    state = _qubit_w_on_qutrits(n)
-    u02 = gate_u02()
-    for i in range(n):
-        state = apply_unitary(state, u02, [i])
-    uenc = gate_uenc(c)
-    for i in range(n):
-        state = apply_unitary(state, uenc, [i])
-    return state
+    u02, uenc = gate_u02(), gate_uenc(c)
+    return apply_ops(_qubit_w_on_qutrits(n), [GateOp(u02, (i,), "1q") for i in range(n)]
+                     + [GateOp(uenc, (i,), "1q") for i in range(n)])
 
 
 def encode_pair_state(chi, n: int = 4) -> MixedRadixState:
@@ -462,6 +477,7 @@ def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
     return state
 
 
+@functools.cache
 def controlled_pair_not(control_level: int) -> GateSpec:
     """Qutrit-qutrit gate: X on the target's {0,1} subspace iff control at level."""
     return basis_map_gate((3, 3), lambda x: (x[0], 1 - x[1])
@@ -497,11 +513,8 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
 
 def logical_unitary(state: MixedRadixState, u: np.ndarray) -> MixedRadixState:
     """Transversal logical gate: (U + |2><2|) applied to every site."""
-    u = np.asarray(u, dtype=complex)
     gate = GateSpec(embed_unitary(u, 3), (3,))
-    for i in range(state.n_sites):
-        state = apply_unitary(state, gate, [i])
-    return state
+    return apply_ops(state, [GateOp(gate, (i,), "1q") for i in range(state.n_sites)])
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +729,13 @@ def decode_elective(state, target_site: int, keep_ancillas: bool = False):
     ensemble = _ensemble(state)
     n = ensemble[0][1].n_sites
     ops, m = elective_decoder_ops(n, target_site)
-    resets = range(n, n + m) if n & (n - 1) == 0 else ()
-    h = GateSpec(_H2, (2,))
+    if n & (n - 1) == 0:
+        h = GateSpec(_H2, (2,))
+        ops = ops + [GateOp(h, (site,), "1q") for site in range(n, n + m)]
     qutrits = RadixVector((3,) * n)
 
     out = []
     for weight, branch in _decoder_branches(ensemble, m, ops):
-        for site in resets:
-            branch = apply_unitary(branch, h, [site])
         if not keep_ancillas:
             # explicit reset: every branch factorizes as qutrits (x) ancillas
             u, s, _ = np.linalg.svd(branch.array.reshape(3**n, 2**m), full_matrices=False)

@@ -10,6 +10,7 @@ from daqec.mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
     RadixVector,
+    apply_permutations,
     apply_unitary,
     basis_map_gate,
     basis_state,
@@ -159,6 +160,12 @@ def test_apply_unitary_duplicate_sites():
         apply_unitary(bell_pair(), GateSpec(np.eye(4), (2, 2)), [1, 1])
 
 
+def test_apply_unitary_site_count_mismatch():
+    swap = basis_map_gate((3, 3), lambda x: (x[1], x[0]))
+    with pytest.raises(ValueError, match="gate acts on 2 sites, 1 given"):
+        apply_unitary(basis_state((3, 3), (0, 1)), swap, [0])
+
+
 def test_gate_site_permutation_consistency(rng):
     # a gate on sites [1, 2] is the gate with its two sites swapped on [2, 1]
     dims = (2, 3, 3)
@@ -186,6 +193,21 @@ def test_operations_leave_their_input_unchanged(rng):
 def test_gate_spec_rejects_non_unitary():
     with pytest.raises(ValueError):
         GateSpec(np.array([[1, 1], [0, 1]], dtype=complex), (2,))
+
+
+def test_gate_spec_rejects_perm_that_is_not_its_matrix():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for matrix, perm in ((np.eye(2), (1, 0)), (x, (0, 0)), (x, (1, 0, 2))):
+        with pytest.raises(ValueError, match="perm"):
+            GateSpec(matrix, (2,), perm)
+    assert GateSpec(x, (2,), (1, 0)).perm == (1, 0)
+
+
+def test_apply_permutations_takes_permutation_gates_only():
+    s = bell_pair()
+    assert np.array_equal(apply_permutations(s, []).array, s.array)
+    with pytest.raises(ValueError, match="permutation gates only"):
+        apply_permutations(s, [(GateSpec(H, (2,)), (0,))])
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +522,19 @@ def _oracle_full_matrix(radix, gate, sites):
     return out
 
 
+def _random_permutation_gate(rng, dims):
+    local = RadixVector(dims)
+    image = rng.permutation(local.total_dim)
+    return basis_map_gate(dims, lambda x: local.levels_of(int(image[local.index_of(x)])))
+
+
 @settings(max_examples=100, deadline=None)
-@given(_registers(), st.integers(0, 2**32 - 1))
-def test_apply_unitary_matches_full_matrix_oracle(register, seed):
+@given(_registers(), st.integers(0, 2**32 - 1), st.booleans())
+def test_apply_unitary_matches_full_matrix_oracle(register, seed, permutation):
     s, sites = register
     sites = sites[:3] or (s.n_sites - 1,)
-    g = _random_gate(np.random.default_rng(seed), tuple(s.dims[k] for k in sites))
+    build = _random_permutation_gate if permutation else _random_gate
+    g = build(np.random.default_rng(seed), tuple(s.dims[k] for k in sites))
     np.testing.assert_allclose(apply_unitary(s, g, sites).array,
                                _oracle_full_matrix(s.radix, g, sites) @ s.array,
                                rtol=0, atol=1e-12)

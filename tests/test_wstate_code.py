@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daqec import experiments
+from daqec import wstate_code as wsc
 from daqec.mixed_radix_sim import (
+    GateSpec,
     MixedRadixState,
     RadixVector,
     apply_unitary,
@@ -16,10 +19,12 @@ from daqec.mixed_radix_sim import (
 from daqec.wstate_code import (
     BOT,
     ErasurePattern,
+    GateOp,
     LogicalInput,
     WCodeParams,
     apply_ops,
     codeword_vector,
+    controlled_level_not,
     controlled_pair_not,
     decode_elective,
     decode_measure,
@@ -33,6 +38,10 @@ from daqec.wstate_code import (
     ensemble_fidelity,
     erase,
     expected_swaps,
+    gate_absence_flag,
+    gate_cswap,
+    gate_presence_flag,
+    gate_swap,
     gate_u02,
     gate_uenc,
     gate_venc,
@@ -662,3 +671,113 @@ def test_erasure_pattern_position_does_not_matter():
         out = decode_measure(state)
         expected = (5 - len(pattern)) / 5
         assert abs(out.success_probability - expected) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fused permutation runs against the gate-by-gate oracle
+
+
+def oracle_apply_unitary(state, gate, sites):
+    """apply_unitary contracting the gate's matrix, whether or not it is a permutation."""
+    return apply_unitary(state, GateSpec(gate.matrix, gate.site_dims), sites)
+
+
+def oracle_apply_ops(state, ops, apply=oracle_apply_unitary):
+    """The op-by-op loop that apply_ops fuses."""
+    for op in ops:
+        state = apply(state, op.gate, op.sites)
+    return state
+
+
+# what the seven cached permutation builders give
+PERMUTATION_GATES = (gate_u02(), controlled_level_not(0), controlled_level_not(1, 2),
+                     gate_presence_flag(), gate_absence_flag(2), gate_absence_flag(3),
+                     gate_cswap(2), gate_cswap(3), gate_swap(2), gate_swap(3),
+                     controlled_pair_not(0), controlled_pair_not(1))
+
+
+def test_gate_ops_compare_and_hash():
+    ops, _ = measure_decoder_ops(3)
+    op = ops[0]
+    assert op == op and hash(op) == hash(op) and op.gate == op.gate
+    assert len({op, op}) == 1
+    # the gates are shared, so the ops of two calls are equal
+    assert measure_decoder_ops(3)[0] == ops
+    assert len(set(ops)) == len(ops)
+
+
+@pytest.mark.parametrize("build, args", [
+    (gate_u02, ()), (controlled_level_not, (1,)), (gate_presence_flag, ()),
+    (gate_absence_flag, (3,)), (gate_cswap, (3,)), (gate_swap, (3,)),
+    (controlled_pair_not, (0,)), (wsc._gate_x, ())])
+def test_cached_gates_are_shared_and_read_only(build, args):
+    gate = build(*args)
+    assert build(*args) is gate
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        gate.perm[0] = 1
+
+
+def _random_unit(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def _op_lists(draw):
+    """A list of ops from the cached permutation gates, with dense single-site
+    gates interleaved, and two registers of different dims that it fits."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            site = draw(st.integers(0, len(dims) - 1))
+            q, _ = np.linalg.qr(rng.normal(size=(dims[site],) * 2)
+                                + 1j * rng.normal(size=(dims[site],) * 2))
+            ops.append(GateOp(GateSpec(q, (dims[site],)), (site,), "1q"))
+            continue
+        gate = draw(st.sampled_from(PERMUTATION_GATES))
+        order = draw(st.permutations(range(len(dims))))
+        sites = []
+        for d in gate.site_dims:
+            free = [s for s in order if dims[s] == d and s not in sites]
+            if not free:
+                break
+            sites.append(free[0])
+        else:
+            ops.append(GateOp(gate, tuple(sites), "perm"))
+    # the second register has one more site, which no op touches
+    registers = [dims, dims + (draw(st.sampled_from((2, 3))),)]
+    states = [pure_state(r, _random_unit(rng, math.prod(r))) for r in registers]
+    return ops, states
+
+
+@settings(max_examples=150, deadline=None)
+@given(_op_lists())
+def test_apply_ops_matches_gate_by_gate_oracle_bit_for_bit(case):
+    ops, states = case
+    for state in states + states:  # the second pass runs from the memo
+        assert np.array_equal(apply_ops(state, ops).array, oracle_apply_ops(state, ops).array)
+
+
+def test_wstate_verify_csv_is_byte_identical_to_the_gate_by_gate_oracle(tmp_path, monkeypatch):
+    def run(out):
+        cfg = experiments.load_config("wstate-verify", overrides={"out": str(out)})
+        cfg.params["max_total_sites"] = 6
+        assert experiments.execute(cfg) == 0
+        return (out / "wstate-verify.csv").read_bytes()
+
+    shipped = run(tmp_path / "shipped")
+    dense_permutations = []
+
+    def dense_apply_unitary(state, gate, sites):
+        dense_permutations.append(gate.perm is not None)
+        return oracle_apply_unitary(state, gate, sites)
+
+    monkeypatch.setattr(wsc, "apply_unitary", dense_apply_unitary)
+    monkeypatch.setattr(wsc, "apply_ops",
+                        lambda state, ops: oracle_apply_ops(state, ops, dense_apply_unitary))
+    assert run(tmp_path / "oracle") == shipped
+    assert sum(dense_permutations) > 1000
