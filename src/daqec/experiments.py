@@ -97,7 +97,8 @@ _TOP = {
     "trials": Param(int, 0, 0, 10**7),
     "out": Param(str, "results"),
     "threads": Param(int, 1, 1),
-    "chunk_size": Param(int, DEFAULT_CHUNK, 1),
+    # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
+    "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
 }
 _OVERRIDES = ("seed", "trials", "out", "threads")
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}

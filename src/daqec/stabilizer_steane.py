@@ -10,8 +10,9 @@ The module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
 and an exact per-block failure-probability evaluator for code-capacity
-noise with processor-dependent single-qubit rates, a 256-state transfer
-that adds only nonnegative terms and so keeps relative precision.
+noise with processor-dependent single-qubit rates: a sum over the 128
+error supports of integer pattern counts times nonnegative monomials, which
+keeps relative precision.
 """
 
 from __future__ import annotations
@@ -383,63 +384,60 @@ def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: N
 # code-capacity mode
 
 
-# Exact evaluator. L stacks the three Hamming checks and an all-ones parity
-# row, so qubit q's column of L is the code (q+1) | 8. Lookup decoding flips
-# one qubit iff the syndrome is nonzero, so the logical flip is parity XOR
-# [syndrome != 0]: it depends on L·e alone. A joint state packs L·x in its
-# low four bits and L·z in its high four.
+# Exact evaluator. A Pauli pattern on a block is a pair of 7-bit masks
+# (x, z). L stacks the three Hamming checks and an all-ones parity row, so
+# qubit q's column of L is the code (q+1) | 8. Lookup decoding flips one
+# qubit iff the syndrome is nonzero, so the logical flip of a mask is parity
+# XOR [syndrome != 0]: _FLIP[x] for an X flip, _FLIP[z] for a Z flip. A
+# pattern's probability depends only on its support s = x | z, as
+# prod_{q in s} eps_q/3 * prod_{q not in s} (1 - eps_q), so each failure
+# probability is a sum over the 128 supports of an integer count times that
+# monomial. _SUPPORT_COUNTS[k, s] counts the patterns of support s that flip
+# X (k = 0), both (k = 1) and either (k = 2).
 _COLUMNS = [(q + 1) | 8 for q in range(N_DATA)]
-_STATES = np.arange(256)
-_PAULI_MASKS = (1, 16, 17)  # X, Z and Y flip the x half, the z half or both
-_FLIP_X, _FLIP_Z = (((h & 8) > 0) ^ ((h & 7) > 0) for h in (_STATES & 15, _STATES >> 4))
-_FLIP_BOTH = _FLIP_X & _FLIP_Z
-_MOVES = [[_STATES ^ (c * m) for m in _PAULI_MASKS] for c in _COLUMNS]
-_BLOCK = 256  # rate vectors per transfer, so that a (256, _BLOCK) array stays in cache
-
-
-def _weight_counts(kinds: int) -> np.ndarray:
-    """Patterns per (joint state, weight); each qubit is clean or takes one of moves[:kinds]."""
-    counts = np.zeros((256, N_DATA + 1), dtype=np.int64)
-    counts[0, 0] = 1
-    for moves in _MOVES:
-        counts[:, 1:] += sum(counts[to, :-1] for to in moves[:kinds])
-    return counts
-
+_MASKS = np.arange(1 << N_DATA)
+_BITS = _MASKS[:, None] >> np.arange(N_DATA) & 1
+_CODES = np.bitwise_xor.reduce(_BITS * _COLUMNS, axis=1)
+_FLIP = ((_CODES & 8) > 0) ^ ((_CODES & 7) > 0)
+_FX, _FZ = np.broadcast_arrays(_FLIP[:, None], _FLIP)  # flips of every (x, z) pair
+_SUPPORT_COUNTS = np.stack([
+    np.bincount((_MASKS[:, None] | _MASKS).ravel(), flips.ravel(), 1 << N_DATA)
+    for flips in (_FX, _FX & _FZ, _FX | _FZ)])
+_BLOCK = 256  # rate vectors per step, so that the (128, _BLOCK) monomials stay in cache
 
 # weight histograms for the uniform-rate fast path: logical-X-flipping bit-flip
 # patterns by weight, and flip-flip (x, z) pattern pairs by qubits touched
-_CX_W = _weight_counts(1)[_FLIP_X].sum(axis=0).astype(float)
-_CB_W = _weight_counts(3)[_FLIP_BOTH].sum(axis=0).astype(float)
+_WEIGHT = _BITS.sum(axis=1)
+_CX_W = np.bincount(_WEIGHT[_FLIP], minlength=N_DATA + 1).astype(float)
+_CB_W = np.bincount(_WEIGHT, _SUPPORT_COUNTS[1], N_DATA + 1)
+_UNIFORM_BLOCK = 8192  # rates per step, so that no temporary (64 KB) is mmapped
 
 
 def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
     """Vectorized exact failure probabilities for many rate vectors.
 
-    eps_matrix has shape (m, 7); returns arrays of length m. The 256-state
-    distribution of (L·x, L·z) is built qubit by qubit: a qubit at rate eps
-    keeps 1 - eps of each state's mass and moves eps/3 along each of X, Z
-    and Y. p_x and p_both are the masses of the states that decode to a
-    logical X flip and to both flips. Only nonnegative terms are added, so
-    the results keep relative precision however small they are.
+    eps_matrix has shape (m, 7); returns arrays of length m. The 128
+    support monomials of a rate vector are built by doubling, qubit q
+    splitting each into its clean (1 - eps_q) and hit (eps_q / 3) halves,
+    and one product with _SUPPORT_COUNTS gives p_x, p_both and p_any. Only
+    nonnegative terms are added, so the results keep relative precision
+    however small they are.
     """
     eps = np.asarray(eps_matrix, dtype=float)
     m = eps.shape[0]
-    p_x = np.empty(m)
-    p_both = np.empty(m)
+    out = np.empty((3, m))
+    mono = np.empty((1 << N_DATA, _BLOCK))
     for lo in range(0, m, _BLOCK):
         e = eps[lo:lo + _BLOCK].T
-        dist = np.zeros((256, e.shape[1]))
-        dist[0] = 1.0
-        for q, (to_x, to_z, to_y) in enumerate(_MOVES):
-            moved = dist[to_x]
-            moved += dist[to_z]
-            moved += dist[to_y]
-            moved *= e[q] / 3.0
-            dist *= 1.0 - e[q]
-            dist += moved
-        p_x[lo:lo + _BLOCK] = _FLIP_X @ dist
-        p_both[lo:lo + _BLOCK] = _FLIP_BOTH @ dist
-    p_any = 2.0 * p_x - p_both
+        block = mono[:, :e.shape[1]]
+        block[0] = 1.0
+        hit, clean = e / 3.0, 1.0 - e
+        for q in range(N_DATA):
+            w = 1 << q
+            np.multiply(block[:w], hit[q], out=block[w:2 * w])
+            block[:w] *= clean[q]
+        out[:, lo:lo + _BLOCK] = _SUPPORT_COUNTS @ block
+    p_x, p_both, p_any = out
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
 
 
@@ -447,14 +445,21 @@ def steane_failure_probabilities_uniform(eps) -> dict:
     """Exact failure probabilities when all seven qubits share one rate.
 
     Sums weight polynomials over the pattern counts _CX_W and _CB_W, which
-    makes sweeping many uniform rates cheap. Accumulates one weight at a
-    time, so every temporary has the length of eps.
+    makes sweeping many uniform rates cheap. Works through the rates in
+    blocks of _UNIFORM_BLOCK and accumulates one weight at a time, so
+    every temporary stays small.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    p, py = 2.0 * eps / 3.0, eps / 3.0
-    p_x, p_both = np.zeros_like(eps), np.zeros_like(eps)
-    for w in range(N_DATA + 1):
-        p_x += _CX_W[w] * p**w * (1.0 - p) ** (N_DATA - w)
-        p_both += _CB_W[w] * py**w * (1.0 - eps) ** (N_DATA - w)
-    p_any = 2.0 * p_x - p_both
+    flat = eps.ravel()
+    p_x, p_both, p_any = np.zeros((3, flat.size))
+    for lo in range(0, flat.size, _UNIFORM_BLOCK):
+        e = flat[lo:lo + _UNIFORM_BLOCK]
+        acc_x, acc_both = p_x[lo:lo + _UNIFORM_BLOCK], p_both[lo:lo + _UNIFORM_BLOCK]
+        p, py = 2.0 * e / 3.0, e / 3.0
+        keep_x, keep = 1.0 - p, 1.0 - e
+        for w in range(N_DATA + 1):
+            acc_x += _CX_W[w] * p**w * keep_x ** (N_DATA - w)
+            acc_both += _CB_W[w] * py**w * keep ** (N_DATA - w)
+        p_any[lo:lo + _UNIFORM_BLOCK] = 2.0 * acc_x - acc_both
+    p_x, p_both, p_any = (a.reshape(eps.shape) for a in (p_x, p_both, p_any))
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}

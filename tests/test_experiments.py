@@ -423,6 +423,7 @@ OUT_OF_RANGE = [
     ("wstate-verify", {"n_random_logical": 10**12}),
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
     ("bound-validate", {"lemma_cases": 10**12}),
+    ("correlated-errors", {"chunk_size": 8 * experiments.DEFAULT_CHUNK + 1}),
 ]
 
 
@@ -430,8 +431,11 @@ OUT_OF_RANGE = [
     "experiment,params", OUT_OF_RANGE,
     ids=[e + "-" + "-".join(f"{k}={v}" for k, v in p.items()) for e, p in OUT_OF_RANGE])
 def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
+    # a top-level setting goes beside `params`
+    top = {key: value for key, value in params.items() if key in experiments._TOP}
+    params = {key: value for key, value in params.items() if key not in top}
     path = tmp_path / "c.yaml"
-    path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
+    path.write_text(yaml.safe_dump({"experiment": experiment, **top, "params": params}))
     with pytest.raises(ConfigError):  # so no circuit or state is ever built
         load_config(path=str(path))
     assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -965,29 +965,55 @@ def _assert_matches_oracle(eps):
                                      1e-12 * want[key] + np.finfo(float).tiny, err_msg=key)
 
 
-# rates log-uniform over the Monte Carlo range, plus exact zeros and the
-# large rates up to 1 that rate_clip_max admits
-RATES = st.one_of(st.floats(math.log(1e-6), math.log(0.5)).map(math.exp),
+# rates log-uniform from far below the Monte Carlo range (sample_profiles
+# clips its normal draws at 0, so any tiny positive rate occurs) up to 0.5,
+# plus exact zeros and the large rates up to 1 that rate_clip_max admits
+RATES = st.one_of(st.floats(math.log(1e-100), math.log(0.5)).map(math.exp),
                   st.just(0.0), st.floats(0.5, 1.0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(RATES, min_size=N_DATA, max_size=N_DATA), min_size=1, max_size=8))
-def test_transfer_evaluator_matches_pattern_oracle(vectors):
+@example([[1e-100] * N_DATA, [1e-100, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-100]])
+def test_exact_evaluator_keeps_relative_precision_against_pattern_oracle(vectors):
     _assert_matches_oracle(np.array(vectors))
 
 
-def test_transfer_evaluator_matches_pattern_oracle_across_blocks():
-    # more vectors than one transfer block, with a ragged last block
+def test_exact_evaluator_matches_pattern_oracle_across_blocks():
+    # more vectors than one evaluation block, with a ragged last block
     rng = np.random.default_rng(5)
     eps = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), size=(2 * stn._BLOCK + 37, N_DATA)))
     _assert_matches_oracle(eps)
     assert steane_failure_probabilities_batch(np.empty((0, N_DATA)))["p_any"].shape == (0,)
 
 
+def test_correlated_errors_runs_the_exact_evaluator(monkeypatch):
+    # the experiment's numbers are the pattern oracle's, so the evaluator is
+    # wired into the run and not only right on its own; the rows are compared
+    # before the CSV rounds them to 12 digits, where a last-digit flip would
+    # exceed the tolerance
+    cfg = experiments.load_config("correlated-errors", overrides={"trials": 256})
+    cfg.params["rate_points"] = 2
+    shipped, columns, _, _ = experiments.run_experiment(cfg)
+    monkeypatch.setattr(stn, "steane_failure_probabilities_batch",
+                        pattern_failure_probabilities_batch)
+    oracle = experiments.run_experiment(cfg)[0]
+    assert len(shipped) == len(oracle) == 2
+    for got, want in zip(shipped, oracle):
+        for key in set(columns) - {"experiment"}:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+
+
 def test_uniform_weight_tables_match_pattern_enumeration():
     assert np.array_equal(stn._CX_W, _CX_W) and stn._CX_W.dtype == _CX_W.dtype
     assert np.array_equal(stn._CB_W, _CB_W) and stn._CB_W.dtype == _CB_W.dtype
+    # every one of the 4^7 Pauli patterns, as its digit 2x + z per qubit
+    digits = np.array(list(itertools.product(range(4), repeat=N_DATA)))
+    bit = 1 << np.arange(N_DATA)  # pattern index i has qubit q at bit q, as in _PATTERNS
+    fx, fz = _FLIPS[(digits >> 1) @ bit], _FLIPS[(digits & 1) @ bit]
+    support = (digits > 0) @ bit
+    counts = [np.bincount(support[f], minlength=2**N_DATA) for f in (fx, fx & fz, fx | fz)]
+    assert np.array_equal(stn._SUPPORT_COUNTS, counts)
 
 
 def test_exact_evaluator_weight_two_leading_order():
