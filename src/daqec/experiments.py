@@ -96,7 +96,8 @@ _TOP = {
     # bound-validate keeps two ratios per trial until the median
     "trials": Param(int, 0, 0, 10**7),
     "out": Param(str, "results"),
-    "threads": Param(int, 1, 1),
+    # a point's chunks go to the thread pool at once, one OS thread each
+    "threads": Param(int, 1, 1, 64),
     # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
     "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
 }
@@ -674,8 +675,8 @@ def run_apples(cfg: ExperimentConfig):
 # would divide by zero, index an empty layout, find nothing to check or
 # outgrow memory or time. An erased W word is kept as weighted pure branches,
 # so memory no longer caps max_total_sites; time does: both decoders over every
-# erasure count of a 10-site word take about 1.3 s (2-core VM), and each
-# further site multiplies that by about 3.5.
+# erasure count of a 10-site word take 1.0 to 1.35 s (2-core VM; they make no
+# BLAS call), and each further site multiplies that by about 3 to 3.5.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.
 _RATE = dict(lo=1e-6, hi=1.0)

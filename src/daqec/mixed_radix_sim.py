@@ -9,6 +9,14 @@ as the most significant digit, i.e. basis index = sum(level[i] * prod(dims[i+1:]
 Everything is value-oriented: operations return new states and never
 mutate their inputs, so distinct states can evolve on different threads
 without coordination.
+
+Contractions over a whole register (gates, norms, overlaps, reduced
+densities) run on numpy's own einsum kernels, never on BLAS or LAPACK. The
+operands are register-sized but the contracted dimension is a gate's or a
+few ancillas' (at most tens), so a second core gains nothing, and a threaded
+BLAS hands such calls to worker threads that then busy-wait: under OpenBLAS
+that burned about 1.7 times wall time in CPU. einsum keeps its default
+optimize=False, since with optimisation on it dispatches to tensordot.
 """
 
 from __future__ import annotations
@@ -69,6 +77,12 @@ class RadixVector:
         return tuple(reversed(out))
 
 
+def _norm2(amps: np.ndarray) -> float:
+    """Squared norm of a complex array, in one pass over its real and imaginary parts."""
+    flat = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 @dataclass
 class MixedRadixState:
     """Pure amplitude vector over a mixed-radix register."""
@@ -82,7 +96,7 @@ class MixedRadixState:
         dim = self.radix.total_dim
         if arr.shape != (dim,):
             raise ValueError(f"amplitude vector of length {dim} expected, got {arr.shape}")
-        norm2 = float(np.sum(np.abs(arr) ** 2))
+        norm2 = _norm2(arr)
         if abs(norm2 - 1.0) > 1e-8:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
 
@@ -153,7 +167,7 @@ def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray,
                cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
     radix = _capped_radix(radix, cap)
     amps = np.asarray(amplitudes, dtype=complex)
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    norm2 = _norm2(amps)
     if abs(norm2 - 1.0) > ATOL_CONSTRUCT:
         raise ValueError(f"amplitudes not normalized: |psi|^2 = {norm2}")
     return MixedRadixState(radix, amps)
@@ -244,10 +258,8 @@ def apply_unitary(state: MixedRadixState, gate: GateSpec,
     sites = _check_sites(state.radix, sites, gate.site_dims)
     if gate.perm is not None:
         return MixedRadixState(state.radix, _gather(state.array, state.dims, gate.perm, sites))
-    k = len(sites)
-    op = gate.matrix.reshape(gate.site_dims * 2)  # out axes first, in axes second
-    out = np.tensordot(op, state.array.reshape(state.dims), axes=(tuple(range(k, 2 * k)), sites))
-    return MixedRadixState(state.radix, np.moveaxis(out, tuple(range(k)), sites).reshape(-1))
+    grouped = np.einsum("ij,jr->ir", gate.matrix, _split(state.array, state.dims, sites))
+    return MixedRadixState(state.radix, _unsplit(grouped, state.dims, sites))
 
 
 def apply_permutations(state: MixedRadixState, steps) -> MixedRadixState:
@@ -316,14 +328,14 @@ def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> np.ndarr
     if not keep:
         raise ValueError("must keep at least one site")
     rows = _split(state.array, state.dims, keep)
-    return rows @ rows.conj().T
+    return np.einsum("ir,jr->ij", rows, rows.conj())
 
 
 def fidelity(state: MixedRadixState, reference: MixedRadixState) -> float:
     """|<ref|psi>|^2."""
     if state.radix.dims != reference.radix.dims:
         raise ValueError(f"radix mismatch: {state.radix.dims} vs {reference.radix.dims}")
-    return float(np.abs(np.vdot(reference.array, state.array)) ** 2)
+    return float(abs(np.einsum("i,i->", reference.array.conj(), state.array)) ** 2)
 
 
 # ---------------------------------------------------------------------------

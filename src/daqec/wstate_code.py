@@ -26,6 +26,7 @@ from .mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
     RadixVector,
+    _norm2,
     apply_permutations,
     apply_unitary,
     basis_map_gate,
@@ -259,7 +260,7 @@ def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixSt
     sl = [slice(None)] * len(dims)
     sl[site] = level
     kept = psi[tuple(sl)].reshape(-1)
-    norm2 = float(np.sum(np.abs(kept) ** 2))
+    norm2 = _norm2(kept)
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"site {site} not disentangled in level {level} (weight {norm2})")
     new_dims = tuple(d for i, d in enumerate(dims) if i != site)
@@ -738,12 +739,23 @@ def decode_elective(state, target_site: int, keep_ancillas: bool = False):
     for weight, branch in _decoder_branches(ensemble, m, ops):
         if not keep_ancillas:
             # explicit reset: every branch factorizes as qutrits (x) ancillas
-            u, s, _ = np.linalg.svd(branch.array.reshape(3**n, 2**m), full_matrices=False)
-            if s.size > 1 and s[1] > 1e-7:
-                raise ValueError("ancillas left entangled with the data register")
-            branch = MixedRadixState(qutrits, u[:, 0])
+            branch = MixedRadixState(qutrits, _reset_ancillas(branch.array.reshape(3**n, 2**m)))
         out.append((weight, branch))
     return tuple(out), m
+
+
+def _reset_ancillas(joint: np.ndarray) -> np.ndarray:
+    """The data factor of a (data, ancilla) matrix that is a product state.
+
+    Its leading singular vector comes from the eigenvectors of the small
+    ancilla Gram matrix G = joint^H joint: with G v = lam v for the largest
+    lam, joint v / sqrt(lam) is that vector. A second eigenvalue above 1e-14
+    (singular value above 1e-7) means the ancillas are still entangled.
+    """
+    lam, vecs = np.linalg.eigh(np.einsum("ir,is->rs", joint.conj(), joint))
+    if lam.size > 1 and lam[-2] > 1e-14:
+        raise ValueError("ancillas left entangled with the data register")
+    return np.einsum("ir,r->i", joint, vecs[:, -1]) / math.sqrt(lam[-1])
 
 
 def ensemble_fidelity(state, reference: MixedRadixState) -> float:

@@ -424,6 +424,7 @@ OUT_OF_RANGE = [
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
     ("bound-validate", {"lemma_cases": 10**12}),
     ("correlated-errors", {"chunk_size": 8 * experiments.DEFAULT_CHUNK + 1}),
+    ("pnl-sweep", {"threads": 10**6}),
 ]
 
 

@@ -538,3 +538,22 @@ def test_apply_unitary_matches_full_matrix_oracle(register, seed, permutation):
     np.testing.assert_allclose(apply_unitary(s, g, sites).array,
                                _oracle_full_matrix(s.radix, g, sites) @ s.array,
                                rtol=0, atol=1e-12)
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(_registers(), st.integers(0, 2**32 - 1))
+def test_fidelity_and_partial_trace_match_blas_oracles(register, seed):
+    a, sites = register
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=a.radix.total_dim) + 1j * rng.normal(size=a.radix.total_dim)
+    b = pure_state(a.dims, v / np.linalg.norm(v))
+    np.testing.assert_allclose(fidelity(a, b), abs(np.vdot(b.array, a.array)) ** 2,
+                               rtol=1e-12, atol=0)
+    if sites:
+        keep = sorted(sites)
+        rest = [s for s in range(a.n_sites) if s not in keep]
+        rows = np.transpose(a.array.reshape(a.dims), keep + rest).reshape(
+            math.prod(a.dims[s] for s in keep), -1)
+        np.testing.assert_allclose(partial_trace(a, keep), rows @ rows.conj().T,
+                                   rtol=1e-12, atol=0)

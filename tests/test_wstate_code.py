@@ -762,14 +762,16 @@ def test_apply_ops_matches_gate_by_gate_oracle_bit_for_bit(case):
         assert np.array_equal(apply_ops(state, ops).array, oracle_apply_ops(state, ops).array)
 
 
-def test_wstate_verify_csv_is_byte_identical_to_the_gate_by_gate_oracle(tmp_path, monkeypatch):
-    def run(out):
-        cfg = experiments.load_config("wstate-verify", overrides={"out": str(out)})
-        cfg.params["max_total_sites"] = 6
-        assert experiments.execute(cfg) == 0
-        return (out / "wstate-verify.csv").read_bytes()
+def _wstate_verify_csv(out):
+    """CSV bytes of a passing wstate-verify run at six sites."""
+    cfg = experiments.load_config("wstate-verify", overrides={"out": str(out)})
+    cfg.params["max_total_sites"] = 6
+    assert experiments.execute(cfg) == 0
+    return (out / "wstate-verify.csv").read_bytes()
 
-    shipped = run(tmp_path / "shipped")
+
+def test_wstate_verify_csv_is_byte_identical_to_the_gate_by_gate_oracle(tmp_path, monkeypatch):
+    shipped = _wstate_verify_csv(tmp_path / "shipped")
     dense_permutations = []
 
     def dense_apply_unitary(state, gate, sites):
@@ -779,5 +781,70 @@ def test_wstate_verify_csv_is_byte_identical_to_the_gate_by_gate_oracle(tmp_path
     monkeypatch.setattr(wsc, "apply_unitary", dense_apply_unitary)
     monkeypatch.setattr(wsc, "apply_ops",
                         lambda state, ops: oracle_apply_ops(state, ops, dense_apply_unitary))
-    assert run(tmp_path / "oracle") == shipped
+    assert _wstate_verify_csv(tmp_path / "oracle") == shipped
     assert sum(dense_permutations) > 1000
+
+
+def test_wstate_verify_makes_no_blas_contraction(tmp_path, monkeypatch):
+    # register-sized contractions use einsum; a BLAS call would leave threaded
+    # BLAS workers spinning after it
+    shipped = _wstate_verify_csv(tmp_path / "shipped")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS contraction on the W-code path")
+
+    for name in ("tensordot", "vdot", "dot"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert _wstate_verify_csv(tmp_path / "guarded") == shipped
+
+
+# ---------------------------------------------------------------------------
+# the elective decoder's ancilla reset against an SVD oracle
+
+
+def svd_reset_oracle(joint):
+    """The reset as a singular value decomposition: the leading left singular
+    vector, refused when the second singular value exceeds 1e-7."""
+    u, s, _ = np.linalg.svd(joint, full_matrices=False)
+    if s.size > 1 and s[1] > 1e-7:
+        raise ValueError("ancillas left entangled with the data register")
+    return u[:, 0]
+
+
+def _orthonormal_pair(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    return q[:, 0], q[:, 1]
+
+
+@st.composite
+def _near_product_joints(draw):
+    """c1 |q1>|a1> + c2 |q2>|a2> on n qutrits and m qubit ancillas, with q1 ⟂ q2,
+    a1 ⟂ a2: Schmidt coefficients c1 and c2. c2 is zero or log-uniform on
+    either side of the 1e-7 threshold, never within a factor of 2 of it."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, min(3, math.floor(n * math.log2(3)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c2 = draw(st.one_of(st.just(0.0), st.floats(-13.0, math.log10(5e-8)).map(lambda e: 10**e),
+                        st.floats(math.log10(2e-7), -2.0).map(lambda e: 10**e)))
+    q1, q2 = _orthonormal_pair(rng, 3**n)
+    a1, a2 = _orthonormal_pair(rng, 2**m)
+    c1 = math.sqrt(1.0 - c2**2)
+    return c1 * np.outer(q1, a1) + c2 * np.outer(q2, a2), c2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_product_joints())
+def test_ancilla_reset_matches_svd_oracle(case):
+    joint, c2 = case
+    try:
+        ref = svd_reset_oracle(joint)
+    except ValueError:
+        assert c2 > 1e-7
+        with pytest.raises(ValueError, match="entangled"):
+            wsc._reset_ancillas(joint)
+        return
+    assert c2 < 1e-7
+    data = wsc._reset_ancillas(joint)
+    assert abs(np.vdot(data, data) - 1.0) < 1e-12
+    assert abs(np.vdot(ref, data)) ** 2 >= 1.0 - 1e-12
