@@ -405,12 +405,14 @@ _SUPPORT_COUNTS = np.stack([
     for flips in (_FX, _FX & _FZ, _FX | _FZ)])
 _BLOCK = 256  # rate vectors per step, so that the (128, _BLOCK) monomials stay in cache
 
-# weight histograms for the uniform-rate fast path: logical-X-flipping bit-flip
-# patterns by weight, and flip-flip (x, z) pattern pairs by qubits touched
-_WEIGHT = _BITS.sum(axis=1)
-_CX_W = np.bincount(_WEIGHT[_FLIP], minlength=N_DATA + 1).astype(float)
-_CB_W = np.bincount(_WEIGHT, _SUPPORT_COUNTS[1], N_DATA + 1)
-_UNIFORM_BLOCK = 8192  # rates per step, so that no temporary (64 KB) is mmapped
+# Uniform rate eps: a support of weight w has monomial (eps/3)^w (1 - eps)^(7 - w),
+# so 3^7 p_k = sum_w N[k, w] eps^w (3 - 3 eps)^(7 - w) with _WEIGHT_COUNTS = N the
+# support counts summed by weight. _UNIFORM_POLY[k, d] is p_k's coefficient of
+# eps^d, an exact integer divided once by 3^7; those of eps^0 and eps^1 are 0.
+_WEIGHT_COUNTS = np.stack([np.bincount(_BITS.sum(axis=1), c, N_DATA + 1) for c in _SUPPORT_COUNTS])
+_UNIFORM_POLY = np.array([[sum(int(n[w]) * 3 ** (N_DATA - w) * (-1) ** (d - w)
+                               * math.comb(N_DATA - w, d - w) for w in range(d + 1))
+                           for d in range(N_DATA + 1)] for n in _WEIGHT_COUNTS]) / 3**N_DATA
 
 
 def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
@@ -444,22 +446,19 @@ def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
 def steane_failure_probabilities_uniform(eps) -> dict:
     """Exact failure probabilities when all seven qubits share one rate.
 
-    Sums weight polynomials over the pattern counts _CX_W and _CB_W, which
-    makes sweeping many uniform rates cheap. Works through the rates in
-    blocks of _UNIFORM_BLOCK and accumulates one weight at a time, so
-    every temporary stays small.
+    Evaluates p = eps^2 H(eps), H the Horner form of _UNIFORM_POLY from
+    eps^2 up, in place on the (3, n) output, so no temporary is larger than
+    eps; the results keep relative precision at tiny rates and are exactly 0
+    at eps = 0. Results have the shape of eps, at least one dimension.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     flat = eps.ravel()
-    p_x, p_both, p_any = np.zeros((3, flat.size))
-    for lo in range(0, flat.size, _UNIFORM_BLOCK):
-        e = flat[lo:lo + _UNIFORM_BLOCK]
-        acc_x, acc_both = p_x[lo:lo + _UNIFORM_BLOCK], p_both[lo:lo + _UNIFORM_BLOCK]
-        p, py = 2.0 * e / 3.0, e / 3.0
-        keep_x, keep = 1.0 - p, 1.0 - e
-        for w in range(N_DATA + 1):
-            acc_x += _CX_W[w] * p**w * keep_x ** (N_DATA - w)
-            acc_both += _CB_W[w] * py**w * keep ** (N_DATA - w)
-        p_any[lo:lo + _UNIFORM_BLOCK] = 2.0 * acc_x - acc_both
-    p_x, p_both, p_any = (a.reshape(eps.shape) for a in (p_x, p_both, p_any))
+    out = np.empty((3, flat.size))
+    out[:] = _UNIFORM_POLY[:, N_DATA, None]
+    for d in range(N_DATA - 1, 1, -1):
+        out *= flat
+        out += _UNIFORM_POLY[:, d, None]
+    out *= flat
+    out *= flat
+    p_x, p_both, p_any = (a.reshape(eps.shape) for a in out)
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}

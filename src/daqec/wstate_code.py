@@ -259,12 +259,13 @@ def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixSt
     psi = state.array.reshape(dims)
     sl = [slice(None)] * len(dims)
     sl[site] = level
-    kept = psi[tuple(sl)].reshape(-1)
+    kept = psi[tuple(sl)].copy().reshape(-1)  # the one copy, contiguous, normalised in place
     norm2 = _norm2(kept)
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"site {site} not disentangled in level {level} (weight {norm2})")
+    kept /= math.sqrt(norm2)
     new_dims = tuple(d for i, d in enumerate(dims) if i != site)
-    return MixedRadixState(RadixVector(new_dims), kept / math.sqrt(norm2))
+    return MixedRadixState(RadixVector(new_dims), kept)
 
 
 # ---------------------------------------------------------------------------

@@ -326,13 +326,15 @@ def test_cli_runs_apples(tmp_path):
 
 
 def test_runs_do_not_import_scipy(tmp_path):
-    # scipy's import was most of daqec's start-up; the package needs only numpy and pyyaml
+    # scipy's import was most of daqec's start-up; the package needs only numpy and
+    # pyyaml, and its exact coefficient tables are built without fractions or decimal
     script = (
         "import sys\n"
         "from daqec.cli import main\n"
         f"assert main(['apples', '--out', {str(tmp_path)!r}]) == 0\n"
         f"assert main(['correlated-errors', '--trials', '100', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))\n")
     src = os.path.dirname(os.path.dirname(daqec.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

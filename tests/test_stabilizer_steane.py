@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +121,16 @@ _PATTERNS, _FLIPS = _flip_table()
 _XF = _PATTERNS[_FLIPS]  # the 64 patterns whose decode flips the logical operator
 # joint digit 2*x + z per qubit for every (x in XF, z in XF) pattern pair
 _PAIR_DIGITS = (2 * _XF[:, None, :] + _XF[None, :, :]).reshape(-1, N_DATA)
-# weight histograms for the uniform-rate fast path
-_CX_W = np.bincount(_PATTERNS.sum(axis=1)[_FLIPS], minlength=N_DATA + 1).astype(float)
-_CB_W = np.bincount((_PAIR_DIGITS > 0).sum(axis=1), minlength=N_DATA + 1).astype(float)
+# every one of the 4^7 Pauli patterns, as its digit 2x + z per qubit, and the
+# patterns that flip X, both and either, counted by support and by weight
+_DIGITS = np.array(list(itertools.product(range(4), repeat=N_DATA)))
+_BIT = 1 << np.arange(N_DATA)  # pattern index i has qubit q at bit q, as in _PATTERNS
+_FX, _FZ = _FLIPS[(_DIGITS >> 1) @ _BIT], _FLIPS[(_DIGITS & 1) @ _BIT]
+_ENUM_FLIPS = (_FX, _FX & _FZ, _FX | _FZ)
+_SUPPORT_COUNTS = np.array([np.bincount(((_DIGITS > 0) @ _BIT)[f], minlength=2**N_DATA)
+                            for f in _ENUM_FLIPS])
+_WEIGHT_COUNTS = np.array([np.bincount((_DIGITS > 0).sum(axis=1)[f], minlength=N_DATA + 1)
+                           for f in _ENUM_FLIPS])
 
 
 def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024) -> dict:
@@ -156,6 +164,23 @@ def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 102
             accj *= q_tbl[:, q, :][:, _PAIR_DIGITS[:, q]]
         p_both[lo:hi] = accj.sum(axis=1)
     p_any = 2.0 * p_x - p_both
+    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+
+
+def rational_failure_probabilities_uniform(eps) -> dict:
+    """Exact failure probabilities at one shared rate, each rounded once to float.
+
+    Sums the enumerated per-weight counts times (eps/3)^w (1 - eps)^(7 - w)
+    in exact rationals; results have the shape of eps, at least 1-D.
+    """
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    out = np.empty((3,) + eps.shape)
+    for i, e in np.ndenumerate(eps):
+        e = Fraction(e)
+        terms = [(e / 3) ** w * (1 - e) ** (N_DATA - w) for w in range(N_DATA + 1)]
+        for k, counts in enumerate(_WEIGHT_COUNTS):
+            out[(k,) + i] = float(sum(int(c) * t for c, t in zip(counts, terms)))
+    p_x, p_both, p_any = out
     return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
 
 
@@ -987,33 +1012,53 @@ def test_exact_evaluator_matches_pattern_oracle_across_blocks():
     assert steane_failure_probabilities_batch(np.empty((0, N_DATA)))["p_any"].shape == (0,)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(RATES, st.just(1.0)), min_size=1, max_size=16))
+@example([0.0, 1e-100, 0.5, 1.0])
+def test_uniform_evaluator_keeps_relative_precision_against_rational_oracle(rates):
+    eps = np.array(rates)
+    got = steane_failure_probabilities_uniform(eps)
+    want = rational_failure_probabilities_uniform(eps)
+    for key in ("p_x", "p_z", "p_both", "p_any"):
+        np.testing.assert_array_less(np.abs(got[key] - want[key]),
+                                     1e-12 * want[key] + np.finfo(float).tiny, err_msg=key)
+        assert np.all(got[key][eps == 0.0] == 0.0), key
+
+
+def test_uniform_evaluator_keeps_the_input_shape():
+    for eps, shape in ((0.01, (1,)), (np.linspace(0.0, 1.0, 12).reshape(3, 4), (3, 4)),
+                       (np.empty(0), (0,)), (np.empty((2, 0)), (2, 0))):
+        got = steane_failure_probabilities_uniform(eps)
+        want = rational_failure_probabilities_uniform(eps)
+        for key in ("p_x", "p_z", "p_both", "p_any"):
+            assert got[key].shape == shape, key
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+        assert not np.shares_memory(got["p_x"], got["p_z"])
+
+
 def test_correlated_errors_runs_the_exact_evaluator(monkeypatch):
-    # the experiment's numbers are the pattern oracle's, so the evaluator is
-    # wired into the run and not only right on its own; the rows are compared
+    # the experiment's numbers are the oracles', so each evaluator is wired
+    # into the run and not only right on its own; the rows are compared
     # before the CSV rounds them to 12 digits, where a last-digit flip would
     # exceed the tolerance
     cfg = experiments.load_config("correlated-errors", overrides={"trials": 256})
     cfg.params["rate_points"] = 2
     shipped, columns, _, _ = experiments.run_experiment(cfg)
-    monkeypatch.setattr(stn, "steane_failure_probabilities_batch",
-                        pattern_failure_probabilities_batch)
-    oracle = experiments.run_experiment(cfg)[0]
-    assert len(shipped) == len(oracle) == 2
-    for got, want in zip(shipped, oracle):
-        for key in set(columns) - {"experiment"}:
-            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+    oracles = {"steane_failure_probabilities_batch": pattern_failure_probabilities_batch,
+               "steane_failure_probabilities_uniform": rational_failure_probabilities_uniform}
+    for name, oracle in oracles.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(stn, name, oracle)
+            rows = experiments.run_experiment(cfg)[0]
+        assert len(shipped) == len(rows) == 2
+        for got, want in zip(shipped, rows):
+            for key in set(columns) - {"experiment"}:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), (name, key)
 
 
 def test_uniform_weight_tables_match_pattern_enumeration():
-    assert np.array_equal(stn._CX_W, _CX_W) and stn._CX_W.dtype == _CX_W.dtype
-    assert np.array_equal(stn._CB_W, _CB_W) and stn._CB_W.dtype == _CB_W.dtype
-    # every one of the 4^7 Pauli patterns, as its digit 2x + z per qubit
-    digits = np.array(list(itertools.product(range(4), repeat=N_DATA)))
-    bit = 1 << np.arange(N_DATA)  # pattern index i has qubit q at bit q, as in _PATTERNS
-    fx, fz = _FLIPS[(digits >> 1) @ bit], _FLIPS[(digits & 1) @ bit]
-    support = (digits > 0) @ bit
-    counts = [np.bincount(support[f], minlength=2**N_DATA) for f in (fx, fx & fz, fx | fz)]
-    assert np.array_equal(stn._SUPPORT_COUNTS, counts)
+    assert np.array_equal(stn._SUPPORT_COUNTS, _SUPPORT_COUNTS)
+    assert np.array_equal(stn._WEIGHT_COUNTS, _WEIGHT_COUNTS)
 
 
 def test_exact_evaluator_weight_two_leading_order():

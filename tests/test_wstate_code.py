@@ -397,6 +397,29 @@ def test_erase_all_sites_rejected():
         erase(encode(PSI, 3), ErasurePattern({0, 1, 2}))
 
 
+@pytest.mark.parametrize("site", [0, 1, 2])
+def test_project_site_copies_once_and_keeps_the_old_bits(site):
+    # first, middle and last site of a register; the last site's slice is a
+    # strided view and the first site's a contiguous one, which the in-place
+    # renormalisation must not write through
+    dims = (3, 2, 3)
+    rest = tuple(d for i, d in enumerate(dims) if i != site)
+    rng = np.random.default_rng(site)
+    amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
+    psi = np.zeros(dims, dtype=complex)
+    at_level = (slice(None),) * site + (1,)
+    psi[at_level] = amps / np.linalg.norm(amps) * math.sqrt(1 - 5e-10)  # renormalising moves bits
+    state = MixedRadixState(RadixVector(dims), psi.reshape(-1))
+    before = state.array.tobytes()
+    out = wsc._project_site(state, site, 1)
+    assert state.array.tobytes() == before
+    kept = psi[at_level].reshape(-1)
+    assert out.radix.dims == rest
+    assert out.array.tobytes() == (kept / math.sqrt(wsc._norm2(kept))).tobytes()
+    with pytest.raises(ValueError, match="not disentangled"):
+        wsc._project_site(state, site, 0)
+
+
 # ---------------------------------------------------------------------------
 # measurement decoder
 
