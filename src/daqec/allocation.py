@@ -91,14 +91,6 @@ class Allocation:
         lines = [f"{b},{j},{p}" for (b, j), p in sorted(self.assign.items())]
         return "\n".join(lines)
 
-    @classmethod
-    def from_text(cls, text: str, capacities: dict[int, int]) -> "Allocation":
-        assign = {}
-        for line in text.strip().splitlines():
-            b, j, p = (int(v) for v in line.split(","))
-            assign[(b, j)] = p
-        return cls(assign, capacities)
-
 
 @dataclass(frozen=True)
 class NonlocalityReport:

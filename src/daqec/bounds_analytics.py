@@ -4,7 +4,9 @@ On a square machine (n processors of n qubits, n blocks of size n) with
 per-processor error rates eps_p, the all-blocks decode success is
 prod(1-eps_p) when blocks are processor-local and mean(1-eps_p)**n when
 fully distributed; the distributed advantage admits the lower bound
-n*(1-eps_local)*sigma^2/2 in terms of the rate variance. The barrel
+n*(1-eps_local)*sigma^2/2 in terms of the rate variance. These take an
+array of rate profiles and reduce its last axis, so one call evaluates a
+single profile of shape (n,) or a batch of shape (m, n). The barrel
 functions cover the packing analogy: bins with per-bin spoil rates,
 barrels ruined by two or more spoiled items (or, in the proportional
 variant, with probability k/n), and the contamination cutoffs at which
@@ -20,76 +22,25 @@ from itertools import product as iter_product
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ProcessorErrorProfile:
-    """Per-processor error rates with the derived statistics."""
-
-    eps: tuple[float, ...]
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps)
-        object.__setattr__(self, "eps", eps)
-        if any(not 0.0 <= e <= 1.0 for e in eps):
-            raise ValueError("error rates must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.eps)
-
-    @property
-    def x(self) -> np.ndarray:
-        """Per-processor no-error probabilities 1 - eps_p."""
-        return 1.0 - np.array(self.eps)
-
-    @property
-    def mean_eps(self) -> float:
-        return float(np.mean(self.eps))
-
-    @property
-    def variance(self) -> float:
-        """Population variance (divide by n) of the rates."""
-        return float(np.var(self.eps))
+def success_local(eps):
+    """All-blocks success with one block per processor: prod of 1 - eps_p
+    over the last axis."""
+    return np.prod(1.0 - eps, axis=-1)
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
-    eps_local: float
-    eps_dist: float
-    difference: float
-    sigma2: float
-    bound_exact: float   # n * (1 - eps_local) * sigma^2 / 2
-    bound_approx: float  # n * sigma^2 / 2
-
-    @property
-    def meets_exact_bound(self) -> bool:
-        return self.difference >= self.bound_exact
+def success_dist(eps):
+    """All-blocks success when fully distributed: mean(1 - eps_p) ** n over
+    the last axis of length n."""
+    return np.mean(1.0 - eps, axis=-1) ** eps.shape[-1]
 
 
-def success_local(profile: ProcessorErrorProfile) -> float:
-    """All-blocks success with one block per processor: prod of 1 - eps_p."""
-    return float(np.prod(profile.x))
-
-
-def success_dist(profile: ProcessorErrorProfile) -> float:
-    """All-blocks success when fully distributed: mean(1 - eps_p) ** n."""
-    return float(np.mean(profile.x) ** profile.n)
-
-
-def advantage_report(profile: ProcessorErrorProfile) -> AdvantageReport:
-    s_loc = success_local(profile)
-    s_dist = success_dist(profile)
-    eps_local = 1.0 - s_loc
-    eps_dist = 1.0 - s_dist
-    sigma2 = profile.variance
-    n = profile.n
-    return AdvantageReport(
-        eps_local=eps_local,
-        eps_dist=eps_dist,
-        difference=eps_local - eps_dist,
-        sigma2=sigma2,
-        bound_exact=n * s_loc * sigma2 / 2.0,
-        bound_approx=n * sigma2 / 2.0,
-    )
+def advantage_bounds(eps):
+    """(sigma^2, n * s_loc * sigma^2 / 2, n * sigma^2 / 2) over the last axis:
+    the population variance of the rates and the exact and approximate
+    lower bounds on success_dist - success_local."""
+    n = eps.shape[-1]
+    sigma2 = np.var(eps, axis=-1)
+    return sigma2, n * success_local(eps) * sigma2 / 2.0, n * sigma2 / 2.0
 
 
 def nth_root_gap(a, b, n):
@@ -169,16 +120,11 @@ def barrel_odds_sum(p) -> float:
 class BarrelModel:
     """One packing diagnosis: per-barrel odds sums F_k and their total C."""
 
-    bin_probs: tuple[float, ...]
-    n: int
-    p_c: float
-    ruin_rule: str
     F_k: tuple[float, ...]
     C: float
 
 
-def diagnose_packing(bin_probs, matrix, p_c: float = 0.0,
-                     ruin_rule: str = "two-or-more") -> BarrelModel:
+def diagnose_packing(bin_probs, matrix) -> BarrelModel:
     """Summarize a packing matrix (rows = bins, columns = barrels)."""
     probs = np.asarray(bin_probs, dtype=float)
     matrix = np.asarray(matrix, dtype=int)
@@ -186,14 +132,7 @@ def diagnose_packing(bin_probs, matrix, p_c: float = 0.0,
         raise ValueError("one matrix row per bin expected")
     odds = tuple(barrel_odds_sum(np.repeat(probs, matrix[:, k]))
                  for k in range(matrix.shape[1]))
-    return BarrelModel(
-        bin_probs=tuple(float(v) for v in probs),
-        n=int(matrix.sum(axis=0)[0]),
-        p_c=p_c,
-        ruin_rule=ruin_rule,
-        F_k=odds,
-        C=float(sum(odds)),
-    )
+    return BarrelModel(F_k=odds, C=float(sum(odds)))
 
 
 def optimal_packing_bruteforce(bin_probs):

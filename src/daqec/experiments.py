@@ -5,8 +5,9 @@ this module: its runner, default trial count, whether it is Monte Carlo or
 a verify mode, and each parameter's default and allowed range. A config
 resolves file values over those defaults, CLI overrides over both, and is
 checked against the entry; the run writes one CSV with a fixed column
-order plus a summary JSON carrying the fully resolved config, versions and
-wall time. Randomness is split counter-style: the generator of chunk c of
+order, the experiment name first and the master seed last in every row,
+plus a summary JSON carrying the fully resolved config, versions and wall
+time. Randomness is split counter-style: the generator of chunk c of
 parameter point i is default_rng(SeedSequence(master_seed, spawn_key=(i, c)))
 with a fixed chunk size, so outputs are byte-identical at any thread count.
 """
@@ -147,7 +148,7 @@ def load_config(experiment: str | None = None, path: str | None = None,
             raise ConfigError("config file must hold a mapping")
     unknown = set(data) - {"experiment", "params", *_TOP}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     exp = data.get("experiment", experiment)
     if experiment is not None and "experiment" in data and data["experiment"] != experiment:
         raise ConfigError(
@@ -161,7 +162,7 @@ def load_config(experiment: str | None = None, path: str | None = None,
         raise ConfigError("params must be a mapping")
     unknown = set(given) - set(entry.params)
     if unknown:
-        raise ConfigError(f"unknown params for {exp}: {sorted(unknown)}")
+        raise ConfigError(f"unknown params for {exp}: {sorted(unknown, key=str)}")
     top = {key: data.get(key, spec.default) for key, spec in _TOP.items()}
     for key, value in (overrides or {}).items():
         if value is None:
@@ -264,8 +265,8 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]):
 # ---------------------------------------------------------------------------
 # pnl-sweep (circuit-level depth sweep, local vs distributed layouts)
 
-PNL_COLUMNS = ["experiment", "scheme", "depth", "trials", "failures", "success_rate",
-               "success_ci95", "xflip_failures", "fidelity", "fidelity_ci95", "seed"]
+PNL_COLUMNS = ["scheme", "depth", "trials", "failures", "success_rate", "success_ci95",
+               "xflip_failures", "fidelity", "fidelity_ci95"]
 
 
 def _depth_grid(p: dict) -> list[int]:
@@ -300,12 +301,11 @@ def run_pnl_sweep(cfg: ExperimentConfig):
         success = 1.0 - failures / cfg.trials
         fid = 1.0 - x_failures / cfg.trials
         rows.append({
-            "experiment": cfg.experiment, "scheme": scheme, "depth": depth,
-            "trials": cfg.trials, "failures": failures, "success_rate": success,
+            "scheme": scheme, "depth": depth, "trials": cfg.trials,
+            "failures": failures, "success_rate": success,
             "success_ci95": binomial_ci95(failures, cfg.trials),
             "xflip_failures": x_failures, "fidelity": fid,
             "fidelity_ci95": binomial_ci95(x_failures, cfg.trials),
-            "seed": cfg.master_seed,
         })
     summary = {"depths": depths, "crossover_depth": _crossover_depth(rows, depths)}
     return rows, PNL_COLUMNS, summary, True
@@ -330,9 +330,8 @@ def _crossover_depth(rows: list[dict], depths: list[int]):
 # ---------------------------------------------------------------------------
 # correlated-errors (code capacity, sampled processor rates)
 
-CORR_COLUMNS = ["experiment", "mean_rate", "trials", "ler_local", "ler_local_ci95",
-                "ler_dist", "ler_dist_ci95", "relative_advantage",
-                "relative_advantage_ci95", "seed"]
+CORR_COLUMNS = ["mean_rate", "trials", "ler_local", "ler_local_ci95", "ler_dist",
+                "ler_dist_ci95", "relative_advantage", "relative_advantage_ci95"]
 
 
 def run_correlated_errors(cfg: ExperimentConfig):
@@ -380,12 +379,11 @@ def run_correlated_errors(cfg: ExperimentConfig):
         var_ratio = (var_d / mu_l**2 + (mu_d**2 / mu_l**4) * var_l
                      - 2.0 * (mu_d / mu_l**3) * cov) / n
         rows.append({
-            "experiment": cfg.experiment, "mean_rate": float(mean), "trials": n,
+            "mean_rate": float(mean), "trials": n,
             "ler_local": mu_l, "ler_local_ci95": 1.96 * math.sqrt(var_l / n),
             "ler_dist": mu_d, "ler_dist_ci95": 1.96 * math.sqrt(var_d / n),
             "relative_advantage": advantage,
             "relative_advantage_ci95": 1.96 * math.sqrt(max(var_ratio, 0.0)),
-            "seed": cfg.master_seed,
         })
     summary = {"mean_rates": [float(m) for m in grid],
                "advantage_range": [min(r["relative_advantage"] for r in rows),
@@ -396,10 +394,9 @@ def run_correlated_errors(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # bound-validate (distributed-advantage lower bound sweep)
 
-BOUND_COLUMNS = ["experiment", "kind", "n", "mean_rate", "trials",
-                 "mean_difference", "mean_bound_exact", "mean_bound_approx",
-                 "frac_meeting_exact_bound", "median_ratio_exact",
-                 "median_ratio_approx", "violations", "seed"]
+BOUND_COLUMNS = ["kind", "n", "mean_rate", "trials", "mean_difference",
+                 "mean_bound_exact", "mean_bound_approx", "frac_meeting_exact_bound",
+                 "median_ratio_exact", "median_ratio_approx", "violations"]
 
 
 def run_bound_validate(cfg: ExperimentConfig):
@@ -414,13 +411,8 @@ def run_bound_validate(cfg: ExperimentConfig):
             def run_chunk(rng, count):
                 eps = bnd.sample_profiles(n, float(mean), std_factor * float(mean),
                                           rng, count, clip=(0.0, clip_max))
-                x = 1.0 - eps
-                s_loc = np.prod(x, axis=1)
-                s_dist = np.mean(x, axis=1) ** n
-                diff = s_dist - s_loc
-                sigma2 = np.var(eps, axis=1)
-                bound_exact = n * s_loc * sigma2 / 2.0
-                bound_approx = n * sigma2 / 2.0
+                diff = bnd.success_dist(eps) - bnd.success_local(eps)
+                sigma2, bound_exact, bound_approx = bnd.advantage_bounds(eps)
                 # zero-spread profiles say nothing about the bound; rounding
                 # noise in the variance would otherwise dominate them
                 ok = sigma2 > 1e-30
@@ -435,7 +427,7 @@ def run_bound_validate(cfg: ExperimentConfig):
             meets, total, s_diff, s_exact, s_approx = map(sum, chunks[:5])
             re, ra = np.concatenate(chunks[5]), np.concatenate(chunks[6])
             rows.append({
-                "experiment": cfg.experiment, "kind": "sweep", "n": n,
+                "kind": "sweep", "n": n,
                 "mean_rate": float(mean), "trials": total,
                 "mean_difference": s_diff / total,
                 "mean_bound_exact": s_exact / total,
@@ -443,7 +435,7 @@ def run_bound_validate(cfg: ExperimentConfig):
                 "frac_meeting_exact_bound": meets / total,
                 "median_ratio_exact": float(np.median(re)) if re.size else 1.0,
                 "median_ratio_approx": float(np.median(ra)) if ra.size else 1.0,
-                "violations": total - meets, "seed": cfg.master_seed,
+                "violations": total - meets,
             })
             point_index += 1
 
@@ -452,10 +444,9 @@ def run_bound_validate(cfg: ExperimentConfig):
     lemma2_viol = sum(_seeded_chunks(lemma_cfg, point_index + 1, lemma2_violations))
     for kind, viol in (("lemma1", lemma1_viol), ("lemma2", lemma2_viol)):
         rows.append({
-            "experiment": cfg.experiment, "kind": kind, "n": "", "mean_rate": "",
-            "trials": lemma_cfg.trials, "frac_meeting_exact_bound": "",
-            "median_ratio_exact": "", "median_ratio_approx": "",
-            "violations": viol, "seed": cfg.master_seed,
+            "kind": kind, "n": "", "mean_rate": "", "trials": lemma_cfg.trials,
+            "frac_meeting_exact_bound": "", "median_ratio_exact": "",
+            "median_ratio_approx": "", "violations": viol,
         })
     summary = {"lemma1_violations": lemma1_viol, "lemma2_violations": lemma2_viol}
     return rows, BOUND_COLUMNS, summary, lemma1_viol == 0 and lemma2_viol == 0
@@ -487,8 +478,7 @@ def lemma2_violations(rng: np.random.Generator, count: int) -> int:
 # ---------------------------------------------------------------------------
 # wstate-verify (exact decoder and encoder checks)
 
-WSTATE_COLUMNS = ["experiment", "check", "n", "n_e", "expected", "measured",
-                  "tolerance", "pass", "seed"]
+WSTATE_COLUMNS = ["check", "n", "n_e", "expected", "measured", "tolerance", "pass"]
 
 
 def _haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -509,9 +499,9 @@ def run_wstate_verify(cfg: ExperimentConfig):
 
     def add(check, n, n_e, expected, measured, tol):
         rows.append({
-            "experiment": cfg.experiment, "check": check, "n": n, "n_e": n_e,
-            "expected": expected, "measured": measured, "tolerance": tol,
-            "pass": bool(abs(measured - expected) <= tol), "seed": cfg.master_seed,
+            "check": check, "n": n, "n_e": n_e, "expected": expected,
+            "measured": measured, "tolerance": tol,
+            "pass": bool(abs(measured - expected) <= tol),
         })
 
     psi = np.array([0.6, 0.8j])
@@ -567,10 +557,10 @@ def _psi_at_site(psi, n: int, site: int):
 # ---------------------------------------------------------------------------
 # allocation-report
 
-ALLOC_COLUMNS = ["experiment", "ell_c", "n_p", "q", "s", "k", "t", "t_printed",
-                 "eta_formula", "formula_valid", "eta_count", "eta_bound",
-                 "nonlocal_formula", "nonlocal_count", "brute_force_min",
-                 "threshold_basic", "threshold_general", "pass", "seed"]
+ALLOC_COLUMNS = ["ell_c", "n_p", "q", "s", "k", "t", "t_printed", "eta_formula",
+                 "formula_valid", "eta_count", "eta_bound", "nonlocal_formula",
+                 "nonlocal_count", "brute_force_min", "threshold_basic",
+                 "threshold_general", "pass"]
 
 
 def run_allocation_report(cfg: ExperimentConfig):
@@ -598,8 +588,8 @@ def run_allocation_report(cfg: ExperimentConfig):
                     row_pass = False
             thr_gen, _ = alc.advantage_threshold_general(params, int(p["d_enc_dec"]))
             rows.append({
-                "experiment": cfg.experiment, "ell_c": ell, "n_p": n_p,
-                "q": params.q, "s": params.s, "k": params.k, "t": params.t,
+                "ell_c": ell, "n_p": n_p, "q": params.q, "s": params.s, "k": params.k,
+                "t": params.t,
                 "t_printed": params.t_printed_variant,
                 "eta_formula": eta_f, "formula_valid": valid,
                 "eta_count": report.eta, "eta_bound": alc.eta_bound(params),
@@ -607,7 +597,7 @@ def run_allocation_report(cfg: ExperimentConfig):
                 "brute_force_min": bf,
                 "threshold_basic": alc.advantage_threshold_basic(n_p, int(p["d_enc_dec"]), eta_f),
                 "threshold_general": thr_gen,
-                "pass": row_pass, "seed": cfg.master_seed,
+                "pass": row_pass,
             })
             ok = ok and row_pass
     return rows, ALLOC_COLUMNS, {"rows": len(rows)}, ok
@@ -616,7 +606,7 @@ def run_allocation_report(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # apples (appendix packing and cutoffs)
 
-APPLES_COLUMNS = ["experiment", "check", "value", "reference", "tolerance", "pass", "seed"]
+APPLES_COLUMNS = ["check", "value", "reference", "tolerance", "pass"]
 
 
 def run_apples(cfg: ExperimentConfig):
@@ -630,9 +620,8 @@ def run_apples(cfg: ExperimentConfig):
         nonlocal ok
         passed = bool(abs(value - reference) <= tol)
         ok = ok and passed
-        rows.append({"experiment": cfg.experiment, "check": check, "value": value,
-                     "reference": reference, "tolerance": tol, "pass": passed,
-                     "seed": cfg.master_seed})
+        rows.append({"check": check, "value": value, "reference": reference,
+                     "tolerance": tol, "pass": passed})
 
     matrix, best_success, odds = bnd.optimal_packing_bruteforce(bins)
     one_per_bin = math.prod(1.0 - bnd.barrel_ruin_two_or_more(np.array(bins))
@@ -760,9 +749,11 @@ def execute(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
     rows, columns, extra, ok = run_experiment(cfg)
     ok = ok and bool(rows)  # a run that checked nothing has not passed
+    for row in rows:
+        row.update(experiment=cfg.experiment, seed=cfg.master_seed)
     csv_path = out / f"{cfg.experiment}.csv"
     with _writing(csv_path):
-        write_csv(csv_path, columns, rows)
+        write_csv(csv_path, ["experiment", *columns, "seed"], rows)
     summary = {
         "experiment": cfg.experiment,
         "config": resolved_config(cfg),

@@ -43,50 +43,7 @@ BOT = 2           # flag level of the physical qutrits
 AMP_BRANCH = 1e-12  # branch weights below this are dropped
 
 
-@dataclass(frozen=True)
-class WCodeParams:
-    """Block configuration: n physical (d_L+1)-level systems per logical qudit."""
-
-    n: int
-    d_L: int = 2
-    k: int = 1  # number of encoded logical qubits (d_L = 2**k)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("block size must be at least 2")
-        if self.d_L != 2**self.k:
-            raise ValueError("logical dimension must be 2**k")
-
-    @property
-    def d(self) -> int:
-        return self.d_L + 1
-
-    @property
-    def bot_level(self) -> int:
-        return self.d_L
-
-
-@dataclass(frozen=True)
-class LogicalInput:
-    """Unit-norm logical amplitude vector."""
-
-    amplitudes: tuple[complex, ...]
-
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        norm2 = sum(abs(a) ** 2 for a in amps)
-        if abs(norm2 - 1.0) > 1e-10:
-            raise ValueError(f"logical input not unit norm: {norm2}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
-
 def _as_logical(psi) -> np.ndarray:
-    if isinstance(psi, LogicalInput):
-        return psi.vector
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     norm2 = float(np.sum(np.abs(vec) ** 2))
     if abs(norm2 - 1.0) > 1e-10:
@@ -762,14 +719,6 @@ def _reset_ancillas(joint: np.ndarray) -> np.ndarray:
 def ensemble_fidelity(state, reference: MixedRadixState) -> float:
     """Sum of w |<ref|v>|^2 over weighted pure branches (a pure state is one)."""
     return sum(w * fidelity(v, reference) for w, v in _ensemble(state))
-
-
-def decoded_site_fidelity(state, site: int, psi) -> float:
-    """Weighted overlap of each branch's reduced state at `site` with the logical input."""
-    c = _as_logical(psi)
-    v = np.array([c[0], c[1], 0.0], dtype=complex)
-    return sum(w * float(np.real(v.conj() @ partial_trace(b, [site]) @ v))
-               for w, b in _ensemble(state))
 
 
 def expected_swaps(n: int) -> float:

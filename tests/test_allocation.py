@@ -264,12 +264,12 @@ def test_count_remote_pairs_matches_eta_count():
     assert total == eta_count(alloc, 7, 3).nonlocal_gates
 
 
-def test_serialization_roundtrip():
-    p = AllocationParams(5, 3, 3)
-    alloc = even_partition_allocation(p)
-    text = alloc.to_text()
-    lines = text.splitlines()
-    assert lines[0].startswith("0,0,")
-    assert len(lines) == 15
-    back = Allocation.from_text(text, alloc.capacities)
-    assert back.assign == alloc.assign
+def test_to_text_lines():
+    # q = 1 whole slice per processor; each of the s = 2 remainder slices
+    # (indices 3 and 4) is cut into k = 1 group of 2 blocks and one of t = 1
+    alloc = even_partition_allocation(AllocationParams(5, 3, 3))
+    assert alloc.to_text().splitlines() == [
+        "0,0,0", "0,1,1", "0,2,2", "0,3,0", "0,4,2",
+        "1,0,0", "1,1,1", "1,2,2", "1,3,0", "1,4,2",
+        "2,0,0", "2,1,1", "2,2,2", "2,3,1", "2,4,1",
+    ]

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from daqec.bounds_analytics import (
-    ProcessorErrorProfile,
     _approx_gap,
     _bisect_root,
     _exact_gap,
-    advantage_report,
+    advantage_bounds,
     barrel_odds_sum,
     barrel_ruin_odds_form,
     barrel_ruin_two_or_more,
@@ -26,7 +26,7 @@ from daqec.bounds_analytics import (
     success_local,
 )
 
-EXAMPLE = ProcessorErrorProfile((0.02, 0.01, 0.03))
+EXAMPLE = np.array([0.02, 0.01, 0.03])
 
 
 # ---------------------------------------------------------------------------
@@ -40,51 +40,78 @@ def test_success_values_worked_example():
 
 
 def test_uniform_rates_give_equal_success():
-    p = ProcessorErrorProfile((0.03,) * 5)
-    assert abs(success_local(p) - success_dist(p)) < 1e-15
+    eps = np.full(5, 0.03)
+    assert abs(success_local(eps) - success_dist(eps)) < 1e-15
 
 
 def test_distributed_never_worse(rng):
-    for _ in range(10_000):
-        n = int(rng.integers(2, 21))
-        p = ProcessorErrorProfile(tuple(rng.uniform(0, 1, n)))
-        assert success_dist(p) >= success_local(p) - 1e-12
+    for n in range(2, 21):
+        eps = rng.uniform(0, 1, (500, n))
+        assert np.all(success_dist(eps) >= success_local(eps) - 1e-12)
 
 
-def test_advantage_report_worked_example():
-    r = advantage_report(EXAMPLE)
-    assert abs(r.sigma2 - 6.666666666e-5) < 1e-12
-    assert abs(r.difference - 9.8e-5) < 2e-9
-    assert abs(r.bound_exact - 9.411e-5) < 1e-7
-    assert abs(r.bound_approx - 1e-4) < 1e-12
-    assert r.meets_exact_bound
-    assert r.difference >= 0 and r.eps_dist <= r.eps_local
+def test_advantage_bounds_worked_example():
+    sigma2, bound_exact, bound_approx = advantage_bounds(EXAMPLE)
+    difference = success_dist(EXAMPLE) - success_local(EXAMPLE)
+    assert abs(sigma2 - 6.666666666e-5) < 1e-12
+    assert abs(difference - 9.8e-5) < 2e-9
+    assert abs(bound_exact - 9.411e-5) < 1e-7
+    assert abs(bound_approx - 1e-4) < 1e-12
+    assert difference >= bound_exact > 0.0
 
 
-def test_advantage_report_uniform_is_zero():
-    r = advantage_report(ProcessorErrorProfile((0.02,) * 4))
-    assert r.difference == 0.0 and r.bound_exact == 0.0 and r.bound_approx == 0.0
+def test_advantage_bounds_uniform_is_zero():
+    eps = np.full(4, 0.02)
+    assert success_dist(eps) - success_local(eps) == 0.0
+    assert advantage_bounds(eps) == (0.0, 0.0, 0.0)
 
 
 def test_advantage_large_n_profile_near_bound(rng):
     # sigma^2 = 1e-4 profiles at n=20 sit within [bound_exact, 3*bound_exact]
-    for _ in range(50):
-        eps = sample_profiles(20, 0.03, 0.01, rng, 1, clip=(0.0, 0.5))[0]
-        r = advantage_report(ProcessorErrorProfile(tuple(eps)))
-        if r.sigma2 == 0.0:
-            continue
-        assert r.bound_exact <= r.difference <= 3 * r.bound_exact
+    eps = sample_profiles(20, 0.03, 0.01, rng, 50, clip=(0.0, 0.5))
+    sigma2, bound_exact, _ = advantage_bounds(eps)
+    difference = (success_dist(eps) - success_local(eps))[sigma2 > 0.0]
+    bound_exact = bound_exact[sigma2 > 0.0]
+    assert np.all((bound_exact <= difference) & (difference <= 3 * bound_exact))
 
 
 def test_theorem_bound_statistical(rng):
     # exact-bound violations should be absent for low-rate profiles
     for n in (3, 7, 20):
         eps = sample_profiles(n, 0.02, 0.01, rng, 10_000, clip=(0.0, 0.1))
-        x = 1.0 - eps
-        diff = np.mean(x, axis=1) ** n - np.prod(x, axis=1)
-        bound = n * np.prod(x, axis=1) * np.var(eps, axis=1) / 2.0
-        frac = np.mean(diff >= bound)
-        assert frac >= 0.999
+        diff = success_dist(eps) - success_local(eps)
+        _, bound, _ = advantage_bounds(eps)
+        assert np.mean(diff >= bound) >= 0.999
+
+
+def _profile_oracle(e):
+    """(s_loc, s_dist, sigma^2, exact bound, approximate bound) of one
+    profile, with correctly rounded sums."""
+    n = len(e)
+    x = [1.0 - v for v in e]
+    mean = math.fsum(e) / n
+    sigma2 = math.fsum((v - mean) ** 2 for v in e) / n
+    s_loc = math.prod(x)
+    return s_loc, (math.fsum(x) / n) ** n, sigma2, n * s_loc * sigma2 / 2.0, n * sigma2 / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.integers(1, 100).flatmap(lambda n: st.one_of(
+    hnp.arrays(float, n, elements=st.floats(0.0, 1.0)),
+    hnp.arrays(float, st.tuples(st.integers(1, 4), st.just(n)),
+               elements=st.floats(0.0, 1.0)))))
+def test_array_model_matches_per_profile_oracle(eps):
+    n = eps.shape[-1]
+    rows = [_profile_oracle(e.tolist()) for e in eps.reshape(-1, n)]
+    want = np.array(rows).reshape(*eps.shape[:-1], 5)
+    got = (success_local(eps), success_dist(eps), *advantage_bounds(eps))
+    # the two-pass variance squares the rounding of the mean, at most
+    # n * machine eps * max(eps): an absolute error that stays where the
+    # spread is nil, as in a uniform profile
+    slack = 2.0 * (n * np.finfo(float).eps * eps.max()) ** 2
+    for k, (value, atol) in enumerate(zip(got, (0.0, 0.0, slack, n * slack / 2, n * slack / 2))):
+        assert np.shape(value) == eps.shape[:-1]
+        np.testing.assert_allclose(value, want[..., k], rtol=1e-12, atol=atol, err_msg=str(k))
 
 
 def test_nth_root_gap_equal_inputs():
@@ -199,7 +226,6 @@ def test_diagnose_packing_model():
     from daqec.bounds_analytics import diagnose_packing
     matrix, _, odds = optimal_packing_bruteforce([0.6, 0.2, 0.05])
     model = diagnose_packing([0.6, 0.2, 0.05], matrix)
-    assert model.n == 3 and model.ruin_rule == "two-or-more"
     assert model.F_k == odds
     assert abs(model.C - sum(odds)) < 1e-12
 
@@ -296,8 +322,3 @@ def test_linear_rule_enumeration_matches_mean():
     # ruin probability under the k/n rule is the mean spoil rate
     p = np.array([0.3, 0.1, 0.2])
     assert abs(enumerate_ruin(p, "linear-k-over-n") - p.mean()) < 1e-12
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        ProcessorErrorProfile((0.5, 1.2))

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import re
 import resource
 import signal
@@ -252,9 +254,8 @@ def test_lemma1_chunk_matches_scalar_recount(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 21, size=count)
     eps = np.split(rng.uniform(0.0, 1.0, n.sum()), np.cumsum(n)[:-1])
-    profiles = [bnd.ProcessorErrorProfile(tuple(e)) for e in eps]
-    scalar_dist = np.array([bnd.success_dist(q) for q in profiles])
-    scalar_local = np.array([bnd.success_local(q) for q in profiles])
+    scalar_dist = np.array([(math.fsum(1.0 - e) / e.size) ** e.size for e in eps])
+    scalar_local = np.array([math.prod(1.0 - e) for e in eps])
     np.testing.assert_allclose(dist, scalar_dist, rtol=1e-12, atol=0)
     np.testing.assert_allclose(local, scalar_local, rtol=1e-12, atol=0)
     assert violations == int(np.count_nonzero(scalar_dist < scalar_local - 1e-12)) == 0
@@ -361,6 +362,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert err.startswith(f"config error: {message}") and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("text,message", [
+    ("experiment: apples\n1: 2\nfoo: 3\n", "unknown config keys: [1, 'foo']"),
+    ("experiment: apples\nparams: {1: 2, foo: 3}\n", "unknown params for apples: [1, 'foo']"),
+], ids=["top-level", "params"])
+def test_cli_unknown_keys_of_mixed_types(tmp_path, capsys, text, message):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    assert main(["apples", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_verify_failure_exit_code(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(
@@ -380,7 +392,6 @@ def test_cli_seed_changes_output(tmp_path):
 
 
 def test_shipped_configs_parse_and_match_defaults():
-    import pathlib
     configs = sorted(pathlib.Path(__file__).parent.parent.glob("configs/*.yaml"))
     assert len(configs) == 6
     for path in configs:
@@ -690,3 +701,18 @@ def test_config_fuzz(tmp_path, capsys, experiment, data):
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": bad}))
     with _bounded(10.0, 2**30):
         assert main(argv) == 2
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark's tracer patches
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each name up when it installs, so a renamed or
+    # deleted function would break only the benchmark run
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr in [*tracer.SPANS.values(), tracer.CHUNK_MAP]:
+        assert callable(getattr(importlib.import_module(f"daqec.{module}"), attr)), (module, attr)
