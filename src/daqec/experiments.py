@@ -662,10 +662,10 @@ def run_apples(cfg: ExperimentConfig):
 
 # Ranges keep every accepted config runnable: each bound marks where a run
 # would divide by zero, index an empty layout, find nothing to check or
-# outgrow memory or time. An erased W word is kept as weighted pure branches,
-# so memory no longer caps max_total_sites; time does: both decoders over every
-# erasure count of a 10-site word take 1.0 to 1.35 s (2-core VM; they make no
-# BLAS call), and each further site multiplies that by about 3 to 3.5.
+# outgrow memory or time. A W-code state keeps only its 2n nonzero amplitudes,
+# so memory does not cap max_total_sites; time does: both decoders over every
+# erasure count of an 18-site word (max_erasures: 17) take 1.6 to 2.4 s on a
+# 2-core VM, against 0.35 s at 10 sites; a site adds about 15%.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.
 _RATE = dict(lo=1e-6, hi=1.0)
@@ -700,8 +700,8 @@ REGISTRY = {
         "lemma_cases": Param(int, 10000, 1, 10**7),
     }, monte_carlo=True, verify=True, ordered=_RATE_GRID),
     "wstate-verify": Experiment(run_wstate_verify, 1, {
-        "max_total_sites": Param(int, 8, 2, 10),
-        "max_erasures": Param(int, 3, 0, 9),
+        "max_total_sites": Param(int, 8, 2, 18),
+        "max_erasures": Param(int, 3, 0, 17),
         "n_unitaries": Param(int, 100, 1, 10**5),
         "n_random_logical": Param(int, 20, 1, 10**4),
     }, verify=True),

@@ -1,22 +1,15 @@
-"""Exact linear-algebra backend for registers of mixed-dimension qudits.
+"""Exact sparse simulation of registers of mixed-dimension qudits.
 
 A register is an ordered list of sites, each with its own local dimension,
-so qubit ancillas can sit directly next to qutrit data. A state is a dense
-complex amplitude vector over the full register; `partial_trace` returns a
-reduced density matrix as a plain array. Indexing is row-major with site 0
-as the most significant digit, i.e. basis index = sum(level[i] * prod(dims[i+1:])).
+so qubit ancillas can sit directly next to qutrit data. Indexing is
+row-major with site 0 as the most significant digit, i.e. basis index =
+sum(level[i] * prod(dims[i+1:])), and every index fits in int64.
 
-Everything is value-oriented: operations return new states and never
-mutate their inputs, so distinct states can evolve on different threads
-without coordination.
-
-Contractions over a whole register (gates, norms, overlaps, reduced
-densities) run on numpy's own einsum kernels, never on BLAS or LAPACK. The
-operands are register-sized but the contracted dimension is a gate's or a
-few ancillas' (at most tens), so a second core gains nothing, and a threaded
-BLAS hands such calls to worker threads that then busy-wait: under OpenBLAS
-that burned about 1.7 times wall time in CPU. einsum keeps its default
-optimize=False, since with optimisation on it dispatches to tensordot.
+A state keeps only its support, the basis states of its nonzero amplitudes,
+so every operation costs time and memory in the size of the support, never
+in the register's dimension (the state-sparsity argument of Jaques and
+Häner, arXiv:2105.01533): a W-code word of n sites has 2n amplitudes.
+Operations return new states and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -24,15 +17,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-# States may hold up to 2^22 amplitudes unless a caller raises the cap.
-DEFAULT_PURE_CAP = 2**22
-
-ATOL_CONSTRUCT = 1e-10  # construction-time normalization checks
+ATOL_CONSTRUCT = 1e-10  # builders' normalization and gates' unitarity checks
+ATOL_STATE = 1e-8       # every state's norm check, loose enough for rounding in gates
 AMP_EPS = 1e-12         # amplitudes/probabilities below this are dropped
 
 
@@ -41,6 +33,8 @@ class RadixVector:
     """Ordered site dimensions of a register."""
 
     dims: tuple[int, ...]
+    total_dim: int = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)  # digit place values
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -49,14 +43,16 @@ class RadixVector:
             raise ValueError("register needs at least one site")
         if any(d < 2 for d in dims):
             raise ValueError(f"site dimensions must be >= 2, got {dims}")
+        strides = tuple(itertools.accumulate(dims[:0:-1], operator.mul, initial=1))[::-1]
+        total = strides[0] * dims[0]
+        if total >= 2**63:
+            raise ValueError(f"register dimension {total} does not fit an int64 index")
+        object.__setattr__(self, "total_dim", total)
+        object.__setattr__(self, "strides", strides)
 
     @property
     def n_sites(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def index_of(self, levels: Sequence[int]) -> int:
         """Basis index of the computational state with the given digits."""
@@ -79,25 +75,31 @@ class RadixVector:
 
 def _norm2(amps: np.ndarray) -> float:
     """Squared norm of a complex array, in one pass over its real and imaginary parts."""
-    flat = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(np.float64)
+    flat = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
 
 @dataclass
 class MixedRadixState:
-    """Pure amplitude vector over a mixed-radix register."""
+    """Pure state over a mixed-radix register, held as its support: `index` holds
+    strictly increasing int64 basis indices, `array` the amplitudes of exactly those."""
 
     radix: RadixVector
+    index: np.ndarray
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.array, dtype=complex)
-        self.array = arr
-        dim = self.radix.total_dim
-        if arr.shape != (dim,):
-            raise ValueError(f"amplitude vector of length {dim} expected, got {arr.shape}")
+        index = self.index
+        if not isinstance(index, np.ndarray) or index.dtype != np.int64 or index.ndim != 1:
+            raise ValueError("index must be a 1-D int64 array")
+        self.array = arr = np.ascontiguousarray(self.array, dtype=complex)
+        if arr.shape != index.shape:
+            raise ValueError(f"{index.size} indices but amplitudes of shape {arr.shape}")
+        if index.size and not (0 <= index[0] and index[-1] < self.radix.total_dim
+                               and not np.count_nonzero(index[1:] <= index[:-1])):
+            raise ValueError(f"index must increase strictly within [0, {self.radix.total_dim})")
         norm2 = _norm2(arr)
-        if abs(norm2 - 1.0) > 1e-8:
+        if abs(norm2 - 1.0) > ATOL_STATE:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
 
     @property
@@ -114,8 +116,8 @@ class GateSpec:
     """Unitary acting on a fixed tuple of site dimensions.
 
     A permutation gate also carries `perm`, the source of each output basis
-    state in the gate's local basis (out[i] = in[perm[i]]), and is applied as
-    an exact gather. The matrix is read-only, so one gate can be shared;
+    state in the gate's local basis (out[i] = in[perm[i]]), and is applied by
+    moving indices. The matrix is read-only, so one gate can be shared;
     gates compare and hash by identity.
     """
 
@@ -140,50 +142,40 @@ class GateSpec:
             if sorted(perm) != list(range(dim)) or not np.array_equal(mat, np.eye(dim)[list(perm)]):
                 raise ValueError("perm is not the permutation the matrix applies")
 
-    @property
-    def arity(self) -> int:
-        return len(self.site_dims)
-
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _capped_radix(radix: RadixVector | Sequence[int], cap: int) -> RadixVector:
-    if not isinstance(radix, RadixVector):
-        radix = RadixVector(tuple(radix))
-    if radix.total_dim > cap:
-        raise ValueError(f"register dimension {radix.total_dim} exceeds cap {cap}")
-    return radix
-
-
-def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int],
-                cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
+def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int]) -> MixedRadixState:
     """Computational basis state with the given digit per site."""
-    return basis_sum_state(radix, [(levels, 1.0)], cap)
+    return basis_sum_state(radix, [(levels, 1.0)])
 
 
-def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray,
-               cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
-    radix = _capped_radix(radix, cap)
+def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray) -> MixedRadixState:
+    """State from a dense amplitude vector over the whole register."""
+    radix = radix if isinstance(radix, RadixVector) else RadixVector(tuple(radix))
     amps = np.asarray(amplitudes, dtype=complex)
-    norm2 = _norm2(amps)
-    if abs(norm2 - 1.0) > ATOL_CONSTRUCT:
-        raise ValueError(f"amplitudes not normalized: |psi|^2 = {norm2}")
-    return MixedRadixState(radix, amps)
+    if amps.shape != (radix.total_dim,):
+        raise ValueError(f"amplitude vector of length {radix.total_dim} expected, got {amps.shape}")
+    return basis_sum_state(radix, ((radix.levels_of(i), amps[i]) for i in np.flatnonzero(amps)))
 
 
-def basis_sum_state(radix: RadixVector | Sequence[int], terms,
-                    cap: int = DEFAULT_PURE_CAP) -> MixedRadixState:
+def basis_sum_state(radix: RadixVector | Sequence[int], terms) -> MixedRadixState:
     """Pure state sum(amplitude |levels>) over (levels, amplitude) terms.
 
     Repeated levels add up; the sum must be normalized.
     """
-    radix = _capped_radix(radix, cap)
-    amps = np.zeros(radix.total_dim, dtype=complex)
+    radix = radix if isinstance(radix, RadixVector) else RadixVector(tuple(radix))
+    amps: dict[int, complex] = {}
     for levels, amp in terms:
-        amps[radix.index_of(levels)] += amp
-    return pure_state(radix, amps, cap)
+        i = radix.index_of(levels)
+        amps[i] = amps.get(i, 0j) + amp
+    index = np.array(sorted(i for i, a in amps.items() if a != 0), dtype=np.int64)
+    array = np.array([amps[i] for i in index.tolist()], dtype=complex)
+    if abs(_norm2(array) - 1.0) > ATOL_CONSTRUCT:  # tighter than the state's own check
+        raise ValueError(f"amplitudes not normalized: |psi|^2 = {_norm2(array)}")
+    return MixedRadixState(radix, index, array)
 
 
 def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
@@ -202,49 +194,52 @@ def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
 
 
 # ---------------------------------------------------------------------------
-# tensor plumbing
+# digit arithmetic on supports: the tables are keyed on a register's dims and a
+# gate's sites, with one entry per basis state of the sites, never of the register
 
 
-def _front_axes(n_sites: int, sites: Sequence[int]) -> tuple[int, ...]:
-    """Axis order that brings the sites, in the given order, before the rest."""
-    return tuple(sites) + tuple(s for s in range(n_sites) if s not in sites)
+@functools.lru_cache(maxsize=1024)
+def _offsets(dims: tuple[int, ...], sites: tuple[int, ...]) -> np.ndarray:
+    """Register index of each basis state of the sites (in their own radix, the
+    sites in the given order) with every other digit zero."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for s in sites:
+        offsets = (offsets[:, None] + np.arange(dims[s]) * math.prod(dims[s + 1:])).ravel()
+    offsets.flags.writeable = False
+    return offsets
 
 
-def _split(array: np.ndarray, dims: tuple[int, ...], sites: Sequence[int]) -> np.ndarray:
-    """A flat array over the register as an (M, R) matrix: the sites' digits against the rest."""
-    m = math.prod(dims[s] for s in sites)
-    return np.transpose(array.reshape(dims), _front_axes(len(dims), sites)).reshape(m, -1)
+@functools.lru_cache(maxsize=1024)
+def _moves(dims: tuple[int, ...], sites: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """Index change of each basis state of the sites under a permutation gate."""
+    offsets = _offsets(dims, sites)
+    moves = offsets[np.argsort(perm)] - offsets
+    moves.flags.writeable = False
+    return moves
 
 
-def _unsplit(grouped: np.ndarray, dims: tuple[int, ...], sites: Sequence[int]) -> np.ndarray:
-    """Inverse of _split: the grouped array as a flat array over the register."""
-    out = np.empty(grouped.size, dtype=grouped.dtype)
-    moved = np.transpose(out.reshape(dims), _front_axes(len(dims), sites))
-    moved[...] = grouped.reshape(moved.shape)
-    return out
+def _local(index: np.ndarray, radix: RadixVector, sites: tuple[int, ...]) -> np.ndarray:
+    """Each index's digits at the sites, as one index in the sites' own radix."""
+    if not sites:
+        return np.zeros(index.size, dtype=np.int64)
+    local = index // radix.strides[sites[0]] % radix.dims[sites[0]]
+    for s in sites[1:]:
+        local = local * radix.dims[s] + index // radix.strides[s] % radix.dims[s]
+    return local
 
 
-def _gather(array: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...],
-            sites: Sequence[int]) -> np.ndarray:
-    """A flat array over the register with the sites' rows permuted: row i is row perm[i]."""
-    return _unsplit(_split(array, dims, sites)[list(perm)], dims, sites)
-
-
-def _check_sites(radix: RadixVector, sites: Sequence[int],
+def _check_sites(dims: tuple[int, ...], sites: tuple[int, ...],
                  site_dims: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Distinct sites of the register; with site_dims, each of that dimension."""
-    sites = tuple(sites)
+    """Distinct sites of a register of these dims; with site_dims, each of that dimension."""
     if site_dims is not None and len(sites) != len(site_dims):
         raise ValueError(f"gate acts on {len(site_dims)} sites, {len(sites)} given")
     if len(set(sites)) != len(sites):
         raise ValueError(f"duplicate sites {sites}")
-    for s in sites:
-        if not 0 <= s < radix.n_sites:
+    for k, s in enumerate(sites):
+        if not 0 <= s < len(dims):
             raise ValueError(f"site {s} out of range")
-    if site_dims is not None:
-        for s, d in zip(sites, site_dims):
-            if radix.dims[s] != d:
-                raise ValueError(f"site {s} has dimension {radix.dims[s]}, gate expects {d}")
+        if site_dims is not None and dims[s] != site_dims[k]:
+            raise ValueError(f"site {s} has dimension {dims[s]}, gate expects {site_dims[k]}")
     return sites
 
 
@@ -255,42 +250,40 @@ def _check_sites(radix: RadixVector, sites: Sequence[int],
 def apply_unitary(state: MixedRadixState, gate: GateSpec,
                   sites: Sequence[int]) -> MixedRadixState:
     """Apply a unitary U to the given sites: U|psi>."""
-    sites = _check_sites(state.radix, sites, gate.site_dims)
     if gate.perm is not None:
-        return MixedRadixState(state.radix, _gather(state.array, state.dims, gate.perm, sites))
-    grouped = np.einsum("ij,jr->ir", gate.matrix, _split(state.array, state.dims, sites))
-    return MixedRadixState(state.radix, _unsplit(grouped, state.dims, sites))
+        return apply_permutations(state, [(gate, sites)])
+    sites = _check_sites(state.dims, tuple(sites), gate.site_dims)
+    local = _local(state.index, state.radix, sites)
+    # entry e sends amplitude U[i, local[e]] * a[e] to its index with the sites' digits i;
+    # one sort brings the candidates for each index together, and exact zeros go
+    offsets = _offsets(state.dims, sites)
+    index = ((state.index - offsets[local])[:, None] + offsets).ravel()
+    amps = (gate.matrix.T[local] * state.array[:, None]).ravel()
+    order = np.argsort(index, kind="stable")
+    index, amps = index[order], amps[order]
+    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+    amps = np.add.reduceat(amps, starts)
+    return MixedRadixState(state.radix, index[starts][amps != 0], amps[amps != 0])
 
 
 def apply_permutations(state: MixedRadixState, steps) -> MixedRadixState:
-    """Apply permutation gates, (gate, sites) in order, as one gather.
-
-    The flat index of the whole run is memoised on the register's dims and
-    each gate's perm and sites, so the same run on another state of the
-    register costs one gather.
-    """
-    key = []
+    """Apply permutation gates, (gate, sites) in order: every step moves the
+    indices, and one sort at the end restores their order. Consecutive steps
+    on the same sites are composed into one."""
+    fused: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for gate, sites in steps:
         if gate.perm is None:
             raise ValueError("apply_permutations takes permutation gates only")
-        key.append((gate.perm, _check_sites(state.radix, sites, gate.site_dims)))
-    return MixedRadixState(state.radix, state.array[_fused_index(state.dims, tuple(key))])
-
-
-# at most 32 indices are kept, each one int32 per amplitude (16 MB at the default cap)
-@functools.lru_cache(maxsize=32)
-def _fused_index(dims: tuple[int, ...], steps: tuple) -> np.ndarray:
-    """Flat index F such that psi[F] is psi with the (perm, sites) steps applied.
-
-    Gathering an array applies a step to it, so gathering the identity index
-    step after step composes the steps.
-    """
-    total = math.prod(dims)
-    index = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
-    for perm, sites in steps:
-        index = _gather(index, dims, perm, sites)
-    index.flags.writeable = False
-    return index
+        sites = _check_sites(state.dims, tuple(sites), gate.site_dims)
+        if fused and fused[-1][0] == sites:  # out[i] = in[first[perm[i]]]
+            fused[-1] = (sites, tuple(fused[-1][1][i] for i in gate.perm))
+        else:
+            fused.append((sites, gate.perm))
+    index = state.index
+    for sites, perm in fused:
+        index = index + _moves(state.dims, sites, perm)[_local(index, state.radix, sites)]
+    order = np.argsort(index)
+    return MixedRadixState(state.radix, index[order], state.array[order])
 
 
 def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
@@ -301,41 +294,76 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
     With a numpy Generator a single (levels, probability, post_state) is
     sampled from those outcomes, with their probabilities renormalized.
     """
-    sites = _check_sites(state.radix, sites)
-    grouped = _split(state.array, state.dims, sites)
-    probs = np.sum(np.abs(grouped) ** 2, axis=1)
-
-    def _post(o: int) -> MixedRadixState:
-        # outcome o's row, renormalised, and zero elsewhere
-        out = np.zeros_like(grouped)
-        out[o] = grouped[o] / math.sqrt(probs[o])
-        return MixedRadixState(state.radix, _unsplit(out, state.dims, sites))
-
+    sites = _check_sites(state.dims, tuple(sites))
+    local = _local(state.index, state.radix, sites)
+    order = np.argsort(local, kind="stable")  # each outcome's entries stay ascending
+    keys = local[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    probs = np.add.reduceat(np.abs(state.array[order]) ** 2, starts)
+    groups = [order[a:b] for a, b in zip(starts.tolist(), [*starts[1:].tolist(), order.size])]
     # no measured site leaves the one empty outcome, which RadixVector cannot hold
     meas_dims = tuple(state.dims[s] for s in sites)
     levels_of = RadixVector(meas_dims).levels_of if sites else (lambda o: ())
-    outcomes = [o for o in range(len(probs)) if probs[o] > AMP_EPS]
+    outcomes = [k for k in range(len(probs)) if probs[k] > AMP_EPS]
     if rng is not None:
         kept = probs[outcomes]
         outcomes = [outcomes[int(rng.choice(len(outcomes), p=kept / kept.sum()))]]
-    results = [(levels_of(o), float(probs[o]), _post(o)) for o in outcomes]
+    results = [(levels_of(int(local[groups[k][0]])), float(probs[k]),
+                MixedRadixState(state.radix, state.index[groups[k]],
+                                state.array[groups[k]] / math.sqrt(probs[k])))
+               for k in outcomes]
     return results if rng is None else results[0]
 
 
 def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of the kept sites (ascending register order)."""
-    keep = _check_sites(state.radix, sorted(set(keep_sites)))
+    keep = sorted(set(keep_sites))
     if not keep:
         raise ValueError("must keep at least one site")
-    rows = _split(state.array, state.dims, keep)
-    return np.einsum("ir,jr->ij", rows, rows.conj())
+    _, rows = support_matrix(state, keep)
+    return np.einsum("ri,rj->ij", rows, rows.conj())
 
 
 def fidelity(state: MixedRadixState, reference: MixedRadixState) -> float:
-    """|<ref|psi>|^2."""
+    """|<ref|psi>|^2, summed over the basis states the two supports share."""
     if state.radix.dims != reference.radix.dims:
         raise ValueError(f"radix mismatch: {state.radix.dims} vs {reference.radix.dims}")
-    return float(abs(np.einsum("i,i->", reference.array.conj(), state.array)) ** 2)
+    pos = np.minimum(np.searchsorted(reference.index, state.index), reference.index.size - 1)
+    shared = reference.index[pos] == state.index
+    return float(abs(np.sum(reference.array[pos[shared]].conj() * state.array[shared])) ** 2)
+
+
+def support_matrix(state: MixedRadixState, sites: Sequence[int]):
+    """(rows, matrix): a column per basis state of the sites (in their order), a row per
+    digit string the other sites take in the support (rows: its index in their register)."""
+    sites = _check_sites(state.dims, tuple(sites))
+    rest = tuple(s for s in range(state.n_sites) if s not in sites)
+    rows, row = np.unique(_local(state.index, state.radix, rest), return_inverse=True)
+    matrix = np.zeros((rows.size, math.prod(state.dims[s] for s in sites)), dtype=complex)
+    matrix[row, _local(state.index, state.radix, sites)] = state.array
+    return rows, matrix
+
+
+def append_sites(state: MixedRadixState, fresh: MixedRadixState) -> MixedRadixState:
+    """Tensor product state (x) fresh: fresh's sites join the register on the right."""
+    radix = RadixVector(state.dims + fresh.dims)
+    index = (state.index[:, None] * fresh.radix.total_dim + fresh.index).ravel()
+    return MixedRadixState(radix, index, np.multiply.outer(state.array, fresh.array).ravel())
+
+
+def project_sites(state: MixedRadixState, sites: Sequence[int],
+                  levels: Sequence[int]) -> MixedRadixState:
+    """Drop sites that sit at `levels` up to 1e-9 in weight; the others keep their order."""
+    sites = _check_sites(state.dims, tuple(sites))
+    target = RadixVector(tuple(state.dims[s] for s in sites)).index_of(levels)
+    kept = _local(state.index, state.radix, sites) == target
+    amps = state.array[kept]
+    norm2 = _norm2(amps)
+    if abs(norm2 - 1.0) > 1e-9:
+        raise ValueError(f"sites {list(sites)} not disentangled (weight {norm2} in {list(levels)})")
+    rest = tuple(s for s in range(state.n_sites) if s not in sites)
+    return MixedRadixState(RadixVector(tuple(state.dims[s] for s in rest)),
+                           _local(state.index[kept], state.radix, rest), amps / math.sqrt(norm2))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +389,6 @@ def dump_state(state: MixedRadixState) -> str:
     otherwise.
     """
     joiner = "" if max(state.dims) < 10 else ","
-    lines = []
-    for idx in np.nonzero(np.abs(state.array) >= AMP_EPS)[0]:
-        a = state.array[idx]
-        digits = joiner.join(str(v) for v in state.radix.levels_of(int(idx)))
-        lines.append(f"{int(idx)}\t{digits}\t{a.real:.17g}\t{a.imag:.17g}")
-    return "\n".join(lines)
+    return "\n".join(f"{i}\t{joiner.join(map(str, state.radix.levels_of(i)))}\t{a.real:.17g}\t"
+                     f"{a.imag:.17g}" for i, a in zip(state.index.tolist(), state.array.tolist())
+                     if abs(a) >= AMP_EPS)

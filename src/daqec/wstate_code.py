@@ -26,7 +26,7 @@ from .mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
     RadixVector,
-    _norm2,
+    append_sites,
     apply_permutations,
     apply_unitary,
     basis_map_gate,
@@ -36,7 +36,8 @@ from .mixed_radix_sim import (
     fidelity,
     measure_sites,
     partial_trace,
-    pure_state,
+    project_sites,
+    support_matrix,
 )
 
 BOT = 2           # flag level of the physical qutrits
@@ -184,7 +185,7 @@ def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+_PLUS = basis_sum_state((2,), [((0,), 1 / math.sqrt(2)), ((1,), 1 / math.sqrt(2))])
 
 
 def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
@@ -197,32 +198,6 @@ def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
     sites = (qudit_site, ancilla_site)
     return [GateOp(controlled_level_not(0), sites, "cnot"),
             GateOp(controlled_level_not(1), sites, "cnot")]
-
-
-# ---------------------------------------------------------------------------
-# register plumbing
-
-
-def _append_sites(state: MixedRadixState, new_dims: tuple[int, ...],
-                  new_amps: np.ndarray) -> MixedRadixState:
-    """Tensor fresh sites in a given pure state onto the right of the register."""
-    radix = RadixVector(state.radix.dims + new_dims)
-    return MixedRadixState(radix, np.kron(state.array, new_amps))
-
-
-def _project_site(state: MixedRadixState, site: int, level: int) -> MixedRadixState:
-    """Remove a site that is (up to 1e-9 in weight) guaranteed to sit at `level`."""
-    dims = state.radix.dims
-    psi = state.array.reshape(dims)
-    sl = [slice(None)] * len(dims)
-    sl[site] = level
-    kept = psi[tuple(sl)].copy().reshape(-1)  # the one copy, contiguous, normalised in place
-    norm2 = _norm2(kept)
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ValueError(f"site {site} not disentangled in level {level} (weight {norm2})")
-    kept /= math.sqrt(norm2)
-    new_dims = tuple(d for i, d in enumerate(dims) if i != site)
-    return MixedRadixState(RadixVector(new_dims), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +247,12 @@ def prepare_w2(d: int = 2, keep_ancilla: bool = False) -> MixedRadixState:
         return state
     state = basis_state((d, d), (0, 0))
     state = apply_unitary(state, _uniform_excited_prep(d), [0])
-    state = _append_sites(state, (2,), _PLUS)
+    state = append_sites(state, _PLUS)
     state = apply_unitary(state, gate_cswap(d), [2, 0, 1])
     state = apply_unitary(state, gate_absence_flag(d), [0, 2])
     if keep_ancilla:
         return state
-    return _project_site(state, 2, 0)
+    return project_sites(state, [2], [0])
 
 
 def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> MixedRadixState:
@@ -287,12 +262,9 @@ def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> Mixed
     swaps the block onto the new half conditioned on the ancilla, then
     applies `flag` from each new site to the ancilla.
     """
-    m = state.n_sites
-    d = state.dims[0]
-    state = _append_sites(state, (d,) * m, basis_state((d,) * m, (empty,) * m).array)
-    state = _append_sites(state, (2,), _PLUS)
-    cswap = gate_cswap(d)
-    return apply_ops(state, [GateOp(cswap, (2 * m, i, m + i), "cswap") for i in range(m)]
+    m, d = state.n_sites, state.dims[0]
+    state = append_sites(state, append_sites(basis_state((d,) * m, (empty,) * m), _PLUS))
+    return apply_ops(state, [GateOp(gate_cswap(d), (2 * m, i, m + i), "cswap") for i in range(m)]
                      + [GateOp(flag, (i, 2 * m), "cnot") for i in range(m, 2 * m)])
 
 
@@ -317,7 +289,7 @@ def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixSta
         state = apply_unitary(state, _gate_x(), [2 * n])
     if keep_ancilla:
         return state
-    return _project_site(state, 2 * n, 0)
+    return project_sites(state, [2 * n], [0])
 
 
 def prepare_w(n: int, d: int = 2) -> MixedRadixState:
@@ -371,8 +343,8 @@ def _qubit_w_on_qutrits(n: int) -> MixedRadixState:
         src = _w3_qubit_state()
     else:
         src = w_state_vector(n, 2)
-    return basis_sum_state((3,) * n, ((src.radix.levels_of(int(i)), src.array[i])
-                                      for i in np.nonzero(np.abs(src.array) > 1e-15)[0]))
+    return basis_sum_state((3,) * n, ((src.radix.levels_of(i), a) for i, a
+                                      in zip(src.index.tolist(), src.array) if abs(a) > 1e-15))
 
 
 def codeword_vector(psi, n: int) -> MixedRadixState:
@@ -456,7 +428,7 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
     if n < 1 or n & (n - 1):
         raise ValueError(f"the doubling encoder needs a power-of-two size, got {n}")
     c = _as_logical(psi)
-    state = pure_state((3,), np.array([c[0], c[1], 0.0], dtype=complex))
+    state = basis_sum_state((3,), [((0,), c[0]), ((1,), c[1])])
     flag = gate_presence_flag()
     ancilla_checks = []
     while state.n_sites < n:
@@ -464,7 +436,7 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
         anc = state.n_sites - 1
         if return_ancilla_checks:
             ancilla_checks.append(partial_trace(state, [anc]))
-        state = _project_site(state, anc, 0)
+        state = project_sites(state, [anc], [0])
     if return_ancilla_checks:
         return state, ancilla_checks
     return state
@@ -499,12 +471,8 @@ def erase(state: MixedRadixState, pattern: ErasurePattern):
     if not pattern.erased:
         return ((1.0, state),), pattern
     erased = sorted(pattern.erased)
-    branches = []
-    for levels, prob, post in measure_sites(state, erased):
-        for site, level in reversed(list(zip(erased, levels))):
-            post = _project_site(post, site, level)
-        branches.append((prob, post))
-    return tuple(branches), pattern
+    return tuple((prob, project_sites(post, erased, levels))
+                 for levels, prob, post in measure_sites(state, erased)), pattern
 
 
 def _ensemble(state) -> tuple:
@@ -545,10 +513,10 @@ def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
 def _decoder_branches(branches, n_anc: int, ops) -> list:
     """(weight, state) per branch, with `n_anc` qubit ancillas appended in
     |0...0> and the decoder gates applied."""
-    anc0 = np.zeros(2**n_anc, dtype=complex)
-    anc0[0] = 1.0
-    return [(weight, apply_ops(_append_sites(branch, (2,) * n_anc, anc0), ops))
-            for weight, branch in branches]
+    if n_anc:  # a one-site block needs none
+        anc0 = basis_state((2,) * n_anc, (0,) * n_anc)
+        branches = [(weight, append_sites(branch, anc0)) for weight, branch in branches]
+    return [(weight, apply_ops(branch, ops)) for weight, branch in branches]
 
 
 def _measure_ancillas(branches, n_anc: int, ops) -> list:
@@ -564,9 +532,8 @@ def _measure_ancillas(branches, n_anc: int, ops) -> list:
     combined: dict[int, list[tuple[float, MixedRadixState]]] = {}
     for weight, branch in _decoder_branches(branches, n_anc, ops):
         for levels, prob, post in measure_sites(branch, range(n, n + n_anc)):
-            for site in reversed(range(n, n + n_anc)):
-                post = _project_site(post, site, levels[site - n])
-            combined.setdefault(readout.index_of(levels), []).append((weight * prob, post))
+            combined.setdefault(readout.index_of(levels), []).append(
+                (weight * prob, project_sites(post, range(n, n + n_anc), levels)))
     out = []
     for outcome in sorted(combined):
         parts = combined[outcome]
@@ -696,8 +663,10 @@ def decode_elective(state, target_site: int, keep_ancillas: bool = False):
     out = []
     for weight, branch in _decoder_branches(ensemble, m, ops):
         if not keep_ancillas:
-            # explicit reset: every branch factorizes as qutrits (x) ancillas
-            branch = MixedRadixState(qutrits, _reset_ancillas(branch.array.reshape(3**n, 2**m)))
+            # explicit reset: every branch factorizes as qutrits (x) ancillas, so
+            # a row per qutrit index in the support holds the whole state
+            distinct, joint = support_matrix(branch, range(n, n + m))
+            branch = MixedRadixState(qutrits, distinct, _reset_ancillas(joint))
         out.append((weight, branch))
     return tuple(out), m
 

@@ -27,14 +27,14 @@ PSI = np.array([0.6, 0.8j])
 
 
 def _psi_at(psi, n, site):
-    from daqec.mixed_radix_sim import MixedRadixState, RadixVector
+    from daqec.mixed_radix_sim import RadixVector, pure_state
     radix = RadixVector((3,) * n)
     amps = np.zeros(radix.total_dim, dtype=complex)
     levels = [wsc.BOT] * n
     for lv in (0, 1):
         levels[site] = lv
         amps[radix.index_of(levels)] = psi[lv]
-    return MixedRadixState(radix, amps)
+    return pure_state(radix, amps)
 
 
 def test_criterion_1_decoder_exactness():

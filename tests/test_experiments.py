@@ -427,9 +427,9 @@ OUT_OF_RANGE = [
     ("allocation-report", {"n_p_list": [5], "ell_c_max": 8}),
     ("apples", {"bin_probs": []}),
     ("apples", {"bin_probs": [0.5]}),
-    ("wstate-verify", {"max_total_sites": 11}),
-    ("wstate-verify", {"max_total_sites": 12}),
-    ("wstate-verify", {"max_erasures": 10}),
+    ("wstate-verify", {"max_total_sites": 19}),
+    ("wstate-verify", {"max_total_sites": 20}),
+    ("wstate-verify", {"max_erasures": 18}),
     ("wstate-verify", {"n_unitaries": -5}),
     ("wstate-verify", {"n_random_logical": 0}),
     ("wstate-verify", {"n_unitaries": 10**12}),
@@ -517,12 +517,12 @@ IN_RANGE_EDGES = [
                                     "mean_rate_max": 1.0, "std_factor": 1.0,
                                     "rate_clip_max": 1.0, "lemma_cases": 20},
                  0, id="bound-validate-3"),
-    # the top of the range: an erased 10-site word is a set of pure branches
-    pytest.param("wstate-verify", {"max_total_sites": 10, "n_unitaries": 3,
-                                   "n_random_logical": 1}, 0, id="wstate-verify-10"),
-    # criterion 1 up to nine erasures of a 10-site word, the top of both ranges
-    pytest.param("wstate-verify", {"max_total_sites": 10, "max_erasures": 9, "n_unitaries": 3,
-                                   "n_random_logical": 1}, 0, id="wstate-verify-10-9"),
+    # the top of the range: an erased 18-site word is a set of sparse pure branches
+    pytest.param("wstate-verify", {"max_total_sites": 18, "n_unitaries": 3,
+                                   "n_random_logical": 1}, 0, id="wstate-verify-18"),
+    # criterion 1 up to 17 erasures of an 18-site word, the top of both ranges
+    pytest.param("wstate-verify", {"max_total_sites": 18, "max_erasures": 17, "n_unitaries": 3,
+                                   "n_random_logical": 1}, 0, id="wstate-verify-18-17"),
     # the top of the pnl-sweep ranges: 100 blocks need 13 mask words, and the
     # circuit has over 74,000 ops
     pytest.param("pnl-sweep", {"n_blocks": 100, "depths": [10000]}, 0,
@@ -676,6 +676,38 @@ def test_bounds_stop_a_hang():
         while True:
             grown.append(bytearray(2**20))
     del grown
+
+
+# the wstate-verify caps, set where a run of both decoders over every erasure
+# count takes about 2 s
+WSTATE_TOP = {"max_total_sites": 18, "max_erasures": 17}
+
+
+def test_wstate_verify_top_of_both_ranges_runs_bounded(tmp_path, capsys):
+    params = REGISTRY["wstate-verify"].params
+    assert {name: params[name].hi for name in WSTATE_TOP} == WSTATE_TOP
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "wstate-verify", "params": WSTATE_TOP}))
+    # 3^18 qutrits and 5 ancillas would be 198 GB as dense amplitudes
+    with _bounded(10.0, 2**28):
+        code = main(["wstate-verify", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "wstate-verify.csv") as f:
+        rows = list(csv.DictReader(f))
+    resolved = {name: spec.default for name, spec in params.items()} | WSTATE_TOP
+    assert len(rows) == FUZZ_ROWS["wstate-verify"](resolved)
+    _assert_cells("wstate-verify", resolved, rows)
+
+
+@pytest.mark.parametrize("name", sorted(WSTATE_TOP))
+def test_wstate_verify_cap_plus_one_is_a_config_error(tmp_path, capsys, name):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "wstate-verify",
+                                    "params": {**WSTATE_TOP, name: WSTATE_TOP[name] + 1}}))
+    assert main(["wstate-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and name in err[0]
+    assert not (tmp_path / "wstate-verify.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", sorted(FUZZ_CAPS))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daqec import mixed_radix_sim as mrs
 from daqec.mixed_radix_sim import (
     AMP_EPS,
     GateSpec,
@@ -18,9 +19,21 @@ from daqec.mixed_radix_sim import (
     dump_state,
     embed_unitary,
     fidelity,
+    append_sites,
     measure_sites,
     partial_trace,
+    project_sites,
     pure_state,
+    support_matrix,
+)
+
+from dense_oracle import (
+    dense,
+    dense_apply_unitary,
+    dense_fidelity,
+    dense_measure_sites,
+    dense_partial_trace,
+    dense_project_site,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -39,12 +52,13 @@ def bell_pair():
 
 def test_basis_state_qubits():
     s = basis_state((2, 2), (0, 0))
-    assert s.array[0] == 1.0 and np.count_nonzero(s.array) == 1
+    assert dense(s)[0] == 1.0 and np.count_nonzero(dense(s)) == 1
+    assert s.index.tolist() == [0] and s.array.tolist() == [1.0]
 
 
 def test_basis_state_all_flag_qutrits():
     s = basis_state((3, 3, 3), (2, 2, 2))
-    assert s.array[26] == 1.0  # 2*9 + 2*3 + 2
+    assert dense(s)[26] == 1.0  # 2*9 + 2*3 + 2
 
 
 def test_basis_state_mixed_radix_index():
@@ -52,8 +66,8 @@ def test_basis_state_mixed_radix_index():
     # so (1,1) in radix (3,2) lands at index 1*2 + 1 = 3
     s = basis_state((3, 2), (1, 1))
     ref = np.kron([0, 1, 0], [0, 1])
-    assert np.array_equal(np.nonzero(s.array)[0], np.nonzero(ref)[0])
-    assert np.nonzero(s.array)[0][0] == 3
+    assert np.array_equal(np.nonzero(dense(s))[0], np.nonzero(ref)[0])
+    assert np.nonzero(dense(s))[0][0] == 3
 
 
 def test_basis_state_level_out_of_range():
@@ -62,9 +76,11 @@ def test_basis_state_level_out_of_range():
 
 
 def test_dimension_cap():
-    with pytest.raises(ValueError):
-        basis_state((2,) * 23, (0,) * 23)
-    basis_state((2,) * 23, (0,) * 23, cap=2**23)  # explicit cap raise works
+    # an index must fit in int64: 3^39 < 2^63 < 3^40
+    s = basis_state((3,) * 39, (2,) * 39)
+    assert s.index.tolist() == [3**39 - 1]
+    with pytest.raises(ValueError, match="int64"):
+        basis_state((3,) * 40, (0,) * 40)
 
 
 def test_state_normalization_enforced():
@@ -76,11 +92,12 @@ def test_basis_sum_state_adds_repeated_terms():
     s = basis_sum_state((3, 2), [((2, 1), 0.6), ((0, 0), 0.5j), ((0, 0), 0.3j)])
     ref = np.zeros(6, dtype=complex)
     ref[5], ref[0] = 0.6, 0.8j
-    np.testing.assert_allclose(s.array, ref, atol=1e-15)
+    np.testing.assert_allclose(dense(s), ref, atol=1e-15)
     with pytest.raises(ValueError):  # the sum must be normalized
         basis_sum_state((2,), [((0,), 0.6), ((0,), 0.6)])
-    with pytest.raises(ValueError):  # the same cap as basis_state
-        basis_sum_state((2,) * 23, [((0,) * 23, 1.0)])
+    # terms that cancel leave the support
+    s = basis_sum_state((2, 2), [((1, 1), 1.0), ((0, 1), 0.5), ((0, 1), -0.5)])
+    assert s.index.tolist() == [3]
 
 
 def test_basis_map_gate_literal_matrices():
@@ -118,12 +135,43 @@ def test_radix_vector_index_roundtrip():
 
 def test_state_is_an_amplitude_vector():
     radix = RadixVector((2, 2))
-    rho = np.outer(bell_pair().array, bell_pair().array.conj())
+    rho = np.outer(dense(bell_pair()), dense(bell_pair()).conj())
     with pytest.raises(ValueError):  # a density matrix has the wrong shape
-        MixedRadixState(radix, rho)
-    with pytest.raises(ValueError):  # so has a vector of another register
-        MixedRadixState(radix, np.array([1.0, 0.0]))
-    assert MixedRadixState(radix, bell_pair().array).array.shape == (4,)
+        pure_state(radix, rho)
+    with pytest.raises(ValueError, match="length 4"):  # so has a vector of another register
+        pure_state(radix, np.array([1.0, 0.0]))
+    assert pure_state(radix, dense(bell_pair())).index.tolist() == [0, 3]
+
+
+_HALF = np.array([1.0, 1.0]) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("index, amps, match", [
+    (np.array([0.0, 3.0]), _HALF, "1-D int64"),                      # float indices
+    (np.array([0, 3], dtype=np.int32), _HALF, "1-D int64"),          # a narrower integer
+    ([0, 3], _HALF, "1-D int64"),                                    # not an array
+    (np.array([[0, 3]], dtype=np.int64), _HALF[None], "1-D int64"),  # not 1-D
+    (np.array([3, 0], dtype=np.int64), _HALF, "increase strictly"),  # descending
+    (np.array([3, 3], dtype=np.int64), _HALF, "increase strictly"),  # repeated
+    (np.array([-1, 3], dtype=np.int64), _HALF, "increase strictly"),  # below the register
+    (np.array([0, 4], dtype=np.int64), _HALF, "increase strictly"),  # above the register
+    (np.array([0, 3], dtype=np.int64), np.array([1.0]), "indices but"),
+    (np.array([0, 1, 3], dtype=np.int64), np.array([0.6, 0.8, 0.0, 0.0]), "indices but"),
+    (np.array([0, 3], dtype=np.int64), np.array([1.0, 1.0]), "normalized"),
+])
+def test_state_invariants_are_checked(index, amps, match):
+    with pytest.raises(ValueError, match=match):
+        MixedRadixState(RadixVector((2, 2)), index, amps)
+
+
+def test_state_accepts_its_invariants():
+    s = MixedRadixState(RadixVector((2, 2)), np.array([0, 3], dtype=np.int64), _HALF)
+    assert s.array.dtype == complex and s.index.tolist() == [0, 3]
+    # the register dimension must stay below 2^63, whatever the support
+    with pytest.raises(ValueError, match="int64"):
+        MixedRadixState(RadixVector((2,) * 63), np.array([0], dtype=np.int64), [1.0])
+    top = MixedRadixState(RadixVector((2,) * 61 + (3,)), np.array([3 * 2**61 - 1]), [1.0])
+    assert top.radix.levels_of(int(top.index[0])) == (1,) * 61 + (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +181,21 @@ def test_state_is_an_amplitude_vector():
 def test_apply_identity():
     s = bell_pair()
     out = apply_unitary(s, GateSpec(np.eye(4), (2, 2)), [0, 1])
-    np.testing.assert_allclose(out.array, s.array, atol=1e-12)
+    np.testing.assert_allclose(dense(out), dense(s), atol=1e-12)
 
 
 def test_u02_involution():
     g = GateSpec(U02, (3,))
     s = basis_state((3,), (2,))
     once = apply_unitary(s, g, [0])
-    np.testing.assert_allclose(once.array, [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(dense(once), [1, 0, 0], atol=1e-12)
     twice = apply_unitary(once, g, [0])
-    np.testing.assert_allclose(twice.array, s.array, atol=1e-12)
+    np.testing.assert_allclose(dense(twice), dense(s), atol=1e-12)
 
 
 def test_hadamard_on_zero():
     s = apply_unitary(basis_state((2,), (0,)), GateSpec(H, (2,)), [0])
-    np.testing.assert_allclose(s.array, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
+    np.testing.assert_allclose(dense(s), [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
 
 
 def test_apply_unitary_dimension_mismatch():
@@ -175,19 +223,19 @@ def test_gate_site_permutation_consistency(rng):
     swapped = np.transpose(g.matrix.reshape(3, 3, 3, 3), (1, 0, 3, 2)).reshape(9, 9)
     a = apply_unitary(s, g, [1, 2])
     b = apply_unitary(s, GateSpec(swapped, (3, 3)), [2, 1])
-    np.testing.assert_allclose(a.array, b.array, atol=1e-10)
+    np.testing.assert_allclose(dense(a), dense(b), atol=1e-10)
 
 
 def test_operations_leave_their_input_unchanged(rng):
     dims = (2, 3, 2)
     v = rng.normal(size=12) + 1j * rng.normal(size=12)
     s = pure_state(dims, v / np.linalg.norm(v))
-    before = s.array.copy()
+    before = (s.index.copy(), s.array.copy())
     apply_unitary(s, _random_gate(rng, (3, 2)), [1, 2])
     measure_sites(s, [0, 2])
     measure_sites(s, [1], rng=rng)
     partial_trace(s, [1])
-    assert np.array_equal(s.array, before)
+    assert np.array_equal(s.index, before[0]) and np.array_equal(s.array, before[1])
 
 
 def test_gate_spec_rejects_non_unitary():
@@ -205,7 +253,7 @@ def test_gate_spec_rejects_perm_that_is_not_its_matrix():
 
 def test_apply_permutations_takes_permutation_gates_only():
     s = bell_pair()
-    assert np.array_equal(apply_permutations(s, []).array, s.array)
+    assert np.array_equal(dense(apply_permutations(s, [])), dense(s))
     with pytest.raises(ValueError, match="permutation gates only"):
         apply_permutations(s, [(GateSpec(H, (2,)), (0,))])
 
@@ -225,7 +273,7 @@ def test_measure_no_sites_is_the_one_empty_outcome():
     s = bell_pair()
     [(levels, p, post)] = measure_sites(s, [])
     assert levels == () and abs(p - 1.0) < 1e-12
-    np.testing.assert_allclose(post.array, s.array, atol=1e-12)
+    np.testing.assert_allclose(dense(post), dense(s), atol=1e-12)
     levels, p, _ = measure_sites(s, [], rng=np.random.default_rng(0))
     assert levels == () and abs(p - 1.0) < 1e-12
 
@@ -266,7 +314,7 @@ def test_measure_probabilities_sum_to_one(rng):
     res = measure_sites(s, [0, 2])
     assert abs(sum(p for _, p, _ in res) - 1.0) < 1e-9
     for _, p, post in res:
-        assert abs(np.linalg.norm(post.array) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(dense(post)) - 1.0) < 1e-9
 
 
 def test_measure_sampling_matches_enumeration(rng):
@@ -294,7 +342,7 @@ def test_measure_commutes_with_unitary_on_other_sites(rng):
     assert [levels for levels, _, _ in first] == [levels for levels, _, _ in second]
     for (_, p, post), (_, q, ref) in zip(first, second):
         assert abs(p - q) < 1e-12
-        np.testing.assert_allclose(post.array, ref.array, atol=1e-10)
+        np.testing.assert_allclose(dense(post), dense(ref), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +443,10 @@ def test_fidelity_is_symmetric_overlap_squared(rng):
     sa = pure_state(dims, a / np.linalg.norm(a))
     sb = pure_state(dims, b / np.linalg.norm(b))
     f = fidelity(sa, sb)
-    assert abs(f - abs(np.vdot(sa.array, sb.array)) ** 2) < 1e-12
+    assert abs(f - abs(np.vdot(dense(sa), dense(sb))) ** 2) < 1e-12
     assert abs(fidelity(sb, sa) - f) < 1e-12
     # blind to a global phase
-    assert abs(fidelity(pure_state(dims, np.exp(0.7j) * sa.array), sb) - f) < 1e-12
+    assert abs(fidelity(pure_state(dims, np.exp(0.7j) * dense(sa)), sb) - f) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +469,7 @@ def test_norm_preservation_random_circuits(rng):
             k = int(rng.integers(1, 3))
             sites = tuple(rng.choice(len(dims), size=k, replace=False))
             s = apply_unitary(s, _random_gate(rng, tuple(dims[i] for i in sites)), sites)
-        assert abs(np.linalg.norm(s.array) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(dense(s)) - 1.0) < 1e-9
 
 
 def test_embed_unitary_fixes_upper_levels():
@@ -457,13 +505,13 @@ def _digits(radix):
 
 def _oracle_measure(state, sites):
     digits = _digits(state.radix)
-    weights = np.abs(state.array) ** 2
+    weights = np.abs(dense(state)) ** 2
     out = []
     for levels in itertools.product(*(range(state.dims[s]) for s in sites)):
         mask = np.all(digits[:, list(sites)] == levels, axis=1)
         p = float(np.sum(weights[mask]))
         if p > AMP_EPS:
-            out.append((levels, p, state.array * mask / math.sqrt(p)))
+            out.append((levels, p, dense(state) * mask / math.sqrt(p)))
     return out
 
 
@@ -473,7 +521,7 @@ def _oracle_partial_trace(state, keep):
     digits = _digits(state.radix)
     kept = RadixVector(tuple(state.dims[s] for s in keep))
     k_idx = [kept.index_of(row) for row in digits[:, keep]]
-    rho = np.outer(state.array, state.array.conj())
+    rho = np.outer(dense(state), dense(state).conj())
     out = np.zeros((kept.total_dim, kept.total_dim), dtype=complex)
     for i in range(state.radix.total_dim):
         for j in range(state.radix.total_dim):
@@ -502,7 +550,7 @@ def test_site_operations_match_index_mask_oracle(register):
     assert [levels for levels, _, _ in res] == [levels for levels, _, _ in ref]
     for (_, p, post), (_, p_ref, post_ref) in zip(res, ref):
         assert abs(p - p_ref) < 1e-12
-        np.testing.assert_allclose(post.array, post_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(post), post_ref, rtol=0, atol=1e-12)
     if sites:
         np.testing.assert_allclose(partial_trace(s, sites), _oracle_partial_trace(s, sites),
                                    rtol=0, atol=1e-12)
@@ -535,8 +583,8 @@ def test_apply_unitary_matches_full_matrix_oracle(register, seed, permutation):
     sites = sites[:3] or (s.n_sites - 1,)
     build = _random_permutation_gate if permutation else _random_gate
     g = build(np.random.default_rng(seed), tuple(s.dims[k] for k in sites))
-    np.testing.assert_allclose(apply_unitary(s, g, sites).array,
-                               _oracle_full_matrix(s.radix, g, sites) @ s.array,
+    np.testing.assert_allclose(dense(apply_unitary(s, g, sites)),
+                               _oracle_full_matrix(s.radix, g, sites) @ dense(s),
                                rtol=0, atol=1e-12)
 
 
@@ -548,12 +596,270 @@ def test_fidelity_and_partial_trace_match_blas_oracles(register, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=a.radix.total_dim) + 1j * rng.normal(size=a.radix.total_dim)
     b = pure_state(a.dims, v / np.linalg.norm(v))
-    np.testing.assert_allclose(fidelity(a, b), abs(np.vdot(b.array, a.array)) ** 2,
+    np.testing.assert_allclose(fidelity(a, b), abs(np.vdot(dense(b), dense(a))) ** 2,
                                rtol=1e-12, atol=0)
     if sites:
         keep = sorted(sites)
         rest = [s for s in range(a.n_sites) if s not in keep]
-        rows = np.transpose(a.array.reshape(a.dims), keep + rest).reshape(
+        rows = np.transpose(dense(a).reshape(a.dims), keep + rest).reshape(
             math.prod(a.dims[s] for s in keep), -1)
         np.testing.assert_allclose(partial_trace(a, keep), rows @ rows.conj().T,
                                    rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the sparse simulator against the dense reference
+
+
+@st.composite
+def _sparse_registers(draw, max_sites=6):
+    """A random state of a random mixed-radix register of up to `max_sites`
+    sites, on a random support, and a random ordered subset of its sites."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3, 4)), min_size=1, max_size=max_sites)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = math.prod(dims)
+    index = np.sort(rng.choice(total, size=draw(st.integers(1, min(total, 64))), replace=False))
+    amps = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    order = tuple(draw(st.permutations(range(len(dims)))))
+    sites = order[:draw(st.integers(0, len(dims)))]
+    state = MixedRadixState(RadixVector(dims), index.astype(np.int64), amps / np.linalg.norm(amps))
+    return state, sites
+
+
+def _assert_support(state):
+    """Indices strictly increasing and no amplitude exactly zero."""
+    assert np.all(np.diff(state.index) > 0) and np.all(state.array != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_registers(), st.integers(0, 2**32 - 1), st.booleans())
+def test_apply_unitary_matches_dense_oracle(register, seed, permutation):
+    s, sites = register
+    sites = sites[:3] or (s.n_sites - 1,)
+    build = _random_permutation_gate if permutation else _random_gate
+    g = build(np.random.default_rng(seed), tuple(s.dims[k] for k in sites))
+    out = apply_unitary(s, g, sites)
+    _assert_support(out)
+    ref = dense_apply_unitary(dense(s), s.dims, g, sites)
+    if permutation:  # a permutation moves amplitudes without arithmetic
+        assert np.array_equal(dense(out), ref)
+    else:
+        np.testing.assert_allclose(dense(out), ref, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_registers(), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_apply_permutations_matches_dense_oracle(register, seed, n_steps):
+    s, _ = register
+    rng = np.random.default_rng(seed)
+    steps = []
+    for _ in range(n_steps):
+        sites = tuple(int(k) for k in rng.permutation(s.n_sites)[:rng.integers(1, 4)])
+        steps.append((_random_permutation_gate(rng, tuple(s.dims[k] for k in sites)), sites))
+    out = apply_permutations(s, steps)
+    _assert_support(out)
+    ref = dense(s)
+    for gate, sites in steps:
+        ref = dense_apply_unitary(ref, s.dims, gate, sites)
+    assert np.array_equal(dense(out), ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_registers(), st.integers(0, 2**32 - 1))
+def test_measure_sites_matches_dense_oracle(register, seed):
+    s, sites = register
+    res, ref = measure_sites(s, sites), dense_measure_sites(dense(s), s.dims, sites)
+    assert [levels for levels, _, _ in res] == [levels for levels, _, _ in ref]
+    for (_, p, post), (_, p_ref, post_ref) in zip(res, ref):
+        np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dense(post), post_ref, rtol=1e-12, atol=0)
+        assert post.radix == s.radix
+    # a sampled outcome is the one the same generator draws from the dense weights
+    levels, p, post = measure_sites(s, sites, rng=np.random.default_rng(seed))
+    levels_ref, p_ref, post_ref = dense_measure_sites(dense(s), s.dims, sites,
+                                                      rng=np.random.default_rng(seed))
+    assert levels == levels_ref
+    np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dense(post), post_ref, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_registers(), st.integers(0, 2**32 - 1), st.booleans())
+def test_partial_trace_and_fidelity_match_dense_oracle(register, seed, same_support):
+    a, sites = register
+    if sites:
+        np.testing.assert_allclose(partial_trace(a, sites),
+                                   dense_partial_trace(dense(a), a.dims, sites),
+                                   rtol=1e-12, atol=0)
+    # a second state of the same register, on a's support or on its own
+    rng = np.random.default_rng(seed)
+    total = a.radix.total_dim
+    index = a.index if same_support else np.sort(
+        rng.choice(total, size=rng.integers(1, min(total, 64) + 1), replace=False))
+    amps = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    b = MixedRadixState(a.radix, index.astype(np.int64), amps / np.linalg.norm(amps))
+    np.testing.assert_allclose(fidelity(a, b), dense_fidelity(dense(a), dense(b)),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fidelity(b, a), fidelity(a, b), rtol=1e-12, atol=0)
+
+
+def test_dense_gate_merges_candidates_and_drops_exact_zeros():
+    # H on |+> meets |0> twice and |1> with opposite signs: one amplitude left
+    plus = apply_unitary(basis_state((3, 2), (1, 0)), GateSpec(H, (2,)), [1])
+    assert plus.index.tolist() == [2, 3]
+    back = apply_unitary(plus, GateSpec(H, (2,)), [1])
+    assert back.index.tolist() == [2] and abs(back.array[0] - 1.0) < 1e-15
+
+
+def test_gate_tables_are_sized_by_the_gate():
+    # the per-gate tables hold one entry per basis state of the gate's sites,
+    # however large the register
+    dims = (3,) * 39
+    s = basis_state(dims, (2,) * 39)
+    swap = basis_map_gate((3, 3), lambda x: (x[1], x[0]))
+    out = apply_permutations(apply_unitary(s, _random_gate(np.random.default_rng(0), (3,)), [7]),
+                             [(swap, (7, 38))])
+    assert out.index.size == 3
+    assert mrs._offsets(dims, (7, 38)).size == 9
+    assert mrs._moves(dims, (7, 38), swap.perm).size == 9
+
+
+def test_measure_sites_enumerates_only_occurring_outcomes():
+    # sixteen measured qutrits have 3^16 outcomes; a two-entry state has two
+    dims = (3,) * 30
+    s = basis_sum_state(dims, [((0,) * 30, 0.6), ((1,) * 16 + (2,) * 14, 0.8)])
+    res = measure_sites(s, range(16))
+    assert [levels for levels, _, _ in res] == [(0,) * 16, (1,) * 16]
+    assert [round(p, 12) for _, p, _ in res] == [0.36, 0.64]
+    assert all(post.index.size == 1 for _, _, post in res)
+
+
+def test_builders_check_the_norm_tighter_than_the_state():
+    # a builder takes 1e-10, a state 1e-8, so that rounding in gates that pass
+    # the 1e-10 unitarity check never refuses a state
+    amps = np.array([math.sqrt(1 - 5e-10), 0.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        pure_state((2,), amps)
+    assert MixedRadixState(RadixVector((2,)), np.array([0], dtype=np.int64), amps[:1]).index.size == 1
+    with pytest.raises(ValueError, match="not normalized"):
+        MixedRadixState(RadixVector((2,)), np.array([0], dtype=np.int64), [math.sqrt(1 - 2e-8)])
+
+
+def test_gate_at_the_unitarity_tolerance_applies_to_a_state():
+    # U = I + cJ (J all ones, 9x9) has every entry of U^H U - I equal to
+    # 2c + 9c^2 = 0.9e-10, inside the gate's check; on the uniform state of its
+    # two sites it lifts |psi|^2 by nine times that, past ATOL_CONSTRUCT
+    delta = 0.9e-10
+    c = (math.sqrt(4 + 36 * delta) - 2) / 18
+    gate = GateSpec(np.eye(9) + c * np.ones((9, 9)), (3, 3))
+    state = basis_sum_state((3, 3, 2), [((i, j, 0), 1 / 3) for i in range(3) for j in range(3)])
+    out = apply_unitary(state, gate, [0, 1])
+    norm2 = float(np.sum(np.abs(out.array) ** 2))
+    assert mrs.ATOL_CONSTRUCT < norm2 - 1.0 < mrs.ATOL_STATE
+
+
+@pytest.mark.parametrize("site", [0, 1, 2])
+def test_project_site_copies_once_and_keeps_the_old_bits(site):
+    # first, middle and last site of a register: the input is left as it was,
+    # and the kept amplitudes are the dense slice renormalised, bit for bit
+    dims = (3, 2, 3)
+    rest = tuple(d for i, d in enumerate(dims) if i != site)
+    rng = np.random.default_rng(site)
+    amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
+    psi = np.zeros(dims, dtype=complex)
+    at_level = (slice(None),) * site + (1,)
+    psi[at_level] = amps / np.linalg.norm(amps) * math.sqrt(1 - 5e-10)  # renormalising moves bits
+    flat = psi.reshape(-1)
+    index = np.flatnonzero(flat)
+    state = MixedRadixState(RadixVector(dims), index, flat[index])
+    before = state.index.tobytes() + state.array.tobytes()
+    out = project_sites(state, [site], [1])
+    assert state.index.tobytes() + state.array.tobytes() == before
+    kept = psi[at_level].reshape(-1)
+    assert out.radix.dims == rest
+    assert dense(out).tobytes() == (kept / math.sqrt(mrs._norm2(kept))).tobytes()
+    with pytest.raises(ValueError, match="not disentangled"):
+        project_sites(state, [site], [0])
+
+
+@st.composite
+def _states_with_a_fixed_site(draw):
+    """A random state on up to 6 mixed-radix sites whose site `site` sits at
+    `level` but for a weight of up to 1e-10 at another level."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3, 4)), min_size=2, max_size=6)))
+    site = draw(st.integers(0, len(dims) - 1))
+    level = draw(st.integers(0, dims[site] - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = RadixVector(dims[:site] + dims[site + 1:])
+    kept = np.sort(rng.choice(rest.total_dim, size=rng.integers(1, min(rest.total_dim, 40) + 1),
+                              replace=False))
+    amps = rng.normal(size=kept.size) + 1j * rng.normal(size=kept.size)
+    off = draw(st.floats(0.0, 1e-10))
+    psi = np.zeros(dims, dtype=complex)
+    np.moveaxis(psi, site, 0)[level].flat[kept] = amps * math.sqrt(1.0 - off) / np.linalg.norm(amps)
+    np.moveaxis(psi, site, 0)[(level + 1) % dims[site]].flat[kept[0]] = math.sqrt(off)
+    return pure_state(RadixVector(dims), psi.reshape(-1)), site, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states_with_a_fixed_site())
+def test_project_site_matches_dense_oracle(case):
+    state, site, level = case
+    out = project_sites(state, [site], [level])
+    assert out.radix.dims == state.dims[:site] + state.dims[site + 1:]
+    assert np.all(np.diff(out.index) > 0)
+    ref = dense_project_site(dense(state), state.dims, site, level)
+    np.testing.assert_allclose(dense(out), ref, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="not disentangled"):
+        project_sites(state, [site], [(level + 1) % state.dims[site]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_registers(), st.integers(0, 2**32 - 1))
+def test_project_sites_matches_dense_oracle(register, seed):
+    # several sites in any order: fix them at random levels, then drop them
+    state, sites = register
+    if not 0 < len(sites) < state.n_sites:
+        return
+    rng = np.random.default_rng(seed)
+    levels = [int(rng.integers(state.dims[s])) for s in sites]
+    psi = dense(state).reshape(state.dims).copy()
+    for s, level in zip(sites, levels):
+        np.moveaxis(psi, s, 0)[np.arange(state.dims[s]) != level] = 0
+    if not psi.any():
+        return
+    flat = psi.reshape(-1) / np.linalg.norm(psi)
+    fixed = MixedRadixState(state.radix, np.flatnonzero(flat), flat[np.flatnonzero(flat)])
+    out = project_sites(fixed, sites, levels)
+    rest = [s for s in range(state.n_sites) if s not in sites]
+    assert out.radix.dims == tuple(state.dims[s] for s in rest)
+    _assert_support(out)
+    ref = psi[tuple(levels[sites.index(s)] if s in sites else slice(None)
+                    for s in range(state.n_sites))].reshape(-1)
+    np.testing.assert_allclose(dense(out), ref / np.linalg.norm(ref), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_registers(max_sites=3), _sparse_registers(max_sites=3))
+def test_append_sites_is_the_kron_product(first, second):
+    a, b = first[0], second[0]
+    out = append_sites(a, b)
+    assert out.radix.dims == a.dims + b.dims
+    _assert_support(out)
+    # one product per amplitude, rounded as kron's up to a SIMD complex multiply
+    np.testing.assert_allclose(dense(out), np.kron(dense(a), dense(b)), rtol=1e-15, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_registers())
+def test_support_matrix_is_the_dense_matricization(register):
+    # columns over the sites' basis in the given order, rows over the other
+    # sites' digit strings that occur: the nonzero rows of the dense reshape
+    state, sites = register
+    rest = [s for s in range(state.n_sites) if s not in sites]
+    cols = math.prod(state.dims[s] for s in sites)
+    ref = np.moveaxis(dense(state).reshape(state.dims), rest + list(sites),
+                      range(state.n_sites)).reshape(-1, cols)
+    rows, matrix = support_matrix(state, sites)
+    assert rows.tolist() == np.flatnonzero(np.any(ref != 0, axis=1)).tolist()
+    assert np.array_equal(matrix, ref[rows])

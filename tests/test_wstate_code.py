@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from daqec import experiments
+from daqec import mixed_radix_sim as mrs
 from daqec import wstate_code as wsc
 from daqec.mixed_radix_sim import (
     GateSpec,
@@ -12,6 +15,7 @@ from daqec.mixed_radix_sim import (
     RadixVector,
     apply_unitary,
     basis_state,
+    dump_state,
     fidelity,
     partial_trace,
     pure_state,
@@ -51,6 +55,8 @@ from daqec.wstate_code import (
     w_state_vector,
 )
 
+from dense_oracle import dense, oracle_apply_ops, oracle_apply_unitary
+
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 PSI = np.array([0.6, 0.8j])
 
@@ -62,7 +68,7 @@ def psi_at_site(psi, n, site):
     for lv in (0, 1):
         levels[site] = lv
         amps[radix.index_of(levels)] = psi[lv]
-    return MixedRadixState(radix, amps)
+    return pure_state(radix, amps)
 
 
 def decoded_site_fidelity(branches, site, psi):
@@ -74,7 +80,7 @@ def decoded_site_fidelity(branches, site, psi):
 
 def density_of(branches):
     """Sum of w |v><v| over weighted pure branches."""
-    return sum(w * np.outer(v.array, v.array.conj()) for w, v in branches)
+    return sum(w * np.outer(dense(v), dense(v).conj()) for w, v in branches)
 
 
 def assert_pure_branches(branches, dims):
@@ -90,25 +96,25 @@ def assert_pure_branches(branches, dims):
 
 def test_u02_action():
     out = apply_unitary(basis_state((3,), (2,)), gate_u02(), [0])
-    np.testing.assert_allclose(out.array, [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(dense(out), [1, 0, 0], atol=1e-12)
 
 
 def test_uenc_on_basis_one():
     g = gate_uenc([1, 0])
     out = apply_unitary(basis_state((3,), (1,)), g, [0])
-    np.testing.assert_allclose(out.array, [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(dense(out), [1, 0, 0], atol=1e-12)
 
 
 def test_uenc_identity_when_psi_is_one():
     g = gate_uenc([0, 1])
     out = apply_unitary(basis_state((3,), (1,)), g, [0])
-    np.testing.assert_allclose(out.array, [0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(dense(out), [0, 1, 0], atol=1e-12)
 
 
 def test_uenc_superposition_action():
     psi = np.array([1, 1]) / math.sqrt(2)
     out = apply_unitary(basis_state((3,), (1,)), gate_uenc(psi), [0])
-    np.testing.assert_allclose(out.array, [1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-12)
+    np.testing.assert_allclose(dense(out), [1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-12)
 
 
 def test_venc_matches_uenc_structure():
@@ -144,13 +150,13 @@ def test_prepare_w2_rejects_bad_dimension():
 def test_presence_pair_flag_level_leaves_ancilla():
     s = basis_state((3, 2), (2, 0))
     s = apply_ops(s, presence_pair(0, 1))
-    np.testing.assert_allclose(s.array, basis_state((3, 2), (2, 0)).array, atol=1e-12)
+    np.testing.assert_allclose(dense(s), dense(basis_state((3, 2), (2, 0))), atol=1e-12)
 
 
 def test_presence_pair_content_flips_ancilla():
     s = basis_state((3, 2), (0, 0))
     s = apply_ops(s, presence_pair(0, 1))
-    np.testing.assert_allclose(s.array, basis_state((3, 2), (0, 1)).array, atol=1e-12)
+    np.testing.assert_allclose(dense(s), dense(basis_state((3, 2), (0, 1))), atol=1e-12)
 
 
 def test_presence_pair_coherent_no_entanglement():
@@ -160,7 +166,7 @@ def test_presence_pair_coherent_no_entanglement():
     s = apply_ops(s, presence_pair(0, 1))
     ref = np.zeros(6, dtype=complex)
     ref[1] = ref[3] = 1 / math.sqrt(2)  # (|0>+|1>) x |1>
-    np.testing.assert_allclose(s.array, ref, atol=1e-12)
+    np.testing.assert_allclose(dense(s), ref, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,7 @@ def test_scale_w_doubles_qubit_w():
     s = scale_w(prepare_w2(2))
     ref = w_state_vector(4, 2)
     assert abs(fidelity(s, ref) - 1.0) < 1e-10
-    np.testing.assert_allclose(np.sort(np.abs(s.array[np.abs(s.array) > 1e-12])),
+    np.testing.assert_allclose(np.sort(np.abs(dense(s)[np.abs(dense(s)) > 1e-12])),
                                [0.5] * 4, atol=1e-10)
 
 
@@ -218,7 +224,7 @@ def test_prepare_w_matches_direct(n, d):
 
 def test_prepare_w_uniform_amplitudes():
     s = prepare_w(8, 2)
-    nz = s.array[np.abs(s.array) > 1e-12]
+    nz = dense(s)[np.abs(dense(s)) > 1e-12]
     np.testing.assert_allclose(np.abs(nz), [1 / math.sqrt(8)] * 8, atol=1e-10)
 
 
@@ -319,7 +325,7 @@ def test_encode_alt_rejects_non_power_of_two():
 def test_logical_identity():
     w = encode(PSI, 3)
     out = logical_unitary(w, np.eye(2))
-    np.testing.assert_allclose(out.array, w.array, atol=1e-12)
+    np.testing.assert_allclose(dense(out), dense(w), atol=1e-12)
 
 
 def test_logical_x():
@@ -349,7 +355,7 @@ def test_permutation_invariance(rng):
     for n in (3, 4):
         w = encode(PSI, n)
         perm = tuple(rng.permutation(n))
-        permuted = MixedRadixState(w.radix, np.transpose(w.array.reshape(w.dims), perm).ravel())
+        permuted = pure_state(w.radix, np.transpose(dense(w).reshape(w.dims), perm).ravel())
         assert abs(fidelity(permuted, codeword_vector(PSI, n)) - 1.0) < 1e-9
 
 
@@ -384,29 +390,6 @@ def test_erase_two_of_three():
 def test_erase_all_sites_rejected():
     with pytest.raises(ValueError):
         erase(encode(PSI, 3), ErasurePattern({0, 1, 2}))
-
-
-@pytest.mark.parametrize("site", [0, 1, 2])
-def test_project_site_copies_once_and_keeps_the_old_bits(site):
-    # first, middle and last site of a register; the last site's slice is a
-    # strided view and the first site's a contiguous one, which the in-place
-    # renormalisation must not write through
-    dims = (3, 2, 3)
-    rest = tuple(d for i, d in enumerate(dims) if i != site)
-    rng = np.random.default_rng(site)
-    amps = rng.normal(size=rest) + 1j * rng.normal(size=rest)
-    psi = np.zeros(dims, dtype=complex)
-    at_level = (slice(None),) * site + (1,)
-    psi[at_level] = amps / np.linalg.norm(amps) * math.sqrt(1 - 5e-10)  # renormalising moves bits
-    state = MixedRadixState(RadixVector(dims), psi.reshape(-1))
-    before = state.array.tobytes()
-    out = wsc._project_site(state, site, 1)
-    assert state.array.tobytes() == before
-    kept = psi[at_level].reshape(-1)
-    assert out.radix.dims == rest
-    assert out.array.tobytes() == (kept / math.sqrt(wsc._norm2(kept))).tobytes()
-    with pytest.raises(ValueError, match="not disentangled"):
-        wsc._project_site(state, site, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +507,7 @@ def test_decode_elective_ancilla_factorization_pure():
         assert weight == 1.0
         qudits = list(range(n))
         ancillas = list(range(n, n + m))
-        rho_joint = np.outer(joint.array, joint.array.conj())
+        rho_joint = np.outer(dense(joint), dense(joint).conj())
         rho_a = partial_trace(joint, ancillas)
         rho_q = partial_trace(joint, qudits)
         delta = rho_joint - np.kron(rho_q, rho_a)
@@ -537,7 +520,7 @@ def test_decode_elective_ancilla_factorization_pure():
 
 def test_decode_elective_factorization_odd_n():
     ((_, joint),), m = decode_elective(encode(PSI, 3), 0, keep_ancillas=True)
-    mat = joint.array.reshape(27, 2**m)
+    mat = dense(joint).reshape(27, 2**m)
     s = np.linalg.svd(mat, compute_uv=False)
     assert s[1] < 1e-9  # Schmidt rank one across the ancilla cut
 
@@ -566,11 +549,11 @@ def test_coherent_flag_superposition_not_mistaken_for_erasure():
     # a pure superposition with the all-flag state is not an erased
     # codeword; the measurement decoder still reads half its weight as
     # heralded failure and splits the rest over the two sites
-    cw = encode(PSI, 2).array
+    cw = dense(encode(PSI, 2))
     bot = np.zeros(9, dtype=complex)
     bot[RadixVector((3, 3)).index_of((2, 2))] = 1.0
     v = (cw + bot) / math.sqrt(2)
-    pure = MixedRadixState(RadixVector((3, 3)), v)
+    pure = pure_state(RadixVector((3, 3)), v)
     out_pure = decode_measure(pure)
     pp = {b.outcome: b.probability for b in out_pure.branches}
     assert set(pp) == {0, 1, 2}
@@ -649,7 +632,7 @@ def test_erase_branches_match_partial_trace_oracle(case):
     rho = density_of(branches)
     np.testing.assert_allclose(rho, partial_trace(word, survivors), rtol=0, atol=1e-10)
     with pytest.raises(ValueError):  # a state is an amplitude vector, never a density
-        MixedRadixState(RadixVector(dims), rho)
+        pure_state(RadixVector(dims), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -687,18 +670,6 @@ def test_erasure_pattern_position_does_not_matter():
 
 # ---------------------------------------------------------------------------
 # fused permutation runs against the gate-by-gate oracle
-
-
-def oracle_apply_unitary(state, gate, sites):
-    """apply_unitary contracting the gate's matrix, whether or not it is a permutation."""
-    return apply_unitary(state, GateSpec(gate.matrix, gate.site_dims), sites)
-
-
-def oracle_apply_ops(state, ops, apply=oracle_apply_unitary):
-    """The op-by-op loop that apply_ops fuses."""
-    for op in ops:
-        state = apply(state, op.gate, op.sites)
-    return state
 
 
 # what the seven cached permutation builders give
@@ -770,8 +741,9 @@ def _op_lists(draw):
 @given(_op_lists())
 def test_apply_ops_matches_gate_by_gate_oracle_bit_for_bit(case):
     ops, states = case
-    for state in states + states:  # the second pass runs from the memo
-        assert np.array_equal(apply_ops(state, ops).array, oracle_apply_ops(state, ops).array)
+    for state in states + states:  # the second pass reads the cached gate tables
+        out, ref = apply_ops(state, ops), oracle_apply_ops(state, ops)
+        assert np.array_equal(out.index, ref.index) and np.array_equal(out.array, ref.array)
 
 
 def _wstate_verify_csv(out):
@@ -798,8 +770,8 @@ def test_wstate_verify_csv_is_byte_identical_to_the_gate_by_gate_oracle(tmp_path
 
 
 def test_wstate_verify_makes_no_blas_contraction(tmp_path, monkeypatch):
-    # register-sized contractions use einsum; a BLAS call would leave threaded
-    # BLAS workers spinning after it
+    # the W-code path contracts only supports and small ancilla matrices, with
+    # numpy's own kernels; a threaded BLAS would leave its workers spinning
     shipped = _wstate_verify_csv(tmp_path / "shipped")
 
     def refuse(*args, **kwargs):
@@ -860,3 +832,85 @@ def test_ancilla_reset_matches_svd_oracle(case):
     data = wsc._reset_ancillas(joint)
     assert abs(np.vdot(data, data) - 1.0) < 1e-12
     assert abs(np.vdot(ref, data)) ** 2 >= 1.0 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the elective reset from the support against the dense reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(_erased_words(), st.integers(0, 5))
+def test_elective_reset_matches_svd_reset_oracle(case, target):
+    # decode_elective resets each branch from its support; the oracle takes the
+    # SVD of the dense (qutrits, ancillas) matrix of the same joint state
+    word, pattern = case
+    branches, _ = erase(word, pattern)
+    n = branches[0][1].n_sites
+    target %= n
+    joints, m = decode_elective(branches, target, keep_ancillas=True)
+    try:
+        refs = [svd_reset_oracle(dense(joint).reshape(3**n, 2**m)) for _, joint in joints]
+    except ValueError:
+        with pytest.raises(ValueError, match="entangled"):
+            decode_elective(branches, target)
+        return
+    post, _ = decode_elective(branches, target)
+    assert [w for w, _ in post] == [w for w, _ in joints]
+    for (_, data), ref in zip(post, refs):
+        assert data.radix.dims == (3,) * n
+        assert abs(np.vdot(ref, dense(data))) ** 2 >= 1.0 - 1e-12
+
+
+def test_dump_state_of_a_codeword_is_pinned():
+    # one line per amplitude: index, digits, real and imaginary part to 17 digits
+    assert dump_state(codeword_vector(PSI, 3)) == "\n".join([
+        "8\t022\t0.34641016151377552\t0",
+        "17\t122\t0\t0.46188021535170071",
+        "20\t202\t0.34641016151377552\t0",
+        "23\t212\t0\t0.46188021535170071",
+        "24\t220\t0.34641016151377552\t0",
+        "25\t221\t0\t0.46188021535170071",
+    ])
+
+
+def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
+    # a 10-site word has 2n = 20 nonzero amplitudes; encoding, erasing up to 9
+    # sites and both decoders keep every state within that, ancillas included
+    supports = []
+    check = MixedRadixState.__post_init__
+
+    def recording(state):
+        check(state)
+        supports.append(state.index.size)
+
+    monkeypatch.setattr(MixedRadixState, "__post_init__", recording)
+    word = encode(PSI, 10)
+    for n_e in range(10):
+        state, _ = erase(word, ErasurePattern(range(10 - n_e, 10)))
+        assert abs(decode_measure(state).success_probability - (10 - n_e) / 10) < 1e-9
+        post, _ = decode_elective(state, 0)
+        assert abs(ensemble_fidelity(post, psi_at_site(PSI, 10 - n_e, 0))
+                   - (10 - n_e) / 10) < 1e-9
+    assert len(supports) > 1000
+    assert max(supports) == 20
+
+
+def test_perfbench_tracer_observes_the_sparse_states():
+    # the benchmark's tracer reads `state.array.nbytes` of each state handed to
+    # the simulator's traced functions; this fails in the tests if that breaks
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tr = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tr)
+    red, _ = erase(encode(PSI, 4), ErasurePattern({3}))
+    with tr.Tracer("t") as t:
+        out = decode_measure(red)
+    names = [s[1] for s in t.spans]
+    assert "mixed_radix_sim.apply_unitary" in names and "mixed_radix_sim.measure_sites" in names
+    # measure_sites sees each branch with its ancillas, the largest states of the run
+    ops, m = measure_decoder_ops(3)
+    largest = max(v.index.size for _, v in wsc._decoder_branches(red, m, ops))
+    assert largest == 6
+    assert t.counters["mixed_radix_sim.max_state_bytes"] == 16 * largest
+    assert abs(out.success_probability - 3 / 4) < 1e-9
+    assert wsc.measure_sites is mrs.measure_sites  # the tracer put it back
