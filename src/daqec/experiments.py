@@ -39,12 +39,12 @@ from .mixed_radix_sim import basis_sum_state, fidelity
 DEFAULT_SEED = 20250811
 # Version of the draws behind the Monte Carlo outputs, written into every
 # summary. Scheme 1: pnl-sweep drew one uniform per trial for every noisy CNOT.
-# Scheme 2: it draws the geometric gaps between hits over all (op, trial)
-# positions of a chunk's circuit at the largest rate, thins them to each op's
-# rate, then draws one Pauli per hit. Scheme 3: bound-validate's lemma checks
-# draw each chunk's cases at once through the seeded chunk map; pnl-sweep's
-# draws are scheme 2's. A change of the draws bumps it.
-RNG_SCHEME = 3
+# Scheme 2: it drew geometric gaps over all (op, trial) positions at the largest
+# rate and thinned them to each op's rate. Scheme 3: bound-validate's lemma
+# checks draw each chunk's cases at once through the seeded chunk map. Scheme 4:
+# pnl-sweep draws the gaps of each distinct nonzero rate, in ascending order,
+# over that rate's positions only. A change of the draws bumps it.
+RNG_SCHEME = 4
 DEFAULT_CHUNK = 8192
 MIN_MC_TRIALS = 100
 
@@ -287,26 +287,27 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     noise = stn.NoiseSpec(p_local=float(p["p_local"]), p_remote=float(p["p_remote"]))
     layouts = [("lqec", stn.lqec_layout(p["n_blocks"])),
                ("dqec", stn.dqec_layout(p["n_blocks"]))]
-    points = [(scheme, layout, depth) for scheme, layout in layouts for depth in depths]
-    rows = []
-    for point_index, (scheme, layout, depth) in enumerate(points):
-        circuit = stn.build_ghz_mirror(layout, depth)
+    rows = [None] * (len(layouts) * len(depths))
+    # depth by depth, so both layouts of a depth share one compiled table;
+    # points, and so their seeds and rows, stay numbered layout first
+    for depth_index, depth in enumerate(depths):
+        for layout_index, (scheme, layout) in enumerate(layouts):
+            circuit = stn.build_ghz_mirror(layout, depth)
 
-        def run_chunk(rng, count):
-            xf, zf = stn.run_circuit_trials(circuit, layout, noise, rng, count)
-            return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
-                    int(np.count_nonzero(np.any(xf, axis=0))))
+            def run_chunk(rng, count):
+                xf, zf = stn.run_circuit_trials(circuit, layout, noise, rng, count)
+                return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
+                        int(np.count_nonzero(np.any(xf, axis=0))))
 
-        failures, x_failures = map(sum, zip(*_seeded_chunks(cfg, point_index, run_chunk)))
-        success = 1.0 - failures / cfg.trials
-        fid = 1.0 - x_failures / cfg.trials
-        rows.append({
-            "scheme": scheme, "depth": depth, "trials": cfg.trials,
-            "failures": failures, "success_rate": success,
-            "success_ci95": binomial_ci95(failures, cfg.trials),
-            "xflip_failures": x_failures, "fidelity": fid,
-            "fidelity_ci95": binomial_ci95(x_failures, cfg.trials),
-        })
+            point_index = layout_index * len(depths) + depth_index
+            failures, x_failures = map(sum, zip(*_seeded_chunks(cfg, point_index, run_chunk)))
+            rows[point_index] = {
+                "scheme": scheme, "depth": depth, "trials": cfg.trials,
+                "failures": failures, "success_rate": 1.0 - failures / cfg.trials,
+                "success_ci95": binomial_ci95(failures, cfg.trials),
+                "xflip_failures": x_failures, "fidelity": 1.0 - x_failures / cfg.trials,
+                "fidelity_ci95": binomial_ci95(x_failures, cfg.trials),
+            }
     summary = {"depths": depths, "crossover_depth": _crossover_depth(rows, depths)}
     return rows, PNL_COLUMNS, summary, True
 

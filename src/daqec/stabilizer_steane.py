@@ -5,7 +5,8 @@ H and CNOT; two-qubit gates are followed by depolarizing noise whose
 strength depends on whether the gate crosses a processor boundary. The
 engine compiles each circuit once, by one backward pass over its layers
 of disjoint gates, into the decoder bits that an error after each CNOT
-flips; a trial then draws only its noise hits and xors their table rows.
+flips, which layouts with the same blocks share; a trial then draws only
+its noise hits, one stream per distinct rate, and xors their table rows.
 The module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
@@ -208,13 +209,13 @@ _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of th
 _PAULI_BITS = np.array([8, 4, 2, 1])  # x_c, z_c, x_t, z_t of a Pauli number in 1..15
 
 
-def _schedule(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
+def _schedule(circuit: CliffordCircuit):
     """Sort the ops into steps of one (ASAP layer, kind) each.
 
     An op's layer is one more than the last layer of any of its qubits.
     Returns, in sorted order, each op's first qubit, second qubit (the
     first again for a one-qubit op), measurement index in op order and
-    noise rate (zero for any op but a CNOT); then the step bounds and kinds.
+    whether it is a CNOT; then the step bounds and kinds.
     """
     last = [0] * circuit.n_qubits
     rows = []
@@ -228,54 +229,48 @@ def _schedule(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec)
         layer = last[a] = last[b] = max(last[a], last[b]) + 1
         rows.append((layer, kind, a, b))
     layer, kind, a, b = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    proc = np.asarray(layout.qubit_processor)
-    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local) * (kind == _CNOT)
     meas = np.cumsum(kind >= _MEAS_Z) - 1
     order = np.lexsort((kind, layer))
     keys = np.stack((layer, kind))[:, order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
     ends = np.append(starts[1:], order.size)
-    return (a[order], b[order], meas[order], rate[order], starts.tolist(), ends.tolist(),
-            kind[order][starts].tolist())
+    return (a[order], b[order], meas[order], kind[order] == _CNOT, starts.tolist(),
+            ends.tolist(), kind[order][starts].tolist())
 
 
 def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int):
     """Depolarizing hits after the CNOTs of a schedule, in batches of (op, trial, which).
 
-    Position o * n_trials + k stands for op o of the schedule in trial k,
-    and is hit with the op's rate. The positions hit at the largest rate
-    come from cumulative geometric gaps, so the draws scale with the hits,
-    and each is kept with probability rate / largest rate. A kept hit takes
-    one of the 15 nontrivial two-qubit Paulis uniformly, the bits
-    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry per
-    set bit, `which` being the bit's index in that order.
+    Each distinct nonzero rate, in ascending order, draws its own stream:
+    position i * n_trials + k stands for the i-th op of that rate in trial
+    k, and the positions hit come from cumulative geometric gaps at the
+    rate, so the draws scale with the hits. A hit takes one of the 15
+    nontrivial two-qubit Paulis uniformly, the bits (x_c, z_c, x_t, z_t) of
+    a number in 1..15, and becomes one entry per set bit, `which` being the
+    bit's index in that order. Within a rate the entries come in op order.
     """
-    p = float(rate.max(initial=0.0))
-    if p == 0.0:
-        return
-    keep = rate / p
-    end = rate.size * n_trials  # one past the last position
-    last = -1                   # every hit up to here is drawn
-    while last < end - 1:
-        mean = (end - 1 - last) * p
-        size = int(min(mean + 6.0 * math.sqrt(mean) + 16, _NOISE_BATCH))
-        # a gap capped at end + 1 still lands past the end, and the sums stay
-        # far from overflow at any rate
-        pos = last + np.cumsum(np.minimum(rng.geometric(p, size), end + 1))
-        last = int(pos[-1])
-        pos = pos[:np.searchsorted(pos, end)]
-        op = pos // n_trials
-        kept = np.flatnonzero(rng.random(op.size) < keep[op])
-        pauli = rng.integers(1, 16, size=kept.size)
-        # entry 4 * i + j for bit j of kept hit i, so in op order
-        bit = np.flatnonzero(pauli[:, None] & _PAULI_BITS != 0)
-        kept = kept[bit >> 2]
-        op = op[kept]
-        yield op, pos[kept] - op * n_trials, bit & 3
+    # a set, not np.unique, which would import numpy.ma
+    for p in sorted(set(rate[rate > 0.0].tolist())):
+        ops = np.flatnonzero(rate == p)
+        end = ops.size * n_trials  # one past the last position
+        last = -1                  # every hit up to here is drawn
+        while last < end - 1:
+            mean = (end - 1 - last) * p
+            size = int(min(mean + 6.0 * math.sqrt(mean) + 16, _NOISE_BATCH))
+            # a gap capped at end + 1 still lands past the end, and the sums
+            # stay far from overflow at any rate
+            pos = last + np.cumsum(np.minimum(rng.geometric(p, size), end + 1))
+            last = int(pos[-1])
+            pos = pos[:np.searchsorted(pos, end)]
+            pauli = rng.integers(1, 16, size=pos.size)
+            # entry 4 * i + j for bit j of hit i, so in op order
+            bit = np.flatnonzero(pauli[:, None] & _PAULI_BITS != 0)
+            i, trial = np.divmod(pos[bit >> 2], n_trials)
+            yield ops[i], trial, bit & 3
 
 
-def _compile(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
-    """The rate of each op in schedule order, and what an error after it flips.
+def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
+    """The ops in schedule order, and what an error after each one flips.
 
     The decoder reads one byte per block: bits 0..5 the readouts of its six
     extraction generators (the last 6 * n_blocks measurements, block by
@@ -287,15 +282,16 @@ def _compile(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
     z_t, H swaps x and z, a preparation clears both, and a measurement adds
     its readout bit to the frame bit it reads. table[o, j] holds the flips
     of the j-th of (x_c, z_c, x_t, z_t) right after CNOT o, and is zero for
-    any other op.
+    any other op. Returns each op's qubits a and b, whether it is a CNOT,
+    and the table; neither depends on where the qubits live or on the noise.
     """
-    a, b, meas, rate, starts, ends, kinds = _schedule(circuit, layout, noise)
-    nq, nb = circuit.n_qubits, len(layout.blocks)
+    a, b, meas, cnot, starts, ends, kinds = _schedule(circuit)
+    nq, nb = circuit.n_qubits, len(blocks)
     n_meas = int(meas.max(initial=-1)) + 1
     if n_meas < 6 * nb:
         raise ValueError("missing extraction measurements")
     octets = 8 * ((nb + 7) // 8)
-    data = np.array([block.data for block in layout.blocks]).reshape(nb, N_DATA)
+    data = np.array([block.data for block in blocks]).reshape(nb, N_DATA)
     # rows 0..nq-1 hold what an x error flips, rows nq.. what a z error does
     flips = np.zeros((2 * nq, octets), dtype=np.uint8)
     flips[data, np.arange(nb)[:, None]] = 1 << 6
@@ -318,24 +314,25 @@ def _compile(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
             flips[rows] = 0
         else:
             flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
-    return rate, table
+    return a, b, cnot, table
 
 
 _compile_lock = threading.Lock()
 _compiled: dict = {}  # the latest circuit's _compile, keyed on its contents
 
 
-def _compile_once(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec):
-    """_compile, shared by the chunks of one point on any thread.
+def _compile_once(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
+    """_compile, shared by the chunks of one circuit on any thread.
 
-    Only the latest circuit is kept: a point's chunks all run before the
-    next point's, and one table of a large register can take tens of MB.
+    The table depends on neither the processor map nor the noise, so layouts
+    with the same blocks, run one after the other, share it. Only the latest
+    circuit is kept: one table of a large register can take tens of MB.
     """
-    key = (circuit.n_qubits, tuple(circuit.ops), layout, noise)
+    key = (circuit.n_qubits, tuple(circuit.ops), blocks)
     with _compile_lock:
         if key not in _compiled:
             _compiled.clear()
-            _compiled[key] = _compile(circuit, layout, noise)
+            _compiled[key] = _compile(circuit, blocks)
         return _compiled[key]
 
 
@@ -353,7 +350,9 @@ def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: Nois
     uint8: the data X and Z parities (0 or 1) of each block, and its six
     extraction readouts, generator g at bit g.
     """
-    rate, table = _compile_once(circuit, layout, noise)
+    a, b, cnot, table = _compile_once(circuit, layout.blocks)
+    proc = np.asarray(layout.qubit_processor)
+    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local) * cnot
     mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
     for op, trial, which in _depolarizing_hits(rng, rate, n_trials):
         # unbuffered, because several hits can share a trial

@@ -328,14 +328,19 @@ def test_cli_runs_apples(tmp_path):
 
 def test_runs_do_not_import_scipy(tmp_path):
     # scipy's import was most of daqec's start-up; the package needs only numpy and
-    # pyyaml, and its exact coefficient tables are built without fractions or decimal
+    # pyyaml, and its exact coefficient tables are built without fractions or decimal.
+    # numpy.ma (which np.unique and np.median import) costs about 1.5 MB of memory
+    config = tmp_path / "pnl.yaml"
+    config.write_text("experiment: pnl-sweep\ntrials: 200\nparams:\n  depths: [2, 9]\n")
     script = (
         "import sys\n"
         "from daqec.cli import main\n"
         f"assert main(['apples', '--out', {str(tmp_path)!r}]) == 0\n"
         f"assert main(['correlated-errors', '--trials', '100', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['pnl-sweep', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))\n")
+        "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')\n"
+        "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
     src = os.path.dirname(os.path.dirname(daqec.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -344,6 +349,7 @@ def test_runs_do_not_import_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
     assert (tmp_path / "correlated-errors.csv").exists()
+    assert (tmp_path / "pnl-sweep.csv").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

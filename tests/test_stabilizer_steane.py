@@ -291,50 +291,53 @@ def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
 
 
 class Depolarizer:
-    """Depolarizing hits after the CNOTs of a schedule, drawn as its steps reach them.
+    """Depolarizing hits after the CNOTs of a schedule, all drawn at the start.
 
-    Position o * n_trials + k stands for op o of the schedule in trial k,
-    and is hit with the op's rate. The positions hit at the largest rate
-    come from cumulative geometric gaps, so the draws scale with the hits,
-    and each is kept with probability rate / largest rate. A kept hit takes
-    one of the 15 nontrivial two-qubit Paulis uniformly, the bits
+    Each distinct nonzero rate, in ascending order, draws its own stream:
+    position i * n_trials + k stands for the i-th op of that rate in trial
+    k, and the positions hit come from cumulative geometric gaps at the
+    rate, in batches of at most stn._NOISE_BATCH gaps. A hit takes one of
+    the 15 nontrivial two-qubit Paulis uniformly, the bits
     (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry
     (op, frame row, word, bit) per set bit; x rows come first, z rows after.
+    The steps take the entries in op order.
     """
 
     def __init__(self, rng: np.random.Generator, a, b, rate, n_qubits: int, n_trials: int):
-        self.rng, self.n = rng, n_trials
-        self.rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
-        self.p = float(rate.max(initial=0.0))
-        self.keep = rate / self.p if self.p > 0.0 else rate
-        self.end = rate.size * n_trials   # one past the last position
-        self.last = -1 if self.p > 0.0 else self.end  # every hit up to here is drawn
-        empty = np.zeros(0, dtype=np.int64)
-        self.pending = (empty, empty, empty, empty.astype(np.uint64))
-
-    def _draw(self):
-        mean = (self.end - 1 - self.last) * self.p
-        size = int(min(mean + 6.0 * math.sqrt(mean) + 16, stn._NOISE_BATCH))
-        pos = self.last + np.cumsum(np.minimum(self.rng.geometric(self.p, size), self.end + 1))
-        self.last = int(pos[-1])
-        op, trial = np.divmod(pos[:np.searchsorted(pos, self.end)], self.n)
-        kept = self.rng.random(op.size) < self.keep[op]
-        op, trial = op[kept], trial[kept]
-        pauli = self.rng.integers(1, 16, size=op.size)
-        hit, which = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)  # in op order
-        op, trial = op[hit], trial[hit]
+        rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
+        op, trial, which = (np.zeros(0, dtype=np.int64),) * 3
+        for p in np.unique(rate[rate > 0.0]):  # ascending
+            ops = np.flatnonzero(rate == p)
+            end, last = ops.size * n_trials, -1  # every hit up to `last` is drawn
+            while last < end - 1:
+                mean = (end - 1 - last) * p
+                size = int(min(mean + 6.0 * math.sqrt(mean) + 16, stn._NOISE_BATCH))
+                pos = last + np.cumsum(np.minimum(rng.geometric(p, size), end + 1))
+                last = int(pos[-1])
+                i, k = np.divmod(pos[:np.searchsorted(pos, end)], n_trials)
+                pauli = rng.integers(1, 16, size=i.size)
+                hit, bit = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)
+                op, trial, which = (np.concatenate(pair)
+                                    for pair in zip((op, trial, which), (ops[i[hit]], k[hit], bit)))
+        order = np.argsort(op, kind="stable")
+        op, trial, which = op[order], trial[order], which[order]
         bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
-        drawn = (op, self.rows[op, which], trial >> 6, bits)
-        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, drawn))
+        self.pending = (op, rows[op, which], trial >> 6, bits)
 
     def before(self, stop: int):
         """((rows, words), bits) of the entries at ops before `stop` not yet returned."""
-        while self.last < stop * self.n - 1:
-            self._draw()
         k = np.searchsorted(self.pending[0], stop)
         _, rows, words, bits = (entry[:k] for entry in self.pending)
         self.pending = tuple(entry[k:] for entry in self.pending)
         return (rows, words), bits
+
+
+def op_rates(a, b, cnot, layout: MachineLayout, noise: NoiseSpec) -> np.ndarray:
+    """Each scheduled op's depolarizing rate: p_remote for a CNOT across
+    processors, p_local for one within a processor, 0 for any other op."""
+    proc = layout.qubit_processor
+    return np.array([(noise.p_remote if proc[c] != proc[t] else noise.p_local) if is_cnot
+                     else 0.0 for c, t, is_cnot in zip(a, b, cnot)])
 
 
 def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
@@ -356,7 +359,7 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     of shape (n_qubits, words), measured of shape (measurements, words) in
     op order.
     """
-    a, b, meas, rate, starts, ends, kinds = stn._schedule(circuit, layout, noise)
+    a, b, meas, cnot, starts, ends, kinds = stn._schedule(circuit)
     nq, words = circuit.n_qubits, (n_trials + 63) // 64
     start = PauliFrame.zeros(nq) if initial is None else initial
     ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -369,7 +372,7 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     # (b = a) acts on the rows (x_a, z_a)
     src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
     measured = np.zeros((int(meas.max(initial=-1)) + 1, words), dtype=np.uint64)
-    noisy = Depolarizer(rng, a, b, rate, nq, n_trials)
+    noisy = Depolarizer(rng, a, b, op_rates(a, b, cnot, layout, noise), nq, n_trials)
     for lo, hi, kind in zip(starts, ends, kinds):
         rows = src[:, lo:hi]
         if kind == stn._CNOT:
@@ -699,14 +702,15 @@ def test_sampled_frames_match_exact_distribution(engine, case, p_local, p_remote
 
 
 class EveryPosition:
-    """A stand-in generator: unit gaps whatever the rate, every hit kept,
-    always X on the control."""
+    """A stand-in generator: unit gaps whatever the rate, always X on the
+    control, and no other draw. It records the rate of every batch of gaps."""
+
+    def __init__(self):
+        self.rates = []
 
     def geometric(self, p, size):
+        self.rates.append(p)
         return np.ones(size, dtype=np.int64)
-
-    def random(self, size):
-        return np.zeros(size)
 
     def integers(self, lo, hi, size):
         return np.full(size, 8)
@@ -722,18 +726,29 @@ def _apply_hits(batches, a, b, n_qubits, n_trials):
     return unpack_trials(frames, n_trials)
 
 
-def test_depolarizing_hits_keep_drawing_until_every_op_is_covered():
-    a, b = np.array([0, 2, 1]), np.array([1, 3, 0])
-    batches = list(stn._depolarizing_hits(EveryPosition(), np.array([0.5, 0.5, 0.25]), 1000))
-    ops = np.concatenate([op for op, _, _ in batches])
-    assert np.all(np.diff(ops) >= 0)  # in op order, across batches too
-    op, trial, which = batches[0]
-    first = op < 1  # the first batch covers op 0 whole
-    assert np.array_equal(_apply_hits([(op[first], trial[first], which[first])], a, b, 4,
-                                      1000).sum(axis=1), [1000, 0, 0, 0, 0, 0, 0, 0])
-    assert len(batches) > 2  # ops 1 and 2 need more than one more batch of gaps
-    assert np.array_equal(_apply_hits(batches, a, b, 4, 1000).sum(axis=1),
-                          [1000, 1000, 1000, 0, 0, 0, 0, 0])
+@pytest.mark.parametrize("rate", [
+    [0.25, 0.0, 0.5, 0.25, 0.5, 0.0],  # two classes, interleaved, and noiseless ops
+    [0.5, 0.5, 0.5],                   # p_local == p_remote: one class
+    [0.0, 0.5, 0.0, 0.0, 0.5],         # p_local == 0
+], ids=["two-classes", "p_local-is-p_remote", "p_local-is-0"])
+def test_depolarizing_hits_keep_drawing_until_every_op_is_covered(rate):
+    rate, n_trials = np.array(rate), 1000
+    rng = EveryPosition()
+    batches = list(stn._depolarizing_hits(rng, rate, n_trials))
+    op, trial, which = (np.concatenate(column) for column in zip(*batches))
+    assert not which.any()  # X on the control only
+    hits = np.zeros((rate.size, n_trials), dtype=np.int64)
+    np.add.at(hits, (op, trial), 1)
+    # every noisy op in every trial, once; a noiseless op never
+    assert np.array_equal(hits, np.broadcast_to((rate > 0)[:, None], hits.shape))
+    classes = sorted(set(rate[rate > 0].tolist()))
+    # one stream per rate, in ascending order
+    assert rng.rates == sorted(rng.rates) and sorted(set(rng.rates)) == classes
+    assert np.all(np.diff(rate[op]) >= 0)  # so the classes come in ascending order
+    for p in classes:
+        assert np.all(np.diff(op[rate[op] == p]) >= 0)  # in op order within a class
+    # a class of 2 or 3 ops needs more than one batch of gaps
+    assert len(batches) > len(classes)
 
 
 def test_depolarizing_hits_at_the_ends_of_the_rate_range():
@@ -777,38 +792,156 @@ def test_compiled_engine_matches_the_layered_oracle_bit_for_bit(scheme, n_blocks
         assert np.array_equal(got, want)
 
 
-def test_the_chunks_of_a_point_compile_its_circuit_once(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(n_blocks=st.integers(2, 9), depth=st.integers(1, 20), data=st.data(),
+       p_local=st.floats(0.0, 0.5), p_remote=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks, depth, data,
+                                                                      p_local, p_remote,
+                                                                      seed):
+    local = lqec_layout(n_blocks)
+    procs = data.draw(st.lists(st.integers(0, n_blocks - 1), min_size=local.n_qubits,
+                               max_size=local.n_qubits))
+    layout = MachineLayout("random", local.blocks, tuple(procs), n_blocks)
+    circuit = build_ghz_mirror(layout, depth)
+    assert circuit.ops == build_ghz_mirror(local, depth).ops
+    full = with_extraction(circuit, layout)
+    assert full.ops == with_extraction(circuit, local).ops
+    fresh = stn._compile(full, layout.blocks)
+    for got, want in zip(stn._compile(with_extraction(circuit, local), local.blocks), fresh,
+                         strict=True):
+        assert np.array_equal(got, want)
+    # a table cached by another layout's run draws the same trials as a fresh one
+    noise = NoiseSpec(p_local, p_remote)
+    stn._compiled.clear()
+    want = simulate_frames(full, layout, noise, np.random.default_rng(seed), 65)
+    stn._compiled.clear()
+    simulate_frames(with_extraction(circuit, local), local, NoiseSpec(p_remote, p_local),
+                    np.random.default_rng(seed), 65)
+    (entry,) = stn._compiled.values()
+    got = simulate_frames(full, layout, noise, np.random.default_rng(seed), 65)
+    (shared,) = stn._compiled.values()
+    assert shared is entry  # not compiled again
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_both_layouts_of_a_depth_share_one_compile(monkeypatch):
     compiled = []
 
-    def counting_compile(circuit, layout, noise):
-        compiled.append(layout.name)
-        return compile_(circuit, layout, noise)
+    def counting_compile(circuit, blocks):
+        compiled.append(sum(op[0] == "CNOT" for op in circuit.ops))
+        return compile_(circuit, blocks)
     compile_ = stn._compile
     monkeypatch.setattr(stn, "_compile", counting_compile)
     stn._compiled.clear()
     cfg = experiments.load_config("pnl-sweep", overrides={"trials": 500, "threads": 4})
     cfg.chunk_size = 100  # five chunks per point
-    cfg.params["depths"] = [3]
+    cfg.params["depths"] = [3, 5]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches, so a race would show
     try:
-        experiments.run_experiment(cfg)
+        rows, _, _, _ = experiments.run_pnl_sweep(cfg)
     finally:
         sys.setswitchinterval(interval)
-    assert compiled == ["lqec", "dqec"]
+    # one compile per depth: 7 CNOTs per transversal layer, 12 per extraction
+    assert compiled == [7 * 3 + 7 * 24, 7 * 5 + 7 * 24]
+    # the rows keep their order, layout first
+    assert [(r["scheme"], r["depth"]) for r in rows] == [
+        ("lqec", 3), ("lqec", 5), ("dqec", 3), ("dqec", 5)]
 
 
 def test_circuits_differing_in_one_op_get_different_tables():
     layout = lqec_layout(3)
     circuit = with_extraction(build_ghz_mirror(layout, 2), layout)
-    noise = NoiseSpec(0.01, 0.1)
-    rate, table = stn._compile_once(circuit, layout, noise)
+    a, b, cnot, table = stn._compile_once(circuit, layout.blocks)
     first = circuit.ops.index(("CNOT", layout.blocks[0].data[0], layout.blocks[1].data[0]))
     circuit.ops[first] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
-    other_rate, other_table = stn._compile_once(circuit, layout, noise)  # changed in place
-    assert np.array_equal(rate, other_rate)  # same locality, so same rates
-    assert not np.array_equal(table, other_table)
-    assert np.array_equal(other_table, stn._compile(circuit, layout, noise)[1])
+    other = stn._compile_once(circuit, layout.blocks)  # changed in place
+    assert np.array_equal(cnot, other[2])  # same kinds of op
+    assert not np.array_equal(table, other[3])
+    for got, want in zip(other, stn._compile(circuit, layout.blocks), strict=True):
+        assert np.array_equal(got, want)
+    # the same ops on other blocks read other decoder bytes
+    swapped = stn._compile_once(circuit, layout.blocks[::-1])
+    assert not np.array_equal(swapped[3], other[3])
+
+
+# Decoder byte of a block (see stn._compile): bits 0..5 its readouts, bit 6
+# its data X parity, bit 7 its data Z parity. PARITY[v] is the parity of byte
+# v and WALSH[s, v] = (-1)^(s . v) the characters of the xor group of bytes.
+BYTES = np.arange(256)
+PARITY = np.unpackbits(BYTES.astype(np.uint8)[:, None], axis=1).sum(axis=1, dtype=int) & 1
+WALSH = 1 - 2 * PARITY[BYTES[:, None] & BYTES]
+X_FLIP = (BYTES >> 6 & 1) ^ ((BYTES & 63) > 7)
+Z_FLIP = (BYTES >> 7 & 1) ^ ((BYTES & 7) > 0)
+
+
+def exact_block_bytes(circuit: CliffordCircuit, layout: MachineLayout,
+                      noise: NoiseSpec) -> np.ndarray:
+    """Exact distribution of each block's decoder byte, shape (n_blocks, 256).
+
+    The compiled table is a detector error model: CNOT o is an independent
+    fault location which, with probability p_o / 15 each, xors into a
+    block's byte the byte f_P of each of the 15 Paulis P, f_P the xor of
+    the table bytes g_j of P's set bits. So the byte's distribution is the
+    xor-convolution of the locations', a product in the Walsh basis, where
+    location o has the character 1 - p_o + p_o / 15 * sum_P (-1)^(s . f_P)
+    = 1 - 16 p_o / 15 * [s . g_j odd for some j].
+    """
+    full = with_extraction(circuit, layout)
+    a, b, cnot, table = stn._compile(full, layout.blocks)
+    rate = op_rates(a, b, cnot, layout, noise)
+    octets = table[rate > 0].view(np.uint8)  # (location, j, block)
+    log_factor = np.log1p(-16.0 / 15.0 * rate[rate > 0])
+    dist = []
+    for block in range(len(layout.blocks)):
+        odd = PARITY[octets[:, :, block, None] & BYTES].any(axis=1)  # (location, s)
+        dist.append(WALSH @ np.exp(log_factor @ odd) / 256.0)
+    return np.array(dist)
+
+
+def test_pnl_sweep_per_block_rates_match_the_exact_marginals(monkeypatch):
+    # the shipped sweep's trials, noise and seed at three of its depths; every
+    # block's X flips and Z-only flips against their exact probabilities
+    counts = []
+
+    def counting_trials(circuit, layout, noise, rng, n_trials):
+        xf, zf = run_trials(circuit, layout, noise, rng, n_trials)
+        counts.append((layout.name, circuit.two_qubit_layers,
+                       np.stack((xf.sum(axis=1), (zf & ~xf).sum(axis=1)))))
+        return xf, zf
+    run_trials = stn.run_circuit_trials
+    monkeypatch.setattr(stn, "run_circuit_trials", counting_trials)
+    cfg = experiments.load_config("pnl-sweep")
+    assert cfg.trials == 100000
+    cfg.params["depths"] = [2, 78, 400]
+    rows, _, _, _ = experiments.run_pnl_sweep(cfg)
+    noise = NoiseSpec(cfg.params["p_local"], cfg.params["p_remote"])
+    n, stat, df = cfg.trials, 0.0, 0
+    for row in rows:
+        layout = LAYOUTS[row["scheme"]](cfg.params["n_blocks"])
+        dist = exact_block_bytes(build_ghz_mirror(layout, row["depth"]), layout, noise)
+        assert np.allclose(dist.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert dist.min() > -1e-12
+        p_x = dist[:, X_FLIP == 1].sum(axis=1)
+        p_z = dist[:, (X_FLIP == 0) & (Z_FLIP == 1)].sum(axis=1)
+        flips = sum(c for name, depth, c in counts
+                    if (name, depth) == (row["scheme"], row["depth"]))
+        # Pearson over (X flip, Z flip only, neither) for each block; the blocks
+        # of a trial are not independent, so the pooled statistic is only close
+        # to chi-squared, with the same mean
+        observed = np.vstack((flips, n - flips.sum(axis=0)))
+        expected = n * np.stack((p_x, p_z, 1.0 - p_x - p_z))
+        stat += float(np.sum((observed - expected) ** 2 / expected))
+        df += 2 * len(layout.blocks)
+        # a trial fails if any block does: at least the likeliest block's
+        # rate, at most the sum of the blocks', up to 5 standard errors
+        for failures, p_block in ((row["failures"], p_x + p_z), (row["xflip_failures"], p_x)):
+            lo, hi = p_block.max(), min(p_block.sum(), 1.0)
+            assert failures / n >= lo - 5.0 * math.sqrt(lo * (1 - lo) / n), row
+            assert failures / n <= hi + 5.0 * math.sqrt(hi * (1 - hi) / n), row
+    assert chi2.sf(stat, df) > 1e-6, (stat, df)
 
 
 def _perfbench_tracer():
