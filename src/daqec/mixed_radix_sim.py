@@ -286,13 +286,11 @@ def apply_permutations(state: MixedRadixState, steps) -> MixedRadixState:
     return MixedRadixState(state.radix, index[order], state.array[order])
 
 
-def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
+def measure_sites(state: MixedRadixState, sites: Sequence[int]):
     """Computational-basis measurement of the given sites.
 
-    With rng=None every outcome of probability > 1e-12 is enumerated and
+    Every outcome of probability > 1e-12 is enumerated and
     [(levels, probability, post_state)] is returned, outcomes ascending.
-    With a numpy Generator a single (levels, probability, post_state) is
-    sampled from those outcomes, with their probabilities renormalized.
     """
     sites = _check_sites(state.dims, tuple(sites))
     local = _local(state.index, state.radix, sites)
@@ -304,15 +302,10 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int], rng=None):
     # no measured site leaves the one empty outcome, which RadixVector cannot hold
     meas_dims = tuple(state.dims[s] for s in sites)
     levels_of = RadixVector(meas_dims).levels_of if sites else (lambda o: ())
-    outcomes = [k for k in range(len(probs)) if probs[k] > AMP_EPS]
-    if rng is not None:
-        kept = probs[outcomes]
-        outcomes = [outcomes[int(rng.choice(len(outcomes), p=kept / kept.sum()))]]
-    results = [(levels_of(int(local[groups[k][0]])), float(probs[k]),
-                MixedRadixState(state.radix, state.index[groups[k]],
-                                state.array[groups[k]] / math.sqrt(probs[k])))
-               for k in outcomes]
-    return results if rng is None else results[0]
+    return [(levels_of(int(local[groups[k][0]])), float(probs[k]),
+             MixedRadixState(state.radix, state.index[groups[k]],
+                             state.array[groups[k]] / math.sqrt(probs[k])))
+            for k in range(len(probs)) if probs[k] > AMP_EPS]
 
 
 def partial_trace(state: MixedRadixState, keep_sites: Sequence[int]) -> np.ndarray:

@@ -75,7 +75,6 @@ class MachineLayout:
     name: str
     blocks: tuple[SteaneBlock, ...]
     qubit_processor: tuple[int, ...]
-    n_processors: int
 
     @property
     def n_qubits(self) -> int:
@@ -98,7 +97,7 @@ def lqec_layout(n_blocks: int = 7) -> MachineLayout:
     for i, b in enumerate(blocks):
         for q in b.data + b.ancillas:
             proc[q] = i
-    return MachineLayout("lqec", blocks, tuple(proc), n_blocks)
+    return MachineLayout("lqec", blocks, tuple(proc))
 
 
 def dqec_layout(n_blocks: int = 7) -> MachineLayout:
@@ -115,7 +114,7 @@ def dqec_layout(n_blocks: int = 7) -> MachineLayout:
             proc[q] = j
         for s, q in enumerate(b.ancillas):
             proc[q] = (i + s + 1) % n_blocks
-    return MachineLayout("dqec", blocks, tuple(proc), n_blocks)
+    return MachineLayout("dqec", blocks, tuple(proc))
 
 
 @dataclass
@@ -128,7 +127,6 @@ class CliffordCircuit:
 
     n_qubits: int
     ops: list[tuple] = field(default_factory=list)
-    two_qubit_layers: int = 0
 
     def extend(self, other: "CliffordCircuit"):
         if other.n_qubits != self.n_qubits:
@@ -171,7 +169,6 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
             ba, bb = layout.blocks[a], layout.blocks[b]
             circ.ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
             layers += 1
-    circ.two_qubit_layers = layers
     return circ
 
 

@@ -9,8 +9,9 @@ where level |2> marks "no logical content here". The module provides the
 analog encoders, an alternative encoder built only from conditional swaps
 and flag gates, erasure, a measurement-based decoder, a measurement-free
 elective decoder, and transversal logical gates. Every circuit is a list
-of (gate, sites) ops executed on the mixed-radix simulator, so gate
-budgets can be audited directly.
+of (gate, sites) ops executed on the mixed-radix simulator by `apply_ops`,
+so gate budgets can be audited directly: the gates are shared objects, so
+counting ops by gate identity counts them by kind.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixed_radix_sim import (
+    AMP_EPS,
     GateSpec,
     MixedRadixState,
     RadixVector,
@@ -35,13 +37,12 @@ from .mixed_radix_sim import (
     embed_unitary,
     fidelity,
     measure_sites,
-    partial_trace,
+    partial_trace,  # noqa: F401  unused here; perfbench's tracer tests patch this binding
     project_sites,
     support_matrix,
 )
 
-BOT = 2           # flag level of the physical qutrits
-AMP_BRANCH = 1e-12  # branch weights below this are dropped
+BOT = 2  # flag level of the physical qutrits
 
 
 def _as_logical(psi) -> np.ndarray:
@@ -66,21 +67,14 @@ class ErasurePattern:
         return len(self.erased)
 
 
-@dataclass(frozen=True)
-class GateOp:
-    gate: GateSpec
-    sites: tuple[int, ...]
-    kind: str  # "cnot" | "cswap" | "swap" | "1q"
-
-
 def apply_ops(state: MixedRadixState, ops) -> MixedRadixState:
-    """Apply the ops in order; each maximal run of permutation gates is one gather."""
-    for is_perm, run in itertools.groupby(ops, key=lambda op: op.gate.perm is not None):
+    """Apply (gate, sites) ops in order; each maximal run of permutation gates is one gather."""
+    for is_perm, run in itertools.groupby(ops, key=lambda op: op[0].perm is not None):
         if is_perm:
-            state = apply_permutations(state, [(op.gate, op.sites) for op in run])
+            state = apply_permutations(state, run)
         else:
-            for op in run:
-                state = apply_unitary(state, op.gate, op.sites)
+            for gate, sites in run:
+                state = apply_unitary(state, gate, sites)
     return state
 
 
@@ -105,7 +99,6 @@ class DecodeOutcome:
     success_probability: float
     heralded_failure_probability: float
     ancilla_count: int
-    cnot_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +130,11 @@ def gate_uenc(psi) -> GateSpec:
     return GateSpec(m, (3,))
 
 
-def gate_venc(phi) -> GateSpec:
-    """Second-qubit encoder, same structure as gate_uenc."""
-    return gate_uenc(phi)
-
-
 @functools.cache
-def controlled_level_not(level: int, control_dim: int = 3) -> GateSpec:
-    """Flip a qubit target iff the qudit control sits at the given level."""
+def controlled_level_not(level: int, control_dim: int) -> GateSpec:
+    """Flip a qubit target iff the qudit control sits at the given level.
+
+    Both arguments are required, so one gate is one cached object."""
     if not 0 <= level < control_dim:
         raise ValueError("control level out of range")
     return basis_map_gate((control_dim, 2), lambda x: (x[0], x[1] ^ (x[0] == level)))
@@ -154,12 +144,6 @@ def controlled_level_not(level: int, control_dim: int = 3) -> GateSpec:
 def gate_presence_flag() -> GateSpec:
     """Flip a qubit target iff the qutrit control is not the flag level |2>."""
     return basis_map_gate((3, 2), lambda x: (x[0], x[1] ^ (x[0] != BOT)))
-
-
-@functools.cache
-def gate_absence_flag(d: int) -> GateSpec:
-    """Flip a qubit target iff the d-level control is in |0>."""
-    return controlled_level_not(0, d)
 
 
 @functools.cache
@@ -185,10 +169,11 @@ def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_GATE_H = GateSpec(_H2, (2,))
 _PLUS = basis_sum_state((2,), [((0,), 1 / math.sqrt(2)), ((1,), 1 / math.sqrt(2))])
 
 
-def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
+def presence_pair(qudit_site: int, ancilla_site: int) -> list:
     """Controlled-on-|0> and controlled-on-|1> NOTs from a qutrit to a qubit.
 
     Together they flip the ancilla exactly when the qutrit carries logical
@@ -196,8 +181,7 @@ def presence_pair(qudit_site: int, ancilla_site: int) -> list[GateOp]:
     the two levels it is.
     """
     sites = (qudit_site, ancilla_site)
-    return [GateOp(controlled_level_not(0), sites, "cnot"),
-            GateOp(controlled_level_not(1), sites, "cnot")]
+    return [(controlled_level_not(0, 3), sites), (controlled_level_not(1, 3), sites)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +212,7 @@ def _uniform_excited_prep(d: int) -> GateSpec:
     return GateSpec(np.eye(d, dtype=complex) - np.outer(v, v.conj()), (d,))
 
 
-def prepare_w2(d: int = 2, keep_ancilla: bool = False) -> MixedRadixState:
+def prepare_w2(d: int = 2) -> MixedRadixState:
     """Size-2 W state on two d-level sites.
 
     For qubits this is the Bell state (|01>+|10>)/sqrt(2), prepared with
@@ -239,19 +223,11 @@ def prepare_w2(d: int = 2, keep_ancilla: bool = False) -> MixedRadixState:
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if d == 2:
-        state = basis_state((2, 2), (0, 1))
-        state = apply_unitary(state, GateSpec(_H2, (2,)), [0])
-        state = apply_unitary(state, controlled_level_not(1, 2), [0, 1])
-        if keep_ancilla:
-            raise ValueError("the d=2 Bell preparation uses no ancilla")
-        return state
-    state = basis_state((d, d), (0, 0))
-    state = apply_unitary(state, _uniform_excited_prep(d), [0])
-    state = append_sites(state, _PLUS)
-    state = apply_unitary(state, gate_cswap(d), [2, 0, 1])
-    state = apply_unitary(state, gate_absence_flag(d), [0, 2])
-    if keep_ancilla:
-        return state
+        return apply_ops(basis_state((2, 2), (0, 1)),
+                         [(_GATE_H, (0,)), (controlled_level_not(1, 2), (0, 1))])
+    state = apply_unitary(basis_state((d, d), (0, 0)), _uniform_excited_prep(d), [0])
+    state = apply_ops(append_sites(state, _PLUS),
+                      [(gate_cswap(d), (2, 0, 1)), (controlled_level_not(0, d), (0, 2))])
     return project_sites(state, [2], [0])
 
 
@@ -264,11 +240,11 @@ def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> Mixed
     """
     m, d = state.n_sites, state.dims[0]
     state = append_sites(state, append_sites(basis_state((d,) * m, (empty,) * m), _PLUS))
-    return apply_ops(state, [GateOp(gate_cswap(d), (2 * m, i, m + i), "cswap") for i in range(m)]
-                     + [GateOp(flag, (i, 2 * m), "cnot") for i in range(m, 2 * m)])
+    return apply_ops(state, [(gate_cswap(d), (2 * m, i, m + i)) for i in range(m)]
+                     + [(flag, (i, 2 * m)) for i in range(m, 2 * m)])
 
 
-def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixState:
+def scale_w(state: MixedRadixState) -> MixedRadixState:
     """Double a size-n W state to size 2n.
 
     Uses a single qubit ancilla prepared in |+> that conditions site-wise
@@ -284,11 +260,9 @@ def scale_w(state: MixedRadixState, keep_ancilla: bool = False) -> MixedRadixSta
         raise ValueError("all sites must share one dimension")
     if fidelity(state, w_state_vector(n, d)) < 1.0 - 1e-8:
         raise ValueError("input is not a W state of this size")
-    state = _doubling_stage(state, 0, gate_absence_flag(d))
+    state = _doubling_stage(state, 0, controlled_level_not(0, d))
     if n % 2 == 1:
         state = apply_unitary(state, _gate_x(), [2 * n])
-    if keep_ancilla:
-        return state
     return project_sites(state, [2 * n], [0])
 
 
@@ -321,13 +295,10 @@ def _w3_qubit_state() -> MixedRadixState:
     second passes half of the remaining weight along.
     """
     theta = 2.0 * math.acos(1.0 / math.sqrt(3.0))
-    state = basis_state((2, 2, 2), (1, 0, 0))
     cnot = controlled_level_not(1, 2)
-    state = apply_unitary(state, GateSpec(_cry(theta), (2, 2)), [0, 1])
-    state = apply_unitary(state, cnot, [1, 0])
-    state = apply_unitary(state, GateSpec(_cry(math.pi / 2), (2, 2)), [1, 2])
-    state = apply_unitary(state, cnot, [2, 1])
-    return state
+    return apply_ops(basis_state((2, 2, 2), (1, 0, 0)),
+                     [(GateSpec(_cry(theta), (2, 2)), (0, 1)), (cnot, (1, 0)),
+                      (GateSpec(_cry(math.pi / 2), (2, 2)), (1, 2)), (cnot, (2, 1))])
 
 
 def _qubit_w_on_qutrits(n: int) -> MixedRadixState:
@@ -361,26 +332,8 @@ def encode(psi, n: int) -> MixedRadixState:
         raise ValueError("block size must be at least 2")
     c = _as_logical(psi)
     u02, uenc = gate_u02(), gate_uenc(c)
-    return apply_ops(_qubit_w_on_qutrits(n), [GateOp(u02, (i,), "1q") for i in range(n)]
-                     + [GateOp(uenc, (i,), "1q") for i in range(n)])
-
-
-def encode_pair_state(chi, n: int = 4) -> MixedRadixState:
-    """Directly constructed two-qubit-block codeword for a joint state chi.
-
-    chi is a 4-amplitude vector on the two logical qubits; the codeword is
-    (|chi,2,2> + |2,2,chi>)/sqrt(2) with chi occupying two adjacent sites.
-    """
-    if n != 4:
-        raise ValueError("the two-qubit construction uses four physical sites")
-    chi = np.asarray(chi, dtype=complex).reshape(-1)
-    if abs(float(np.sum(np.abs(chi) ** 2)) - 1.0) > 1e-10:
-        raise ValueError("joint logical state must be unit norm")
-    terms = []
-    for k, pair in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        w = chi[k] / math.sqrt(2)
-        terms += [(pair + (BOT, BOT), w), ((BOT, BOT) + pair, w)]
-    return basis_sum_state((3,) * 4, terms)
+    return apply_ops(_qubit_w_on_qutrits(n), [(u02, (i,)) for i in range(n)]
+                     + [(uenc, (i,)) for i in range(n)])
 
 
 def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
@@ -388,24 +341,17 @@ def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
 
     A GHZ-type splitter in the qubit subspace puts the pair pattern in
     superposition over the two halves, then U02 and the per-qubit encoders
-    U_enc/V_enc act site by site.
+    (gate_uenc of psi on the first site of each half, of phi on the second)
+    act site by site.
     """
     if n != 4:
         raise ValueError("the two-qubit encoder is defined for n=4")
-    cpsi = _as_logical(psi)
-    cphi = _as_logical(phi)
-    state = basis_state((3,) * 4, (0, 0, 0, 0))
-    state = apply_unitary(state, gate_subspace(_H2), [0])
-    state = apply_unitary(state, controlled_pair_not(1), [0, 1])
-    state = apply_unitary(state, controlled_pair_not(0), [0, 2])
-    state = apply_unitary(state, controlled_pair_not(1), [2, 3])
-    u02 = gate_u02()
-    for i in range(4):
-        state = apply_unitary(state, u02, [i])
-    uenc, venc = gate_uenc(cpsi), gate_venc(cphi)
-    for i, g in enumerate((uenc, venc, uenc, venc)):
-        state = apply_unitary(state, g, [i])
-    return state
+    uenc, venc = gate_uenc(psi), gate_uenc(phi)
+    return apply_ops(basis_state((3,) * 4, (0, 0, 0, 0)),
+                     [(gate_subspace(_H2), (0,)), (controlled_pair_not(1), (0, 1)),
+                      (controlled_pair_not(0), (0, 2)), (controlled_pair_not(1), (2, 3))]
+                     + [(gate_u02(), (i,)) for i in range(4)]
+                     + [(g, (i,)) for i, g in enumerate((uenc, venc, uenc, venc))])
 
 
 @functools.cache
@@ -415,7 +361,7 @@ def controlled_pair_not(control_level: int) -> GateSpec:
                           if x[0] == control_level and x[1] < 2 else x)
 
 
-def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
+def encode_alt(psi, n: int) -> MixedRadixState:
     """Alternative encoder: repeated doubling of the codeword itself.
 
     Each stage tensors in as many flagged |2> sites as the current block
@@ -429,23 +375,16 @@ def encode_alt(psi, n: int, return_ancilla_checks: bool = False):
         raise ValueError(f"the doubling encoder needs a power-of-two size, got {n}")
     c = _as_logical(psi)
     state = basis_sum_state((3,), [((0,), c[0]), ((1,), c[1])])
-    flag = gate_presence_flag()
-    ancilla_checks = []
     while state.n_sites < n:
-        state = _doubling_stage(state, BOT, flag)
-        anc = state.n_sites - 1
-        if return_ancilla_checks:
-            ancilla_checks.append(partial_trace(state, [anc]))
-        state = project_sites(state, [anc], [0])
-    if return_ancilla_checks:
-        return state, ancilla_checks
+        state = _doubling_stage(state, BOT, gate_presence_flag())
+        state = project_sites(state, [state.n_sites - 1], [0])
     return state
 
 
 def logical_unitary(state: MixedRadixState, u: np.ndarray) -> MixedRadixState:
     """Transversal logical gate: (U + |2><2|) applied to every site."""
     gate = GateSpec(embed_unitary(u, 3), (3,))
-    return apply_ops(state, [GateOp(gate, (i,), "1q") for i in range(state.n_sites)])
+    return apply_ops(state, [(gate, (i,)) for i in range(state.n_sites)])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +429,7 @@ def _ensemble(state) -> tuple:
     return ((1.0, state),)
 
 
-def measure_decoder_ops(n: int) -> tuple[list[GateOp], int]:
+def measure_decoder_ops(n: int) -> tuple[list, int]:
     """Gate list flagging the logical position into ceil(log2(n+1)) ancillas.
 
     Site i writes the binary representation of i+1 into the ancillas (most
@@ -538,7 +477,7 @@ def _measure_ancillas(branches, n_anc: int, ops) -> list:
     for outcome in sorted(combined):
         parts = combined[outcome]
         prob = sum(w for w, _ in parts)
-        if prob > AMP_BRANCH:
+        if prob > AMP_EPS:
             out.append((outcome, prob, tuple((w / prob, v) for w, v in parts)))
     return out
 
@@ -561,7 +500,6 @@ def decode_measure(state) -> DecodeOutcome:
     ensemble = _ensemble(state)
     n = ensemble[0][1].n_sites
     ops, m = measure_decoder_ops(n)
-    cnots = sum(1 for op in ops if op.kind == "cnot")
 
     branches = []
     success = 0.0
@@ -580,7 +518,7 @@ def decode_measure(state) -> DecodeOutcome:
             post = _swapped(post, site)
         success += prob
         branches.append(DecodeBranch(outcome, prob, post, site))
-    return DecodeOutcome(branches, success, failure, m, cnots)
+    return DecodeOutcome(branches, success, failure, m)
 
 
 def decode_measure_n2_single_ancilla(state) -> DecodeOutcome:
@@ -603,10 +541,10 @@ def decode_measure_n2_single_ancilla(state) -> DecodeOutcome:
             branches.append(DecodeBranch(1, prob, _swapped(post, 1), 1))
         else:
             branches.append(DecodeBranch(0, prob, post, None))
-    return DecodeOutcome(branches, success, 0.0, 1, 2)
+    return DecodeOutcome(branches, success, 0.0, 1)
 
 
-def elective_decoder_ops(n: int, target_site: int) -> tuple[list[GateOp], int]:
+def elective_decoder_ops(n: int, target_site: int) -> tuple[list, int]:
     """Measurement-free decoder: rounds of flag-conditioned swaps.
 
     Each round introduces a fresh qubit ancilla, vacates half of the
@@ -614,11 +552,13 @@ def elective_decoder_ops(n: int, target_site: int) -> tuple[list[GateOp], int]:
     pairs from the vacated sites, and conditionally swaps each vacated
     site into a retained partner. Uses ceil(log2(n)) ancillas and exactly
     n-1 conditional swaps; an odd candidate set retains its unpaired site
-    for the next round.
+    for the next round. For power-of-two n a Hadamard on every ancilla
+    ends the list, which returns the ancillas to |0> in the failure-free
+    case. Returns (ops, ancilla count).
     """
     if not 0 <= target_site < n:
         raise ValueError("target site outside the block")
-    ops: list[GateOp] = []
+    ops = []
     cswap = gate_cswap(3)
     candidates = list(range(n))
     anc = n
@@ -631,43 +571,36 @@ def elective_decoder_ops(n: int, target_site: int) -> tuple[list[GateOp], int]:
         for v in vacated:
             ops.extend(presence_pair(v, anc))
         for v, r in zip(vacated, retained):
-            ops.append(GateOp(cswap, (anc, v, r), "cswap"))
+            ops.append((cswap, (anc, v, r)))
         candidates = retained
         anc += 1
         rounds += 1
     assert candidates == [target_site]
+    if n & (n - 1) == 0:
+        ops += [(_GATE_H, (site,)) for site in range(n, n + rounds)]
     return ops, rounds
 
 
-def decode_elective(state, target_site: int, keep_ancillas: bool = False):
+def decode_elective(state, target_site: int):
     """Decode into a chosen site without measuring.
 
     Takes a pure state or the weighted pure branches that `erase` returns,
-    and runs once per branch. Returns (post branches, ancilla count), the
-    post branches a tuple of (weight, pure state) in input order. By
-    default the ancillas are explicitly reset and dropped: each branch
-    leaves them in a product with the qutrit register, which is verified,
-    so the reset never disturbs the data. With keep_ancillas=True each
-    branch is the pre-reset joint state (Hadamards are still applied for
-    power-of-two n, which suffices to reset the ancillas in the
-    failure-free case).
+    and runs `elective_decoder_ops` once per branch. Returns (post branches,
+    ancilla count), the post branches a tuple of (weight, pure state) in
+    input order. The ancillas are then reset and dropped: each branch must
+    leave them in a product with the qutrit register, which is verified, so
+    the reset never disturbs the data.
     """
     ensemble = _ensemble(state)
     n = ensemble[0][1].n_sites
     ops, m = elective_decoder_ops(n, target_site)
-    if n & (n - 1) == 0:
-        h = GateSpec(_H2, (2,))
-        ops = ops + [GateOp(h, (site,), "1q") for site in range(n, n + m)]
     qutrits = RadixVector((3,) * n)
-
     out = []
     for weight, branch in _decoder_branches(ensemble, m, ops):
-        if not keep_ancillas:
-            # explicit reset: every branch factorizes as qutrits (x) ancillas, so
-            # a row per qutrit index in the support holds the whole state
-            distinct, joint = support_matrix(branch, range(n, n + m))
-            branch = MixedRadixState(qutrits, distinct, _reset_ancillas(joint))
-        out.append((weight, branch))
+        # every branch factorizes as qutrits (x) ancillas, so a row per
+        # qutrit index in the support holds the whole state
+        distinct, joint = support_matrix(branch, range(n, n + m))
+        out.append((weight, MixedRadixState(qutrits, distinct, _reset_ancillas(joint))))
     return tuple(out), m
 
 

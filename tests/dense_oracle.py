@@ -44,21 +44,18 @@ def dense_apply_unitary(psi, dims, gate, sites):
     return unsplit(gate.matrix @ split(psi, dims, sites), dims, sites)
 
 
-def dense_measure_sites(psi, dims, sites, rng=None):
+def dense_measure_sites(psi, dims, sites):
     """measure_sites on a dense vector; post states are dense vectors."""
     grouped = split(psi, dims, sites)
     probs = np.sum(np.abs(grouped) ** 2, axis=1)
     levels_of = RadixVector(tuple(dims[s] for s in sites)).levels_of if sites else (lambda o: ())
-    outcomes = [o for o in range(len(probs)) if probs[o] > AMP_EPS]
-    if rng is not None:
-        kept = probs[outcomes]
-        outcomes = [outcomes[int(rng.choice(len(outcomes), p=kept / kept.sum()))]]
     results = []
-    for o in outcomes:
-        post = np.zeros_like(grouped)
-        post[o] = grouped[o] / math.sqrt(probs[o])
-        results.append((levels_of(o), float(probs[o]), unsplit(post, dims, sites)))
-    return results if rng is None else results[0]
+    for o in range(len(probs)):
+        if probs[o] > AMP_EPS:
+            post = np.zeros_like(grouped)
+            post[o] = grouped[o] / math.sqrt(probs[o])
+            results.append((levels_of(o), float(probs[o]), unsplit(post, dims, sites)))
+    return results
 
 
 def dense_partial_trace(psi, dims, keep):
@@ -84,6 +81,6 @@ def oracle_apply_unitary(state, gate, sites):
 
 def oracle_apply_ops(state, ops, apply=oracle_apply_unitary):
     """The op-by-op loop that apply_ops fuses."""
-    for op in ops:
-        state = apply(state, op.gate, op.sites)
+    for gate, sites in ops:
+        state = apply(state, gate, sites)
     return state

@@ -88,7 +88,8 @@ def test_criterion_3_w_preparation():
             worst = min(worst, f)
             assert f >= 1 - 1e-10, (n, d)
     for d in (2, 3):
-        joint = wsc.scale_w(wsc.prepare_w2(d), keep_ancilla=True)
+        # scale_w's doubling stage, before its ancilla is dropped
+        joint = wsc._doubling_stage(wsc.prepare_w2(d), 0, wsc.controlled_level_not(0, d))
         anc = partial_trace(joint, [joint.n_sites - 1])
         assert float(np.abs(anc - np.array([[1, 0], [0, 0]])).max()) <= 1e-9
     print(f"\n[criterion 3] PASS W preparation matches the direct vectors at "

@@ -1,6 +1,7 @@
 import contextlib
 import csv
-import importlib.util
+import importlib
+import inspect
 import json
 import math
 import os
@@ -326,10 +327,21 @@ def test_cli_runs_apples(tmp_path):
     assert summary["config"]["params"]["bin_probs"] == [0.6, 0.2, 0.05]
 
 
+def _fresh_python(script: str) -> str:
+    """stdout of a script run in a new interpreter that imports this daqec."""
+    src = os.path.dirname(os.path.dirname(daqec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
 def test_runs_do_not_import_scipy(tmp_path):
     # scipy's import was most of daqec's start-up; the package needs only numpy and
     # pyyaml, and its exact coefficient tables are built without fractions or decimal.
-    # numpy.ma (which np.unique and np.median import) costs about 1.5 MB of memory
+    # numpy.ma (which np.median imports) costs about 1.5 MB of memory
     config = tmp_path / "pnl.yaml"
     config.write_text("experiment: pnl-sweep\ntrials: 200\nparams:\n  depths: [2, 9]\n")
     script = (
@@ -341,15 +353,31 @@ def test_runs_do_not_import_scipy(tmp_path):
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')\n"
         "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
-    src = os.path.dirname(os.path.dirname(daqec.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert _fresh_python(script) == "[]"
     assert (tmp_path / "correlated-errors.csv").exists()
     assert (tmp_path / "pnl-sweep.csv").exists()
+
+
+def test_the_shipped_bound_validate_run_does_not_import_numpy_ma(tmp_path):
+    # its medians go through np.partition; np.median would load numpy.ma
+    script = (
+        "import sys\n"
+        "from daqec.cli import main\n"
+        f"assert main(['bound-validate', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    assert _fresh_python(script) == "[]"
+    assert (tmp_path / "bound-validate.csv").exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+       | st.lists(st.sampled_from((-1.0, -0.0, 0.0, 1.0)), min_size=1, max_size=40))
+def test_median_is_np_median_bit_for_bit(values):
+    a = np.array(values)
+    before = a.copy()
+    got, ref = experiments._median(a), float(np.median(a))
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    assert np.array_equal(a, before)  # the input is left as it was
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -745,12 +773,35 @@ def test_config_fuzz(tmp_path, capsys, experiment, data):
 # names the benchmark's tracer patches
 
 
-def test_every_traced_name_resolves():
+def test_every_traced_name_resolves(perfbench_tracer):
     # the tracer looks each name up when it installs, so a renamed or
     # deleted function would break only the benchmark run
-    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module, attr in [*tracer.SPANS.values(), tracer.CHUNK_MAP]:
+    for module, attr in [*perfbench_tracer.SPANS.values(), perfbench_tracer.CHUNK_MAP]:
         assert callable(getattr(importlib.import_module(f"daqec.{module}"), attr)), (module, attr)
+
+
+def _parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_the_tracer_installs_and_its_observers_read_existing_arguments(perfbench_tracer):
+    # the observers read arguments by position or by name, and the chunk-map
+    # wrapper calls the map as (fn, tasks, threads); deleting or renaming any of
+    # them would break only the traced benchmark run
+    from daqec import mixed_radix_sim as mrs
+    from daqec import stabilizer_steane as stn
+    from daqec import wstate_code as wsc
+    # the benchmark's own tests patch these re-bound names in wstate_code
+    for name in ("apply_unitary", "measure_sites", "partial_trace", "fidelity"):
+        assert getattr(wsc, name) is getattr(mrs, name), name
+    original_map = experiments._map_ordered
+    with perfbench_tracer.Tracer("guard"):  # looks up every traced name
+        assert experiments._map_ordered is not original_map
+        assert experiments._map_ordered(lambda x: 2 * x, [1, 2, 3], 2) == [2, 4, 6]
+    assert experiments._map_ordered is original_map
+    params = _parameters(stn.simulate_frames)
+    assert (params[0], params[4]) == ("circuit", "n_trials")
+    assert _parameters(stn.steane_failure_probabilities_batch)[0] == "eps_matrix"
+    for fn in (mrs.apply_unitary, mrs.measure_sites, mrs.partial_trace, mrs.fidelity):
+        assert _parameters(fn)[0] == "state", fn.__name__
+    assert _parameters(experiments._map_ordered) == ["fn", "tasks", "threads"]

@@ -1,14 +1,14 @@
-import importlib.util
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.stats import chi2
 
 from daqec import experiments
@@ -588,7 +588,7 @@ def _proportional(a, b):
 @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=4)))
 def test_cnot_conjugation_matches_dense(bits):
     x0, z0, x1, z1 = bits
-    layout = MachineLayout("tiny", (), (0, 0), 1)
+    layout = MachineLayout("tiny", (), (0, 0))
     circ = CliffordCircuit(2, [("CNOT", 0, 1)])
     frame = PauliFrame(np.array([x0, x1], dtype=bool), np.array([z0, z1], dtype=bool))
     xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
@@ -605,7 +605,7 @@ def test_cnot_conjugation_matches_dense(bits):
 @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=2)))
 def test_h_conjugation_matches_dense(bits):
     x0, z0 = bits
-    layout = MachineLayout("tiny", (), (0,), 1)
+    layout = MachineLayout("tiny", (), (0,))
     circ = CliffordCircuit(1, [("H", 0)])
     frame = PauliFrame(np.array([x0], dtype=bool), np.array([z0], dtype=bool))
     xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
@@ -634,7 +634,7 @@ def small_circuits(draw, max_qubits: int, max_ops: int, max_meas: int):
         lambda ops: sum(o[0].startswith("MEAS") for o in ops) <= max_meas))
     procs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     bits = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-    return (CliffordCircuit(n, ops), MachineLayout("small", (), tuple(procs), 2),
+    return (CliffordCircuit(n, ops), MachineLayout("small", (), tuple(procs)),
             PauliFrame(draw(bits), draw(bits)))
 
 
@@ -802,7 +802,7 @@ def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks,
     local = lqec_layout(n_blocks)
     procs = data.draw(st.lists(st.integers(0, n_blocks - 1), min_size=local.n_qubits,
                                max_size=local.n_qubits))
-    layout = MachineLayout("random", local.blocks, tuple(procs), n_blocks)
+    layout = MachineLayout("random", local.blocks, tuple(procs))
     circuit = build_ghz_mirror(layout, depth)
     assert circuit.ops == build_ghz_mirror(local, depth).ops
     full = with_extraction(circuit, layout)
@@ -908,7 +908,8 @@ def test_pnl_sweep_per_block_rates_match_the_exact_marginals(monkeypatch):
 
     def counting_trials(circuit, layout, noise, rng, n_trials):
         xf, zf = run_trials(circuit, layout, noise, rng, n_trials)
-        counts.append((layout.name, circuit.two_qubit_layers,
+        depth = sum(op[0] == "CNOT" for op in circuit.ops) // 7  # 7 CNOTs per layer
+        counts.append((layout.name, depth,
                        np.stack((xf.sum(axis=1), (zf & ~xf).sum(axis=1)))))
         return xf, zf
     run_trials = stn.run_circuit_trials
@@ -944,19 +945,109 @@ def test_pnl_sweep_per_block_rates_match_the_exact_marginals(monkeypatch):
     assert chi2.sf(stat, df) > 1e-6, (stat, df)
 
 
-def _perfbench_tracer():
-    """perfbench/tracer.py, loaded from its file without touching it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# ---------------------------------------------------------------------------
+# correlated-errors against its exact expectations
+#
+# Every rate is an iid clipped normal and every failure probability a
+# polynomial in the rates, of degree at most 7 in each. So an n-node Gauss
+# rule for the clipped normal, exact to degree 2n - 1, gives the expected
+# rates exactly from n = 4 on: one rule per rate for the local blocks, and
+# its 4^7-node tensor product for the distributed blocks.
 
 
-def test_perfbench_tracer_observes_a_real_simulate_frames_call():
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _normal_pdf(x):
+    return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+
+
+def clipped_normal_moments(mu, sigma, hi, count):
+    """E[X^k] for k < count, X = clip(N(mu, sigma^2), 0, hi): the body by the
+    truncated-normal recurrence, from (y - mu) p(y) = -sigma^2 p'(y), plus
+    the two clip atoms."""
+    alpha, beta = -mu / sigma, (hi - mu) / sigma
+    body = [_normal_cdf(beta) - _normal_cdf(alpha)]
+    for k in range(1, count):
+        edge = hi ** (k - 1) * _normal_pdf(beta) - (_normal_pdf(alpha) if k == 1 else 0.0)
+        body.append(mu * body[k - 1] + (k - 1) * sigma**2 * (body[k - 2] if k > 1 else 0.0)
+                    - sigma * edge)
+    return np.array([b + hi**k * _normal_cdf(-beta) + (_normal_cdf(alpha) if k == 0 else 0.0)
+                     for k, b in enumerate(body)])
+
+
+def gauss_rule(moments, n):
+    """Nodes and weights of the n-node Gauss rule of a measure with moments
+    m_0..m_2n (Golub and Welsch, Math. Comp. 23, 1969): the Cholesky factor R
+    of the Hankel matrix gives the Jacobi matrix, whose eigenvalues are the
+    nodes; the weights are m_0 times the squared first eigenvector entries."""
+    r = np.linalg.cholesky([[moments[i + j] for j in range(n + 1)] for i in range(n + 1)]).T
+    diag, sup = np.diag(r), np.diag(r, 1)
+    a = sup / diag[:-1] - np.concatenate(([0.0], sup[:-1] / diag[:-2]))
+    b = diag[1:-1] / diag[:-2]
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+    return nodes, moments[0] * vecs[0] ** 2
+
+
+def exact_correlated_errors(mean, std_factor, clip_max, n_nodes=4):
+    """(E[ler_local], E[ler_dist], 1 - E[ler_dist] / E[ler_local]) of one
+    correlated-errors point with seven processors, one per local block.
+
+    The rule is built for rate / mean, whose moments are of order one."""
+    z, w = gauss_rule(clipped_normal_moments(1.0, std_factor, clip_max / mean,
+                                             2 * n_nodes + 1), n_nodes)
+    x = mean * z
+    local = 1.0 - (w @ (1.0 - stn.steane_failure_probabilities_uniform(x)["p_any"])) ** 7
+    grid = np.stack(np.meshgrid(*[x] * N_DATA, indexing="ij"), axis=-1).reshape(-1, N_DATA)
+    weights = functools.reduce(np.multiply.outer, [w] * N_DATA).ravel()
+    f = stn.steane_failure_probabilities_batch(grid)["p_any"]
+    dist = weights @ (1.0 - (1.0 - f) ** 7)
+    return local, dist, 1.0 - dist / local
+
+
+@pytest.mark.parametrize("std_factor, hi", [(0.5, 0.5 / 2e-3), (0.5, 1.5), (2.0, 3.0)])
+def test_the_clipped_normal_gauss_rule_is_exact_to_degree_seven(std_factor, hi):
+    # the recurrence against quadrature of the body, and the rule against the moments
+    m = clipped_normal_moments(1.0, std_factor, hi, 11)
+    for k in range(11):
+        body, _ = quad(lambda y: y**k * _normal_pdf((y - 1.0) / std_factor) / std_factor,
+                       0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        atoms = hi**k * _normal_cdf(-(hi - 1.0) / std_factor) + (
+            _normal_cdf(-1.0 / std_factor) if k == 0 else 0.0)
+        assert math.isclose(m[k], body + atoms, rel_tol=1e-11), k
+    for n in (4, 5):
+        z, w = gauss_rule(m, n)
+        assert np.all(w > 0) and np.all((z >= 0) & (z <= hi))
+        np.testing.assert_allclose([w @ z**k for k in range(2 * n)], m[:2 * n], rtol=1e-12)
+    # the 4- and 5-node rules give one expectation where the polynomials are degree 7
+    four = exact_correlated_errors(0.01, std_factor, 0.01 * hi, 4)
+    five = exact_correlated_errors(0.01, std_factor, 0.01 * hi, 5)
+    np.testing.assert_allclose(four, five, rtol=1e-11)
+
+
+def test_correlated_errors_matches_its_exact_expectations():
+    # the shipped run against the exact expected rates: over the 8 points, the
+    # squared z-scores of each column (from the CSV's own 95% half widths) sum
+    # to at most the 0.999 quantile of chi-squared with 8 degrees of freedom
+    cfg = experiments.load_config("correlated-errors")
+    p = cfg.params
+    assert p["n_processors"] == 7 and p["rate_points"] == 8
+    rows, _, _, _ = experiments.run_correlated_errors(cfg)
+    columns = ("ler_local", "ler_dist", "relative_advantage")
+    stat = dict.fromkeys(columns, 0.0)
+    for row in rows:
+        exact = exact_correlated_errors(row["mean_rate"], p["std_factor"], p["rate_clip_max"])
+        for column, value in zip(columns, exact):
+            stat[column] += ((row[column] - value) / (row[column + "_ci95"] / 1.96)) ** 2
+        assert 0.08 <= exact[2] <= 0.25, (row["mean_rate"], exact)  # criterion 5, exactly
+    assert all(v <= chi2.ppf(0.999, len(rows)) for v in stat.values()), stat  # 26.1
+
+
+def test_perfbench_tracer_observes_a_real_simulate_frames_call(perfbench_tracer):
     # the benchmark's tracer unpacks simulate_frames' result and reads its
     # arguments; this fails in the tests if that contract breaks
-    tr = _perfbench_tracer()
+    tr = perfbench_tracer
     layout = dqec_layout()
     circuit = build_ghz_mirror(layout, 4)
     with tr.Tracer("t") as t:
@@ -977,7 +1068,6 @@ def test_perfbench_tracer_observes_a_real_simulate_frames_call():
 def test_mirror_layer_count_and_identity_tiling():
     layout = lqec_layout()
     circ = build_ghz_mirror(layout, 12)
-    assert circ.two_qubit_layers == 12
     cnots = [op for op in circ.ops if op[0] == "CNOT"]
     assert len(cnots) == 12 * 7
     with pytest.raises(ValueError):  # one block has no CNOT chain to tile

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +11,19 @@ from daqec.mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
     RadixVector,
+    append_sites,
     apply_unitary,
     basis_state,
+    basis_sum_state,
     dump_state,
     fidelity,
     partial_trace,
+    project_sites,
     pure_state,
 )
 from daqec.wstate_code import (
     BOT,
     ErasurePattern,
-    GateOp,
     apply_ops,
     codeword_vector,
     controlled_level_not,
@@ -34,18 +34,15 @@ from daqec.wstate_code import (
     elective_decoder_ops,
     encode,
     encode_alt,
-    encode_pair_state,
     encode_two,
     ensemble_fidelity,
     erase,
     expected_swaps,
-    gate_absence_flag,
     gate_cswap,
     gate_presence_flag,
     gate_swap,
     gate_u02,
     gate_uenc,
-    gate_venc,
     logical_unitary,
     measure_decoder_ops,
     prepare_w,
@@ -83,6 +80,29 @@ def density_of(branches):
     return sum(w * np.outer(dense(v), dense(v).conj()) for w, v in branches)
 
 
+def encode_pair_state(chi) -> MixedRadixState:
+    """Directly constructed two-qubit-block codeword for a joint state chi.
+
+    chi is a 4-amplitude vector on the two logical qubits; the codeword is
+    (|chi,2,2> + |2,2,chi>)/sqrt(2) with chi occupying two adjacent sites.
+    """
+    chi = np.asarray(chi, dtype=complex).reshape(-1)
+    terms = []
+    for k, pair in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        w = chi[k] / math.sqrt(2)
+        terms += [(pair + (BOT, BOT), w), ((BOT, BOT) + pair, w)]
+    return basis_sum_state((3,) * 4, terms)
+
+
+def elective_joint(branch, target):
+    """A branch as decode_elective holds it before the reset: its ancillas
+    appended in |0...0> and elective_decoder_ops applied. Returns (joint, m)."""
+    ops, m = elective_decoder_ops(branch.n_sites, target)
+    if m:
+        branch = append_sites(branch, basis_state((2,) * m, (0,) * m))
+    return apply_ops(branch, ops), m
+
+
 def assert_pure_branches(branches, dims):
     assert isinstance(branches, tuple)
     for w, v in branches:
@@ -117,8 +137,12 @@ def test_uenc_superposition_action():
     np.testing.assert_allclose(dense(out), [1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-12)
 
 
-def test_venc_matches_uenc_structure():
-    np.testing.assert_allclose(gate_venc([0, 1]).matrix, gate_uenc([0, 1]).matrix)
+def test_encode_two_matches_the_product_pair_codeword(rng):
+    # each half holds psi at its first site and phi at its second
+    for _ in range(20):
+        psi, phi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        psi, phi = psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)
+        assert fidelity(encode_two(psi, phi), encode_pair_state(np.kron(psi, phi))) >= 1 - 1e-12
 
 
 def test_uenc_rejects_unnormalized():
@@ -207,7 +231,8 @@ def test_scale_w_qutrits():
 
 
 def test_scale_w_ancilla_disentangled():
-    joint = scale_w(prepare_w2(3), keep_ancilla=True)
+    # the doubling stage of scale_w, before its ancilla (site 4) is dropped
+    joint = wsc._doubling_stage(prepare_w2(3), 0, controlled_level_not(0, 3))
     anc = partial_trace(joint, [4])
     np.testing.assert_allclose(anc, [[1, 0], [0, 0]], atol=1e-9)
 
@@ -307,10 +332,14 @@ def test_encode_alt_matches_encode(n, rng):
 
 
 def test_encode_alt_ancillas_end_in_zero():
-    _, checks = encode_alt(PSI, 8, return_ancilla_checks=True)
-    assert len(checks) == 3
-    for red in checks:
-        np.testing.assert_allclose(red, [[1, 0], [0, 0]], atol=1e-9)
+    # encode_alt's three doubling stages, each ancilla checked before it is dropped
+    state = basis_sum_state((3,), [((0,), PSI[0]), ((1,), PSI[1])])
+    while state.n_sites < 8:
+        state = wsc._doubling_stage(state, BOT, gate_presence_flag())
+        anc = state.n_sites - 1
+        np.testing.assert_allclose(partial_trace(state, [anc]), [[1, 0], [0, 0]], atol=1e-9)
+        state = project_sites(state, [anc], [0])
+    assert fidelity(state, encode_alt(PSI, 8)) >= 1 - 1e-12
 
 
 def test_encode_alt_rejects_non_power_of_two():
@@ -430,7 +459,9 @@ def test_decode_measure_single_site():
 def test_decode_measure_cnot_budget():
     for n in range(1, 9):
         ops, m = measure_decoder_ops(n)
-        cnots = sum(1 for op in ops if op.kind == "cnot")
+        cnots = sum(op[0] in (controlled_level_not(0, 3), controlled_level_not(1, 3))
+                    for op in ops)
+        assert cnots == len(ops)
         assert m == math.ceil(math.log2(n + 1))
         assert cnots <= 2 * n * m
 
@@ -483,7 +514,7 @@ def test_decode_elective_cswap_budget():
     for n in range(2, 9):
         for target in (0, n - 1):
             ops, rounds = elective_decoder_ops(n, target)
-            assert sum(1 for op in ops if op.kind == "cswap") == n - 1
+            assert sum(op[0] is gate_cswap(3) for op in ops) == n - 1
             assert rounds == math.ceil(math.log2(n))
 
 
@@ -503,8 +534,7 @@ def test_decode_elective_ancilla_factorization_pure():
     # failure-free case: pre-reset joint is an exact product and the
     # Hadamards return every ancilla to |0>
     for n in (2, 4):
-        ((weight, joint),), m = decode_elective(encode(PSI, n), n - 1, keep_ancillas=True)
-        assert weight == 1.0
+        joint, m = elective_joint(encode(PSI, n), n - 1)
         qudits = list(range(n))
         ancillas = list(range(n, n + m))
         rho_joint = np.outer(dense(joint), dense(joint).conj())
@@ -519,7 +549,7 @@ def test_decode_elective_ancilla_factorization_pure():
 
 
 def test_decode_elective_factorization_odd_n():
-    ((_, joint),), m = decode_elective(encode(PSI, 3), 0, keep_ancillas=True)
+    joint, m = elective_joint(encode(PSI, 3), 0)
     mat = dense(joint).reshape(27, 2**m)
     s = np.linalg.svd(mat, compute_uv=False)
     assert s[1] < 1e-9  # Schmidt rank one across the ancilla cut
@@ -588,7 +618,7 @@ def test_decoders_return_weighted_pure_branches():
             assert_pure_branches(b.post_state, dims)
             assert abs(sum(w for w, _ in b.post_state) - 1.0) < 1e-12
     assert_pure_branches(decode_elective(state, 1)[0], (3, 3, 3))
-    assert_pure_branches(decode_elective(state, 1, keep_ancillas=True)[0], (3, 3, 3, 2, 2))
+    assert_pure_branches(tuple((w, elective_joint(v, 1)[0]) for w, v in state), (3, 3, 3, 2, 2))
 
 
 
@@ -672,9 +702,9 @@ def test_erasure_pattern_position_does_not_matter():
 # fused permutation runs against the gate-by-gate oracle
 
 
-# what the seven cached permutation builders give
-PERMUTATION_GATES = (gate_u02(), controlled_level_not(0), controlled_level_not(1, 2),
-                     gate_presence_flag(), gate_absence_flag(2), gate_absence_flag(3),
+# what the cached permutation builders give
+PERMUTATION_GATES = (gate_u02(), controlled_level_not(1, 3), controlled_level_not(1, 2),
+                     gate_presence_flag(), controlled_level_not(0, 2), controlled_level_not(0, 3),
                      gate_cswap(2), gate_cswap(3), gate_swap(2), gate_swap(3),
                      controlled_pair_not(0), controlled_pair_not(1))
 
@@ -682,16 +712,18 @@ PERMUTATION_GATES = (gate_u02(), controlled_level_not(0), controlled_level_not(1
 def test_gate_ops_compare_and_hash():
     ops, _ = measure_decoder_ops(3)
     op = ops[0]
-    assert op == op and hash(op) == hash(op) and op.gate == op.gate
+    assert op == op and hash(op) == hash(op) and op[0] == op[0]
     assert len({op, op}) == 1
     # the gates are shared, so the ops of two calls are equal
     assert measure_decoder_ops(3)[0] == ops
     assert len(set(ops)) == len(ops)
+    # one gate is one object however it is asked for, so budgets count by identity
+    assert {op[0] for op in ops} == {controlled_level_not(0, 3), controlled_level_not(1, 3)}
 
 
 @pytest.mark.parametrize("build, args", [
-    (gate_u02, ()), (controlled_level_not, (1,)), (gate_presence_flag, ()),
-    (gate_absence_flag, (3,)), (gate_cswap, (3,)), (gate_swap, (3,)),
+    (gate_u02, ()), (controlled_level_not, (1, 3)), (gate_presence_flag, ()),
+    (controlled_level_not, (0, 3)), (gate_cswap, (3,)), (gate_swap, (3,)),
     (controlled_pair_not, (0,)), (wsc._gate_x, ())])
 def test_cached_gates_are_shared_and_read_only(build, args):
     gate = build(*args)
@@ -719,7 +751,7 @@ def _op_lists(draw):
             site = draw(st.integers(0, len(dims) - 1))
             q, _ = np.linalg.qr(rng.normal(size=(dims[site],) * 2)
                                 + 1j * rng.normal(size=(dims[site],) * 2))
-            ops.append(GateOp(GateSpec(q, (dims[site],)), (site,), "1q"))
+            ops.append((GateSpec(q, (dims[site],)), (site,)))
             continue
         gate = draw(st.sampled_from(PERMUTATION_GATES))
         order = draw(st.permutations(range(len(dims))))
@@ -730,7 +762,7 @@ def _op_lists(draw):
                 break
             sites.append(free[0])
         else:
-            ops.append(GateOp(gate, tuple(sites), "perm"))
+            ops.append((gate, tuple(sites)))
     # the second register has one more site, which no op touches
     registers = [dims, dims + (draw(st.sampled_from((2, 3))),)]
     states = [pure_state(r, _random_unit(rng, math.prod(r))) for r in registers]
@@ -847,15 +879,16 @@ def test_elective_reset_matches_svd_reset_oracle(case, target):
     branches, _ = erase(word, pattern)
     n = branches[0][1].n_sites
     target %= n
-    joints, m = decode_elective(branches, target, keep_ancillas=True)
+    joints = [elective_joint(branch, target)[0] for _, branch in branches]
+    m = elective_decoder_ops(n, target)[1]
     try:
-        refs = [svd_reset_oracle(dense(joint).reshape(3**n, 2**m)) for _, joint in joints]
+        refs = [svd_reset_oracle(dense(joint).reshape(3**n, 2**m)) for joint in joints]
     except ValueError:
         with pytest.raises(ValueError, match="entangled"):
             decode_elective(branches, target)
         return
     post, _ = decode_elective(branches, target)
-    assert [w for w, _ in post] == [w for w, _ in joints]
+    assert [w for w, _ in post] == [w for w, _ in branches]
     for (_, data), ref in zip(post, refs):
         assert data.radix.dims == (3,) * n
         assert abs(np.vdot(ref, dense(data))) ** 2 >= 1.0 - 1e-12
@@ -895,13 +928,10 @@ def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
     assert max(supports) == 20
 
 
-def test_perfbench_tracer_observes_the_sparse_states():
+def test_perfbench_tracer_observes_the_sparse_states(perfbench_tracer):
     # the benchmark's tracer reads `state.array.nbytes` of each state handed to
     # the simulator's traced functions; this fails in the tests if that breaks
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tr = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tr)
+    tr = perfbench_tracer
     red, _ = erase(encode(PSI, 4), ErasurePattern({3}))
     with tr.Tracer("t") as t:
         out = decode_measure(red)
