@@ -97,7 +97,9 @@ _TOP = {
     # bound-validate keeps two ratios per trial until the median
     "trials": Param(int, 0, 0, 10**7),
     "out": Param(str, "results"),
-    # a point's chunks go to the thread pool at once, one OS thread each
+    # the calling thread and up to threads - 1 pool threads share a point's
+    # chunks; the frame engine holds the interpreter lock in short numpy
+    # calls, so pnl-sweep gains little from a second thread
     "threads": Param(int, 1, 1, 64),
     # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
     "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
@@ -212,11 +214,33 @@ def chunk_plan(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def _map_ordered(fn, tasks, threads: int) -> list:
-    """Run tasks possibly in parallel but collect results in task order."""
-    if threads <= 1 or len(tasks) <= 1:
+    """Run tasks possibly in parallel but collect results in task order.
+
+    The caller and min(threads, len(tasks)) - 1 pool threads take task
+    indices from one range iterator, whose next() is atomic under the
+    interpreter lock. After a failure no thread starts a task, and the
+    error is raised once all have stopped.
+    """
+    workers = min(threads, len(tasks)) - 1
+    if workers < 1:
         return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, tasks))
+    results = [None] * len(tasks)
+    indices = iter(range(len(tasks)))
+
+    def drain():
+        try:
+            for i in indices:
+                results[i] = fn(tasks[i])
+        except BaseException:
+            for _ in indices:  # the other threads take no further task
+                pass
+            raise
+    with ThreadPoolExecutor(workers) as ex:
+        futures = [ex.submit(drain) for _ in range(workers)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
 
 
 def _seeded_chunks(cfg: ExperimentConfig, point_index: int, fn) -> list:
@@ -288,12 +312,13 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     layouts = [("lqec", stn.lqec_layout(p["n_blocks"])),
                ("dqec", stn.dqec_layout(p["n_blocks"]))]
     rows = [None] * (len(layouts) * len(depths))
-    # depth by depth, so both layouts of a depth share one compiled table;
-    # points, and so their seeds and rows, stay numbered layout first
+    # depth by depth, so both layouts of a depth share one circuit and one
+    # compiled table; points, and so their seeds and rows, stay numbered
+    # layout first
     for depth_index, depth in enumerate(depths):
+        # the layouts differ only in where the qubits live
+        circuit = stn.build_ghz_mirror(layouts[0][1], depth)
         for layout_index, (scheme, layout) in enumerate(layouts):
-            circuit = stn.build_ghz_mirror(layout, depth)
-
             def run_chunk(rng, count):
                 xf, zf = stn.run_circuit_trials(circuit, layout, noise, rng, count)
                 return (int(np.count_nonzero(np.any(xf | zf, axis=0))),

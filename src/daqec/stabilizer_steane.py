@@ -203,7 +203,6 @@ _CNOT, _H, _PREP, _MEAS_Z, _MEAS_X = range(5)
 _KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
           "MEAS_Z": _MEAS_Z, "MEAS_X": _MEAS_X}
 _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of the noise
-_PAULI_BITS = np.array([8, 4, 2, 1])  # x_c, z_c, x_t, z_t of a Pauli number in 1..15
 
 
 def _schedule(circuit: CliffordCircuit):
@@ -236,15 +235,15 @@ def _schedule(circuit: CliffordCircuit):
 
 
 def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int):
-    """Depolarizing hits after the CNOTs of a schedule, in batches of (op, trial, which).
+    """Depolarizing hits after the CNOTs of a schedule, in batches of (op, trial, pauli).
 
     Each distinct nonzero rate, in ascending order, draws its own stream:
     position i * n_trials + k stands for the i-th op of that rate in trial
     k, and the positions hit come from cumulative geometric gaps at the
     rate, so the draws scale with the hits. A hit takes one of the 15
-    nontrivial two-qubit Paulis uniformly, the bits (x_c, z_c, x_t, z_t) of
-    a number in 1..15, and becomes one entry per set bit, `which` being the
-    bit's index in that order. Within a rate the entries come in op order.
+    nontrivial two-qubit Paulis uniformly, `pauli` being the number in
+    1..15 with bits (x_c, z_c, x_t, z_t) from the highest down. Within a
+    rate the hits come in op order.
     """
     # a set, not np.unique, which would import numpy.ma
     for p in sorted(set(rate[rate > 0.0].tolist())):
@@ -258,12 +257,8 @@ def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int
             # stay far from overflow at any rate
             pos = last + np.cumsum(np.minimum(rng.geometric(p, size), end + 1))
             last = int(pos[-1])
-            pos = pos[:np.searchsorted(pos, end)]
-            pauli = rng.integers(1, 16, size=pos.size)
-            # entry 4 * i + j for bit j of hit i, so in op order
-            bit = np.flatnonzero(pauli[:, None] & _PAULI_BITS != 0)
-            i, trial = np.divmod(pos[bit >> 2], n_trials)
-            yield ops[i], trial, bit & 3
+            i, trial = np.divmod(pos[:np.searchsorted(pos, end)], n_trials)
+            yield ops[i], trial, rng.integers(1, 16, size=i.size)
 
 
 def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
@@ -277,10 +272,13 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
     schedule finds, for every frame bit, the decoder bits that an error on
     it would flip: a CNOT (c, t) xors the x_t and z_c rows into x_c and
     z_t, H swaps x and z, a preparation clears both, and a measurement adds
-    its readout bit to the frame bit it reads. table[o, j] holds the flips
-    of the j-th of (x_c, z_c, x_t, z_t) right after CNOT o, and is zero for
-    any other op. Returns each op's qubits a and b, whether it is a CNOT,
-    and the table; neither depends on where the qubits live or on the noise.
+    its readout bit to the frame bit it reads. table[o, r] holds the flips
+    of a Pauli right after CNOT o: rows 0..3 I, Z, X, Y on the control and
+    rows 4..7 the same on the target, so the two-qubit Pauli with bits
+    (x_c, z_c, x_t, z_t) from the highest down, number p, flips
+    table[o, p >> 2] ^ table[o, 4 + (p & 3)]. The rows are zero for any
+    other op. Returns each op's qubits a and b, whether it is a CNOT, and
+    the table; neither depends on where the qubits live or on the noise.
     """
     a, b, meas, cnot, starts, ends, kinds = _schedule(circuit)
     nq, nb = circuit.n_qubits, len(blocks)
@@ -299,11 +297,11 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
     flips, readout = flips.view("<u8"), readout.view("<u8")
     src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
     paulis = np.stack((a, a + nq, b, b + nq), axis=1)
-    table = np.zeros((a.size, 4, octets // 8), dtype="<u8")
+    table = np.zeros((a.size, 8, octets // 8), dtype="<u8")
     for lo, hi, kind in zip(starts[::-1], ends[::-1], kinds[::-1]):
         rows = src[:, lo:hi]
         if kind == _CNOT:
-            table[lo:hi] = flips[paulis[lo:hi]]
+            table[lo:hi, [2, 1, 6, 5]] = flips[paulis[lo:hi]]
             flips[rows] ^= flips[dst[:, lo:hi]]
         elif kind == _H:
             flips[rows] = flips[rows[::-1]]
@@ -311,6 +309,8 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
             flips[rows] = 0
         else:
             flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
+    for y in (3, 7):  # Y = X Z, and the flips of a product are the xor
+        np.bitwise_xor(table[:, y - 1], table[:, y - 2], out=table[:, y])
     return a, b, cnot, table
 
 
@@ -351,9 +351,9 @@ def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: Nois
     proc = np.asarray(layout.qubit_processor)
     rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local) * cnot
     mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
-    for op, trial, which in _depolarizing_hits(rng, rate, n_trials):
+    for op, trial, pauli in _depolarizing_hits(rng, rate, n_trials):
         # unbuffered, because several hits can share a trial
-        np.bitwise_xor.at(mask, trial, table[op, which])
+        np.bitwise_xor.at(mask, trial, table[op, pauli >> 2] ^ table[op, 4 + (pauli & 3)])
     octets = mask.view(np.uint8)[:, :len(layout.blocks)].T.copy()
     return octets >> 6 & 1, octets >> 7, octets & 63
 

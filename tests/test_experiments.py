@@ -11,6 +11,8 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +120,69 @@ def test_probability_ranges_checked(tmp_path):
 def test_chunk_plan_covers_total():
     plan = chunk_plan(10_000, 4096)
     assert plan == [(0, 4096), (1, 4096), (2, 1808)]
+
+
+CHUNK_MAP_THREADS = [2, 3, 8]
+
+
+@pytest.mark.parametrize("threads", CHUNK_MAP_THREADS)
+def test_the_chunk_map_runs_every_task_once_in_order_and_the_caller_joins_in(threads):
+    caller = threading.get_ident()
+    for n_tasks in range(1, 21):
+        before = set(threading.enumerate())
+        lock, caller_ran = threading.Lock(), threading.Event()
+        runs, runners, running, peak = [], set(), [0], [0]
+
+        def task(t):
+            with lock:
+                runs.append(t)
+                runners.add(threading.get_ident())
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            # a pool thread holds its first task until the caller has run
+            # one, so the caller cannot find every task taken
+            if threading.get_ident() == caller:
+                caller_ran.set()
+            else:
+                assert caller_ran.wait(timeout=10)
+            with lock:
+                running[0] -= 1
+            return 10 * t
+        tasks = list(range(n_tasks))
+        assert experiments._map_ordered(task, tasks, threads) == [10 * t for t in tasks]
+        assert sorted(runs) == tasks
+        assert caller in runners
+        assert len(runners) <= threads and peak[0] <= threads
+        assert set(threading.enumerate()) <= before  # every pool thread has ended
+
+
+@pytest.mark.parametrize("threads", CHUNK_MAP_THREADS)
+def test_an_exception_in_any_chunk_map_task_propagates(threads):
+    for n_tasks in range(1, 21):
+        for bad in range(n_tasks):
+            before = set(threading.enumerate())
+
+            def task(t):
+                if t == bad:
+                    raise KeyError(t)
+                return t
+            with pytest.raises(KeyError) as info:
+                experiments._map_ordered(task, list(range(n_tasks)), threads)
+            assert info.value.args == (bad,)
+            assert set(threading.enumerate()) <= before
+
+
+def test_a_failed_chunk_map_task_stops_the_other_threads_taking_more():
+    runs = []
+
+    def task(t):
+        if t == 0:
+            raise KeyError(t)
+        runs.append(t)
+        time.sleep(0.005)
+    with pytest.raises(KeyError):
+        experiments._map_ordered(task, list(range(20)), 2)
+    assert len(runs) < 19
 
 
 def test_point_rng_reproducible():

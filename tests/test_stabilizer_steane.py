@@ -720,9 +720,11 @@ def _apply_hits(batches, a, b, n_qubits, n_trials):
     """Packed (2 * n_qubits, words) frames of the hits of _depolarizing_hits."""
     rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
     frames = np.zeros((2 * n_qubits, (n_trials + 63) // 64), dtype=np.uint64)
-    for op, trial, which in batches:
-        bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
-        np.bitwise_xor.at(frames, (rows[op, which], trial >> 6), bits)
+    for op, trial, pauli in batches:
+        # one entry per set bit of the Pauli, x_c (bit 3) first
+        hit, which = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)
+        bits = np.left_shift(np.uint64(1), (trial[hit] & 63).astype(np.uint64))
+        np.bitwise_xor.at(frames, (rows[op[hit], which], trial[hit] >> 6), bits)
     return unpack_trials(frames, n_trials)
 
 
@@ -735,8 +737,8 @@ def test_depolarizing_hits_keep_drawing_until_every_op_is_covered(rate):
     rate, n_trials = np.array(rate), 1000
     rng = EveryPosition()
     batches = list(stn._depolarizing_hits(rng, rate, n_trials))
-    op, trial, which = (np.concatenate(column) for column in zip(*batches))
-    assert not which.any()  # X on the control only
+    op, trial, pauli = (np.concatenate(column) for column in zip(*batches))
+    assert np.all(pauli == 8)  # X on the control only
     hits = np.zeros((rate.size, n_trials), dtype=np.int64)
     np.add.at(hits, (op, trial), 1)
     # every noisy op in every trial, once; a noiseless op never
@@ -759,7 +761,7 @@ def test_depolarizing_hits_at_the_ends_of_the_rate_range():
     assert _apply_hits(hits, a, b, 2, 77).any(axis=0).all()
     # a gap too long for int64 ends the hits instead of wrapping around
     hits = list(stn._depolarizing_hits(rng, np.full(1, 5e-324), 10**6))
-    assert sum(op.size + trial.size + which.size for op, trial, which in hits) == 0
+    assert sum(op.size + trial.size + pauli.size for op, trial, pauli in hits) == 0
 
 
 LAYOUTS = {"lqec": lqec_layout, "dqec": dqec_layout}
@@ -867,6 +869,19 @@ def test_circuits_differing_in_one_op_get_different_tables():
     assert not np.array_equal(swapped[3], other[3])
 
 
+@pytest.mark.parametrize("n_blocks", [3, 9])  # nine blocks need a second mask word
+def test_the_y_rows_are_the_xor_of_the_x_and_z_rows_and_the_identity_rows_are_zero(n_blocks):
+    layout = dqec_layout(n_blocks)
+    circuit = with_extraction(build_ghz_mirror(layout, 5), layout)
+    a, b, cnot, table = stn._compile(circuit, layout.blocks)
+    assert table.shape[1] == 8
+    for side in (0, 4):  # rows I, Z, X, Y of the control, then of the target
+        assert not table[:, side].any()
+        assert np.array_equal(table[:, side + 3], table[:, side + 1] ^ table[:, side + 2])
+        assert table[cnot, side + 3].any()
+    assert not table[~cnot].any()
+
+
 # Decoder byte of a block (see stn._compile): bits 0..5 its readouts, bit 6
 # its data X parity, bit 7 its data Z parity. PARITY[v] is the parity of byte
 # v and WALSH[s, v] = (-1)^(s . v) the characters of the xor group of bytes.
@@ -892,7 +907,8 @@ def exact_block_bytes(circuit: CliffordCircuit, layout: MachineLayout,
     full = with_extraction(circuit, layout)
     a, b, cnot, table = stn._compile(full, layout.blocks)
     rate = op_rates(a, b, cnot, layout, noise)
-    octets = table[rate > 0].view(np.uint8)  # (location, j, block)
+    # (location, j, block) for the rows of x_c, z_c, x_t and z_t
+    octets = table[rate > 0][:, [2, 1, 6, 5]].view(np.uint8)
     log_factor = np.log1p(-16.0 / 15.0 * rate[rate > 0])
     dist = []
     for block in range(len(layout.blocks)):
