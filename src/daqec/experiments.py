@@ -549,10 +549,10 @@ def run_wstate_verify(cfg: ExperimentConfig):
             pattern = wsc.ErasurePattern(range(total - n_e, total))
             state, _ = wsc.erase(word, pattern)
             expected = n / total
-            outcome = wsc.decode_measure(state)
+            outcome = wsc.decode_measure(state, pattern)
             add("measure-decoder", n, n_e, expected, outcome.success_probability, 1e-9)
-            post, _ = wsc.decode_elective(state, 0)
-            fid = wsc.ensemble_fidelity(post, _psi_at_site(psi, n, 0))
+            post, _ = wsc.decode_elective(state, 0, pattern)
+            fid = wsc.ensemble_fidelity(post, _psi_at_site(psi, n, 0), pattern)
             add("elective-decoder", n, n_e, expected, fid, 1e-9)
 
     worst = 1.0
@@ -699,10 +699,11 @@ def run_apples(cfg: ExperimentConfig):
 
 # Ranges keep every accepted config runnable: each bound marks where a run
 # would divide by zero, index an empty layout, find nothing to check or
-# outgrow memory or time. A W-code state keeps only its 2n nonzero amplitudes,
+# outgrow memory or time. A W-code state keeps only its nonzero amplitudes,
 # so memory does not cap max_total_sites; time does: both decoders over every
-# erasure count of an 18-site word (max_erasures: 17) take 1.6 to 2.4 s on a
-# 2-core VM, against 0.35 s at 10 sites; a site adds about 15%.
+# erasure count of an 18-site word (max_erasures: 17) take 0.6 to 1.1 s on a
+# 2-core VM (the whole run 1.0 to 1.5 s), against 0.14 to 0.17 s at 10 sites;
+# a site adds about 20%.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.
 _RATE = dict(lo=1e-6, hi=1.0)

@@ -348,6 +348,8 @@ def project_sites(state: MixedRadixState, sites: Sequence[int],
                   levels: Sequence[int]) -> MixedRadixState:
     """Drop sites that sit at `levels` up to 1e-9 in weight; the others keep their order."""
     sites = _check_sites(state.dims, tuple(sites))
+    if not sites and not len(levels):
+        return state
     target = RadixVector(tuple(state.dims[s] for s in sites)).index_of(levels)
     kept = _local(state.index, state.radix, sites) == target
     amps = state.array[kept]

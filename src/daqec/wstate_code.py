@@ -12,6 +12,11 @@ elective decoder, and transversal logical gates. Every circuit is a list
 of (gate, sites) ops executed on the mixed-radix simulator by `apply_ops`,
 so gate budgets can be audited directly: the gates are shared objects, so
 counting ops by gate identity counts them by kind.
+
+Erasure is deferred measurement (Nielsen and Chuang, section 4.4): no
+decoder gate touches an erased site, so the erased sites stay in the
+register as spectators, each decoder runs once on the survivors, and the
+erased sites are traced out only when a result is read.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixed_radix_sim import (
-    AMP_EPS,
     GateSpec,
     MixedRadixState,
     RadixVector,
@@ -82,15 +86,14 @@ def apply_ops(state: MixedRadixState, ops) -> MixedRadixState:
 class DecodeBranch:
     """One ancilla readout of a measuring decoder.
 
-    post_state is the qutrit register after the readout, as a tuple of
-    (weight within the readout, pure state) branches whose weights sum to
-    one; on success the logical content sits at site 0.
+    post_state is the whole qutrit register after the readout, erased sites
+    included; on success the logical content sits at the first survivor.
     """
 
     outcome: int                 # ancilla readout as an integer, 0 = heralded failure
     probability: float
-    post_state: tuple
-    psi_site: int | None         # site that held the logical state (None on failure)
+    post_state: MixedRadixState
+    psi_site: int | None         # survivor (0 = first) that held the logical state, or None
 
 
 @dataclass
@@ -391,42 +394,25 @@ def logical_unitary(state: MixedRadixState, u: np.ndarray) -> MixedRadixState:
 # erasure and decoding
 
 
-def erase(state: MixedRadixState, pattern: ErasurePattern):
-    """Lose the erased sites; their locations stay classical metadata.
-
-    Tracing a site out is measuring it and forgetting the outcome, so the
-    erased word is returned as the ensemble that measuring the erased
-    sites gives. Returns (branches, pattern): branches is a tuple of
-    (probability, pure state on the surviving sites), one per outcome of
-    probability > 1e-12, outcomes ascending. Site indices of each branch
-    are the surviving sites in ascending order. With no erased site the
-    one branch is the word itself.
-    """
+def _survivors(state: MixedRadixState, pattern: ErasurePattern) -> list[int]:
+    """The sites the pattern leaves, ascending; the pattern must lie in the block."""
     n = state.n_sites
     if any(not 0 <= i < n for i in pattern.erased):
         raise ValueError("erasure pattern outside the block")
     if len(pattern.erased) == n:
         raise ValueError("cannot erase every site")
-    if not pattern.erased:
-        return ((1.0, state),), pattern
-    erased = sorted(pattern.erased)
-    return tuple((prob, project_sites(post, erased, levels))
-                 for levels, prob, post in measure_sites(state, erased)), pattern
+    return [i for i in range(n) if i not in pattern.erased]
 
 
-def _ensemble(state) -> tuple:
-    """The (weight, pure state) branches of a decoder input; a pure state is one branch.
+def erase(state: MixedRadixState, pattern: ErasurePattern):
+    """Lose the erased sites; their locations stay classical metadata.
 
-    The weights of an ensemble must be nonnegative and sum to one within 1e-9.
+    Returns (state, pattern) with the state unchanged once the pattern is
+    checked: the erased sites stay in the register, and the decoders and
+    `ensemble_fidelity` take the pattern. It must leave at least one site.
     """
-    if not isinstance(state, MixedRadixState):
-        branches = tuple(state)
-        weights = [w for w, _ in branches]
-        # written as `not w >= 0` so that NaN fails too
-        if any(not w >= 0.0 for w in weights) or not abs(math.fsum(weights) - 1.0) <= 1e-9:
-            raise ValueError("ensemble weights must be nonnegative and sum to one")
-        return branches
-    return ((1.0, state),)
+    _survivors(state, pattern)
+    return state, pattern
 
 
 def measure_decoder_ops(n: int) -> tuple[list, int]:
@@ -449,62 +435,40 @@ def measure_decoder_ops(n: int) -> tuple[list, int]:
     return ops, m
 
 
-def _decoder_branches(branches, n_anc: int, ops) -> list:
-    """(weight, state) per branch, with `n_anc` qubit ancillas appended in
-    |0...0> and the decoder gates applied."""
-    if n_anc:  # a one-site block needs none
-        anc0 = basis_state((2,) * n_anc, (0,) * n_anc)
-        branches = [(weight, append_sites(branch, anc0)) for weight, branch in branches]
-    return [(weight, apply_ops(branch, ops)) for weight, branch in branches]
+def _run_on_survivors(state: MixedRadixState, survivors: list[int], ops, m: int):
+    """The register with m qubit ancillas appended in |0...0> and a decoder
+    circuit run on it, the circuit's sites 0..n-1 mapped onto the survivors."""
+    total = state.n_sites
+    if m:  # a one-site block needs none
+        state = append_sites(state, basis_state((2,) * m, (0,) * m))
+    where = (*survivors, *range(total, total + m))
+    return apply_ops(state, [(gate, tuple(where[s] for s in sites)) for gate, sites in ops])
 
 
-def _measure_ancillas(branches, n_anc: int, ops) -> list:
-    """Run a measuring decoder and read its ancillas out.
-
-    Returns (outcome, probability, qutrit post branches) per ancilla
-    readout, in ascending order, with the readout bits taken most
-    significant first. The post branches of a readout are the input
-    branches that gave it, as (weight within the readout, pure state).
-    """
-    n = branches[0][1].n_sites
-    readout = RadixVector((2,) * n_anc)
-    combined: dict[int, list[tuple[float, MixedRadixState]]] = {}
-    for weight, branch in _decoder_branches(branches, n_anc, ops):
-        for levels, prob, post in measure_sites(branch, range(n, n + n_anc)):
-            combined.setdefault(readout.index_of(levels), []).append(
-                (weight * prob, project_sites(post, range(n, n + n_anc), levels)))
-    out = []
-    for outcome in sorted(combined):
-        parts = combined[outcome]
-        prob = sum(w for w, _ in parts)
-        if prob > AMP_EPS:
-            out.append((outcome, prob, tuple((w / prob, v) for w, v in parts)))
-    return out
+def _measure_ancillas(state: MixedRadixState, survivors: list[int], ops, m: int) -> list:
+    """Run a measuring decoder: (outcome, probability, qutrit register after the
+    readout) per ancilla readout, ascending, the readout bits most significant first."""
+    joint = _run_on_survivors(state, survivors, ops, m)
+    ancillas = range(state.n_sites, state.n_sites + m)
+    readout = RadixVector((2,) * m)
+    return [(readout.index_of(levels), prob, project_sites(post, ancillas, levels))
+            for levels, prob, post in measure_sites(joint, ancillas)]
 
 
-def _swapped(branches, site: int) -> tuple:
-    """Each branch with site 0 and `site` swapped."""
-    swap = gate_swap(3)
-    return tuple((w, apply_unitary(v, swap, [0, site])) for w, v in branches)
+def decode_measure(state, pattern=ErasurePattern(())) -> DecodeOutcome:
+    """Measurement decoder on the n sites that the pattern leaves.
 
-
-def decode_measure(state) -> DecodeOutcome:
-    """Measurement decoder on n unerased qutrit sites.
-
-    Takes a pure state or the weighted pure branches that `erase` returns,
-    and runs once per branch. Appends the flag ancillas, enumerates their
-    readout, and swaps the located logical state to site 0 conditioned on
-    the (classical) outcome. Readout zero is heralded failure. For erased
+    Appends the flag ancillas, enumerates their readout, and swaps the
+    located logical state to the first survivor conditioned on the
+    (classical) outcome. Readout zero is heralded failure. For erased
     codewords the success probability is exactly n/(n+n_e).
     """
-    ensemble = _ensemble(state)
-    n = ensemble[0][1].n_sites
+    survivors = _survivors(state, pattern)
+    n = len(survivors)
     ops, m = measure_decoder_ops(n)
-
     branches = []
-    success = 0.0
-    failure = 0.0
-    for outcome, prob, post in _measure_ancillas(ensemble, m, ops):
+    success = failure = 0.0
+    for outcome, prob, post in _measure_ancillas(state, survivors, ops, m):
         if outcome == 0:
             failure += prob
             branches.append(DecodeBranch(0, prob, post, None))
@@ -515,30 +479,30 @@ def decode_measure(state) -> DecodeOutcome:
             branches.append(DecodeBranch(outcome, prob, post, None))
             continue
         if site != 0:
-            post = _swapped(post, site)
+            post = apply_unitary(post, gate_swap(3), [survivors[0], survivors[site]])
         success += prob
         branches.append(DecodeBranch(outcome, prob, post, site))
     return DecodeOutcome(branches, success, failure, m)
 
 
-def decode_measure_n2_single_ancilla(state) -> DecodeOutcome:
+def decode_measure_n2_single_ancilla(state, pattern=ErasurePattern(())) -> DecodeOutcome:
     """Minimal two-site decoder with a single flag ancilla.
 
-    Only the second site is flagged: readout 1 locates the logical state
-    there (followed by the conditional swap), readout 0 mixes "it was
-    already at site 0" with the all-flag erasure branch, so failure is
-    not heralded. The general decoder above uses two ancillas for n=2
-    precisely to recover that herald.
+    Only the second survivor is flagged: readout 1 locates the logical
+    state there (followed by the conditional swap), readout 0 mixes "it was
+    already at the first survivor" with the all-flag erasure branch, so
+    failure is not heralded. The general decoder above uses two ancillas
+    for n=2 precisely to recover that herald.
     """
-    ensemble = _ensemble(state)
-    if ensemble[0][1].n_sites != 2:
+    survivors = _survivors(state, pattern)
+    if len(survivors) != 2:
         raise ValueError("this variant is defined for two unerased sites")
     branches = []
     success = 0.0
-    for outcome, prob, post in _measure_ancillas(ensemble, 1, presence_pair(1, 2)):
+    for outcome, prob, post in _measure_ancillas(state, survivors, presence_pair(1, 2), 1):
         if outcome == 1:
             success += prob
-            branches.append(DecodeBranch(1, prob, _swapped(post, 1), 1))
+            branches.append(DecodeBranch(1, prob, apply_unitary(post, gate_swap(3), survivors), 1))
         else:
             branches.append(DecodeBranch(0, prob, post, None))
     return DecodeOutcome(branches, success, 0.0, 1)
@@ -581,27 +545,30 @@ def elective_decoder_ops(n: int, target_site: int) -> tuple[list, int]:
     return ops, rounds
 
 
-def decode_elective(state, target_site: int):
-    """Decode into a chosen site without measuring.
+def decode_elective(state, target_site: int, pattern=ErasurePattern(())):
+    """Decode into a chosen survivor (0 = the first) without measuring.
 
-    Takes a pure state or the weighted pure branches that `erase` returns,
-    and runs `elective_decoder_ops` once per branch. Returns (post branches,
-    ancilla count), the post branches a tuple of (weight, pure state) in
-    input order. The ancillas are then reset and dropped: each branch must
-    leave them in a product with the qutrit register, which is verified, so
-    the reset never disturbs the data.
+    Runs `elective_decoder_ops` once on the survivors and returns (qutrit
+    register, ancilla count). The ancillas are reset and dropped separately
+    for each digit string of the erased sites: each must leave them in a
+    product with the qutrits, which is verified, so the reset never
+    disturbs the data. Each string keeps its weight but not its phase
+    against the others, which tracing the erased sites out forgets anyway.
     """
-    ensemble = _ensemble(state)
-    n = ensemble[0][1].n_sites
-    ops, m = elective_decoder_ops(n, target_site)
-    qutrits = RadixVector((3,) * n)
-    out = []
-    for weight, branch in _decoder_branches(ensemble, m, ops):
-        # every branch factorizes as qutrits (x) ancillas, so a row per
-        # qutrit index in the support holds the whole state
-        distinct, joint = support_matrix(branch, range(n, n + m))
-        out.append((weight, MixedRadixState(qutrits, distinct, _reset_ancillas(joint))))
-    return tuple(out), m
+    survivors = _survivors(state, pattern)
+    total = state.n_sites
+    ops, m = elective_decoder_ops(len(survivors), target_site)
+    joint = _run_on_survivors(state, survivors, ops, m)
+    index, amps = [], []
+    for _, prob, group in measure_sites(joint, sorted(pattern.erased)):
+        # the group factorizes as qutrits (x) ancillas, so a row per
+        # qutrit index in the support holds all of it
+        rows, matrix = support_matrix(group, range(total, total + m))
+        index.append(rows)
+        amps.append(math.sqrt(prob) * _reset_ancillas(matrix))
+    index = np.concatenate(index)
+    order = np.argsort(index)
+    return MixedRadixState(state.radix, index[order], np.concatenate(amps)[order]), m
 
 
 def _reset_ancillas(joint: np.ndarray) -> np.ndarray:
@@ -618,9 +585,12 @@ def _reset_ancillas(joint: np.ndarray) -> np.ndarray:
     return np.einsum("ir,r->i", joint, vecs[:, -1]) / math.sqrt(lam[-1])
 
 
-def ensemble_fidelity(state, reference: MixedRadixState) -> float:
-    """Sum of w |<ref|v>|^2 over weighted pure branches (a pure state is one)."""
-    return sum(w * fidelity(v, reference) for w, v in _ensemble(state))
+def ensemble_fidelity(state, reference: MixedRadixState, pattern=ErasurePattern(())) -> float:
+    """<ref|rho|ref> for the survivors' reduced state rho: the sum, over the
+    outcomes of measuring the erased sites, of probability * |<ref|v>|^2."""
+    erased = sorted(pattern.erased)
+    return sum(prob * fidelity(project_sites(post, erased, levels), reference)
+               for levels, prob, post in measure_sites(state, erased))
 
 
 def expected_swaps(n: int) -> float:

@@ -44,11 +44,11 @@ def test_criterion_1_decoder_exactness():
         word = wsc.encode(PSI, total)
         for n_e in range(0, min(3, total - 1) + 1):
             n = total - n_e
-            state, _ = wsc.erase(word, wsc.ErasurePattern(range(n, total)))
+            state, pattern = wsc.erase(word, wsc.ErasurePattern(range(n, total)))
             expected = n / total
-            got_measure = wsc.decode_measure(state).success_probability
-            post, _ = wsc.decode_elective(state, 0)
-            got_elective = wsc.ensemble_fidelity(post, _psi_at(PSI, n, 0))
+            got_measure = wsc.decode_measure(state, pattern).success_probability
+            post, _ = wsc.decode_elective(state, 0, pattern)
+            got_elective = wsc.ensemble_fidelity(post, _psi_at(PSI, n, 0), pattern)
             worst = max(worst, abs(got_measure - expected), abs(got_elective - expected))
             assert abs(got_measure - expected) <= 1e-9, (total, n_e, "measure")
             assert abs(got_elective - expected) <= 1e-9, (total, n_e, "elective")

@@ -616,7 +616,7 @@ IN_RANGE_EDGES = [
                                     "mean_rate_max": 1.0, "std_factor": 1.0,
                                     "rate_clip_max": 1.0, "lemma_cases": 20},
                  0, id="bound-validate-3"),
-    # the top of the range: an erased 18-site word is a set of sparse pure branches
+    # the top of the range: an erased 18-site word stays one sparse pure state
     pytest.param("wstate-verify", {"max_total_sites": 18, "n_unitaries": 3,
                                    "n_random_logical": 1}, 0, id="wstate-verify-18"),
     # criterion 1 up to 17 erasures of an 18-site word, the top of both ranges
@@ -777,8 +777,8 @@ def test_bounds_stop_a_hang():
     del grown
 
 
-# the wstate-verify caps, set where a run of both decoders over every erasure
-# count takes about 2 s
+# the wstate-verify caps; a run of both decoders over every erasure count
+# takes about 1 s there
 WSTATE_TOP = {"max_total_sites": 18, "max_erasures": 17}
 
 

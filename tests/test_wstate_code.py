@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from daqec.mixed_radix_sim import (
     basis_sum_state,
     dump_state,
     fidelity,
+    measure_sites,
     partial_trace,
     project_sites,
     pure_state,
@@ -59,25 +61,28 @@ PSI = np.array([0.6, 0.8j])
 
 
 def psi_at_site(psi, n, site):
-    radix = RadixVector((3,) * n)
-    amps = np.zeros(radix.total_dim, dtype=complex)
-    levels = [BOT] * n
-    for lv in (0, 1):
-        levels[site] = lv
-        amps[radix.index_of(levels)] = psi[lv]
-    return pure_state(radix, amps)
+    """|2...psi...2> with the logical state at one site, built from its two terms."""
+    return basis_sum_state((3,) * n, ((tuple(level if k == site else BOT for k in range(n)),
+                                       psi[level]) for level in (0, 1)))
 
 
-def decoded_site_fidelity(branches, site, psi):
-    """Weighted overlap of each branch's reduced state at `site` with the logical input."""
+def decoded_site_fidelity(state, site, psi):
+    """Overlap of the state's reduced state at `site` with the logical input."""
     v = np.array([psi[0], psi[1], 0.0], dtype=complex)
-    return sum(w * float(np.real(v.conj() @ partial_trace(b, [site]) @ v))
-               for w, b in branches)
+    return float(np.real(v.conj() @ partial_trace(state, [site]) @ v))
 
 
 def density_of(branches):
     """Sum of w |v><v| over weighted pure branches."""
     return sum(w * np.outer(dense(v), dense(v).conj()) for w, v in branches)
+
+
+def branchwise_erase(word, pattern):
+    """Erasure as measurement: the ensemble that measuring the erased sites
+    gives, as (probability, pure state on the survivors) per outcome."""
+    erased = sorted(pattern.erased)
+    return [(prob, project_sites(post, erased, levels))
+            for levels, prob, post in measure_sites(word, erased)]
 
 
 def encode_pair_state(chi) -> MixedRadixState:
@@ -101,13 +106,6 @@ def elective_joint(branch, target):
     if m:
         branch = append_sites(branch, basis_state((2,) * m, (0,) * m))
     return apply_ops(branch, ops), m
-
-
-def assert_pure_branches(branches, dims):
-    assert isinstance(branches, tuple)
-    for w, v in branches:
-        assert isinstance(w, float) and w > 0
-        assert isinstance(v, MixedRadixState) and v.radix.dims == dims
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +393,25 @@ def test_permutation_invariance(rng):
 def test_erase_empty_pattern_is_identity():
     w = encode(PSI, 3)
     out, pattern = erase(w, ErasurePattern(set()))
-    ((weight, branch),) = out
-    assert weight == 1.0 and branch is w and pattern.n_e == 0
+    assert out is w and pattern.n_e == 0
 
 
 def test_erase_one_site_gives_rank_two_mixture():
     w = encode([1, 0], 3)
-    red, _ = erase(w, ErasurePattern({0}))
-    assert_pure_branches(red, (3, 3))
-    assert np.linalg.matrix_rank(density_of(red), tol=1e-9) == 2
+    pattern = ErasurePattern({0})
+    red, _ = erase(w, pattern)
+    assert np.linalg.matrix_rank(partial_trace(red, [1, 2]), tol=1e-9) == 2
     beta = np.zeros(9, dtype=complex)
     rx = RadixVector((3, 3))
     beta[rx.index_of((0, 2))] = beta[rx.index_of((2, 0))] = 1 / math.sqrt(2)
-    assert abs(ensemble_fidelity(red, pure_state((3, 3), beta)) - 2 / 3) < 1e-9
+    assert abs(ensemble_fidelity(red, pure_state((3, 3), beta), pattern) - 2 / 3) < 1e-9
 
 
 def test_erase_two_of_three():
     w = encode([1, 0], 3)
     red, _ = erase(w, ErasurePattern({1, 2}))
-    np.testing.assert_allclose(np.diag(density_of(red)).real, [1 / 3, 0, 2 / 3], atol=1e-10)
+    np.testing.assert_allclose(np.diag(partial_trace(red, [0])).real, [1 / 3, 0, 2 / 3],
+                               atol=1e-10)
 
 
 def test_erase_all_sites_rejected():
@@ -421,19 +419,28 @@ def test_erase_all_sites_rejected():
         erase(encode(PSI, 3), ErasurePattern({0, 1, 2}))
 
 
+@pytest.mark.parametrize("erased", [{0, 1, 2}, {3}, {-1}])
+def test_decoders_reject_a_pattern_that_leaves_no_site_or_leaves_the_block(erased):
+    word, pattern = encode(PSI, 3), ErasurePattern(erased)
+    for use in (erase, decode_measure, lambda s, p: decode_elective(s, 0, p)):
+        with pytest.raises(ValueError, match="every site|outside the block"):
+            use(word, pattern)
+
+
 # ---------------------------------------------------------------------------
 # measurement decoder
 
 
 def test_decode_measure_single_erasure_n3():
-    red, _ = erase(encode(PSI, 3), ErasurePattern({0}))
-    out = decode_measure(red)
+    pattern = ErasurePattern({0})
+    red, _ = erase(encode(PSI, 3), pattern)
+    out = decode_measure(red, pattern)
     assert abs(out.success_probability - 2 / 3) < 1e-9
     assert abs(out.heralded_failure_probability - 1 / 3) < 1e-9
     assert abs(sum(b.probability for b in out.branches) - 1.0) < 1e-9
     for b in out.branches:
-        if b.outcome > 0:
-            assert abs(decoded_site_fidelity(b.post_state, 0, PSI) - 1.0) < 1e-9
+        if b.outcome > 0:  # site 1 is the first survivor
+            assert abs(decoded_site_fidelity(b.post_state, 1, PSI) - 1.0) < 1e-9
 
 
 def test_decode_measure_no_erasure_succeeds():
@@ -443,15 +450,17 @@ def test_decode_measure_no_erasure_succeeds():
 
 
 def test_decode_measure_n7_block_of_8():
-    red, _ = erase(encode(PSI, 8), ErasurePattern({7}))
-    out = decode_measure(red)
+    pattern = ErasurePattern({7})
+    red, _ = erase(encode(PSI, 8), pattern)
+    out = decode_measure(red, pattern)
     assert out.ancilla_count == 3
     assert abs(out.success_probability - 7 / 8) < 1e-9
 
 
 def test_decode_measure_single_site():
-    red, _ = erase(encode(PSI, 2), ErasurePattern({1}))
-    out = decode_measure(red)
+    pattern = ErasurePattern({1})
+    red, _ = erase(encode(PSI, 2), pattern)
+    out = decode_measure(red, pattern)
     assert out.ancilla_count == 1
     assert abs(out.success_probability - 1 / 2) < 1e-9
 
@@ -467,27 +476,32 @@ def test_decode_measure_cnot_budget():
 
 
 def test_decode_measure_n2_single_ancilla_variant():
-    red, _ = erase(encode(PSI, 3), ErasurePattern({0}))
-    out = decode_measure_n2_single_ancilla(red)
-    # readout 1 finds the logical state at site 1 with probability 1/3
+    pattern = ErasurePattern({0})
+    red, _ = erase(encode(PSI, 3), pattern)
+    out = decode_measure_n2_single_ancilla(red, pattern)
+    # readout 1 finds the logical state at the second survivor with probability 1/3
     probs = {b.outcome: b.probability for b in out.branches}
     assert abs(probs[1] - 1 / 3) < 1e-9
     assert abs(probs[0] - 2 / 3) < 1e-9
-    # failure is not heralded: the readout-0 branch mixes success and loss
+    # failure is not heralded: the readout-0 branch mixes success and loss;
+    # site 1 is the first survivor
     zero = next(b for b in out.branches if b.outcome == 0)
-    assert abs(decoded_site_fidelity(zero.post_state, 0, PSI) - 0.5) < 1e-9
+    assert abs(decoded_site_fidelity(zero.post_state, 1, PSI) - 0.5) < 1e-9
     one = next(b for b in out.branches if b.outcome == 1)
-    assert abs(decoded_site_fidelity(one.post_state, 0, PSI) - 1.0) < 1e-9
+    assert abs(decoded_site_fidelity(one.post_state, 1, PSI) - 1.0) < 1e-9
     # overall recovered weight still 2/3
-    total = sum(b.probability * decoded_site_fidelity(b.post_state, 0, PSI)
+    total = sum(b.probability * decoded_site_fidelity(b.post_state, 1, PSI)
                 for b in out.branches)
     assert abs(total - 2 / 3) < 1e-9
+    with pytest.raises(ValueError, match="two unerased sites"):
+        decode_measure_n2_single_ancilla(red)
 
 
 def test_decode_measure_outcome_encodes_location():
-    # outcome b locates the logical state at site b-1 before the swap
-    red, _ = erase(encode(PSI, 4), ErasurePattern({3}))
-    out = decode_measure(red)
+    # outcome b locates the logical state at survivor b-1 before the swap
+    pattern = ErasurePattern({3})
+    red, _ = erase(encode(PSI, 4), pattern)
+    out = decode_measure(red, pattern)
     sites = {b.outcome: b.psi_site for b in out.branches if b.outcome > 0}
     assert sites == {1: 0, 2: 1, 3: 2}
 
@@ -497,11 +511,12 @@ def test_decode_measure_outcome_encodes_location():
 
 
 def test_decode_elective_minimal_case():
-    red, _ = erase(encode([1, 0], 3), ErasurePattern({2}))
-    post, ancillas = decode_elective(red, 0)
+    pattern = ErasurePattern({2})
+    red, _ = erase(encode([1, 0], 3), pattern)
+    post, ancillas = decode_elective(red, 0, pattern)
     assert ancillas == 1
-    site0 = sum(w * partial_trace(v, [0]) for w, v in post)
-    np.testing.assert_allclose(np.diag(site0).real, [2 / 3, 0, 1 / 3], atol=1e-9)
+    np.testing.assert_allclose(np.diag(partial_trace(post, [0])).real, [2 / 3, 0, 1 / 3],
+                               atol=1e-9)
 
 
 def test_decode_elective_n7_target6():
@@ -522,10 +537,11 @@ def test_decode_elective_matches_measure_decoder():
     for total in range(2, 8):
         for n_e in range(0, min(2, total - 1) + 1):
             n = total - n_e
-            state, _ = erase(encode(PSI, total), ErasurePattern(range(n, total)))
-            measure_succ = decode_measure(state).success_probability
-            post, _ = decode_elective(state, 0)
-            elective_succ = ensemble_fidelity(post, psi_at_site(PSI, n, 0))
+            pattern = ErasurePattern(range(n, total))
+            state, _ = erase(encode(PSI, total), pattern)
+            measure_succ = decode_measure(state, pattern).success_probability
+            post, _ = decode_elective(state, 0, pattern)
+            elective_succ = ensemble_fidelity(post, psi_at_site(PSI, n, 0), pattern)
             assert abs(measure_succ - elective_succ) < 1e-9
             assert abs(measure_succ - n / total) < 1e-9
 
@@ -556,23 +572,27 @@ def test_decode_elective_factorization_odd_n():
 
 
 def test_decode_elective_reset_after_erasure():
-    # with a failure branch the explicit reset still returns a clean
-    # qutrit-only ensemble of the right weights
-    state, _ = erase(encode(PSI, 4), ErasurePattern({3}))
-    post, _ = decode_elective(state, 1)
-    assert_pure_branches(post, (3, 3, 3))
-    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 3, 1)) - 3 / 4) < 1e-9
+    # with a failure group the explicit reset still returns a clean
+    # qutrit-only register of the right weights
+    pattern = ErasurePattern({3})
+    state, _ = erase(encode(PSI, 4), pattern)
+    post, _ = decode_elective(state, 1, pattern)
+    assert isinstance(post, MixedRadixState) and post.radix.dims == (3,) * 4
+    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 3, 1), pattern) - 3 / 4) < 1e-9
 
 
 def test_decode_elective_invalid_target():
     with pytest.raises(ValueError):
         decode_elective(encode(PSI, 3), 5)
+    with pytest.raises(ValueError):  # the target counts among the survivors
+        decode_elective(encode(PSI, 3), 2, ErasurePattern({0}))
 
 
 def test_decode_elective_middle_target_after_erasure():
-    state, _ = erase(encode(PSI, 5), ErasurePattern({4}))
-    post, _ = decode_elective(state, 2)
-    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 4, 2)) - 4 / 5) < 1e-9
+    pattern = ErasurePattern({4})
+    state, _ = erase(encode(PSI, 5), pattern)
+    post, _ = decode_elective(state, 2, pattern)
+    assert abs(ensemble_fidelity(post, psi_at_site(PSI, 4, 2), pattern) - 4 / 5) < 1e-9
 
 
 def test_coherent_flag_superposition_not_mistaken_for_erasure():
@@ -596,43 +616,34 @@ def test_coherent_flag_superposition_not_mistaken_for_erasure():
 
 
 def test_decoders_accept_generic_rank_two_mixture():
-    # a mixture of two different codewords, given as its two branches
-    a = encode([1, 0], 3)
-    b = encode([0, 1], 3)
-    out = decode_measure(((0.5, a), (0.5, b)))
+    # an even mixture of two different codewords, purified: a fourth site
+    # carries the mixture's label (level 0 for a, 1 for b) and is erased
+    labelled = [dense(append_sites(encode(v, 3), basis_state((3,), (level,))))
+                for level, v in enumerate(([1, 0], [0, 1]))]
+    word = pure_state((3,) * 4, sum(labelled) / math.sqrt(2))
+    pattern = ErasurePattern({3})
+    out = decode_measure(word, pattern)
     assert abs(out.success_probability - 1.0) < 1e-9
     assert out.heralded_failure_probability < 1e-12
-    # each readout branch carries the right mixed logical content at site 0
+    # each readout carries the right mixed logical content at site 0
     total = sum(b_.probability * decoded_site_fidelity(b_.post_state, 0, [1, 0])
                 for b_ in out.branches)
     assert abs(total - 0.5) < 1e-9
+    post, _ = decode_elective(word, 0, pattern)
+    assert abs(ensemble_fidelity(post, psi_at_site([1, 0], 3, 0), pattern) - 0.5) < 1e-9
 
 
-def test_decoders_return_weighted_pure_branches():
-    state, _ = erase(encode(PSI, 5), ErasurePattern({1, 3}))
-    pair, _ = erase(encode(PSI, 3), ErasurePattern({0}))
-    assert_pure_branches(state, (3, 3, 3))
-    for out, dims in ((decode_measure(state), (3, 3, 3)),
-                      (decode_measure_n2_single_ancilla(pair), (3, 3))):
+def test_decoders_return_one_state_on_the_whole_register():
+    pattern = ErasurePattern({1, 3})
+    state, _ = erase(encode(PSI, 5), pattern)
+    pair = ErasurePattern({0})
+    for out, dims in ((decode_measure(state, pattern), (3,) * 5),
+                      (decode_measure_n2_single_ancilla(encode(PSI, 3), pair), (3,) * 3)):
         for b in out.branches:
-            assert_pure_branches(b.post_state, dims)
-            assert abs(sum(w for w, _ in b.post_state) - 1.0) < 1e-12
-    assert_pure_branches(decode_elective(state, 1)[0], (3, 3, 3))
-    assert_pure_branches(tuple((w, elective_joint(v, 1)[0]) for w, v in state), (3, 3, 3, 2, 2))
+            assert isinstance(b.post_state, MixedRadixState) and b.post_state.radix.dims == dims
+    post, _ = decode_elective(state, 1, pattern)
+    assert isinstance(post, MixedRadixState) and post.radix.dims == (3,) * 5
 
-
-
-@pytest.mark.parametrize("weights", [(2.0,), (1.5, -0.5), (0.5, 0.5 - 2e-9), (float("nan"),), ()])
-def test_unnormalised_ensembles_are_rejected(weights):
-    word = encode(PSI, 3)
-    ensemble = tuple((w, word) for w in weights)
-    for use in (decode_measure, lambda e: decode_elective(e, 0),
-                lambda e: ensemble_fidelity(e, word)):
-        with pytest.raises(ValueError, match="sum to one"):
-            use(ensemble)
-    # rounding within 1e-9 of one is accepted
-    assert abs(decode_measure(((0.5, word), (0.5 + 1e-12, word))).success_probability
-               - 1.0) < 1e-9
 
 @st.composite
 def _erased_words(draw):
@@ -652,12 +663,13 @@ def _erased_words(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_erased_words())
-def test_erase_branches_match_partial_trace_oracle(case):
+def test_branchwise_erase_matches_partial_trace_oracle(case):
     word, pattern = case
-    branches, _ = erase(word, pattern)
+    assert erase(word, pattern)[0] is word
+    branches = branchwise_erase(word, pattern)
     survivors = [i for i in range(word.n_sites) if i not in pattern.erased]
     dims = (3,) * len(survivors)
-    assert_pure_branches(branches, dims)
+    assert all(v.radix.dims == dims for _, v in branches)
     # measure_sites drops outcomes of probability <= 1e-12
     rho = density_of(branches)
     np.testing.assert_allclose(rho, partial_trace(word, survivors), rtol=0, atol=1e-10)
@@ -684,16 +696,17 @@ def test_success_probability_exact_sweep():
     for total in range(2, 9):
         word = encode(PSI, total)
         for n_e in range(0, min(3, total - 1) + 1):
-            state, _ = erase(word, ErasurePattern(range(total - n_e, total)))
-            out = decode_measure(state)
+            pattern = ErasurePattern(range(total - n_e, total))
+            state, _ = erase(word, pattern)
+            out = decode_measure(state, pattern)
             assert abs(out.success_probability - (total - n_e) / total) < 1e-9
 
 
 def test_erasure_pattern_position_does_not_matter():
     word = encode(PSI, 5)
     for pattern in ({0}, {2}, {4}, {0, 3}):
-        state, _ = erase(word, ErasurePattern(pattern))
-        out = decode_measure(state)
+        state, erased = erase(word, ErasurePattern(pattern))
+        out = decode_measure(state, erased)
         expected = (5 - len(pattern)) / 5
         assert abs(out.success_probability - expected) < 1e-9
 
@@ -867,31 +880,102 @@ def test_ancilla_reset_matches_svd_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# the elective reset from the support against the dense reference
+# the deferred decoders against the branch-wise path: erasure as measurement,
+# then each decoder run on every erasure branch on its own
+
+
+def branchwise_decode_measure(branches):
+    """The measurement decoder run per branch and merged by readout: {outcome:
+    (probability, survivors' density after the readout, psi_site)}."""
+    n = branches[0][1].n_sites
+    ops, m = measure_decoder_ops(n)
+    ancillas = range(n, n + m)
+    readouts = {}
+    for weight, branch in branches:
+        joint = apply_ops(append_sites(branch, basis_state((2,) * m, (0,) * m)), ops)
+        for levels, prob, post in measure_sites(joint, ancillas):
+            outcome = RadixVector((2,) * m).index_of(levels)
+            post = project_sites(post, ancillas, levels)
+            if 1 < outcome <= n:
+                post = apply_unitary(post, gate_swap(3), [0, outcome - 1])
+            p, rho = readouts.get(outcome, (0.0, 0.0))
+            v = dense(post)
+            readouts[outcome] = (p + weight * prob, rho + weight * prob * np.outer(v, v.conj()))
+    return {k: (p, rho / p, k - 1 if 0 < k <= n else None) for k, (p, rho) in readouts.items()}
+
+
+def branchwise_decode_elective(branches, target):
+    """The elective decoder run per branch, each reset by the SVD oracle:
+    (weight, dense data vector on the survivors) per branch."""
+    n = branches[0][1].n_sites
+    m = elective_decoder_ops(n, target)[1]
+    return [(w, svd_reset_oracle(dense(elective_joint(v, target)[0]).reshape(3**n, 2**m)))
+            for w, v in branches]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_erased_words(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_deferred_decoders_match_the_branchwise_oracle(case, target, seed):
+    word, pattern = case
+    survivors = [i for i in range(word.n_sites) if i not in pattern.erased]
+    branches = branchwise_erase(word, pattern)
+    n = len(survivors)
+    target %= n
+    reference = pure_state((3,) * n, _random_unit(np.random.default_rng(seed), 3**n))
+
+    ref = branchwise_decode_measure(branches)
+    out = decode_measure(word, pattern)
+    assert [b.outcome for b in out.branches] == sorted(ref)
+    for b in out.branches:
+        prob, rho, site = ref[b.outcome]
+        assert b.psi_site == site
+        np.testing.assert_allclose(b.probability, prob, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(partial_trace(b.post_state, survivors), rho,
+                                   rtol=1e-12, atol=1e-15)
+
+    expected = sum(w * fidelity(v, reference) for w, v in branches)
+    np.testing.assert_allclose(ensemble_fidelity(word, reference, pattern), expected,
+                               rtol=1e-12, atol=0)
+
+    try:
+        data = branchwise_decode_elective(branches, target)
+    except ValueError:
+        with pytest.raises(ValueError, match="entangled"):
+            decode_elective(word, target, pattern)
+        return
+    post, _ = decode_elective(word, target, pattern)
+    rho = sum(w * np.outer(v, v.conj()) for w, v in data)
+    np.testing.assert_allclose(partial_trace(post, survivors), rho, rtol=1e-12, atol=1e-15)
+    expected = sum(w * abs(np.vdot(dense(reference), v)) ** 2 for w, v in data)
+    np.testing.assert_allclose(ensemble_fidelity(post, reference, pattern), expected,
+                               rtol=1e-12, atol=0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_erased_words(), st.integers(0, 5))
 def test_elective_reset_matches_svd_reset_oracle(case, target):
-    # decode_elective resets each branch from its support; the oracle takes the
-    # SVD of the dense (qutrits, ancillas) matrix of the same joint state
+    # decode_elective resets each digit string of the erased sites from its
+    # support; the oracle takes the SVD of the dense (qutrits, ancillas) matrix
+    # of each erasure branch. Projected onto the same digits, the decoded word
+    # holds that branch's weight and, up to a phase, its reset data vector
     word, pattern = case
-    branches, _ = erase(word, pattern)
-    n = branches[0][1].n_sites
-    target %= n
-    joints = [elective_joint(branch, target)[0] for _, branch in branches]
-    m = elective_decoder_ops(n, target)[1]
+    erased = sorted(pattern.erased)
+    branches = branchwise_erase(word, pattern)
+    target %= branches[0][1].n_sites
     try:
-        refs = [svd_reset_oracle(dense(joint).reshape(3**n, 2**m)) for joint in joints]
+        refs = branchwise_decode_elective(branches, target)
     except ValueError:
         with pytest.raises(ValueError, match="entangled"):
-            decode_elective(branches, target)
+            decode_elective(word, target, pattern)
         return
-    post, _ = decode_elective(branches, target)
-    assert [w for w, _ in post] == [w for w, _ in branches]
-    for (_, data), ref in zip(post, refs):
-        assert data.radix.dims == (3,) * n
-        assert abs(np.vdot(ref, dense(data))) ** 2 >= 1.0 - 1e-12
+    post, _ = decode_elective(word, target, pattern)
+    assert post.radix.dims == word.radix.dims
+    groups = measure_sites(post, erased)
+    assert len(groups) == len(refs)
+    for (levels, prob, group), (weight, ref) in zip(groups, refs):
+        assert abs(prob - weight) <= 1e-12
+        data = dense(project_sites(group, erased, levels))
+        assert abs(np.vdot(ref, data)) ** 2 >= 1.0 - 1e-12
 
 
 def test_dump_state_of_a_codeword_is_pinned():
@@ -907,8 +991,13 @@ def test_dump_state_of_a_codeword_is_pinned():
 
 
 def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
-    # a 10-site word has 2n = 20 nonzero amplitudes; encoding, erasing up to 9
-    # sites and both decoders keep every state within that, ancillas included
+    # a 10-site word has 2n = 20 nonzero amplitudes, and encoding, erasing up
+    # to 9 sites and both decoders keep every state linear in that. The largest
+    # is the elective decoder's joint state: the failure strings (2 per erased
+    # site, every survivor flagged) keep the ancillas in |0...0> until the
+    # Hadamards of a power-of-two survivor count spread each over all 2^m
+    # ancilla states, while the decoded part sits at the target's 2 levels:
+    # 4 survivors and 6 erasures give 2 + 12 * 4 = 50 amplitudes
     supports = []
     check = MixedRadixState.__post_init__
 
@@ -919,28 +1008,50 @@ def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
     monkeypatch.setattr(MixedRadixState, "__post_init__", recording)
     word = encode(PSI, 10)
     for n_e in range(10):
-        state, _ = erase(word, ErasurePattern(range(10 - n_e, 10)))
-        assert abs(decode_measure(state).success_probability - (10 - n_e) / 10) < 1e-9
-        post, _ = decode_elective(state, 0)
-        assert abs(ensemble_fidelity(post, psi_at_site(PSI, 10 - n_e, 0))
+        pattern = ErasurePattern(range(10 - n_e, 10))
+        state, _ = erase(word, pattern)
+        assert abs(decode_measure(state, pattern).success_probability - (10 - n_e) / 10) < 1e-9
+        post, _ = decode_elective(state, 0, pattern)
+        assert abs(ensemble_fidelity(post, psi_at_site(PSI, 10 - n_e, 0), pattern)
                    - (10 - n_e) / 10) < 1e-9
-    assert len(supports) > 1000
-    assert max(supports) == 20
+    assert len(supports) > 500  # each decoder builds its states once per word
+    assert max(supports) == 50
+
+
+def test_decoding_the_largest_word_allocates_no_dense_scratch():
+    # an array over the erased sites' basis, such as the word's support_matrix
+    # against them, would have 3^n_e columns (about 2 GB at 17 erasures); the
+    # erasure counts ascend, so such an array fails the bound near 12 erasures
+    # (3^12 complex entries are 8.5 MB), long before it grows that large
+    word = encode(PSI, 18)
+    tracemalloc.start()
+    try:
+        for n_e in range(18):
+            pattern = ErasurePattern(range(18 - n_e, 18))
+            tracemalloc.reset_peak()
+            assert abs(decode_measure(word, pattern).success_probability
+                       - (18 - n_e) / 18) < 1e-9
+            post, _ = decode_elective(word, 0, pattern)
+            assert abs(ensemble_fidelity(post, psi_at_site(PSI, 18 - n_e, 0), pattern)
+                       - (18 - n_e) / 18) < 1e-9
+            assert tracemalloc.get_traced_memory()[1] < 4 * 2**20, n_e
+    finally:
+        tracemalloc.stop()
 
 
 def test_perfbench_tracer_observes_the_sparse_states(perfbench_tracer):
     # the benchmark's tracer reads `state.array.nbytes` of each state handed to
     # the simulator's traced functions; this fails in the tests if that breaks
     tr = perfbench_tracer
-    red, _ = erase(encode(PSI, 4), ErasurePattern({3}))
+    word, pattern = erase(encode(PSI, 4), ErasurePattern({3}))
     with tr.Tracer("t") as t:
-        out = decode_measure(red)
+        out = decode_measure(word, pattern)
     names = [s[1] for s in t.spans]
     assert "mixed_radix_sim.apply_unitary" in names and "mixed_radix_sim.measure_sites" in names
-    # measure_sites sees each branch with its ancillas, the largest states of the run
+    # measure_sites sees the word with its ancillas, the largest state of the run
     ops, m = measure_decoder_ops(3)
-    largest = max(v.index.size for _, v in wsc._decoder_branches(red, m, ops))
-    assert largest == 6
+    largest = wsc._run_on_survivors(word, [0, 1, 2], ops, m).index.size
+    assert largest == 8
     assert t.counters["mixed_radix_sim.max_state_bytes"] == 16 * largest
     assert abs(out.success_probability - 3 / 4) < 1e-9
     assert wsc.measure_sites is mrs.measure_sites  # the tracer put it back
