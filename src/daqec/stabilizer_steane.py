@@ -5,8 +5,10 @@ H and CNOT; two-qubit gates are followed by depolarizing noise whose
 strength depends on whether the gate crosses a processor boundary. The
 engine compiles each circuit once, by one backward pass over its layers
 of disjoint gates, into the decoder bits that an error after each CNOT
-flips, which layouts with the same blocks share; a trial then draws only
-its noise hits, one stream per distinct rate, and xors their table rows.
+flips, which layouts with the same blocks share; a mirrored circuit
+compiles only its last two segments, whose rows the identity segments
+before them repeat. A trial then draws only its noise hits, one stream
+per distinct rate, and xors their table rows.
 The module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
@@ -209,9 +211,10 @@ def _schedule(circuit: CliffordCircuit):
     """Sort the ops into steps of one (ASAP layer, kind) each.
 
     An op's layer is one more than the last layer of any of its qubits.
-    Returns, in sorted order, each op's first qubit, second qubit (the
-    first again for a one-qubit op), measurement index in op order and
-    whether it is a CNOT; then the step bounds and kinds.
+    Returns the sort permutation (each sorted op's index in the circuit);
+    then, in sorted order, each op's first qubit, second qubit (the first
+    again for a one-qubit op), measurement index in op order and whether it
+    is a CNOT; then the step bounds and kinds.
     """
     last = [0] * circuit.n_qubits
     rows = []
@@ -230,7 +233,7 @@ def _schedule(circuit: CliffordCircuit):
     keys = np.stack((layer, kind))[:, order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
     ends = np.append(starts[1:], order.size)
-    return (a[order], b[order], meas[order], kind[order] == _CNOT, starts.tolist(),
+    return (order, a[order], b[order], meas[order], kind[order] == _CNOT, starts.tolist(),
             ends.tolist(), kind[order][starts].tolist())
 
 
@@ -261,26 +264,54 @@ def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int
             yield ops[i], trial, rng.integers(1, 16, size=i.size)
 
 
-def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
-    """The ops in schedule order, and what an error after each one flips.
+class CompiledCircuit:
+    """A circuit for simulate_frames: every op, and what a Pauli after each CNOT flips.
 
-    The decoder reads one byte per block: bits 0..5 the readouts of its six
-    extraction generators (the last 6 * n_blocks measurements, block by
-    block, X-type generators first), bit 6 its data X parity and bit 7 its
-    data Z parity. Block i is byte i % 8 of the little-endian `uint64` word
-    i // 8. Frames are linear over GF(2), so one backward pass over the
-    schedule finds, for every frame bit, the decoder bits that an error on
-    it would flip: a CNOT (c, t) xors the x_t and z_c rows into x_c and
-    z_t, H swaps x and z, a preparation clears both, and a measurement adds
-    its readout bit to the frame bit it reads. table[o, r] holds the flips
-    of a Pauli right after CNOT o: rows 0..3 I, Z, X, Y on the control and
-    rows 4..7 the same on the target, so the two-qubit Pauli with bits
-    (x_c, z_c, x_t, z_t) from the highest down, number p, flips
-    table[o, p >> 2] ^ table[o, 4 + (p & 3)]. The rows are zero for any
-    other op. Returns each op's qubits a and b, whether it is a CNOT, and
-    the table; neither depends on where the qubits live or on the noise.
+    `ops` lists every op of the circuit, which ends with the extraction of
+    every block of `blocks`. arrays() returns (a, b, row, table): CNOT i of
+    the schedule has control a[i] and target b[i], and table[row[i]] holds
+    the decoder bits that a Pauli right after it flips (see _compile). A
+    folded mirror (see compile_mirror) stores the rows of one segment for
+    all its leading segments, so their CNOTs share rows. The first call of
+    arrays(), from whichever chunk reaches it first, compiles them, so the
+    compile is timed with the frame engine; every later call, on any
+    thread and for any layout with these blocks, shares them.
     """
-    a, b, meas, cnot, starts, ends, kinds = _schedule(circuit)
+
+    def __init__(self, ops: tuple, blocks: tuple[SteaneBlock, ...], build):
+        self.ops, self.blocks = ops, blocks
+        self._build, self._arrays = build, None
+        self._lock = threading.Lock()
+
+    def arrays(self):
+        with self._lock:
+            if self._arrays is None:
+                self._arrays = self._build()
+                self._build = None
+            return self._arrays
+
+
+def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
+    """The circuit's CNOTs in schedule order, and what an error after each one flips.
+
+    The circuit must end with the extraction of every block. The decoder
+    reads one byte per block: bits 0..5 the readouts of its six extraction
+    generators (the last 6 * n_blocks measurements, block by block, X-type
+    generators first), bit 6 its data X parity and bit 7 its data Z parity.
+    Block i is byte i % 8 of the little-endian `uint64` word i // 8. Frames
+    are linear over GF(2), so one backward pass over the schedule finds,
+    for every frame bit, the decoder bits that an error on it would flip: a
+    CNOT (c, t) xors the x_t and z_c rows into x_c and z_t, H swaps x and
+    z, a preparation clears both, and a measurement adds its readout bit to
+    the frame bit it reads. table[i, r] holds the flips of a Pauli right
+    after CNOT i: rows 0..3 I, Z, X, Y on the control and rows 4..7 the
+    same on the target, so the two-qubit Pauli with bits (x_c, z_c, x_t,
+    z_t) from the highest down, number p, flips table[i, p >> 2] ^
+    table[i, 4 + (p & 3)]. Other ops carry no noise and get no row. Returns
+    each CNOT's index in the circuit, its control and target, and the
+    table; nothing depends on where the qubits live or on the noise.
+    """
+    order, a, b, meas, cnot, starts, ends, kinds = _schedule(circuit)
     nq, nb = circuit.n_qubits, len(blocks)
     n_meas = int(meas.max(initial=-1)) + 1
     if n_meas < 6 * nb:
@@ -297,11 +328,12 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
     flips, readout = flips.view("<u8"), readout.view("<u8")
     src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
     paulis = np.stack((a, a + nq, b, b + nq), axis=1)
-    table = np.zeros((a.size, 8, octets // 8), dtype="<u8")
+    first = np.cumsum(cnot) - cnot  # the number of each CNOT, in schedule order
+    table = np.zeros((int(cnot.sum()), 8, octets // 8), dtype="<u8")
     for lo, hi, kind in zip(starts[::-1], ends[::-1], kinds[::-1]):
         rows = src[:, lo:hi]
         if kind == _CNOT:
-            table[lo:hi, [2, 1, 6, 5]] = flips[paulis[lo:hi]]
+            table[first[lo]:first[lo] + hi - lo, [2, 1, 6, 5]] = flips[paulis[lo:hi]]
             flips[rows] ^= flips[dst[:, lo:hi]]
         elif kind == _H:
             flips[rows] = flips[rows[::-1]]
@@ -311,63 +343,90 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
             flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
     for y in (3, 7):  # Y = X Z, and the flips of a product are the xor
         np.bitwise_xor(table[:, y - 1], table[:, y - 2], out=table[:, y])
-    return a, b, cnot, table
+    return order[cnot], a[cnot], b[cnot], table
 
 
-_compile_lock = threading.Lock()
-_compiled: dict = {}  # the latest circuit's _compile, keyed on its contents
+def compile_circuit(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]) -> CompiledCircuit:
+    """The circuit, which must end with the extraction of every block, to be compiled whole."""
+    n_qubits, ops = circuit.n_qubits, tuple(circuit.ops)
+
+    def build():
+        _, a, b, table = _compile(CliffordCircuit(n_qubits, list(ops)), blocks)
+        return a, b, np.arange(a.size), table
+    return CompiledCircuit(ops, blocks, build)
 
 
-def _compile_once(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
-    """_compile, shared by the chunks of one circuit on any thread.
+def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
+    """build_ghz_mirror(layout, depth) and the extraction of every block, to be compiled folded.
 
-    The table depends on neither the processor map nor the noise, so layouts
-    with the same blocks, run one after the other, share it. Only the latest
-    circuit is kept: one table of a large register can take tens of MB.
+    Its arrays equal those of compile_circuit on the whole circuit, bit for
+    bit, but only the ops from the last segment with all its CNOT layers on
+    compile: fewer than two segments' CNOTs and the extraction's, at any
+    depth. Each whole segment is the identity, and the CNOTs of the
+    segments before run one segment after another, ahead of every other
+    CNOT in the schedule. So an error after one of them flips what an error
+    after the same CNOT of the first compiled segment flips, and they reuse
+    its rows by index, as Stim folds a REPEAT block into a detector error
+    model (Gidney 2021, Quantum 5, 497).
     """
-    key = (circuit.n_qubits, tuple(circuit.ops), blocks)
-    with _compile_lock:
-        if key not in _compiled:
-            _compiled.clear()
-            _compiled[key] = _compile(circuit, blocks)
-        return _compiled[key]
+    circuit = build_ghz_mirror(layout, depth)
+    for block in layout.blocks:
+        circuit.extend(syndrome_extraction_circuit(block, layout))
+    n_qubits, ops, blocks = circuit.n_qubits, tuple(circuit.ops), layout.blocks
+    layers = 2 * (len(blocks) - 1)         # CNOT layers of a whole segment
+    period = N_DATA * layers               # its CNOTs
+    span = period + 2 * N_DATA             # its ops, the two H layers included
+    repeats = max(depth // layers - 1, 0)  # whole segments before the tail
+
+    def build():
+        order, a, b, table = _compile(CliffordCircuit(n_qubits, list(ops[repeats * span:])),
+                                      blocks)
+        # the tail's CNOTs are in schedule order, and its first ones in
+        # circuit order are those of its first segment
+        segment = np.argsort(order)[:period]
+        return (np.concatenate((np.tile(a[segment], repeats), a)),
+                np.concatenate((np.tile(b[segment], repeats), b)),
+                np.concatenate((np.tile(segment, repeats), np.arange(a.size))), table)
+    return CompiledCircuit(ops, blocks, build)
 
 
-def simulate_frames(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
+def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: NoiseSpec,
                     rng: np.random.Generator, n_trials: int):
-    """Sample the decoder's inputs after `n_trials` noisy runs of the circuit.
+    """Sample the decoder's inputs after `n_trials` noisy runs of the compiled circuit.
 
     Each CNOT is followed, with the locality-dependent probability, by one
     of the 15 nontrivial two-qubit Paulis applied uniformly at random. The
-    circuit must end with the extraction of every block of the layout.
-    Each trial's decoder bits are the xor of the table rows of its hits
-    (see _compile), which gives the same bits as propagating the frames.
+    circuit must have been made for the layout's blocks; where their qubits
+    live may differ. Each trial's decoder bits are the xor of the table
+    rows of its hits (see _compile), which gives the same bits as
+    propagating the frames.
 
     Returns (x, z, syndromes), each of shape (n_blocks, n_trials) and dtype
     uint8: the data X and Z parities (0 or 1) of each block, and its six
     extraction readouts, generator g at bit g.
     """
-    a, b, cnot, table = _compile_once(circuit, layout.blocks)
+    if circuit.blocks != layout.blocks:
+        raise ValueError("the circuit was compiled for other blocks")
+    a, b, row, table = circuit.arrays()
     proc = np.asarray(layout.qubit_processor)
-    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local) * cnot
+    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local)
     mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
     for op, trial, pauli in _depolarizing_hits(rng, rate, n_trials):
+        r = row[op]
         # unbuffered, because several hits can share a trial
-        np.bitwise_xor.at(mask, trial, table[op, pauli >> 2] ^ table[op, 4 + (pauli & 3)])
+        np.bitwise_xor.at(mask, trial, table[r, pauli >> 2] ^ table[r, 4 + (pauli & 3)])
     octets = mask.view(np.uint8)[:, :len(layout.blocks)].T.copy()
     return octets >> 6 & 1, octets >> 7, octets & 63
 
 
-def run_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
+def run_circuit_trials(circuit: CompiledCircuit, layout: MachineLayout, noise: NoiseSpec,
                        rng: np.random.Generator, n_trials: int):
-    """Run the circuit plus terminal extraction and decoding for every block.
+    """Run the compiled circuit, which ends with the extraction of every
+    block, and decode every block.
 
     Returns (x_flips, z_flips) boolean arrays of shape (n_blocks, n_trials).
     """
-    full = CliffordCircuit(circuit.n_qubits, list(circuit.ops))
-    for block in layout.blocks:
-        full.extend(syndrome_extraction_circuit(block, layout))
-    x, z, syndromes = simulate_frames(full, layout, noise, rng, n_trials)
+    x, z, syndromes = simulate_frames(circuit, layout, noise, rng, n_trials)
     # lookup decoding flips one data qubit iff the syndrome is nonzero, so the
     # logical flip is the data parity XOR [syndrome != 0]; X-type generators
     # (bits 0..2) flag Z errors, Z-type generators (bits 3..5) flag X errors

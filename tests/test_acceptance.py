@@ -6,7 +6,9 @@ trial counts are pinned here; the Monte Carlo criteria use the default
 experiment configs.
 """
 
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +252,8 @@ def test_criterion_9_determinism(tmp_path):
         cfg.trials = 640
         cfg.chunk_size = 128  # five chunks per point, so that the threads share them
         cfg.threads = threads
-        cfg.params["depths"] = [2, 10]
+        # 30 is past two whole segments of 12 layers, so the compile folds one
+        cfg.params["depths"] = [2, 10, 30]
         cfg.out_dir = str(tmp_path / f"pnl_t{threads}_r{rep}")
         assert execute(cfg) == 0
         outputs.append((tmp_path / f"pnl_t{threads}_r{rep}" / "pnl-sweep.csv").read_bytes())
@@ -258,3 +261,28 @@ def test_criterion_9_determinism(tmp_path):
     print(f"\n[criterion 9] PASS reruns with identical config and seed are "
           f"byte-identical at thread counts 1, 2 and 3 "
           f"({time.time()-start:.1f}s)")
+
+
+# SHA-256 of the CSV of each shipped config. A change that moves one of them
+# changes the experiment's output and must say so, with a new RNG scheme if
+# the draws changed.
+GOLDEN_CSV = {
+    "pnl-sweep": "95856e1ebbdb6b725bd0b9628f805128b5fb11d2004da5b8610205dcb98312f7",
+    "correlated-errors": "4d55b4a1913c5c365ffdf9c94a35ca45bea9de85c2d45d0514ad5c4d0c711834",
+    "bound-validate": "23ae7c5d3d60eafe7fd7c9d031013f1084338762e360667e65fda20e9323bf10",
+    "wstate-verify": "4df449447226bddac885983ecff12133b89ade84829856b86932c97f8a3b418f",
+    "allocation-report": "2863f4cf98a5251d66d9b6128037c7f04a8d6daa1f4a32e7c4163ba7b2cc881f",
+    "apples": "a063224e2fc0520d48a345536791bd3c7cdb9ce30c2f8d35bed9b54b16dc6eca",
+}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("experiment, threads", [*((e, None) for e in GOLDEN_CSV),
+                                                 ("pnl-sweep", 1), ("pnl-sweep", 3)])
+def test_shipped_configs_reproduce_their_golden_csvs(experiment, threads, tmp_path):
+    # threads None keeps the config's own count
+    cfg = load_config(experiment, path=str(CONFIGS / f"{experiment}.yaml"),
+                      overrides={"out": str(tmp_path), "threads": threads})
+    assert execute(cfg) == 0
+    digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV[experiment]

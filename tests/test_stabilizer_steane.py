@@ -22,6 +22,8 @@ from daqec.stabilizer_steane import (
     N_DATA,
     SteaneBlock,
     build_ghz_mirror,
+    compile_circuit,
+    compile_mirror,
     dqec_layout,
     lqec_layout,
     run_circuit_trials,
@@ -56,7 +58,7 @@ def run_circuit_trial(circuit: CliffordCircuit, layout: MachineLayout, noise: No
                       seed: int):
     """Single trial; returns [(logical_x_flip, logical_z_flip)] per block."""
     rng = np.random.default_rng(seed)
-    x_flips, z_flips = run_circuit_trials(circuit, layout, noise, rng, 1)
+    x_flips, z_flips = run_circuit_trials(compiled(circuit, layout), layout, noise, rng, 1)
     return [(bool(x_flips[b, 0]), bool(z_flips[b, 0])) for b in range(len(layout.blocks))]
 
 
@@ -359,7 +361,7 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     of shape (n_qubits, words), measured of shape (measurements, words) in
     op order.
     """
-    a, b, meas, cnot, starts, ends, kinds = stn._schedule(circuit)
+    _, a, b, meas, cnot, starts, ends, kinds = stn._schedule(circuit)
     nq, words = circuit.n_qubits, (n_trials + 63) // 64
     start = PauliFrame.zeros(nq) if initial is None else initial
     ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -389,11 +391,16 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
 
 
 def with_extraction(circuit: CliffordCircuit, layout: MachineLayout) -> CliffordCircuit:
-    """The circuit followed by the extraction of every block, as run_circuit_trials runs it."""
+    """The circuit followed by the extraction of every block, as compile_mirror builds it."""
     full = CliffordCircuit(circuit.n_qubits, list(circuit.ops))
     for block in layout.blocks:
         full.extend(syndrome_extraction_circuit(block, layout))
     return full
+
+
+def compiled(circuit: CliffordCircuit, layout: MachineLayout) -> stn.CompiledCircuit:
+    """The circuit and the extraction of every block, compiled without folding."""
+    return compile_circuit(with_extraction(circuit, layout), layout.blocks)
 
 
 def layered_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout,
@@ -782,104 +789,175 @@ def test_compiled_engine_matches_the_layered_oracle_bit_for_bit(scheme, n_blocks
     noise = NoiseSpec(p_local, p_remote)
     (want_x, want_z), want_inputs = layered_circuit_trials(
         circuit, layout, noise, np.random.default_rng(seed), n_trials)
-    got_x, got_z = run_circuit_trials(circuit, layout, noise, np.random.default_rng(seed),
-                                      n_trials)
+    # the folded compile decodes, the unfolded one gives the decoder's inputs
+    got_x, got_z = run_circuit_trials(compile_mirror(layout, depth), layout, noise,
+                                      np.random.default_rng(seed), n_trials)
     assert got_x.dtype == got_z.dtype == bool
     assert got_x.shape == got_z.shape == (n_blocks, n_trials)
     assert np.array_equal(got_x, want_x) and np.array_equal(got_z, want_z)
-    got_inputs = simulate_frames(with_extraction(circuit, layout), layout, noise,
+    got_inputs = simulate_frames(compiled(circuit, layout), layout, noise,
                                  np.random.default_rng(seed), n_trials)
     for got, want in zip(got_inputs, want_inputs, strict=True):
         assert got.shape == (n_blocks, n_trials)
         assert np.array_equal(got, want)
 
 
+def mirror_layout(scheme: str, n_blocks: int, seed: int) -> MachineLayout:
+    """The lqec or dqec layout, or the lqec blocks on a random processor map."""
+    if scheme in LAYOUTS:
+        return LAYOUTS[scheme](n_blocks)
+    local = lqec_layout(n_blocks)
+    procs = np.random.default_rng(seed).integers(0, n_blocks, local.n_qubits)
+    return MachineLayout(scheme, local.blocks, tuple(procs.tolist()))
+
+
+def compiled_rows(c: stn.CompiledCircuit):
+    """The CNOTs of a compile in schedule order: their qubits and table rows."""
+    a, b, row, table = c.arrays()
+    return a, b, table[row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(["lqec", "dqec", "random"]), n_blocks=st.integers(2, 12),
+       segments=st.integers(0, 6), offset=st.integers(0, 21), seed=st.integers(0, 2**32 - 1))
+# whole segments only, so the tail ends before its last H layer
+@example(scheme="dqec", n_blocks=3, segments=3, offset=0, seed=1)
+@example(scheme="lqec", n_blocks=12, segments=6, offset=0, seed=2)
+# one layer past two segments, so the far blocks' extraction interleaves
+# with the tail's whole segment
+@example(scheme="random", n_blocks=7, segments=2, offset=1, seed=3)
+def test_the_folded_mirror_compile_matches_the_whole_circuit_bit_for_bit(scheme, n_blocks,
+                                                                         segments, offset,
+                                                                         seed):
+    layers = 2 * (n_blocks - 1)  # CNOT layers of a whole segment
+    depth = min(max(segments * layers + offset % layers, 1), 6 * layers)
+    layout = mirror_layout(scheme, n_blocks, seed)
+    folded = compile_mirror(layout, depth)
+    full = with_extraction(build_ghz_mirror(layout, depth), layout)
+    whole = compile_circuit(full, layout.blocks)
+    assert folded.ops == whole.ops == tuple(full.ops)
+    assert folded.blocks == whole.blocks == layout.blocks
+    for got, want in zip(compiled_rows(folded), compiled_rows(whole), strict=True):
+        assert np.array_equal(got, want)
+    # the fold keeps the rows of at most two segments and the extraction
+    assert folded.arrays()[3].shape[0] <= (2 * layers - 1) * N_DATA + 24 * n_blocks
+    noise = NoiseSpec(0.02, 0.1)
+    for got, want in zip(simulate_frames(folded, layout, noise, np.random.default_rng(seed), 130),
+                         simulate_frames(whole, layout, noise, np.random.default_rng(seed), 130),
+                         strict=True):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=40, deadline=None)
-@given(n_blocks=st.integers(2, 9), depth=st.integers(1, 20), data=st.data(),
-       p_local=st.floats(0.0, 0.5), p_remote=st.floats(0.0, 0.5),
-       seed=st.integers(0, 2**32 - 1))
-def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks, depth, data,
+@given(n_blocks=st.integers(2, 9), depth=st.integers(1, 40), p_local=st.floats(0.0, 0.5),
+       p_remote=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks, depth,
                                                                       p_local, p_remote,
                                                                       seed):
     local = lqec_layout(n_blocks)
-    procs = data.draw(st.lists(st.integers(0, n_blocks - 1), min_size=local.n_qubits,
-                               max_size=local.n_qubits))
-    layout = MachineLayout("random", local.blocks, tuple(procs))
-    circuit = build_ghz_mirror(layout, depth)
-    assert circuit.ops == build_ghz_mirror(local, depth).ops
-    full = with_extraction(circuit, layout)
-    assert full.ops == with_extraction(circuit, local).ops
-    fresh = stn._compile(full, layout.blocks)
-    for got, want in zip(stn._compile(with_extraction(circuit, local), local.blocks), fresh,
-                         strict=True):
+    layout = mirror_layout("random", n_blocks, seed)
+    assert build_ghz_mirror(layout, depth).ops == build_ghz_mirror(local, depth).ops
+    fresh = compile_mirror(layout, depth)
+    shared = compile_mirror(local, depth)
+    assert shared.ops == fresh.ops
+    for got, want in zip(compiled_rows(shared), compiled_rows(fresh), strict=True):
         assert np.array_equal(got, want)
-    # a table cached by another layout's run draws the same trials as a fresh one
+    # another layout's compile draws the same trials as the layout's own
     noise = NoiseSpec(p_local, p_remote)
-    stn._compiled.clear()
-    want = simulate_frames(full, layout, noise, np.random.default_rng(seed), 65)
-    stn._compiled.clear()
-    simulate_frames(with_extraction(circuit, local), local, NoiseSpec(p_remote, p_local),
-                    np.random.default_rng(seed), 65)
-    (entry,) = stn._compiled.values()
-    got = simulate_frames(full, layout, noise, np.random.default_rng(seed), 65)
-    (shared,) = stn._compiled.values()
-    assert shared is entry  # not compiled again
+    want = simulate_frames(fresh, layout, noise, np.random.default_rng(seed), 65)
+    got = simulate_frames(shared, layout, noise, np.random.default_rng(seed), 65)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
 
 def test_both_layouts_of_a_depth_share_one_compile(monkeypatch):
-    compiled = []
+    sizes, seen = [], []
 
     def counting_compile(circuit, blocks):
-        compiled.append(sum(op[0] == "CNOT" for op in circuit.ops))
+        sizes.append(sum(op[0] == "CNOT" for op in circuit.ops))
         return compile_(circuit, blocks)
-    compile_ = stn._compile
+
+    def recording_trials(circuit, layout, noise, rng, n_trials):
+        seen.append((circuit, layout.name))
+        return run_trials(circuit, layout, noise, rng, n_trials)
+    compile_, run_trials = stn._compile, stn.run_circuit_trials
     monkeypatch.setattr(stn, "_compile", counting_compile)
-    stn._compiled.clear()
+    monkeypatch.setattr(stn, "run_circuit_trials", recording_trials)
     cfg = experiments.load_config("pnl-sweep", overrides={"trials": 500, "threads": 4})
     cfg.chunk_size = 100  # five chunks per point
-    cfg.params["depths"] = [3, 5]
+    cfg.params["depths"] = [3, 5, 30]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches, so a race would show
     try:
         rows, _, _, _ = experiments.run_pnl_sweep(cfg)
     finally:
         sys.setswitchinterval(interval)
-    # one compile per depth: 7 CNOTs per transversal layer, 12 per extraction
-    assert compiled == [7 * 3 + 7 * 24, 7 * 5 + 7 * 24]
+    # one compile per depth: 7 CNOTs per transversal layer, 24 per block's
+    # extraction; a segment of seven blocks has 12 layers, so depth 30 folds
+    # one segment and compiles the last 18 layers
+    assert sizes == [7 * 3 + 24 * 7, 7 * 5 + 24 * 7, 7 * 18 + 24 * 7]
+    assert max(sizes) <= (2 * 12 - 1) * 7 + 24 * 7
+    # every chunk of both layouts of a depth reads that depth's compile
+    chunks = {}
+    for circuit, scheme in seen:
+        chunks.setdefault(id(circuit), []).append(scheme)
+    assert sorted(map(sorted, chunks.values())) == [["dqec"] * 5 + ["lqec"] * 5] * 3
     # the rows keep their order, layout first
     assert [(r["scheme"], r["depth"]) for r in rows] == [
-        ("lqec", 3), ("lqec", 5), ("dqec", 3), ("dqec", 5)]
+        ("lqec", 3), ("lqec", 5), ("lqec", 30), ("dqec", 3), ("dqec", 5), ("dqec", 30)]
+
+
+def test_a_compile_runs_in_the_first_simulate_frames_call(monkeypatch):
+    calls = []
+
+    def counting_compile(circuit, blocks):
+        calls.append(len(circuit.ops))
+        return compile_(circuit, blocks)
+    compile_ = stn._compile
+    monkeypatch.setattr(stn, "_compile", counting_compile)
+    layout = dqec_layout(3)
+    mirror = compile_mirror(layout, 9)
+    assert calls == []
+    for layout in (layout, lqec_layout(3)):  # the layouts share the blocks
+        simulate_frames(mirror, layout, NO_NOISE, np.random.default_rng(0), 1)
+    assert len(calls) == 1
 
 
 def test_circuits_differing_in_one_op_get_different_tables():
     layout = lqec_layout(3)
     circuit = with_extraction(build_ghz_mirror(layout, 2), layout)
-    a, b, cnot, table = stn._compile_once(circuit, layout.blocks)
-    first = circuit.ops.index(("CNOT", layout.blocks[0].data[0], layout.blocks[1].data[0]))
-    circuit.ops[first] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
-    other = stn._compile_once(circuit, layout.blocks)  # changed in place
-    assert np.array_equal(cnot, other[2])  # same kinds of op
-    assert not np.array_equal(table, other[3])
-    for got, want in zip(other, stn._compile(circuit, layout.blocks), strict=True):
+    first = compile_circuit(circuit, layout.blocks)
+    forward = ("CNOT", layout.blocks[0].data[0], layout.blocks[1].data[0])
+    index = circuit.ops.index(forward)
+    circuit.ops[index] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
+    assert first.ops[index] == forward  # a compile keeps the ops it was given
+    other = compile_circuit(circuit, layout.blocks)
+    assert other.ops == tuple(circuit.ops)
+    # first compiles only now, and from its own ops
+    original = compiled(build_ghz_mirror(layout, 2), layout)
+    for got, want in zip(compiled_rows(first), compiled_rows(original), strict=True):
         assert np.array_equal(got, want)
-    # the same ops on other blocks read other decoder bytes
-    swapped = stn._compile_once(circuit, layout.blocks[::-1])
-    assert not np.array_equal(swapped[3], other[3])
+    assert not np.array_equal(first.arrays()[3], other.arrays()[3])
+    # the same ops on other blocks read other decoder bytes, and a layout with
+    # other blocks cannot run them
+    swapped = compile_circuit(circuit, layout.blocks[::-1])
+    assert not np.array_equal(swapped.arrays()[3], other.arrays()[3])
+    with pytest.raises(ValueError, match="other blocks"):
+        simulate_frames(swapped, layout, NO_NOISE, np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("n_blocks", [3, 9])  # nine blocks need a second mask word
 def test_the_y_rows_are_the_xor_of_the_x_and_z_rows_and_the_identity_rows_are_zero(n_blocks):
     layout = dqec_layout(n_blocks)
-    circuit = with_extraction(build_ghz_mirror(layout, 5), layout)
-    a, b, cnot, table = stn._compile(circuit, layout.blocks)
+    c = compiled(build_ghz_mirror(layout, 5), layout)
+    _, _, row, table = c.arrays()
     assert table.shape[1] == 8
+    # one row for each CNOT and none for any other op
+    assert table.shape[0] == row.size == sum(op[0] == "CNOT" for op in c.ops)
     for side in (0, 4):  # rows I, Z, X, Y of the control, then of the target
         assert not table[:, side].any()
         assert np.array_equal(table[:, side + 3], table[:, side + 1] ^ table[:, side + 2])
-        assert table[cnot, side + 3].any()
-    assert not table[~cnot].any()
+        assert table[:, side + 3].any()
 
 
 # Decoder byte of a block (see stn._compile): bits 0..5 its readouts, bit 6
@@ -904,11 +982,10 @@ def exact_block_bytes(circuit: CliffordCircuit, layout: MachineLayout,
     location o has the character 1 - p_o + p_o / 15 * sum_P (-1)^(s . f_P)
     = 1 - 16 p_o / 15 * [s . g_j odd for some j].
     """
-    full = with_extraction(circuit, layout)
-    a, b, cnot, table = stn._compile(full, layout.blocks)
-    rate = op_rates(a, b, cnot, layout, noise)
+    a, b, row, table = compiled(circuit, layout).arrays()
+    rate = op_rates(a, b, np.ones(a.size, dtype=bool), layout, noise)
     # (location, j, block) for the rows of x_c, z_c, x_t and z_t
-    octets = table[rate > 0][:, [2, 1, 6, 5]].view(np.uint8)
+    octets = table[row[rate > 0]][:, [2, 1, 6, 5]].view(np.uint8)
     log_factor = np.log1p(-16.0 / 15.0 * rate[rate > 0])
     dist = []
     for block in range(len(layout.blocks)):
@@ -924,7 +1001,8 @@ def test_pnl_sweep_per_block_rates_match_the_exact_marginals(monkeypatch):
 
     def counting_trials(circuit, layout, noise, rng, n_trials):
         xf, zf = run_trials(circuit, layout, noise, rng, n_trials)
-        depth = sum(op[0] == "CNOT" for op in circuit.ops) // 7  # 7 CNOTs per layer
+        # 7 CNOTs per layer, and 24 per block in the extraction
+        depth = (sum(op[0] == "CNOT" for op in circuit.ops) - 24 * len(layout.blocks)) // 7
         counts.append((layout.name, depth,
                        np.stack((xf.sum(axis=1), (zf & ~xf).sum(axis=1)))))
         return xf, zf
@@ -1067,7 +1145,7 @@ def test_perfbench_tracer_observes_a_real_simulate_frames_call(perfbench_tracer)
     layout = dqec_layout()
     circuit = build_ghz_mirror(layout, 4)
     with tr.Tracer("t") as t:
-        stn.run_circuit_trials(circuit, layout, NoiseSpec(1e-3, 1e-2),
+        stn.run_circuit_trials(compile_mirror(layout, 4), layout, NoiseSpec(1e-3, 1e-2),
                                np.random.default_rng(0), 100)
     assert [s[1] for s in t.spans].count("stabilizer_steane.simulate_frames") == 1
     gate_trials = t.counters["stabilizer_steane.simulate_frames.gate_trials"]
@@ -1094,7 +1172,7 @@ def test_mirror_zero_noise_no_failures():
     layout = lqec_layout()
     circ = build_ghz_mirror(layout, 36)
     rng = np.random.default_rng(5)
-    xf, zf = run_circuit_trials(circ, layout, NO_NOISE, rng, 10000)
+    xf, zf = run_circuit_trials(compile_mirror(layout, 36), layout, NO_NOISE, rng, 10000)
     assert not xf.any() and not zf.any()
 
 
