@@ -189,7 +189,16 @@ def _uniform_barrel_success(pi: float, n: int) -> float:
     return (1.0 - pi) ** n + n * pi * (1.0 - pi) ** (n - 1)
 
 
-def contamination_cutoff_exact(p, n: int | None = None) -> float:
+def _exact_terms(probs: np.ndarray) -> tuple[float, float, int]:
+    """A, the success of a barrel with one item per bin; B, the product of
+    the uniform-barrel successes; and the C(n, 2) pairs of the n bins."""
+    n = probs.size
+    a = sum(_spoiled_none_and_one(probs))
+    b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
+    return a, b, n * (n - 1) // 2
+
+
+def contamination_cutoff_exact(p) -> float:
     """Break-even contamination rate under the two-or-more ruin rule.
 
     Mixed barrels pay a contamination factor (1-p_c)^C(n,2) on their
@@ -202,13 +211,8 @@ def contamination_cutoff_exact(p, n: int | None = None) -> float:
     successes.
     """
     probs = np.asarray(p, dtype=float)
-    n = probs.size if n is None else n
-    if probs.size != n:
-        raise ValueError("one spoil rate per bin expected")
-    a = sum(_spoiled_none_and_one(probs))  # success of a barrel with one item per bin
-    b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
-    pairs = n * (n - 1) // 2
-    return 1.0 - (b ** (1.0 / n) / a) ** (1.0 / pairs)
+    a, b, pairs = _exact_terms(probs)
+    return 1.0 - (b ** (1.0 / probs.size) / a) ** (1.0 / pairs)
 
 
 def _bisect_root(gap, lo: float, hi: float) -> float:
@@ -233,28 +237,31 @@ def _cutoff_root(gap) -> float:
     return 0.0 if gap(0.0) <= 0.0 else _bisect_root(gap, 0.0, 1.0 - 1e-12)
 
 
-def _exact_gap(probs: np.ndarray, n: int):
+def _exact_gap(probs: np.ndarray):
     """Mixed minus uniform total success at contamination p_c, two-or-more rule."""
-    a = sum(_spoiled_none_and_one(probs))
-    b = math.prod(_uniform_barrel_success(float(pi), n) for pi in probs)
-    pairs = n * (n - 1) // 2
-    return lambda pc: ((1.0 - pc) ** pairs * a) ** n - b
+    a, b, pairs = _exact_terms(probs)
+    return lambda pc: ((1.0 - pc) ** pairs * a) ** probs.size - b
 
 
-def _approx_gap(probs: np.ndarray, n: int):
-    """Mixed minus uniform total success at contamination p_c, k/n rule."""
+def _approx_terms(probs: np.ndarray) -> tuple[float, float]:
+    """The sum and the product of the bins' 1 - p_i."""
     good = 1.0 - probs
-    mean, target = float(np.mean(good)), float(np.prod(good))
-    return lambda pc: ((1.0 - pc) ** (n - 1) * mean) ** n - target
+    return float(np.sum(good)), float(np.prod(good))
 
 
-def contamination_cutoff_exact_oracle(p, n: int | None = None) -> float:
+def _approx_gap(probs: np.ndarray):
+    """Mixed minus uniform total success at contamination p_c, k/n rule."""
+    n = probs.size
+    total, target = _approx_terms(probs)
+    return lambda pc: ((1.0 - pc) ** (n - 1) * (total / n)) ** n - target
+
+
+def contamination_cutoff_exact_oracle(p) -> float:
     """Same cutoff found by a numerical root solve instead of the closed form."""
-    probs = np.asarray(p, dtype=float)
-    return _cutoff_root(_exact_gap(probs, probs.size if n is None else n))
+    return _cutoff_root(_exact_gap(np.asarray(p, dtype=float)))
 
 
-def contamination_cutoff_approx(p, n: int | None = None) -> float:
+def contamination_cutoff_approx(p) -> float:
     """Break-even contamination under the proportional (k/n) ruin rule.
 
     Mixed-barrel success is (1-p_c)^(n-1) * mean(1-p_i); uniform-barrel
@@ -265,14 +272,11 @@ def contamination_cutoff_approx(p, n: int | None = None) -> float:
     and lower-bounds the actual cutoff when links are unevenly used.
     """
     probs = np.asarray(p, dtype=float)
-    n = probs.size if n is None else n
-    if probs.size != n:
-        raise ValueError("one spoil rate per bin expected")
-    good = 1.0 - probs
-    return 1.0 - (n * np.prod(good) ** (1.0 / n) / np.sum(good)) ** (1.0 / (n - 1))
+    n = probs.size
+    total, target = _approx_terms(probs)
+    return 1.0 - (n * target ** (1.0 / n) / total) ** (1.0 / (n - 1))
 
 
-def contamination_cutoff_approx_oracle(p, n: int | None = None) -> float:
+def contamination_cutoff_approx_oracle(p) -> float:
     """Same cutoff found by a numerical root solve instead of the closed form."""
-    probs = np.asarray(p, dtype=float)
-    return _cutoff_root(_approx_gap(probs, probs.size if n is None else n))
+    return _cutoff_root(_approx_gap(np.asarray(p, dtype=float)))

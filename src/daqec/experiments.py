@@ -5,10 +5,10 @@ this module: its runner, default trial count, whether it is Monte Carlo or
 a verify mode, and each parameter's default and allowed range. A config
 resolves file values over those defaults, CLI overrides over both, and is
 checked against the entry; the run writes one CSV with a fixed column
-order, the experiment name first and the master seed last in every row,
+order, the experiment name first and the seed last in every row,
 plus a summary JSON carrying the fully resolved config, versions and wall
 time. Randomness is split counter-style: the generator of chunk c of
-parameter point i is default_rng(SeedSequence(master_seed, spawn_key=(i, c)))
+parameter point i is default_rng(SeedSequence(seed, spawn_key=(i, c)))
 with a fixed chunk size, so outputs are byte-identical at any thread count.
 """
 
@@ -56,9 +56,9 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     experiment: str
-    master_seed: int = DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     trials: int = 0           # 0 = experiment default
-    out_dir: str = "results"
+    out: str = "results"
     threads: int = 1
     chunk_size: int = DEFAULT_CHUNK
     params: dict = field(default_factory=dict)
@@ -184,28 +184,15 @@ def load_config(experiment: str | None = None, path: str | None = None,
     trials = top["trials"] or entry.trials
     if entry.monte_carlo and trials < MIN_MC_TRIALS:
         raise ConfigError(f"no estimate from fewer than {MIN_MC_TRIALS} trials")
-    return ExperimentConfig(exp, top["seed"], trials, top["out"], top["threads"],
-                            top["chunk_size"], params)
-
-
-def resolved_config(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "seed": cfg.master_seed,
-        "trials": cfg.trials,
-        "out": cfg.out_dir,
-        "threads": cfg.threads,
-        "chunk_size": cfg.chunk_size,
-        "params": cfg.params,
-    }
+    return ExperimentConfig(exp, **{**top, "trials": trials}, params=params)
 
 
 # ---------------------------------------------------------------------------
 # deterministic parallel plumbing
 
 
-def point_rng(master_seed: int, point_index: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index, chunk_index))
+def point_rng(seed: int, point_index: int, chunk_index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, chunk_index))
     return np.random.default_rng(ss)
 
 
@@ -247,12 +234,12 @@ def _map_ordered(fn, tasks, threads: int) -> list:
 def _seeded_chunks(cfg: ExperimentConfig, point_index: int, fn) -> list:
     """fn(rng, count) on every chunk of one parameter point, in chunk order.
 
-    Chunk c draws from point_rng(cfg.master_seed, point_index, c), so the
+    Chunk c draws from point_rng(cfg.seed, point_index, c), so the
     results do not depend on cfg.threads.
     """
     def task(item):
         chunk_index, count = item
-        return fn(point_rng(cfg.master_seed, point_index, chunk_index), count)
+        return fn(point_rng(cfg.seed, point_index, chunk_index), count)
     return _map_ordered(task, chunk_plan(cfg.trials, cfg.chunk_size), cfg.threads)
 
 
@@ -310,8 +297,7 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     p = cfg.params
     depths = _depth_grid(p)
     noise = stn.NoiseSpec(p_local=float(p["p_local"]), p_remote=float(p["p_remote"]))
-    layouts = [("lqec", stn.lqec_layout(p["n_blocks"])),
-               ("dqec", stn.dqec_layout(p["n_blocks"]))]
+    layouts = [stn.lqec_layout(p["n_blocks"]), stn.dqec_layout(p["n_blocks"])]
     rows = [None] * (len(layouts) * len(depths))
     # depth by depth, so both layouts of a depth and all their chunks share
     # one compile; points, and so their seeds and rows, stay numbered layout
@@ -319,8 +305,8 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     for depth_index, depth in enumerate(depths):
         # the layouts differ only in where the qubits live, which the compile
         # does not read
-        compiled = stn.compile_mirror(layouts[0][1], depth)
-        for layout_index, (scheme, layout) in enumerate(layouts):
+        compiled = stn.compile_mirror(layouts[0], depth)
+        for layout_index, layout in enumerate(layouts):
             def run_chunk(rng, count):
                 xf, zf = stn.run_circuit_trials(compiled, layout, noise, rng, count)
                 return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
@@ -329,7 +315,7 @@ def run_pnl_sweep(cfg: ExperimentConfig):
             point_index = layout_index * len(depths) + depth_index
             failures, x_failures = map(sum, zip(*_seeded_chunks(cfg, point_index, run_chunk)))
             rows[point_index] = {
-                "scheme": scheme, "depth": depth, "trials": cfg.trials,
+                "scheme": layout.name, "depth": depth, "trials": cfg.trials,
                 "failures": failures, "success_rate": 1.0 - failures / cfg.trials,
                 "success_ci95": binomial_ci95(failures, cfg.trials),
                 "xflip_failures": x_failures, "fidelity": 1.0 - x_failures / cfg.trials,
@@ -446,8 +432,10 @@ def run_bound_validate(cfg: ExperimentConfig):
                 ok = sigma2 > 1e-30
                 meets = int(np.count_nonzero(diff[ok] >= bound_exact[ok]) +
                             np.count_nonzero(~ok))
-                # a processor at rate 1 zeroes the exact bound (met, as diff >= 0)
-                rated = ok & (bound_exact > 0.0)
+                # a processor at rate 1 zeroes the exact bound, and rates just
+                # below 1 make it subnormal, where diff / bound overflows; both
+                # are met, as diff >= 0, but have no ratio
+                rated = ok & (bound_exact >= np.finfo(float).tiny)
                 return (meets, count, diff.sum(), bound_exact.sum(), bound_approx.sum(),
                         diff[rated] / bound_exact[rated], diff[ok] / bound_approx[ok])
 
@@ -533,7 +521,7 @@ def _random_logical(rng: np.random.Generator) -> np.ndarray:
 
 def run_wstate_verify(cfg: ExperimentConfig):
     p = cfg.params
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     rows = []
 
     def add(check, n, n_e, expected, measured, tol):
@@ -678,7 +666,7 @@ def run_apples(cfg: ExperimentConfig):
         1e-10)
 
     worst = 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     for _ in range(200):
         size = int(rng.integers(2, 5))
         probs = rng.uniform(0.0, 0.95, size)
@@ -782,7 +770,7 @@ def execute(cfg: ExperimentConfig) -> int:
     """Run, write CSV + summary JSON, and return the process exit code."""
     from . import __version__
     start = time.time()
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     try:  # before the run, so that a bad --out costs nothing
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -790,13 +778,13 @@ def execute(cfg: ExperimentConfig) -> int:
     rows, columns, extra, ok = run_experiment(cfg)
     ok = ok and bool(rows)  # a run that checked nothing has not passed
     for row in rows:
-        row.update(experiment=cfg.experiment, seed=cfg.master_seed)
+        row.update(experiment=cfg.experiment, seed=cfg.seed)
     csv_path = out / f"{cfg.experiment}.csv"
     with _writing(csv_path):
         write_csv(csv_path, ["experiment", *columns, "seed"], rows)
     summary = {
         "experiment": cfg.experiment,
-        "config": resolved_config(cfg),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
         "numpy_version": np.__version__,
         "rng_scheme": RNG_SCHEME,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,29 +119,16 @@ def dqec_layout(n_blocks: int = 7) -> MachineLayout:
     return MachineLayout("dqec", blocks, tuple(proc))
 
 
-@dataclass
-class CliffordCircuit:
-    """Gate list over the global register.
-
-    Ops are tuples: ("H", q), ("CNOT", c, t), ("PREP_Z"|"PREP_X", q),
-    ("MEAS_Z"|"MEAS_X", q). Measurement outcomes are reported in op order.
-    """
-
-    n_qubits: int
-    ops: list[tuple] = field(default_factory=list)
-
-    def extend(self, other: "CliffordCircuit"):
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        self.ops.extend(other.ops)
-
-
 # ---------------------------------------------------------------------------
 # circuits
+#
+# A circuit is a plain list of op tuples on a layout's register: ("H", q),
+# ("CNOT", c, t), ("PREP_Z"|"PREP_X", q) and ("MEAS_Z"|"MEAS_X", q), with
+# the measurement outcomes reported in op order.
 
 
-def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
-    """Transversal mirrored GHZ-type circuit with `depth` two-qubit logical layers.
+def build_ghz_mirror(layout: MachineLayout, depth: int) -> list[tuple]:
+    """Ops of the transversal mirrored GHZ-type circuit with `depth` two-qubit logical layers.
 
     Segments of [H on block 0; CNOT chain down the blocks; inverted chain;
     H on block 0] are tiled until exactly `depth` transversal CNOT layers
@@ -154,7 +141,7 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
     if nb < 2:
         # a single block has no CNOT chain, so no segment adds a layer
         raise ValueError("the mirrored GHZ circuit needs at least two blocks")
-    circ = CliffordCircuit(layout.n_qubits)
+    ops: list[tuple] = []
     chain = [(a, a + 1) for a in range(nb - 1)]
     segment: list[tuple] = [("H", 0)]
     segment += [("CNOT", a, b) for a, b in chain]
@@ -165,34 +152,33 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> CliffordCircuit:
         if layers == depth:
             break
         if item[0] == "H":
-            circ.ops.extend(("H", q) for q in layout.blocks[item[1]].data)
+            ops.extend(("H", q) for q in layout.blocks[item[1]].data)
         else:
             _, a, b = item
             ba, bb = layout.blocks[a], layout.blocks[b]
-            circ.ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
+            ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
             layers += 1
-    return circ
+    return ops
 
 
-def syndrome_extraction_circuit(block: SteaneBlock, layout: MachineLayout) -> CliffordCircuit:
-    """Standard extraction: one ancilla and four CNOTs per generator.
+def syndrome_extraction_circuit(block: SteaneBlock) -> list[tuple]:
+    """Ops of the standard extraction: one ancilla and four CNOTs per generator.
 
     X-type generators use an X-basis ancilla with CNOTs fanning out of it;
     Z-type generators use a Z-basis ancilla with CNOTs fanning into it.
-    Gate locality follows the layout's processor map.
     """
-    circ = CliffordCircuit(layout.n_qubits)
+    ops: list[tuple] = []
     for g, sup in enumerate(GENERATOR_SUPPORTS):
         anc = block.ancillas[g]
-        circ.ops.append(("PREP_X", anc))
-        circ.ops.extend(("CNOT", anc, block.data[q]) for q in sup)
-        circ.ops.append(("MEAS_X", anc))
+        ops.append(("PREP_X", anc))
+        ops.extend(("CNOT", anc, block.data[q]) for q in sup)
+        ops.append(("MEAS_X", anc))
     for g, sup in enumerate(GENERATOR_SUPPORTS):
         anc = block.ancillas[3 + g]
-        circ.ops.append(("PREP_Z", anc))
-        circ.ops.extend(("CNOT", block.data[q], anc) for q in sup)
-        circ.ops.append(("MEAS_Z", anc))
-    return circ
+        ops.append(("PREP_Z", anc))
+        ops.extend(("CNOT", block.data[q], anc) for q in sup)
+        ops.append(("MEAS_Z", anc))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +193,18 @@ _KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
 _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of the noise
 
 
-def _schedule(circuit: CliffordCircuit):
-    """Sort the ops into steps of one (ASAP layer, kind) each.
+def _schedule(ops, n_qubits: int):
+    """Sort the ops on a register of n_qubits into steps of one (ASAP layer, kind) each.
 
     An op's layer is one more than the last layer of any of its qubits.
-    Returns the sort permutation (each sorted op's index in the circuit);
+    Returns the sort permutation (each sorted op's index in `ops`);
     then, in sorted order, each op's first qubit, second qubit (the first
     again for a one-qubit op), measurement index in op order and whether it
     is a CNOT; then the step bounds and kinds.
     """
-    last = [0] * circuit.n_qubits
+    last = [0] * n_qubits
     rows = []
-    for op in circuit.ops:
+    for op in ops:
         kind = _KINDS.get(op[0])
         if kind is None:
             raise ValueError(f"unknown op {op}")
@@ -291,10 +277,11 @@ class CompiledCircuit:
             return self._arrays
 
 
-def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
-    """The circuit's CNOTs in schedule order, and what an error after each one flips.
+def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
+    """The CNOTs of the ops on a register of n_qubits in schedule order, and
+    what an error after each one flips.
 
-    The circuit must end with the extraction of every block. The decoder
+    The ops must end with the extraction of every block. The decoder
     reads one byte per block: bits 0..5 the readouts of its six extraction
     generators (the last 6 * n_blocks measurements, block by block, X-type
     generators first), bit 6 its data X parity and bit 7 its data Z parity.
@@ -308,11 +295,11 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
     same on the target, so the two-qubit Pauli with bits (x_c, z_c, x_t,
     z_t) from the highest down, number p, flips table[i, p >> 2] ^
     table[i, 4 + (p & 3)]. Other ops carry no noise and get no row. Returns
-    each CNOT's index in the circuit, its control and target, and the
-    table; nothing depends on where the qubits live or on the noise.
+    each CNOT's index in `ops`, its control and target, and the table;
+    nothing depends on where the qubits live or on the noise.
     """
-    order, a, b, meas, cnot, starts, ends, kinds = _schedule(circuit)
-    nq, nb = circuit.n_qubits, len(blocks)
+    order, a, b, meas, cnot, starts, ends, kinds = _schedule(ops, n_qubits)
+    nq, nb = n_qubits, len(blocks)
     n_meas = int(meas.max(initial=-1)) + 1
     if n_meas < 6 * nb:
         raise ValueError("missing extraction measurements")
@@ -346,14 +333,15 @@ def _compile(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]):
     return order[cnot], a[cnot], b[cnot], table
 
 
-def compile_circuit(circuit: CliffordCircuit, blocks: tuple[SteaneBlock, ...]) -> CompiledCircuit:
-    """The circuit, which must end with the extraction of every block, to be compiled whole."""
-    n_qubits, ops = circuit.n_qubits, tuple(circuit.ops)
+def compile_circuit(ops, layout: MachineLayout) -> CompiledCircuit:
+    """The ops on the layout's register, which must end with the extraction
+    of every block of the layout, to be compiled whole."""
+    ops = tuple(ops)
 
     def build():
-        _, a, b, table = _compile(CliffordCircuit(n_qubits, list(ops)), blocks)
+        _, a, b, table = _compile(ops, layout.n_qubits, layout.blocks)
         return a, b, np.arange(a.size), table
-    return CompiledCircuit(ops, blocks, build)
+    return CompiledCircuit(ops, layout.blocks, build)
 
 
 def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
@@ -369,25 +357,24 @@ def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
     its rows by index, as Stim folds a REPEAT block into a detector error
     model (Gidney 2021, Quantum 5, 497).
     """
-    circuit = build_ghz_mirror(layout, depth)
+    ops = build_ghz_mirror(layout, depth)
     for block in layout.blocks:
-        circuit.extend(syndrome_extraction_circuit(block, layout))
-    n_qubits, ops, blocks = circuit.n_qubits, tuple(circuit.ops), layout.blocks
-    layers = 2 * (len(blocks) - 1)         # CNOT layers of a whole segment
+        ops += syndrome_extraction_circuit(block)
+    ops = tuple(ops)
+    layers = 2 * (len(layout.blocks) - 1)  # CNOT layers of a whole segment
     period = N_DATA * layers               # its CNOTs
     span = period + 2 * N_DATA             # its ops, the two H layers included
     repeats = max(depth // layers - 1, 0)  # whole segments before the tail
 
     def build():
-        order, a, b, table = _compile(CliffordCircuit(n_qubits, list(ops[repeats * span:])),
-                                      blocks)
+        order, a, b, table = _compile(ops[repeats * span:], layout.n_qubits, layout.blocks)
         # the tail's CNOTs are in schedule order, and its first ones in
         # circuit order are those of its first segment
         segment = np.argsort(order)[:period]
         return (np.concatenate((np.tile(a[segment], repeats), a)),
                 np.concatenate((np.tile(b[segment], repeats), b)),
                 np.concatenate((np.tile(segment, repeats), np.arange(a.size))), table)
-    return CompiledCircuit(ops, blocks, build)
+    return CompiledCircuit(ops, layout.blocks, build)
 
 
 def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: NoiseSpec,

@@ -241,7 +241,7 @@ def test_criterion_9_determinism(tmp_path):
             cfg = load_config("correlated-errors")
             cfg.trials = 300
             cfg.threads = threads
-            cfg.out_dir = str(tmp_path / f"corr_t{threads}_r{rep}")
+            cfg.out = str(tmp_path / f"corr_t{threads}_r{rep}")
             assert execute(cfg) == 0
             outputs.append(
                 (tmp_path / f"corr_t{threads}_r{rep}" / "correlated-errors.csv").read_bytes())
@@ -254,7 +254,7 @@ def test_criterion_9_determinism(tmp_path):
         cfg.threads = threads
         # 30 is past two whole segments of 12 layers, so the compile folds one
         cfg.params["depths"] = [2, 10, 30]
-        cfg.out_dir = str(tmp_path / f"pnl_t{threads}_r{rep}")
+        cfg.out = str(tmp_path / f"pnl_t{threads}_r{rep}")
         assert execute(cfg) == 0
         outputs.append((tmp_path / f"pnl_t{threads}_r{rep}" / "pnl-sweep.csv").read_bytes())
     assert len(set(outputs)) == 1

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.stats import chi2
 
+from daqec import experiments
 from daqec.bounds_analytics import (
     _approx_gap,
     _bisect_root,
@@ -279,7 +283,7 @@ ORACLES = [(contamination_cutoff_exact_oracle, _exact_gap),
 def test_cutoff_oracles_bracket_the_root(bins):
     probs = np.asarray(bins)
     for oracle, make_gap in ORACLES:
-        gap = make_gap(probs, probs.size)
+        gap = make_gap(probs)
         root = oracle(bins)
         if gap(0.0) <= 0.0:  # break-even at p_c = 0
             assert root == 0.0
@@ -292,7 +296,7 @@ def test_cutoff_oracles_bracket_the_root(bins):
 def test_cutoff_oracles_raise_without_sign_change():
     # a bin certain to spoil: uniform barrels never succeed, so mixing pays at any p_c
     for oracle, make_gap in ORACLES:
-        gap = make_gap(np.array([1.0, 0.0]), 2)
+        gap = make_gap(np.array([1.0, 0.0]))
         assert gap(0.0) > 0.0 and gap(1.0 - 1e-12) > 0.0
         with pytest.raises(ValueError):
             oracle([1.0, 0.0])
@@ -322,3 +326,101 @@ def test_linear_rule_enumeration_matches_mean():
     # ruin probability under the k/n rule is the mean spoil rate
     p = np.array([0.3, 0.1, 0.2])
     assert abs(enumerate_ruin(p, "linear-k-over-n") - p.mean()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bound-validate against its exact expectations
+#
+# With x = 1 - eps for n iid rates, the sweep's difference is
+# D = mean(x)^n - prod(x). Its first two moments need only m_k = E[x^k]: with
+# f(t) = sum_k m_k t^k / k! = E[e^{t x}], E[(sum x)^j] = j! [t^j] f(t)^n, and
+# E[(sum x)^n prod x] = n! [t^n] g(t)^n with g(t) = E[x e^{t x}], whose
+# coefficients are m_{k+1} / k!. All coefficients are positive.
+
+
+def survival_moments(mean, std, clip, count):
+    """m_k = E[(1 - eps)^k] for k < count, eps = clip(N(mean, std^2), 0, clip):
+    quadrature over the body (12 standard deviations either side of the mean
+    hold all of it in double precision) plus the atoms at 0 and at clip."""
+    def pdf(e):
+        return math.exp(-0.5 * ((e - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+
+    def cdf(e):
+        return 0.5 * math.erfc(-(e - mean) / (std * math.sqrt(2.0)))
+    lo, hi = max(0.0, mean - 12.0 * std), min(clip, mean + 12.0 * std)
+    return np.array([cdf(0.0) + (1.0 - cdf(clip)) * (1.0 - clip) ** k
+                     + quad(lambda e: (1.0 - e) ** k * pdf(e), lo, hi, epsabs=0.0,
+                            epsrel=1e-13, limit=200)[0]
+                     for k in range(count)])
+
+
+def _power_coefficient(series, n, j):
+    """[t^j] of the power series with coefficients `series` (from t^0) raised to n."""
+    out = np.zeros(j + 1)
+    out[0] = 1.0
+    for _ in range(n):
+        out = np.convolve(out, series[:j + 1])[:j + 1]
+    return out[j]
+
+
+def difference_moments(m, n):
+    """(E[D], Var[D]) of D = mean(x)^n - prod(x) for n iid x with E[x^k] = m[k], k <= 2n.
+
+    E[mean^n] and E[prod] = m_1^n are each near 1 and D is small, so the
+    subtractions cancel: at bound-validate's smallest rate E[D] keeps about
+    10 significant digits and Var[D] about 3 (its relative error reached
+    2e-3 against 50-digit arithmetic), which moves a z-score by about 0.1%.
+    """
+    fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
+    f, g = m[:2 * n + 1] / fact, m[1:n + 2] / fact[:n + 1]
+    mean_n = math.factorial(n) * _power_coefficient(f, n, n) / n**n
+    mean_2n = math.factorial(2 * n) * _power_coefficient(f, n, 2 * n) / n ** (2 * n)
+    cross = math.factorial(n) * _power_coefficient(g, n, n) / n**n  # E[mean^n prod]
+    e_d = mean_n - m[1] ** n
+    return e_d, mean_2n - 2.0 * cross + m[2] ** n - e_d**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_difference_moments_match_enumeration(n):
+    # the series against every profile of a three-point rate distribution
+    values, weights = np.array([0.0, 0.1, 0.35]), np.array([0.5, 0.3, 0.2])
+    m = np.array([weights @ (1.0 - values) ** k for k in range(2 * n + 1)])
+    e_d = e_d2 = 0.0
+    for idx in itertools.product(range(3), repeat=n):
+        eps = values[list(idx)]
+        d = success_dist(eps) - success_local(eps)
+        w = np.prod(weights[list(idx)])
+        e_d, e_d2 = e_d + w * d, e_d2 + w * d * d
+    want = (e_d, e_d2 - e_d**2)
+    np.testing.assert_allclose(difference_moments(m, n), want, rtol=1e-9, atol=1e-15)
+
+
+def test_survival_moments_match_sampling():
+    rng = np.random.default_rng(5)
+    mean, std, clip = 0.05, 0.025, 0.1  # both atoms carry weight
+    eps = sample_profiles(1, mean, std, rng, 10**6, clip=(0.0, clip))[:, 0]
+    m = survival_moments(mean, std, clip, 6)
+    assert m[0] == pytest.approx(1.0, abs=1e-12)
+    for k in range(1, 6):
+        x = (1.0 - eps) ** k
+        assert abs(x.mean() - m[k]) < 5.0 * x.std() / math.sqrt(eps.size), k
+
+
+def test_bound_validate_matches_its_exact_expectations():
+    # the shipped run's mean_difference against E[D]: over the 18 points the
+    # squared z-scores, from the exact Var[D], sum to at most the 0.999
+    # quantile of chi-squared with 18 degrees of freedom
+    cfg = experiments.load_config("bound-validate")
+    p = cfg.params
+    assert p["n_list"] == [3, 7, 20] and p["rate_points"] == 6
+    rows, _, _, _ = experiments.run_bound_validate(cfg)
+    sweep = [r for r in rows if r["kind"] == "sweep"]
+    stat = 0.0
+    for row in sweep:
+        n, mean = row["n"], row["mean_rate"]
+        m = survival_moments(mean, p["std_factor"] * mean, p["rate_clip_max"], 2 * n + 1)
+        e_d, var = difference_moments(m, n)
+        assert 0.0 < e_d and 0.0 < var
+        stat += (row["mean_difference"] - e_d) ** 2 / (var / row["trials"])
+    assert len(sweep) == 18
+    assert stat <= chi2.ppf(0.999, len(sweep)), stat  # 42.3

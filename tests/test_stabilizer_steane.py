@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,7 +15,6 @@ from scipy.stats import chi2
 from daqec import experiments
 from daqec import stabilizer_steane as stn
 from daqec.stabilizer_steane import (
-    CliffordCircuit,
     GENERATOR_SUPPORTS,
     MachineLayout,
     NoiseSpec,
@@ -54,11 +54,10 @@ class PauliFrame:
 # batch engine and the exact evaluators are checked against
 
 
-def run_circuit_trial(circuit: CliffordCircuit, layout: MachineLayout, noise: NoiseSpec,
-                      seed: int):
+def run_circuit_trial(ops: list[tuple], layout: MachineLayout, noise: NoiseSpec, seed: int):
     """Single trial; returns [(logical_x_flip, logical_z_flip)] per block."""
     rng = np.random.default_rng(seed)
-    x_flips, z_flips = run_circuit_trials(compiled(circuit, layout), layout, noise, rng, 1)
+    x_flips, z_flips = run_circuit_trials(compiled(ops, layout), layout, noise, rng, 1)
     return [(bool(x_flips[b, 0]), bool(z_flips[b, 0])) for b in range(len(layout.blocks))]
 
 
@@ -229,9 +228,9 @@ def correctable(n_e: int, n_pauli: int, d: int) -> bool:
     return n_e + 2 * n_pauli <= d - 1
 
 
-def count_remote_gates(circuit: CliffordCircuit, layout: MachineLayout) -> int:
+def count_remote_gates(ops: list[tuple], layout: MachineLayout) -> int:
     proc = layout.qubit_processor
-    return sum(1 for op in circuit.ops if op[0] == "CNOT" and proc[op[1]] != proc[op[2]])
+    return sum(1 for op in ops if op[0] == "CNOT" and proc[op[1]] != proc[op[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +240,16 @@ def count_remote_gates(circuit: CliffordCircuit, layout: MachineLayout) -> int:
 # distribution of frames and measurement records of a small register
 
 
-def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
+def reference_simulate_frames(ops: list[tuple], layout: MachineLayout,
                               noise: NoiseSpec, rng: np.random.Generator, n_trials: int,
                               initial: PauliFrame | None = None):
-    """Propagate `n_trials` Pauli frames op by op, drawing noise per gate.
+    """Propagate `n_trials` Pauli frames through the ops on the layout's
+    register op by op, drawing noise per gate.
 
     Returns (x, z, measured) with x/z of shape (n_trials, n_qubits) and
     measured a list of per-trial bool arrays in op order.
     """
-    nq = circuit.n_qubits
+    nq = layout.n_qubits
     proc = layout.qubit_processor
     if initial is None:
         x = np.zeros((n_trials, nq), dtype=bool)
@@ -258,7 +258,7 @@ def reference_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
         x = np.tile(initial.x, (n_trials, 1))
         z = np.tile(initial.z, (n_trials, 1))
     measured: list[np.ndarray] = []
-    for op in circuit.ops:
+    for op in ops:
         tag = op[0]
         if tag == "CNOT":
             c, t = op[1], op[2]
@@ -349,10 +349,11 @@ def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n_trials].astype(bool)
 
 
-def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
+def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
                             noise: NoiseSpec, rng: np.random.Generator, n_trials: int,
                             initial: PauliFrame | None = None):
-    """Propagate `n_trials` Pauli frames through the circuit, step by step.
+    """Propagate `n_trials` Pauli frames through the ops on the layout's
+    register, step by step.
 
     The ops run in the ASAP steps of stn._schedule on frames packed 64
     trials to a `uint64` word (trial k is bit k % 64 of word k // 64; bits
@@ -361,8 +362,8 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     of shape (n_qubits, words), measured of shape (measurements, words) in
     op order.
     """
-    _, a, b, meas, cnot, starts, ends, kinds = stn._schedule(circuit)
-    nq, words = circuit.n_qubits, (n_trials + 63) // 64
+    nq, words = layout.n_qubits, (n_trials + 63) // 64
+    _, a, b, meas, cnot, starts, ends, kinds = stn._schedule(ops, nq)
     start = PauliFrame.zeros(nq) if initial is None else initial
     ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n_trials % 64:
@@ -390,27 +391,24 @@ def layered_simulate_frames(circuit: CliffordCircuit, layout: MachineLayout,
     return frames[:nq], frames[nq:], measured
 
 
-def with_extraction(circuit: CliffordCircuit, layout: MachineLayout) -> CliffordCircuit:
-    """The circuit followed by the extraction of every block, as compile_mirror builds it."""
-    full = CliffordCircuit(circuit.n_qubits, list(circuit.ops))
-    for block in layout.blocks:
-        full.extend(syndrome_extraction_circuit(block, layout))
-    return full
+def with_extraction(ops: list[tuple], layout: MachineLayout) -> list[tuple]:
+    """The ops followed by the extraction of every block, as compile_mirror builds them."""
+    return ops + [op for block in layout.blocks for op in syndrome_extraction_circuit(block)]
 
 
-def compiled(circuit: CliffordCircuit, layout: MachineLayout) -> stn.CompiledCircuit:
-    """The circuit and the extraction of every block, compiled without folding."""
-    return compile_circuit(with_extraction(circuit, layout), layout.blocks)
+def compiled(ops: list[tuple], layout: MachineLayout) -> stn.CompiledCircuit:
+    """The ops and the extraction of every block, compiled without folding."""
+    return compile_circuit(with_extraction(ops, layout), layout)
 
 
-def layered_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout,
+def layered_circuit_trials(ops: list[tuple], layout: MachineLayout,
                            noise: NoiseSpec, rng: np.random.Generator, n_trials: int):
     """run_circuit_trials on the layered engine, decoding each block by the flip rule.
 
     Returns (x_flips, z_flips), plus simulate_frames' (x, z, syndromes), all
     of shape (n_blocks, n_trials).
     """
-    x, z, measured = layered_simulate_frames(with_extraction(circuit, layout), layout, noise,
+    x, z, measured = layered_simulate_frames(with_extraction(ops, layout), layout, noise,
                                              rng, n_trials)
     nb = len(layout.blocks)
     # (block, generator, word); each block reads its X-type generators first
@@ -427,24 +425,25 @@ def layered_circuit_trials(circuit: CliffordCircuit, layout: MachineLayout,
     return (x_flips, z_flips), (x_parity, z_parity, syndromes)
 
 
-def packed_engine(circuit, layout, noise, rng, n_trials, initial=None):
+def packed_engine(ops, layout, noise, rng, n_trials, initial=None):
     """layered_simulate_frames with its words unpacked to the reference's layout."""
-    x, z, measured = layered_simulate_frames(circuit, layout, noise, rng, n_trials, initial)
+    x, z, measured = layered_simulate_frames(ops, layout, noise, rng, n_trials, initial)
     return (unpack_trials(x, n_trials).T, unpack_trials(z, n_trials).T,
             list(unpack_trials(measured, n_trials)))
 
 
-def exact_frame_distribution(circuit: CliffordCircuit, layout: MachineLayout,
+def exact_frame_distribution(ops: list[tuple], layout: MachineLayout,
                              noise: NoiseSpec, initial: PauliFrame) -> np.ndarray:
-    """Exact distribution over (x frame, z frame, measurement record).
+    """Exact distribution over (x frame, z frame, measurement record) after
+    the ops on the layout's register.
 
     State bit q is x of qubit q, bit n + q its z, and bit 2n + k the k-th
     measurement. H, a CNOT, PREP and MEAS map states to states; a noisy
     CNOT then keeps 1 - p of each state's mass and moves p/15 along each
     of the 15 two-qubit Paulis on its qubits.
     """
-    n = circuit.n_qubits
-    n_meas = sum(op[0].startswith("MEAS") for op in circuit.ops)
+    n = layout.n_qubits
+    n_meas = sum(op[0].startswith("MEAS") for op in ops)
     s = np.arange(1 << (2 * n + n_meas))
     dist = np.zeros(s.size)
     dist[sum(int(b) << q for q, b in enumerate(np.concatenate((initial.x, initial.z))))] = 1.0
@@ -454,7 +453,7 @@ def exact_frame_distribution(circuit: CliffordCircuit, layout: MachineLayout,
     def bit(i):
         return s >> i & 1
 
-    for op in circuit.ops:
+    for op in ops:
         tag, q = op[0], op[1]
         if tag == "CNOT":
             t = op[2]
@@ -596,7 +595,7 @@ def _proportional(a, b):
 def test_cnot_conjugation_matches_dense(bits):
     x0, z0, x1, z1 = bits
     layout = MachineLayout("tiny", (), (0, 0))
-    circ = CliffordCircuit(2, [("CNOT", 0, 1)])
+    circ = [("CNOT", 0, 1)]
     frame = PauliFrame(np.array([x0, x1], dtype=bool), np.array([z0, z1], dtype=bool))
     xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
                                         initial=frame)
@@ -613,7 +612,7 @@ def test_cnot_conjugation_matches_dense(bits):
 def test_h_conjugation_matches_dense(bits):
     x0, z0 = bits
     layout = MachineLayout("tiny", (), (0,))
-    circ = CliffordCircuit(1, [("H", 0)])
+    circ = [("H", 0)]
     frame = PauliFrame(np.array([x0], dtype=bool), np.array([z0], dtype=bool))
     xs, zs, _ = layered_simulate_frames(circ, layout, NO_NOISE, np.random.default_rng(0), 1,
                                         initial=frame)
@@ -641,7 +640,7 @@ def small_circuits(draw, max_qubits: int, max_ops: int, max_meas: int):
         lambda ops: sum(o[0].startswith("MEAS") for o in ops) <= max_meas))
     procs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     bits = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-    return (CliffordCircuit(n, ops), MachineLayout("small", (), tuple(procs)),
+    return (ops, MachineLayout("small", (), tuple(procs)),
             PauliFrame(draw(bits), draw(bits)))
 
 
@@ -656,7 +655,7 @@ def test_packed_engine_matches_reference_bit_for_bit_without_noise(case, n_trial
                                              np.random.default_rng(0), n_trials, initial)
     words = (n_trials + 63) // 64
     assert x.dtype == z.dtype == measured.dtype == np.uint64
-    assert x.shape == z.shape == (circuit.n_qubits, words)
+    assert x.shape == z.shape == (layout.n_qubits, words)
     assert measured.shape == (len(rm), words)
     for got, want in ((x, rx.T), (z, rz.T), (measured, np.reshape(rm, (-1, n_trials)))):
         bits = unpack_trials(got, 64 * words)
@@ -834,8 +833,8 @@ def test_the_folded_mirror_compile_matches_the_whole_circuit_bit_for_bit(scheme,
     layout = mirror_layout(scheme, n_blocks, seed)
     folded = compile_mirror(layout, depth)
     full = with_extraction(build_ghz_mirror(layout, depth), layout)
-    whole = compile_circuit(full, layout.blocks)
-    assert folded.ops == whole.ops == tuple(full.ops)
+    whole = compile_circuit(full, layout)
+    assert folded.ops == whole.ops == tuple(full)
     assert folded.blocks == whole.blocks == layout.blocks
     for got, want in zip(compiled_rows(folded), compiled_rows(whole), strict=True):
         assert np.array_equal(got, want)
@@ -856,7 +855,7 @@ def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks,
                                                                       seed):
     local = lqec_layout(n_blocks)
     layout = mirror_layout("random", n_blocks, seed)
-    assert build_ghz_mirror(layout, depth).ops == build_ghz_mirror(local, depth).ops
+    assert build_ghz_mirror(layout, depth) == build_ghz_mirror(local, depth)
     fresh = compile_mirror(layout, depth)
     shared = compile_mirror(local, depth)
     assert shared.ops == fresh.ops
@@ -873,9 +872,9 @@ def test_the_compiled_table_depends_only_on_the_circuit_and_its_blocks(n_blocks,
 def test_both_layouts_of_a_depth_share_one_compile(monkeypatch):
     sizes, seen = [], []
 
-    def counting_compile(circuit, blocks):
-        sizes.append(sum(op[0] == "CNOT" for op in circuit.ops))
-        return compile_(circuit, blocks)
+    def counting_compile(ops, n_qubits, blocks):
+        sizes.append(sum(op[0] == "CNOT" for op in ops))
+        return compile_(ops, n_qubits, blocks)
 
     def recording_trials(circuit, layout, noise, rng, n_trials):
         seen.append((circuit, layout.name))
@@ -910,9 +909,9 @@ def test_both_layouts_of_a_depth_share_one_compile(monkeypatch):
 def test_a_compile_runs_in_the_first_simulate_frames_call(monkeypatch):
     calls = []
 
-    def counting_compile(circuit, blocks):
-        calls.append(len(circuit.ops))
-        return compile_(circuit, blocks)
+    def counting_compile(ops, n_qubits, blocks):
+        calls.append(len(ops))
+        return compile_(ops, n_qubits, blocks)
     compile_ = stn._compile
     monkeypatch.setattr(stn, "_compile", counting_compile)
     layout = dqec_layout(3)
@@ -926,13 +925,13 @@ def test_a_compile_runs_in_the_first_simulate_frames_call(monkeypatch):
 def test_circuits_differing_in_one_op_get_different_tables():
     layout = lqec_layout(3)
     circuit = with_extraction(build_ghz_mirror(layout, 2), layout)
-    first = compile_circuit(circuit, layout.blocks)
+    first = compile_circuit(circuit, layout)
     forward = ("CNOT", layout.blocks[0].data[0], layout.blocks[1].data[0])
-    index = circuit.ops.index(forward)
-    circuit.ops[index] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
+    index = circuit.index(forward)
+    circuit[index] = ("CNOT", layout.blocks[1].data[0], layout.blocks[0].data[0])
     assert first.ops[index] == forward  # a compile keeps the ops it was given
-    other = compile_circuit(circuit, layout.blocks)
-    assert other.ops == tuple(circuit.ops)
+    other = compile_circuit(circuit, layout)
+    assert other.ops == tuple(circuit)
     # first compiles only now, and from its own ops
     original = compiled(build_ghz_mirror(layout, 2), layout)
     for got, want in zip(compiled_rows(first), compiled_rows(original), strict=True):
@@ -940,7 +939,7 @@ def test_circuits_differing_in_one_op_get_different_tables():
     assert not np.array_equal(first.arrays()[3], other.arrays()[3])
     # the same ops on other blocks read other decoder bytes, and a layout with
     # other blocks cannot run them
-    swapped = compile_circuit(circuit, layout.blocks[::-1])
+    swapped = compile_circuit(circuit, dataclasses.replace(layout, blocks=layout.blocks[::-1]))
     assert not np.array_equal(swapped.arrays()[3], other.arrays()[3])
     with pytest.raises(ValueError, match="other blocks"):
         simulate_frames(swapped, layout, NO_NOISE, np.random.default_rng(0), 1)
@@ -970,9 +969,10 @@ X_FLIP = (BYTES >> 6 & 1) ^ ((BYTES & 63) > 7)
 Z_FLIP = (BYTES >> 7 & 1) ^ ((BYTES & 7) > 0)
 
 
-def exact_block_bytes(circuit: CliffordCircuit, layout: MachineLayout,
+def exact_block_bytes(ops: list[tuple], layout: MachineLayout,
                       noise: NoiseSpec) -> np.ndarray:
-    """Exact distribution of each block's decoder byte, shape (n_blocks, 256).
+    """Exact distribution of each block's decoder byte after the ops and the
+    extraction of every block, shape (n_blocks, 256).
 
     The compiled table is a detector error model: CNOT o is an independent
     fault location which, with probability p_o / 15 each, xors into a
@@ -982,7 +982,7 @@ def exact_block_bytes(circuit: CliffordCircuit, layout: MachineLayout,
     location o has the character 1 - p_o + p_o / 15 * sum_P (-1)^(s . f_P)
     = 1 - 16 p_o / 15 * [s . g_j odd for some j].
     """
-    a, b, row, table = compiled(circuit, layout).arrays()
+    a, b, row, table = compiled(ops, layout).arrays()
     rate = op_rates(a, b, np.ones(a.size, dtype=bool), layout, noise)
     # (location, j, block) for the rows of x_c, z_c, x_t and z_t
     octets = table[row[rate > 0]][:, [2, 1, 6, 5]].view(np.uint8)
@@ -1149,7 +1149,7 @@ def test_perfbench_tracer_observes_a_real_simulate_frames_call(perfbench_tracer)
                                np.random.default_rng(0), 100)
     assert [s[1] for s in t.spans].count("stabilizer_steane.simulate_frames") == 1
     gate_trials = t.counters["stabilizer_steane.simulate_frames.gate_trials"]
-    assert gate_trials == len(with_extraction(circuit, layout).ops) * 100
+    assert gate_trials == len(with_extraction(circuit, layout)) * 100
     # one byte per block and trial for each of the X and Z parities
     assert t.counters["stabilizer_steane.simulate_frames.frame_bytes"] == 2 * 7 * 100
     assert stn.simulate_frames is simulate_frames  # the tracer put it back
@@ -1162,7 +1162,7 @@ def test_perfbench_tracer_observes_a_real_simulate_frames_call(perfbench_tracer)
 def test_mirror_layer_count_and_identity_tiling():
     layout = lqec_layout()
     circ = build_ghz_mirror(layout, 12)
-    cnots = [op for op in circ.ops if op[0] == "CNOT"]
+    cnots = [op for op in circ if op[0] == "CNOT"]
     assert len(cnots) == 12 * 7
     with pytest.raises(ValueError):  # one block has no CNOT chain to tile
         build_ghz_mirror(lqec_layout(1), 12)
@@ -1178,14 +1178,14 @@ def test_mirror_zero_noise_no_failures():
 
 def test_extraction_locality_census():
     lq, dq = lqec_layout(), dqec_layout()
-    assert count_remote_gates(syndrome_extraction_circuit(lq.blocks[0], lq), lq) == 0
+    assert count_remote_gates(syndrome_extraction_circuit(lq.blocks[0]), lq) == 0
     for block in dq.blocks:
-        circ = syndrome_extraction_circuit(block, dq)
+        circ = syndrome_extraction_circuit(block)
         assert count_remote_gates(circ, dq) >= 18  # at least 3 of 4 CNOTs per generator
         # per generator, at most one of the four CNOTs can touch the
         # ancilla's own processor
         for g in range(6):
-            gen_ops = [op for op in circ.ops if op[0] == "CNOT"][4 * g: 4 * g + 4]
+            gen_ops = [op for op in circ if op[0] == "CNOT"][4 * g: 4 * g + 4]
             remote = sum(1 for op in gen_ops
                          if dq.qubit_processor[op[1]] != dq.qubit_processor[op[2]])
             assert remote >= 3
@@ -1198,8 +1198,7 @@ def test_injected_error_shows_in_extracted_syndrome(kind, q):
     frame = PauliFrame.zeros(layout.n_qubits)
     getattr(frame, kind)[block.data[q]] = True
     want_sx, want_sz = syndrome(frame, block)
-    circ = CliffordCircuit(layout.n_qubits)
-    circ.extend(syndrome_extraction_circuit(block, layout))
+    circ = syndrome_extraction_circuit(block)
     _, _, measured = layered_simulate_frames(circ, layout, NO_NOISE,
                                              np.random.default_rng(0), 1, initial=frame)
     got = [int(m[0]) for m in unpack_trials(measured, 1)]
