@@ -691,9 +691,9 @@ def run_apples(cfg: ExperimentConfig):
 # would divide by zero, index an empty layout, find nothing to check or
 # outgrow memory or time. A W-code state keeps only its nonzero amplitudes,
 # so memory does not cap max_total_sites; time does: both decoders over every
-# erasure count of an 18-site word (max_erasures: 17) take 0.6 to 1.1 s on a
-# 2-core VM (the whole run 1.0 to 1.5 s), against 0.14 to 0.17 s at 10 sites;
-# a site adds about 20%.
+# erasure count of every word up to 18 sites (max_erasures: 17) take 0.64 to
+# 0.74 s on a 2-core VM (the whole run 0.84 to 0.86 s), against 0.14 to 0.15 s
+# up to 10 sites; a site adds about 20%.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.
 _RATE = dict(lo=1e-6, hi=1.0)

@@ -73,6 +73,12 @@ class RadixVector:
         return tuple(reversed(out))
 
 
+@functools.lru_cache(maxsize=1024)
+def radix_of(dims: tuple[int, ...]) -> RadixVector:
+    """The one shared RadixVector of these dims; a register's strides are computed once."""
+    return RadixVector(dims)
+
+
 def _norm2(amps: np.ndarray) -> float:
     """Squared norm of a complex array, in one pass over its real and imaginary parts."""
     flat = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
@@ -98,8 +104,8 @@ class MixedRadixState:
         if index.size and not (0 <= index[0] and index[-1] < self.radix.total_dim
                                and not np.count_nonzero(index[1:] <= index[:-1])):
             raise ValueError(f"index must increase strictly within [0, {self.radix.total_dim})")
-        norm2 = _norm2(arr)
-        if abs(norm2 - 1.0) > ATOL_STATE:
+        norm2 = np.add.reduce(np.square(arr.view(np.float64)))  # numpy's own loops, no BLAS
+        if not abs(norm2 - 1.0) <= ATOL_STATE:  # fails closed on NaN
             raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
 
     @property
@@ -134,7 +140,7 @@ class GateSpec:
         if mat.shape != (dim, dim):
             raise ValueError(f"gate on dims {self.site_dims} must be {dim}x{dim}, got {mat.shape}")
         err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-        if err > ATOL_CONSTRUCT:
+        if not err <= ATOL_CONSTRUCT:
             raise ValueError(f"matrix not unitary (deviation {err:.2e})")
         if self.perm is not None:
             perm = tuple(int(i) for i in self.perm)
@@ -154,7 +160,7 @@ def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int]) -> Mi
 
 def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray) -> MixedRadixState:
     """State from a dense amplitude vector over the whole register."""
-    radix = radix if isinstance(radix, RadixVector) else RadixVector(tuple(radix))
+    radix = radix if isinstance(radix, RadixVector) else radix_of(tuple(radix))
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (radix.total_dim,):
         raise ValueError(f"amplitude vector of length {radix.total_dim} expected, got {amps.shape}")
@@ -166,14 +172,14 @@ def basis_sum_state(radix: RadixVector | Sequence[int], terms) -> MixedRadixStat
 
     Repeated levels add up; the sum must be normalized.
     """
-    radix = radix if isinstance(radix, RadixVector) else RadixVector(tuple(radix))
+    radix = radix if isinstance(radix, RadixVector) else radix_of(tuple(radix))
     amps: dict[int, complex] = {}
     for levels, amp in terms:
         i = radix.index_of(levels)
         amps[i] = amps.get(i, 0j) + amp
     index = np.array(sorted(i for i, a in amps.items() if a != 0), dtype=np.int64)
     array = np.array([amps[i] for i in index.tolist()], dtype=complex)
-    if abs(_norm2(array) - 1.0) > ATOL_CONSTRUCT:  # tighter than the state's own check
+    if not abs(_norm2(array) - 1.0) <= ATOL_CONSTRUCT:  # tighter than the state's own check
         raise ValueError(f"amplitudes not normalized: |psi|^2 = {_norm2(array)}")
     return MixedRadixState(radix, index, array)
 
@@ -183,7 +189,7 @@ def basis_map_gate(site_dims: Sequence[int], image) -> GateSpec:
 
     The map must be one-to-one, otherwise the matrix is not unitary.
     """
-    radix = RadixVector(tuple(site_dims))
+    radix = radix_of(tuple(site_dims))
     m = np.zeros((radix.total_dim, radix.total_dim), dtype=complex)
     perm = [0] * radix.total_dim
     for x in itertools.product(*(range(d) for d in radix.dims)):
@@ -218,13 +224,29 @@ def _moves(dims: tuple[int, ...], sites: tuple[int, ...], perm: tuple[int, ...])
     return moves
 
 
+@functools.lru_cache(maxsize=1024)
+def _runs(dims: tuple[int, ...], sites: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The sites as maximal runs of consecutive ascending sites, each run as
+    (place value of its last digit, number of basis states of the run)."""
+    runs: list[list[int]] = []
+    for s in sites:
+        if runs and s == runs[-1][1] + 1:
+            runs[-1][1] = s
+        else:
+            runs.append([s, s])
+    return tuple((math.prod(dims[b + 1:]), math.prod(dims[a:b + 1])) for a, b in runs)
+
+
 def _local(index: np.ndarray, radix: RadixVector, sites: tuple[int, ...]) -> np.ndarray:
-    """Each index's digits at the sites, as one index in the sites' own radix."""
+    """Each index's digits at the sites, as one index in the sites' own radix;
+    a run of consecutive ascending sites is read as one digit of its own radix."""
     if not sites:
         return np.zeros(index.size, dtype=np.int64)
-    local = index // radix.strides[sites[0]] % radix.dims[sites[0]]
-    for s in sites[1:]:
-        local = local * radix.dims[s] + index // radix.strides[s] % radix.dims[s]
+    runs = _runs(radix.dims, sites)
+    stride, size = runs[0]
+    local = index // stride % size
+    for stride, size in runs[1:]:
+        local = local * size + index // stride % size
     return local
 
 
@@ -301,7 +323,7 @@ def measure_sites(state: MixedRadixState, sites: Sequence[int]):
     groups = [order[a:b] for a, b in zip(starts.tolist(), [*starts[1:].tolist(), order.size])]
     # no measured site leaves the one empty outcome, which RadixVector cannot hold
     meas_dims = tuple(state.dims[s] for s in sites)
-    levels_of = RadixVector(meas_dims).levels_of if sites else (lambda o: ())
+    levels_of = radix_of(meas_dims).levels_of if sites else (lambda o: ())
     return [(levels_of(int(local[groups[k][0]])), float(probs[k]),
              MixedRadixState(state.radix, state.index[groups[k]],
                              state.array[groups[k]] / math.sqrt(probs[k])))
@@ -339,7 +361,7 @@ def support_matrix(state: MixedRadixState, sites: Sequence[int]):
 
 def append_sites(state: MixedRadixState, fresh: MixedRadixState) -> MixedRadixState:
     """Tensor product state (x) fresh: fresh's sites join the register on the right."""
-    radix = RadixVector(state.dims + fresh.dims)
+    radix = radix_of(state.dims + fresh.dims)
     index = (state.index[:, None] * fresh.radix.total_dim + fresh.index).ravel()
     return MixedRadixState(radix, index, np.multiply.outer(state.array, fresh.array).ravel())
 
@@ -350,14 +372,14 @@ def project_sites(state: MixedRadixState, sites: Sequence[int],
     sites = _check_sites(state.dims, tuple(sites))
     if not sites and not len(levels):
         return state
-    target = RadixVector(tuple(state.dims[s] for s in sites)).index_of(levels)
+    target = radix_of(tuple(state.dims[s] for s in sites)).index_of(levels)
     kept = _local(state.index, state.radix, sites) == target
     amps = state.array[kept]
     norm2 = _norm2(amps)
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:
         raise ValueError(f"sites {list(sites)} not disentangled (weight {norm2} in {list(levels)})")
     rest = tuple(s for s in range(state.n_sites) if s not in sites)
-    return MixedRadixState(RadixVector(tuple(state.dims[s] for s in rest)),
+    return MixedRadixState(radix_of(tuple(state.dims[s] for s in rest)),
                            _local(state.index[kept], state.radix, rest), amps / math.sqrt(norm2))
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .mixed_radix_sim import (
     GateSpec,
     MixedRadixState,
-    RadixVector,
     append_sites,
     apply_permutations,
     apply_unitary,
@@ -43,6 +42,7 @@ from .mixed_radix_sim import (
     measure_sites,
     partial_trace,  # noqa: F401  unused here; perfbench's tracer tests patch this binding
     project_sites,
+    radix_of,
     support_matrix,
 )
 
@@ -52,7 +52,7 @@ BOT = 2  # flag level of the physical qutrits
 def _as_logical(psi) -> np.ndarray:
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     norm2 = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:  # fails closed on NaN
         raise ValueError(f"logical input not unit norm: {norm2}")
     return vec
 
@@ -166,13 +166,7 @@ def _gate_x() -> GateSpec:
     return basis_map_gate((2,), lambda x: (1 - x[0],))
 
 
-def gate_subspace(u2: np.ndarray, d: int = 3) -> GateSpec:
-    """Single-qubit gate embedded in the {|0>,|1>} subspace of a d-level site."""
-    return GateSpec(embed_unitary(u2, d), (d,))
-
-
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_GATE_H = GateSpec(_H2, (2,))
+_GATE_H = GateSpec(np.array([[1, 1], [1, -1]]) / math.sqrt(2), (2,))
 _PLUS = basis_sum_state((2,), [((0,), 1 / math.sqrt(2)), ((1,), 1 / math.sqrt(2))])
 
 
@@ -261,7 +255,7 @@ def scale_w(state: MixedRadixState) -> MixedRadixState:
     n = len(dims)
     if any(dd != d for dd in dims):
         raise ValueError("all sites must share one dimension")
-    if fidelity(state, w_state_vector(n, d)) < 1.0 - 1e-8:
+    if not fidelity(state, w_state_vector(n, d)) >= 1.0 - 1e-8:
         raise ValueError("input is not a W state of this size")
     state = _doubling_stage(state, 0, controlled_level_not(0, d))
     if n % 2 == 1:
@@ -304,12 +298,14 @@ def _w3_qubit_state() -> MixedRadixState:
                       (GateSpec(_cry(math.pi / 2), (2, 2)), (1, 2)), (cnot, (2, 1))])
 
 
+@functools.cache
 def _qubit_w_on_qutrits(n: int) -> MixedRadixState:
     """Qubit W state living in the {0,1} subspace of n qutrit sites.
 
     Power-of-two sizes run the doubling circuits and n=3 the rotation
     cascade; other sizes fall back to the direct amplitude construction,
-    which keeps the full decoder test matrix available.
+    which keeps the full decoder test matrix available. The state is built
+    once per size and shared, so its arrays are read-only.
     """
     if n >= 2 and n & (n - 1) == 0:
         src = prepare_w(n, 2)
@@ -317,8 +313,10 @@ def _qubit_w_on_qutrits(n: int) -> MixedRadixState:
         src = _w3_qubit_state()
     else:
         src = w_state_vector(n, 2)
-    return basis_sum_state((3,) * n, ((src.radix.levels_of(i), a) for i, a
-                                      in zip(src.index.tolist(), src.array) if abs(a) > 1e-15))
+    state = basis_sum_state((3,) * n, ((src.radix.levels_of(i), a) for i, a
+                                       in zip(src.index.tolist(), src.array) if abs(a) > 1e-15))
+    state.index.flags.writeable = state.array.flags.writeable = False
+    return state
 
 
 def codeword_vector(psi, n: int) -> MixedRadixState:
@@ -337,31 +335,6 @@ def encode(psi, n: int) -> MixedRadixState:
     u02, uenc = gate_u02(), gate_uenc(c)
     return apply_ops(_qubit_w_on_qutrits(n), [(u02, (i,)) for i in range(n)]
                      + [(uenc, (i,)) for i in range(n)])
-
-
-def encode_two(psi, phi, n: int = 4) -> MixedRadixState:
-    """Encode two logical qubits into one four-site block.
-
-    A GHZ-type splitter in the qubit subspace puts the pair pattern in
-    superposition over the two halves, then U02 and the per-qubit encoders
-    (gate_uenc of psi on the first site of each half, of phi on the second)
-    act site by site.
-    """
-    if n != 4:
-        raise ValueError("the two-qubit encoder is defined for n=4")
-    uenc, venc = gate_uenc(psi), gate_uenc(phi)
-    return apply_ops(basis_state((3,) * 4, (0, 0, 0, 0)),
-                     [(gate_subspace(_H2), (0,)), (controlled_pair_not(1), (0, 1)),
-                      (controlled_pair_not(0), (0, 2)), (controlled_pair_not(1), (2, 3))]
-                     + [(gate_u02(), (i,)) for i in range(4)]
-                     + [(g, (i,)) for i, g in enumerate((uenc, venc, uenc, venc))])
-
-
-@functools.cache
-def controlled_pair_not(control_level: int) -> GateSpec:
-    """Qutrit-qutrit gate: X on the target's {0,1} subspace iff control at level."""
-    return basis_map_gate((3, 3), lambda x: (x[0], 1 - x[1])
-                          if x[0] == control_level and x[1] < 2 else x)
 
 
 def encode_alt(psi, n: int) -> MixedRadixState:
@@ -425,7 +398,7 @@ def measure_decoder_ops(n: int) -> tuple[list, int]:
     if n < 1:
         raise ValueError("need at least one unerased site")
     m = math.ceil(math.log2(n + 1))
-    bits = RadixVector((2,) * m)
+    bits = radix_of((2,) * m)
     ops = []
     for i in range(n):
         code = bits.levels_of(i + 1)
@@ -450,7 +423,7 @@ def _measure_ancillas(state: MixedRadixState, survivors: list[int], ops, m: int)
     readout) per ancilla readout, ascending, the readout bits most significant first."""
     joint = _run_on_survivors(state, survivors, ops, m)
     ancillas = range(state.n_sites, state.n_sites + m)
-    readout = RadixVector((2,) * m)
+    readout = radix_of((2,) * m)
     return [(readout.index_of(levels), prob, project_sites(post, ancillas, levels))
             for levels, prob, post in measure_sites(joint, ancillas)]
 
@@ -483,29 +456,6 @@ def decode_measure(state, pattern=ErasurePattern(())) -> DecodeOutcome:
         success += prob
         branches.append(DecodeBranch(outcome, prob, post, site))
     return DecodeOutcome(branches, success, failure, m)
-
-
-def decode_measure_n2_single_ancilla(state, pattern=ErasurePattern(())) -> DecodeOutcome:
-    """Minimal two-site decoder with a single flag ancilla.
-
-    Only the second survivor is flagged: readout 1 locates the logical
-    state there (followed by the conditional swap), readout 0 mixes "it was
-    already at the first survivor" with the all-flag erasure branch, so
-    failure is not heralded. The general decoder above uses two ancillas
-    for n=2 precisely to recover that herald.
-    """
-    survivors = _survivors(state, pattern)
-    if len(survivors) != 2:
-        raise ValueError("this variant is defined for two unerased sites")
-    branches = []
-    success = 0.0
-    for outcome, prob, post in _measure_ancillas(state, survivors, presence_pair(1, 2), 1):
-        if outcome == 1:
-            success += prob
-            branches.append(DecodeBranch(1, prob, apply_unitary(post, gate_swap(3), survivors), 1))
-        else:
-            branches.append(DecodeBranch(0, prob, post, None))
-    return DecodeOutcome(branches, success, 0.0, 1)
 
 
 def elective_decoder_ops(n: int, target_site: int) -> tuple[list, int]:

@@ -58,6 +58,23 @@ def dense_measure_sites(psi, dims, sites):
     return results
 
 
+def digits_local(index, dims, sites):
+    """Each index's digits at the sites, as one index in the sites' own radix,
+    read one digit at a time with Python integers."""
+    out = []
+    for i in index.tolist():
+        levels = []
+        for d in reversed(dims):
+            i, level = divmod(i, d)
+            levels.append(level)
+        levels.reverse()
+        local = 0
+        for s in sites:
+            local = local * dims[s] + levels[s]
+        out.append(local)
+    return np.array(out, dtype=np.int64)
+
+
 def dense_partial_trace(psi, dims, keep):
     rows = split(psi, dims, sorted(set(keep)))
     return rows @ rows.conj().T

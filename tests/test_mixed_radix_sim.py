@@ -34,6 +34,7 @@ from dense_oracle import (
     dense_measure_sites,
     dense_partial_trace,
     dense_project_site,
+    digits_local,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -162,6 +163,31 @@ _HALF = np.array([1.0, 1.0]) / math.sqrt(2)
 def test_state_invariants_are_checked(index, amps, match):
     with pytest.raises(ValueError, match=match):
         MixedRadixState(RadixVector((2, 2)), index, amps)
+
+
+# each check is written to fail on NaN, which compares false with everything
+
+
+def test_state_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="not normalized"):
+        MixedRadixState(RadixVector((2,)), np.array([0]), np.array([np.nan]))
+
+
+def test_gate_refuses_a_nan_matrix():
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec(np.full((2, 2), np.nan), (2,))
+
+
+def test_basis_sum_state_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="amplitudes not normalized"):
+        basis_sum_state((2,), [((0,), np.nan)])
+
+
+def test_project_sites_refuses_a_nan_weight():
+    state = basis_state((2, 2), (0, 1))
+    state.array[:] = np.nan  # a state gone bad after its checks
+    with pytest.raises(ValueError, match="not disentangled"):
+        project_sites(state, [0], [0])
 
 
 def test_state_accepts_its_invariants():
@@ -842,3 +868,45 @@ def test_support_matrix_is_the_dense_matricization(register):
     rows, matrix = support_matrix(state, sites)
     assert rows.tolist() == np.flatnonzero(np.any(ref != 0, axis=1)).tolist()
     assert np.array_equal(matrix, ref[rows])
+
+
+# ---------------------------------------------------------------------------
+# shared digit tables
+
+
+@st.composite
+def _digit_reads(draw):
+    """Indices of a register of 1-12 sites of dimension 2-5, and sites to read:
+    any ordered subset, a run of consecutive sites, or a single site."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=12)))
+    n = len(dims)
+    kind = draw(st.sampled_from(("any", "run", "single")))
+    if kind == "any":
+        order = draw(st.permutations(range(n)))
+        sites = tuple(order[:draw(st.integers(0, n))])
+    elif kind == "run":
+        first = draw(st.integers(0, n - 1))
+        sites = tuple(range(first, draw(st.integers(first + 1, n))))
+    else:
+        sites = (draw(st.integers(0, n - 1)),)
+    total = math.prod(dims)
+    index = np.array(draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=20)),
+                     dtype=np.int64)
+    return dims, sites, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digit_reads())
+def test_local_digits_match_the_digit_by_digit_oracle(case):
+    dims, sites, index = case
+    local = mrs._local(index, mrs.radix_of(dims), sites)
+    assert local.dtype == np.int64
+    assert np.array_equal(local, digits_local(index, dims, sites))
+
+
+def test_one_radix_per_dims():
+    a, b = basis_state((3, 2), (1, 0)), basis_state((3, 2), (2, 1))
+    first, second = append_sites(a, b), append_sites(b, a)
+    assert first.radix is second.radix is mrs.radix_of((3, 2, 3, 2))
+    assert first.radix == RadixVector((3, 2, 3, 2))
+    assert project_sites(first, [1], [0]).radix is mrs.radix_of((3, 3, 2))

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from daqec.mixed_radix_sim import (
     RadixVector,
     append_sites,
     apply_unitary,
+    basis_map_gate,
     basis_state,
     basis_sum_state,
     dump_state,
+    embed_unitary,
     fidelity,
     measure_sites,
     partial_trace,
@@ -29,14 +33,11 @@ from daqec.wstate_code import (
     apply_ops,
     codeword_vector,
     controlled_level_not,
-    controlled_pair_not,
     decode_elective,
     decode_measure,
-    decode_measure_n2_single_ancilla,
     elective_decoder_ops,
     encode,
     encode_alt,
-    encode_two,
     ensemble_fidelity,
     erase,
     expected_swaps,
@@ -56,6 +57,7 @@ from daqec.wstate_code import (
 
 from dense_oracle import dense, oracle_apply_ops, oracle_apply_unitary
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 PSI = np.array([0.6, 0.8j])
 
@@ -109,6 +111,62 @@ def elective_joint(branch, target):
 
 
 # ---------------------------------------------------------------------------
+# circuits that only the tests use: a two-qubit block and a one-ancilla decoder
+
+
+def gate_subspace(u2, d=3) -> GateSpec:
+    """Single-qubit gate embedded in the {|0>,|1>} subspace of a d-level site."""
+    return GateSpec(embed_unitary(u2, d), (d,))
+
+
+@functools.cache
+def controlled_pair_not(control_level: int) -> GateSpec:
+    """Qutrit-qutrit gate: X on the target's {0,1} subspace iff control at level."""
+    return basis_map_gate((3, 3), lambda x: (x[0], 1 - x[1])
+                          if x[0] == control_level and x[1] < 2 else x)
+
+
+def encode_two(psi, phi) -> MixedRadixState:
+    """Encode two logical qubits into one four-site block.
+
+    A GHZ-type splitter in the qubit subspace puts the pair pattern in
+    superposition over the two halves, then U02 and the per-qubit encoders
+    (gate_uenc of psi on the first site of each half, of phi on the second)
+    act site by site.
+    """
+    uenc, venc = gate_uenc(psi), gate_uenc(phi)
+    return apply_ops(basis_state((3,) * 4, (0, 0, 0, 0)),
+                     [(gate_subspace(H2), (0,)), (controlled_pair_not(1), (0, 1)),
+                      (controlled_pair_not(0), (0, 2)), (controlled_pair_not(1), (2, 3))]
+                     + [(gate_u02(), (i,)) for i in range(4)]
+                     + [(g, (i,)) for i, g in enumerate((uenc, venc, uenc, venc))])
+
+
+def decode_measure_n2_single_ancilla(state, pattern=ErasurePattern(())) -> wsc.DecodeOutcome:
+    """Minimal two-site decoder with a single flag ancilla.
+
+    Only the second survivor is flagged: readout 1 locates the logical
+    state there (followed by the conditional swap), readout 0 mixes "it was
+    already at the first survivor" with the all-flag erasure branch, so
+    failure is not heralded. decode_measure uses two ancillas for n=2
+    precisely to recover that herald.
+    """
+    survivors = wsc._survivors(state, pattern)
+    if len(survivors) != 2:
+        raise ValueError("this variant is defined for two unerased sites")
+    branches = []
+    success = 0.0
+    for outcome, prob, post in wsc._measure_ancillas(state, survivors, presence_pair(1, 2), 1):
+        if outcome == 1:
+            success += prob
+            post = apply_unitary(post, gate_swap(3), survivors)
+            branches.append(wsc.DecodeBranch(1, prob, post, 1))
+        else:
+            branches.append(wsc.DecodeBranch(0, prob, post, None))
+    return wsc.DecodeOutcome(branches, success, 0.0, 1)
+
+
+# ---------------------------------------------------------------------------
 # gates
 
 
@@ -153,6 +211,11 @@ def test_encode_rejects_invalid_logical_input():
         encode([1.0, 1.0], 3)
     with pytest.raises(ValueError):
         encode([1.0, 0.0], 1)
+
+
+def test_encode_refuses_a_nan_logical_input():
+    with pytest.raises(ValueError, match="unit norm"):
+        encode([np.nan, 0.0], 3)
 
 
 def test_logical_unitary_rejects_non_unitary():
@@ -238,6 +301,13 @@ def test_scale_w_ancilla_disentangled():
 def test_scale_w_rejects_non_w_input():
     with pytest.raises(ValueError):
         scale_w(basis_state((2, 2), (0, 0)))
+
+
+def test_scale_w_refuses_a_nan_input():
+    state = prepare_w2(2)
+    state.array[:] = np.nan  # a state gone bad after its checks
+    with pytest.raises(ValueError, match="not a W state"):
+        scale_w(state)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (8, 2), (2, 3), (4, 3), (8, 3)])
@@ -343,6 +413,44 @@ def test_encode_alt_ancillas_end_in_zero():
 def test_encode_alt_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         encode_alt(PSI, 3)
+
+
+# the encoder's W resource state is built once per size and shared
+
+
+def test_w_resource_is_shared_and_read_only():
+    w = wsc._qubit_w_on_qutrits(5)
+    assert wsc._qubit_w_on_qutrits(5) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w.array[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.index[0] = 0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_encode_on_the_shared_resource_matches_a_fresh_one(n, rng):
+    psi = _random_unit(rng, 2)
+    fresh = apply_ops(wsc._qubit_w_on_qutrits.__wrapped__(n),
+                      [(gate_u02(), (i,)) for i in range(n)]
+                      + [(gate_uenc(psi), (i,)) for i in range(n)])
+    word = encode(psi, n)
+    assert np.array_equal(word.index, fresh.index) and np.array_equal(word.array, fresh.array)
+
+
+@pytest.mark.parametrize("shared, runs", [(True, 9), (False, 77)])
+def test_shipped_wstate_verify_prepares_each_w_state_once(shared, runs, tmp_path, monkeypatch):
+    # the encoders' three power-of-two resources (n = 2, 4, 8) and the six
+    # w-preparation checks; without the memo every encode rebuilds its resource
+    wsc._qubit_w_on_qutrits.cache_clear()
+    if not shared:
+        monkeypatch.setattr(wsc, "_qubit_w_on_qutrits", wsc._qubit_w_on_qutrits.__wrapped__)
+    calls = []
+    prepare_w = wsc.prepare_w
+    monkeypatch.setattr(wsc, "prepare_w", lambda *a: calls.append(a) or prepare_w(*a))
+    cfg = experiments.load_config(path=str(CONFIGS / "wstate-verify.yaml"),
+                                  overrides={"out": str(tmp_path)})
+    assert experiments.execute(cfg) == 0
+    assert len(calls) == runs
 
 
 # ---------------------------------------------------------------------------
