@@ -691,8 +691,8 @@ def run_apples(cfg: ExperimentConfig):
 # would divide by zero, index an empty layout, find nothing to check or
 # outgrow memory or time. A W-code state keeps only its nonzero amplitudes,
 # so memory does not cap max_total_sites; time does: both decoders over every
-# erasure count of every word up to 18 sites (max_erasures: 17) take 0.64 to
-# 0.74 s on a 2-core VM (the whole run 0.84 to 0.86 s), against 0.14 to 0.15 s
+# erasure count of every word up to 18 sites (max_erasures: 17) take 0.47 to
+# 0.71 s on a 2-core VM (the whole run 0.51 to 1.03 s), against 0.10 to 0.14 s
 # up to 10 sites; a site adds about 20%.
 # Far below 1e-6, a block's failure probability (about 19 eps^2) is lost
 # in rounding 1 - f, and the relative advantage divides by the local rate.

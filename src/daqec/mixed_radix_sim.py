@@ -104,7 +104,7 @@ class MixedRadixState:
         if index.size and not (0 <= index[0] and index[-1] < self.radix.total_dim
                                and not np.count_nonzero(index[1:] <= index[:-1])):
             raise ValueError(f"index must increase strictly within [0, {self.radix.total_dim})")
-        norm2 = np.add.reduce(np.square(arr.view(np.float64)))  # numpy's own loops, no BLAS
+        norm2 = _norm2(arr)
         if not abs(norm2 - 1.0) <= ATOL_STATE:  # fails closed on NaN
             raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
 
