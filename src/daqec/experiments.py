@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -69,7 +70,8 @@ class Param:
     """A setting's type, default and allowed closed range [lo, hi].
 
     A list setting declares `size`, the (min, max) bounds of its length;
-    its type and range then apply to every element. None leaves a bound open.
+    its type and range then apply to every element, and `increasing` asks
+    its entries to strictly increase. None leaves a bound open.
     """
 
     type: type
@@ -77,6 +79,7 @@ class Param:
     lo: float | None = None
     hi: float | None = None
     size: tuple[int, int | None] | None = None
+    increasing: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,11 @@ _TOP = {
     # bound-validate keeps two ratios per trial until the median
     "trials": Param(int, 0, 0, 10**7),
     "out": Param(str, "results"),
-    # the calling thread and up to threads - 1 pool threads share a point's
-    # chunks; the frame engine holds the interpreter lock in short numpy
-    # calls, so the shipped pnl-sweep takes as long at two threads as at one
-    # and longer at three (medians 0.32, 0.31 and 0.35 s on a 2-core VM)
+    # the calling thread and up to threads - 1 pool threads share the chunks
+    # of a map: one point's, or both layouts' of a pnl-sweep depth; the frame
+    # engine holds the interpreter lock in short numpy calls, so the shipped
+    # pnl-sweep is no faster at two threads than at one and slower at three
+    # (medians 0.27, 0.29 and 0.33 s on a 2-core VM)
     "threads": Param(int, 1, 1, 64),
     # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
     "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
@@ -129,6 +133,8 @@ def _check(name: str, spec: Param, value):
         if isinstance(v, bool) or not isinstance(v, accepted):
             raise ConfigError(f"{name} must be {_TYPE_NAMES[spec.type]}")
         _within(name, v, spec.lo, spec.hi)
+    if spec.increasing and any(a >= b for a, b in zip(items, items[1:])):
+        raise ConfigError(f"{name} must exceed the one before it")
 
 
 def load_config(experiment: str | None = None, path: str | None = None,
@@ -231,16 +237,23 @@ def _map_ordered(fn, tasks, threads: int) -> list:
     return results
 
 
-def _seeded_chunks(cfg: ExperimentConfig, point_index: int, fn) -> list:
-    """fn(rng, count) on every chunk of one parameter point, in chunk order.
+def _seeded_chunks(cfg: ExperimentConfig, points: list[tuple[int, Callable]]) -> list[list]:
+    """fn(rng, count) on every chunk of each (point_index, fn) pair, in one chunk map.
 
-    Chunk c draws from point_rng(cfg.seed, point_index, c), so the
-    results do not depend on cfg.threads.
+    Returns one list per pair, of its chunks' results in chunk order.
+    Chunk c of point i draws from point_rng(cfg.seed, i, c), so the
+    results depend neither on cfg.threads nor on which points share a map.
     """
+    tasks, ends = [], []
+    for point_index, fn in points:
+        tasks += [(point_index, fn, chunk) for chunk in chunk_plan(cfg.trials, cfg.chunk_size)]
+        ends.append(len(tasks))
+
     def task(item):
-        chunk_index, count = item
+        point_index, fn, (chunk_index, count) = item
         return fn(point_rng(cfg.seed, point_index, chunk_index), count)
-    return _map_ordered(task, chunk_plan(cfg.trials, cfg.chunk_size), cfg.threads)
+    results = _map_ordered(task, tasks, cfg.threads)
+    return [results[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def binomial_ci95(successes: float, trials: int) -> float:
@@ -300,20 +313,21 @@ def run_pnl_sweep(cfg: ExperimentConfig):
     layouts = [stn.lqec_layout(p["n_blocks"]), stn.dqec_layout(p["n_blocks"])]
     rows = [None] * (len(layouts) * len(depths))
     # depth by depth, so both layouts of a depth and all their chunks share
-    # one compile; points, and so their seeds and rows, stay numbered layout
-    # first
+    # one compile and one chunk map, and only one depth's table is alive;
+    # points, and so their seeds and rows, stay numbered layout first
     for depth_index, depth in enumerate(depths):
         # the layouts differ only in where the qubits live, which the compile
         # does not read
         compiled = stn.compile_mirror(layouts[0], depth)
-        for layout_index, layout in enumerate(layouts):
-            def run_chunk(rng, count):
-                xf, zf = stn.run_circuit_trials(compiled, layout, noise, rng, count)
-                return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
-                        int(np.count_nonzero(np.any(xf, axis=0))))
 
-            point_index = layout_index * len(depths) + depth_index
-            failures, x_failures = map(sum, zip(*_seeded_chunks(cfg, point_index, run_chunk)))
+        def run_chunk(layout, rng, count):
+            xf, zf = stn.run_circuit_trials(compiled, layout, noise, rng, count)
+            return (int(np.count_nonzero(np.any(xf | zf, axis=0))),
+                    int(np.count_nonzero(np.any(xf, axis=0))))
+        points = [(layout_index * len(depths) + depth_index, functools.partial(run_chunk, layout))
+                  for layout_index, layout in enumerate(layouts)]
+        for layout, (point_index, _), chunks in zip(layouts, points, _seeded_chunks(cfg, points)):
+            failures, x_failures = map(sum, zip(*chunks))
             rows[point_index] = {
                 "scheme": layout.name, "depth": depth, "trials": cfg.trials,
                 "failures": failures, "success_rate": 1.0 - failures / cfg.trials,
@@ -382,7 +396,7 @@ def run_correlated_errors(cfg: ExperimentConfig):
                     float((ler_local**2).sum()), float((ler_dist**2).sum()),
                     float((ler_local * ler_dist).sum()), count)
 
-        chunks = _seeded_chunks(cfg, point_index, run_chunk)
+        (chunks,) = _seeded_chunks(cfg, [(point_index, run_chunk)])
         s_l, s_d, s_ll, s_dd, s_ld, n = map(sum, zip(*chunks))
         mu_l, mu_d = s_l / n, s_d / n
         var_l = max(s_ll / n - mu_l**2, 0.0)
@@ -439,7 +453,7 @@ def run_bound_validate(cfg: ExperimentConfig):
                 return (meets, count, diff.sum(), bound_exact.sum(), bound_approx.sum(),
                         diff[rated] / bound_exact[rated], diff[ok] / bound_approx[ok])
 
-            chunks = list(zip(*_seeded_chunks(cfg, point_index, run_chunk)))
+            chunks = list(zip(*_seeded_chunks(cfg, [(point_index, run_chunk)])[0]))
             meets, total, s_diff, s_exact, s_approx = map(sum, chunks[:5])
             re, ra = np.concatenate(chunks[5]), np.concatenate(chunks[6])
             rows.append({
@@ -456,8 +470,8 @@ def run_bound_validate(cfg: ExperimentConfig):
             point_index += 1
 
     lemma_cfg = dataclasses.replace(cfg, trials=int(p["lemma_cases"]))
-    lemma1_viol = sum(_seeded_chunks(lemma_cfg, point_index, lemma1_violations))
-    lemma2_viol = sum(_seeded_chunks(lemma_cfg, point_index + 1, lemma2_violations))
+    lemma1_viol, lemma2_viol = map(sum, _seeded_chunks(
+        lemma_cfg, [(point_index, lemma1_violations), (point_index + 1, lemma2_violations)]))
     for kind, viol in (("lemma1", lemma1_viol), ("lemma2", lemma2_viol)):
         rows.append({
             "kind": kind, "n": "", "mean_rate": "", "trials": lemma_cfg.trials,
@@ -707,8 +721,9 @@ REGISTRY = {
         "depth_min": Param(int, 2, 1, 10000),
         "depth_max": Param(int, 400, 1, 10000),
         "depth_points": Param(int, 14, 1, 1000),
-        # an explicit grid overrides the geometric one
-        "depths": Param(int, [], 1, 10000, size=(0, 1000)),
+        # an explicit grid overrides the geometric one; a repeated depth would
+        # write two rows of which the crossover reads only the last
+        "depths": Param(int, [], 1, 10000, size=(0, 1000), increasing=True),
     }, monte_carlo=True, ordered=(("depth_min", "depth_max"),)),
     "correlated-errors": Experiment(run_correlated_errors, 10000, {
         "mean_rate_min": Param(float, 2e-3, **_RATE),

@@ -8,7 +8,7 @@ of disjoint gates, into the decoder bits that an error after each CNOT
 flips, which layouts with the same blocks share; a mirrored circuit
 compiles only its last two segments, whose rows the identity segments
 before them repeat. A trial then draws only its noise hits, one stream
-per distinct rate, and xors their table rows.
+per distinct rate, and xors the table row of each hit's CNOT and Pauli.
 The module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
@@ -20,7 +20,6 @@ keeps relative precision.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -141,23 +140,19 @@ def build_ghz_mirror(layout: MachineLayout, depth: int) -> list[tuple]:
     if nb < 2:
         # a single block has no CNOT chain, so no segment adds a layer
         raise ValueError("the mirrored GHZ circuit needs at least two blocks")
-    ops: list[tuple] = []
+    data = [block.data for block in layout.blocks]
+    hadamards = [("H", q) for q in data[0]]
     chain = [(a, a + 1) for a in range(nb - 1)]
-    segment: list[tuple] = [("H", 0)]
-    segment += [("CNOT", a, b) for a, b in chain]
-    segment += [("CNOT", a, b) for a, b in reversed(chain)]
-    segment += [("H", 0)]
-    layers = 0
-    for item in itertools.cycle(segment):
-        if layers == depth:
-            break
-        if item[0] == "H":
-            ops.extend(("H", q) for q in layout.blocks[item[1]].data)
-        else:
-            _, a, b = item
-            ba, bb = layout.blocks[a], layout.blocks[b]
-            ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
-            layers += 1
+    segment = hadamards + [("CNOT", data[a][j], data[b][j])
+                           for a, b in chain + chain[::-1] for j in range(N_DATA)] + hadamards
+    # whole segments share their op tuples; the partial one stops after
+    # its last CNOT layer, and a whole last one before its closing H layer
+    whole, part = divmod(depth, 2 * (nb - 1))
+    ops = segment * whole
+    if part:
+        ops += segment[:N_DATA * (1 + part)]
+    else:
+        del ops[-N_DATA:]
     return ops
 
 
@@ -255,10 +250,11 @@ class CompiledCircuit:
 
     `ops` lists every op of the circuit, which ends with the extraction of
     every block of `blocks`. arrays() returns (a, b, row, table): CNOT i of
-    the schedule has control a[i] and target b[i], and table[row[i]] holds
-    the decoder bits that a Pauli right after it flips (see _compile). A
-    folded mirror (see compile_mirror) stores the rows of one segment for
-    all its leading segments, so their CNOTs share rows. The first call of
+    the schedule has control a[i] and target b[i], and table[row[i], p]
+    holds the decoder bits that the two-qubit Pauli number p, in 0..15,
+    flips right after it (see _compile). A folded mirror (see
+    compile_mirror) stores the rows of one segment for all its leading
+    segments, so their CNOTs share rows. The first call of
     arrays(), from whichever chunk reaches it first, compiles them, so the
     compile is timed with the frame engine; every later call, on any
     thread and for any layout with these blocks, shares them.
@@ -290,11 +286,12 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
     for every frame bit, the decoder bits that an error on it would flip: a
     CNOT (c, t) xors the x_t and z_c rows into x_c and z_t, H swaps x and
     z, a preparation clears both, and a measurement adds its readout bit to
-    the frame bit it reads. table[i, r] holds the flips of a Pauli right
-    after CNOT i: rows 0..3 I, Z, X, Y on the control and rows 4..7 the
-    same on the target, so the two-qubit Pauli with bits (x_c, z_c, x_t,
-    z_t) from the highest down, number p, flips table[i, p >> 2] ^
-    table[i, 4 + (p & 3)]. Other ops carry no noise and get no row. Returns
+    the frame bit it reads. table[i, p] holds the flips of the two-qubit
+    Pauli number p right after CNOT i, p in 0..15 having bits (x_c, z_c,
+    x_t, z_t) from the highest down, so a hit is one row lookup. The rows
+    of the four single bits come from the pass; every other row is the xor
+    of those of its set bits, as the flips of a product are, and row 0 (the
+    identity) stays zero. Other ops carry no noise and get no row. Returns
     each CNOT's index in `ops`, its control and target, and the table;
     nothing depends on where the qubits live or on the noise.
     """
@@ -316,11 +313,11 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
     src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
     paulis = np.stack((a, a + nq, b, b + nq), axis=1)
     first = np.cumsum(cnot) - cnot  # the number of each CNOT, in schedule order
-    table = np.zeros((int(cnot.sum()), 8, octets // 8), dtype="<u8")
+    table = np.zeros((int(cnot.sum()), 16, octets // 8), dtype="<u8")
     for lo, hi, kind in zip(starts[::-1], ends[::-1], kinds[::-1]):
         rows = src[:, lo:hi]
         if kind == _CNOT:
-            table[first[lo]:first[lo] + hi - lo, [2, 1, 6, 5]] = flips[paulis[lo:hi]]
+            table[first[lo]:first[lo] + hi - lo, [8, 4, 2, 1]] = flips[paulis[lo:hi]]
             flips[rows] ^= flips[dst[:, lo:hi]]
         elif kind == _H:
             flips[rows] = flips[rows[::-1]]
@@ -328,8 +325,8 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
             flips[rows] = 0
         else:
             flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
-    for y in (3, 7):  # Y = X Z, and the flips of a product are the xor
-        np.bitwise_xor(table[:, y - 1], table[:, y - 2], out=table[:, y])
+    for bit in (2, 4, 8):  # rows bit + 1 .. 2 bit - 1 from rows bit and 1 .. bit - 1
+        np.bitwise_xor(table[:, bit, None], table[:, 1:bit], out=table[:, bit + 1:2 * bit])
     return order[cnot], a[cnot], b[cnot], table
 
 
@@ -397,11 +394,11 @@ def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: Nois
     a, b, row, table = circuit.arrays()
     proc = np.asarray(layout.qubit_processor)
     rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local)
+    flat = table.reshape(-1, table.shape[2])  # a view: CNOT row r, Pauli p at r * 16 + p
     mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
     for op, trial, pauli in _depolarizing_hits(rng, rate, n_trials):
-        r = row[op]
         # unbuffered, because several hits can share a trial
-        np.bitwise_xor.at(mask, trial, table[r, pauli >> 2] ^ table[r, 4 + (pauli & 3)])
+        np.bitwise_xor.at(mask, trial, flat[row[op] * 16 + pauli])
     octets = mask.view(np.uint8)[:, :len(layout.blocks)].T.copy()
     return octets >> 6 & 1, octets >> 7, octets & 63
 

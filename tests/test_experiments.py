@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import daqec
 from daqec import bounds_analytics as bnd
 from daqec import experiments
+from daqec import stabilizer_steane as stn
 from daqec.cli import main
 from daqec.experiments import (
     REGISTRY,
@@ -183,6 +184,57 @@ def test_a_failed_chunk_map_task_stops_the_other_threads_taking_more():
     with pytest.raises(KeyError):
         experiments._map_ordered(task, list(range(20)), 2)
     assert len(runs) < 19
+
+
+def _small_pnl_sweep(threads: int):
+    cfg = load_config("pnl-sweep", overrides={"trials": 300, "threads": threads})
+    cfg.chunk_size = 100  # three chunks per point
+    cfg.params["depths"] = [2, 5, 9]
+    return cfg
+
+
+def test_pnl_sweep_maps_both_layouts_of_a_depth_in_one_chunk_map(monkeypatch):
+    calls = []
+
+    def recording_map(fn, tasks, threads):
+        calls.append(len(tasks))
+        return map_ordered(fn, tasks, threads)
+    map_ordered = experiments._map_ordered
+    monkeypatch.setattr(experiments, "_map_ordered", recording_map)
+    rows, _, _, _ = run_pnl_sweep(_small_pnl_sweep(2))
+    assert calls == [2 * 3] * 3  # one map per depth, of both layouts' three chunks
+    assert [(r["scheme"], r["depth"]) for r in rows] == [
+        (scheme, d) for scheme in ("lqec", "dqec") for d in (2, 5, 9)]
+
+
+def test_points_sharing_a_chunk_map_draw_as_they_would_alone():
+    cfg = experiments.ExperimentConfig("pnl-sweep", trials=250, threads=3, chunk_size=100)
+
+    def draw(rng, count):
+        return rng.integers(0, 2**62, count).tolist()
+    points = [(4, draw), (0, draw), (7, lambda rng, count: count)]
+    together = experiments._seeded_chunks(cfg, points)
+    assert together == [experiments._seeded_chunks(cfg, [point])[0] for point in points]
+    assert together[0] != together[1]
+    assert together[2] == [100, 100, 50]
+
+
+def test_a_pnl_sweep_leaves_no_chunk_map_thread_behind(monkeypatch):
+    caller, pool_ran = threading.get_ident(), threading.Event()
+
+    def recording_trials(circuit, layout, noise, rng, n_trials):
+        # the caller holds its first chunk until a pool thread has run one
+        if threading.get_ident() == caller:
+            pool_ran.wait(timeout=10)
+        else:
+            pool_ran.set()
+        return run_trials(circuit, layout, noise, rng, n_trials)
+    run_trials = stn.run_circuit_trials
+    monkeypatch.setattr(stn, "run_circuit_trials", recording_trials)
+    before = set(threading.enumerate())
+    run_pnl_sweep(_small_pnl_sweep(3))
+    assert pool_ran.is_set()
+    assert set(threading.enumerate()) <= before
 
 
 def test_point_rng_reproducible():
@@ -576,6 +628,18 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("depths", [[400, 2, 400], [2, 2], [9, 3]])
+def test_cli_rejects_a_depth_grid_that_does_not_strictly_increase(tmp_path, capsys, depths):
+    # a repeated depth wrote two rows, of which the crossover read the last
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "pnl-sweep", "trials": 2000,
+                                    "params": {"depths": depths}}))
+    assert main(["pnl-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "depths" in err[0]
+    assert not (tmp_path / "pnl-sweep.csv").exists()
+
+
 # the cells of a row of each experiment's CSV that hold text, and those left
 # blank; a text cell must be one lower-case word and every other cell must parse
 # as a finite number, so a dropped, shifted or blank numeric column fails
@@ -742,6 +806,10 @@ def fuzz_params(draw, experiment):
                 caps.get(name), None)
             lo, hi = spec.size[0], min(n for n in (spec.size[1], length) if n is not None)
             entries = _in_range(spec, value)
+            if spec.increasing:
+                params[name] = sorted(draw(st.lists(entries, min_size=lo, max_size=hi,
+                                                    unique=True)))
+                continue
             # equal entries are an edge of their own: equal apple bins break even at 0
             params[name] = draw(st.lists(entries, min_size=lo, max_size=hi)
                                 | st.builds(lambda v, k: [v] * k, entries, st.integers(lo, hi)))
@@ -873,7 +941,6 @@ def test_the_tracer_installs_and_its_observers_read_existing_arguments(perfbench
     # wrapper calls the map as (fn, tasks, threads); deleting or renaming any of
     # them would break only the traced benchmark run
     from daqec import mixed_radix_sim as mrs
-    from daqec import stabilizer_steane as stn
     from daqec import wstate_code as wsc
     # the benchmark's own tests patch these re-bound names in wstate_code
     for name in ("apply_unitary", "measure_sites", "partial_trace", "fidelity"):

@@ -946,17 +946,22 @@ def test_circuits_differing_in_one_op_get_different_tables():
 
 
 @pytest.mark.parametrize("n_blocks", [3, 9])  # nine blocks need a second mask word
-def test_the_y_rows_are_the_xor_of_the_x_and_z_rows_and_the_identity_rows_are_zero(n_blocks):
+def test_each_pauli_row_is_the_xor_of_its_set_bits_rows_and_the_identity_row_is_zero(n_blocks):
     layout = dqec_layout(n_blocks)
     c = compiled(build_ghz_mirror(layout, 5), layout)
     _, _, row, table = c.arrays()
-    assert table.shape[1] == 8
+    assert table.shape[1] == 16
     # one row for each CNOT and none for any other op
     assert table.shape[0] == row.size == sum(op[0] == "CNOT" for op in c.ops)
-    for side in (0, 4):  # rows I, Z, X, Y of the control, then of the target
-        assert not table[:, side].any()
-        assert np.array_equal(table[:, side + 3], table[:, side + 1] ^ table[:, side + 2])
-        assert table[:, side + 3].any()
+    assert not table[:, 0].any()
+    for p in range(1, 16):  # bits x_c, z_c, x_t, z_t from the highest down
+        want = np.zeros_like(table[:, 0])
+        for bit in (8, 4, 2, 1):
+            if p & bit:
+                want ^= table[:, bit]
+        assert np.array_equal(table[:, p], want), p
+    for y in (0b1100, 0b0011):  # Y on the control, Y on the target
+        assert table[:, y].any()
 
 
 # Decoder byte of a block (see stn._compile): bits 0..5 its readouts, bit 6
@@ -985,7 +990,7 @@ def exact_block_bytes(ops: list[tuple], layout: MachineLayout,
     a, b, row, table = compiled(ops, layout).arrays()
     rate = op_rates(a, b, np.ones(a.size, dtype=bool), layout, noise)
     # (location, j, block) for the rows of x_c, z_c, x_t and z_t
-    octets = table[row[rate > 0]][:, [2, 1, 6, 5]].view(np.uint8)
+    octets = table[row[rate > 0]][:, [8, 4, 2, 1]].view(np.uint8)
     log_factor = np.log1p(-16.0 / 15.0 * rate[rate > 0])
     dist = []
     for block in range(len(layout.blocks)):
@@ -1166,6 +1171,39 @@ def test_mirror_layer_count_and_identity_tiling():
     assert len(cnots) == 12 * 7
     with pytest.raises(ValueError):  # one block has no CNOT chain to tile
         build_ghz_mirror(lqec_layout(1), 12)
+
+
+def cycled_ghz_mirror(layout: MachineLayout, depth: int) -> list[tuple]:
+    """build_ghz_mirror's oracle: the segment's items cycled one at a time,
+    each expanded to its physical ops, until `depth` CNOT layers are out."""
+    nb = len(layout.blocks)
+    ops: list[tuple] = []
+    chain = [(a, a + 1) for a in range(nb - 1)]
+    segment: list[tuple] = [("H", 0)]
+    segment += [("CNOT", a, b) for a, b in chain]
+    segment += [("CNOT", a, b) for a, b in reversed(chain)]
+    segment += [("H", 0)]
+    layers = 0
+    for item in itertools.cycle(segment):
+        if layers == depth:
+            break
+        if item[0] == "H":
+            ops.extend(("H", q) for q in layout.blocks[item[1]].data)
+        else:
+            _, a, b = item
+            ba, bb = layout.blocks[a], layout.blocks[b]
+            ops.extend(("CNOT", ba.data[j], bb.data[j]) for j in range(N_DATA))
+            layers += 1
+    return ops
+
+
+@pytest.mark.parametrize("n_blocks", range(2, 13))
+def test_the_repeated_mirror_equals_the_cycled_oracle(n_blocks):
+    layers = 2 * (n_blocks - 1)  # CNOT layers of a whole segment
+    for layout in (lqec_layout(n_blocks), dqec_layout(n_blocks)):
+        # up to six segments, whole multiples of one included
+        for depth in range(1, 6 * layers + 1):
+            assert build_ghz_mirror(layout, depth) == cycled_ghz_mirror(layout, depth), depth
 
 
 def test_mirror_zero_noise_no_failures():
