@@ -64,20 +64,14 @@ def sample_profiles(n: int, mean: float, std: float, rng: np.random.Generator,
 # barrels
 
 
-def enumerate_ruin(p, rule: str = "two-or-more") -> float:
-    """Exhaustive ruin probability over all 2^n spoil patterns (the oracle)."""
+def enumerate_ruin(p) -> float:
+    """Probability that two or more of the barrel's items are spoiled, summed
+    over all 2^n spoil patterns (the oracle of the closed forms)."""
     p = np.asarray(p, dtype=float)
-    n = p.size
     total = 0.0
-    for pattern in iter_product((0, 1), repeat=n):
-        k = sum(pattern)
-        w = math.prod(p[i] if b else 1.0 - p[i] for i, b in enumerate(pattern))
-        if rule == "two-or-more":
-            total += w if k >= 2 else 0.0
-        elif rule == "linear-k-over-n":
-            total += w * k / n
-        else:
-            raise ValueError(f"unknown ruin rule {rule!r}")
+    for pattern in iter_product((0, 1), repeat=p.size):
+        if sum(pattern) >= 2:
+            total += math.prod(p[i] if b else 1.0 - p[i] for i, b in enumerate(pattern))
     return total
 
 

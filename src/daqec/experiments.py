@@ -106,8 +106,6 @@ _TOP = {
     # pnl-sweep is no faster at two threads than at one and slower at three
     # (medians 0.27, 0.29 and 0.33 s on a 2-core VM)
     "threads": Param(int, 1, 1, 64),
-    # a correlated-errors chunk of 10^6 trials peaks at about 0.5 GB
-    "chunk_size": Param(int, DEFAULT_CHUNK, 1, 8 * DEFAULT_CHUNK),
 }
 _OVERRIDES = ("seed", "trials", "out", "threads")
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -685,9 +683,9 @@ def run_apples(cfg: ExperimentConfig):
         size = int(rng.integers(2, 5))
         probs = rng.uniform(0.0, 0.95, size)
         worst = max(worst, abs(bnd.barrel_ruin_two_or_more(probs)
-                               - bnd.enumerate_ruin(probs, "two-or-more")))
+                               - bnd.enumerate_ruin(probs)))
         worst = max(worst, abs(bnd.barrel_ruin_odds_form(probs)
-                               - bnd.enumerate_ruin(probs, "two-or-more")))
+                               - bnd.enumerate_ruin(probs)))
     add("closed-form-vs-enumeration-max-error", worst, 0.0, 1e-12)
 
     model = bnd.diagnose_packing(bins, matrix)

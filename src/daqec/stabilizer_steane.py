@@ -21,7 +21,6 @@ keeps relative precision.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,32 +244,30 @@ def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int
             yield ops[i], trial, rng.integers(1, 16, size=i.size)
 
 
+@dataclass(frozen=True, eq=False)
 class CompiledCircuit:
     """A circuit for simulate_frames: every op, and what a Pauli after each CNOT flips.
 
     `ops` lists every op of the circuit, which ends with the extraction of
-    every block of `blocks`. arrays() returns (a, b, row, table): CNOT i of
-    the schedule has control a[i] and target b[i], and table[row[i], p]
-    holds the decoder bits that the two-qubit Pauli number p, in 0..15,
-    flips right after it (see _compile). A folded mirror (see
-    compile_mirror) stores the rows of one segment for all its leading
-    segments, so their CNOTs share rows. The first call of
-    arrays(), from whichever chunk reaches it first, compiles them, so the
-    compile is timed with the frame engine; every later call, on any
-    thread and for any layout with these blocks, shares them.
+    every block of `blocks`. CNOT i of the schedule has control a[i] and
+    target b[i], and table[row[i], p] holds the decoder bits that the
+    two-qubit Pauli number p, in 0..15, flips right after it (see
+    _compile). A folded mirror (see compile_mirror) stores the rows of one
+    segment for all its leading segments, so their CNOTs share rows. The
+    four arrays are read-only, so any number of threads, and every layout
+    with these blocks, can share one compile.
     """
 
-    def __init__(self, ops: tuple, blocks: tuple[SteaneBlock, ...], build):
-        self.ops, self.blocks = ops, blocks
-        self._build, self._arrays = build, None
-        self._lock = threading.Lock()
+    ops: tuple
+    blocks: tuple[SteaneBlock, ...]
+    a: np.ndarray
+    b: np.ndarray
+    row: np.ndarray
+    table: np.ndarray
 
-    def arrays(self):
-        with self._lock:
-            if self._arrays is None:
-                self._arrays = self._build()
-                self._build = None
-            return self._arrays
+    def __post_init__(self):
+        for array in (self.a, self.b, self.row, self.table):
+            array.flags.writeable = False
 
 
 def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
@@ -330,29 +327,20 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
     return order[cnot], a[cnot], b[cnot], table
 
 
-def compile_circuit(ops, layout: MachineLayout) -> CompiledCircuit:
-    """The ops on the layout's register, which must end with the extraction
-    of every block of the layout, to be compiled whole."""
-    ops = tuple(ops)
-
-    def build():
-        _, a, b, table = _compile(ops, layout.n_qubits, layout.blocks)
-        return a, b, np.arange(a.size), table
-    return CompiledCircuit(ops, layout.blocks, build)
-
-
 def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
-    """build_ghz_mirror(layout, depth) and the extraction of every block, to be compiled folded.
+    """build_ghz_mirror(layout, depth) and the extraction of every block, compiled folded.
 
-    Its arrays equal those of compile_circuit on the whole circuit, bit for
-    bit, but only the ops from the last segment with all its CNOT layers on
+    Its arrays equal those of the whole circuit's compile, bit for bit, but
+    only the ops from the last segment with all its CNOT layers on
     compile: fewer than two segments' CNOTs and the extraction's, at any
     depth. Each whole segment is the identity, and the CNOTs of the
     segments before run one segment after another, ahead of every other
     CNOT in the schedule. So an error after one of them flips what an error
     after the same CNOT of the first compiled segment flips, and they reuse
     its rows by index, as Stim folds a REPEAT block into a detector error
-    model (Gidney 2021, Quantum 5, 497).
+    model (Gidney 2021, Quantum 5, 497). The compile runs here, once; the
+    result is read-only, so every chunk of every layout with these blocks
+    shares it.
     """
     ops = build_ghz_mirror(layout, depth)
     for block in layout.blocks:
@@ -362,16 +350,14 @@ def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
     period = N_DATA * layers               # its CNOTs
     span = period + 2 * N_DATA             # its ops, the two H layers included
     repeats = max(depth // layers - 1, 0)  # whole segments before the tail
-
-    def build():
-        order, a, b, table = _compile(ops[repeats * span:], layout.n_qubits, layout.blocks)
-        # the tail's CNOTs are in schedule order, and its first ones in
-        # circuit order are those of its first segment
-        segment = np.argsort(order)[:period]
-        return (np.concatenate((np.tile(a[segment], repeats), a)),
-                np.concatenate((np.tile(b[segment], repeats), b)),
-                np.concatenate((np.tile(segment, repeats), np.arange(a.size))), table)
-    return CompiledCircuit(ops, layout.blocks, build)
+    order, a, b, table = _compile(ops[repeats * span:], layout.n_qubits, layout.blocks)
+    # the tail's CNOTs are in schedule order, and its first ones in circuit
+    # order are those of its first segment
+    segment = np.argsort(order)[:period]
+    return CompiledCircuit(ops, layout.blocks,
+                           np.concatenate((np.tile(a[segment], repeats), a)),
+                           np.concatenate((np.tile(b[segment], repeats), b)),
+                           np.concatenate((np.tile(segment, repeats), np.arange(a.size))), table)
 
 
 def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: NoiseSpec,
@@ -391,9 +377,9 @@ def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: Nois
     """
     if circuit.blocks != layout.blocks:
         raise ValueError("the circuit was compiled for other blocks")
-    a, b, row, table = circuit.arrays()
+    row, table = circuit.row, circuit.table
     proc = np.asarray(layout.qubit_processor)
-    rate = np.where(proc[a] != proc[b], noise.p_remote, noise.p_local)
+    rate = np.where(proc[circuit.a] != proc[circuit.b], noise.p_remote, noise.p_local)
     flat = table.reshape(-1, table.shape[2])  # a view: CNOT row r, Pauli p at r * 16 + p
     mask = np.zeros((n_trials, table.shape[2]), dtype="<u8")
     for op, trial, pauli in _depolarizing_hits(rng, rate, n_trials):

@@ -223,7 +223,7 @@ def test_criterion_8_barrel_analysis():
         size = int(rng.integers(2, 5))
         p = rng.uniform(0.0, 0.95, size)
         worst = max(worst, abs(bnd.barrel_ruin_two_or_more(p)
-                               - bnd.enumerate_ruin(p, "two-or-more")))
+                               - bnd.enumerate_ruin(p)))
     assert worst < 1e-12
     elapsed = time.time() - start
     assert elapsed < 60.0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -181,8 +182,8 @@ def test_barrel_ruin_handles_certain_spoil():
 def test_barrel_closed_forms_match_enumeration(n, rng):
     for _ in range(200):
         p = rng.uniform(0.0, 0.95, n)
-        assert abs(barrel_ruin_two_or_more(p) - enumerate_ruin(p, "two-or-more")) < 1e-12
-        assert abs(barrel_ruin_odds_form(p) - enumerate_ruin(p, "two-or-more")) < 1e-12
+        assert abs(barrel_ruin_two_or_more(p) - enumerate_ruin(p)) < 1e-12
+        assert abs(barrel_ruin_odds_form(p) - enumerate_ruin(p)) < 1e-12
 
 
 def test_packing_one_per_bin_optimal():
@@ -322,12 +323,6 @@ def test_cutoff_approx_below_exact_for_reference_bins():
     assert contamination_cutoff_approx(bins) < contamination_cutoff_exact(bins)
 
 
-def test_linear_rule_enumeration_matches_mean():
-    # ruin probability under the k/n rule is the mean spoil rate
-    p = np.array([0.3, 0.1, 0.2])
-    assert abs(enumerate_ruin(p, "linear-k-over-n") - p.mean()) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # bound-validate against its exact expectations
 #
@@ -338,20 +333,34 @@ def test_linear_rule_enumeration_matches_mean():
 # coefficients are m_{k+1} / k!. All coefficients are positive.
 
 
-def survival_moments(mean, std, clip, count):
-    """m_k = E[(1 - eps)^k] for k < count, eps = clip(N(mean, std^2), 0, clip):
-    quadrature over the body (12 standard deviations either side of the mean
-    hold all of it in double precision) plus the atoms at 0 and at clip."""
+def clipped_rate_expectation(h, mean, std, clip):
+    """E[h(eps)] for eps = clip(N(mean, std^2), 0, clip): quadrature over the
+    body (12 standard deviations either side of the mean hold all of it in
+    double precision) plus the atoms at 0 and at clip."""
     def pdf(e):
         return math.exp(-0.5 * ((e - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
 
     def cdf(e):
         return 0.5 * math.erfc(-(e - mean) / (std * math.sqrt(2.0)))
     lo, hi = max(0.0, mean - 12.0 * std), min(clip, mean + 12.0 * std)
-    return np.array([cdf(0.0) + (1.0 - cdf(clip)) * (1.0 - clip) ** k
-                     + quad(lambda e: (1.0 - e) ** k * pdf(e), lo, hi, epsabs=0.0,
-                            epsrel=1e-13, limit=200)[0]
+    return (cdf(0.0) * h(0.0) + (1.0 - cdf(clip)) * h(clip)
+            + quad(lambda e: h(e) * pdf(e), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+
+
+def survival_moments(mean, std, clip, count):
+    """m_k = E[(1 - eps)^k] for k < count, eps = clip(N(mean, std^2), 0, clip)."""
+    return np.array([clipped_rate_expectation(lambda e: (1.0 - e) ** k, mean, std, clip)
                      for k in range(count)])
+
+
+def rate_central_moments(mean, std, clip):
+    """(sigma^2, mu_4), the second and fourth central moments of eps =
+    clip(N(mean, std^2), 0, clip), each the expectation of a power of eps
+    minus its mean. Taken from m_k instead, mu_4 would be a sum of terms
+    near 1 that cancel to a number near std^4."""
+    mu = clipped_rate_expectation(lambda e: e, mean, std, clip)
+    return tuple(clipped_rate_expectation(lambda e: (e - mu) ** k, mean, std, clip)
+                 for k in (2, 4))
 
 
 def _power_coefficient(series, n, j):
@@ -395,7 +404,7 @@ def test_difference_moments_match_enumeration(n):
     np.testing.assert_allclose(difference_moments(m, n), want, rtol=1e-9, atol=1e-15)
 
 
-def test_survival_moments_match_sampling():
+def test_survival_and_central_moments_match_sampling():
     rng = np.random.default_rng(5)
     mean, std, clip = 0.05, 0.025, 0.1  # both atoms carry weight
     eps = sample_profiles(1, mean, std, rng, 10**6, clip=(0.0, clip))[:, 0]
@@ -404,17 +413,31 @@ def test_survival_moments_match_sampling():
     for k in range(1, 6):
         x = (1.0 - eps) ** k
         assert abs(x.mean() - m[k]) < 5.0 * x.std() / math.sqrt(eps.size), k
+    # the central moments, against the sample's and against m_k, where
+    # sigma^2 = m_2 - m_1^2 still keeps most of its digits at this spread
+    sigma2, mu4 = rate_central_moments(mean, std, clip)
+    assert sigma2 == pytest.approx(m[2] - m[1] ** 2, rel=1e-9)
+    for k, want in ((2, sigma2), (4, mu4)):
+        x = (eps - eps.mean()) ** k
+        assert abs(x.mean() - want) < 5.0 * x.std() / math.sqrt(eps.size), k
+
+
+@functools.cache
+def shipped_sweep():
+    """bound-validate's default parameters and the sweep rows of its run."""
+    cfg = experiments.load_config("bound-validate")
+    assert cfg.params["n_list"] == [3, 7, 20] and cfg.params["rate_points"] == 6
+    rows, _, _, _ = experiments.run_bound_validate(cfg)
+    sweep = [r for r in rows if r["kind"] == "sweep"]
+    assert len(sweep) == 18
+    return cfg.params, sweep
 
 
 def test_bound_validate_matches_its_exact_expectations():
     # the shipped run's mean_difference against E[D]: over the 18 points the
     # squared z-scores, from the exact Var[D], sum to at most the 0.999
     # quantile of chi-squared with 18 degrees of freedom
-    cfg = experiments.load_config("bound-validate")
-    p = cfg.params
-    assert p["n_list"] == [3, 7, 20] and p["rate_points"] == 6
-    rows, _, _, _ = experiments.run_bound_validate(cfg)
-    sweep = [r for r in rows if r["kind"] == "sweep"]
+    p, sweep = shipped_sweep()
     stat = 0.0
     for row in sweep:
         n, mean = row["n"], row["mean_rate"]
@@ -422,5 +445,21 @@ def test_bound_validate_matches_its_exact_expectations():
         e_d, var = difference_moments(m, n)
         assert 0.0 < e_d and 0.0 < var
         stat += (row["mean_difference"] - e_d) ** 2 / (var / row["trials"])
-    assert len(sweep) == 18
     assert stat <= chi2.ppf(0.999, len(sweep)), stat  # 42.3
+
+
+def test_bound_validate_approximate_bound_matches_its_exact_expectation():
+    # per trial the column is (n/2) V, V the population variance of the n
+    # rates, so its mean is (n - 1) sigma^2 / 2 and its variance n^2 / 4 times
+    # Var[V] = (n - 1)^2 mu_4 / n^3 - (n - 1)(n - 3) sigma^4 / n^3; the 18
+    # squared z-scores sum to at most the 0.999 quantile of chi-squared
+    p, sweep = shipped_sweep()
+    stat = 0.0
+    for row in sweep:
+        n, mean = row["n"], row["mean_rate"]
+        sigma2, mu4 = rate_central_moments(mean, p["std_factor"] * mean, p["rate_clip_max"])
+        want = (n - 1) * sigma2 / 2.0
+        var = n**2 / 4.0 * ((n - 1) ** 2 * mu4 - (n - 1) * (n - 3) * sigma2**2) / n**3
+        assert 0.0 < want and 0.0 < var
+        stat += (row["mean_bound_approx"] - want) ** 2 / (var / row["trials"])
+    assert stat <= chi2.ppf(0.999, len(sweep)), stat

@@ -606,7 +606,6 @@ OUT_OF_RANGE = [
     ("wstate-verify", {"n_random_logical": 10**12}),
     ("bound-validate", {"n_list": [], "lemma_cases": -1}),
     ("bound-validate", {"lemma_cases": 10**12}),
-    ("correlated-errors", {"chunk_size": 8 * experiments.DEFAULT_CHUNK + 1}),
     ("pnl-sweep", {"threads": 10**6}),
 ]
 
@@ -626,6 +625,19 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_a_config_file_cannot_set_the_chunk_size(tmp_path, capsys):
+    # every run uses DEFAULT_CHUNK; only code sets another on a loaded config
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "correlated-errors", "chunk_size": 100}))
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['chunk_size'\]"):
+        load_config(path=str(path))
+    assert load_config("correlated-errors").chunk_size == experiments.DEFAULT_CHUNK
+    assert main(["correlated-errors", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "chunk_size" in err
+    assert not (tmp_path / "correlated-errors.csv").exists()
 
 
 @pytest.mark.parametrize("depths", [[400, 2, 400], [2, 2], [9, 3]])

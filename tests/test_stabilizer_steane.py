@@ -22,7 +22,6 @@ from daqec.stabilizer_steane import (
     N_DATA,
     SteaneBlock,
     build_ghz_mirror,
-    compile_circuit,
     compile_mirror,
     dqec_layout,
     lqec_layout,
@@ -394,6 +393,15 @@ def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
 def with_extraction(ops: list[tuple], layout: MachineLayout) -> list[tuple]:
     """The ops followed by the extraction of every block, as compile_mirror builds them."""
     return ops + [op for block in layout.blocks for op in syndrome_extraction_circuit(block)]
+
+
+def compile_circuit(ops, layout: MachineLayout) -> stn.CompiledCircuit:
+    """The ops on the layout's register, which must end with the extraction
+    of every block of the layout, compiled whole: the unfolded oracle of
+    compile_mirror."""
+    ops = tuple(ops)
+    _, a, b, table = stn._compile(ops, layout.n_qubits, layout.blocks)
+    return stn.CompiledCircuit(ops, layout.blocks, a, b, np.arange(a.size), table)
 
 
 def compiled(ops: list[tuple], layout: MachineLayout) -> stn.CompiledCircuit:
@@ -812,8 +820,7 @@ def mirror_layout(scheme: str, n_blocks: int, seed: int) -> MachineLayout:
 
 def compiled_rows(c: stn.CompiledCircuit):
     """The CNOTs of a compile in schedule order: their qubits and table rows."""
-    a, b, row, table = c.arrays()
-    return a, b, table[row]
+    return c.a, c.b, c.table[c.row]
 
 
 @settings(max_examples=100, deadline=None)
@@ -839,7 +846,7 @@ def test_the_folded_mirror_compile_matches_the_whole_circuit_bit_for_bit(scheme,
     for got, want in zip(compiled_rows(folded), compiled_rows(whole), strict=True):
         assert np.array_equal(got, want)
     # the fold keeps the rows of at most two segments and the extraction
-    assert folded.arrays()[3].shape[0] <= (2 * layers - 1) * N_DATA + 24 * n_blocks
+    assert folded.table.shape[0] <= (2 * layers - 1) * N_DATA + 24 * n_blocks
     noise = NoiseSpec(0.02, 0.1)
     for got, want in zip(simulate_frames(folded, layout, noise, np.random.default_rng(seed), 130),
                          simulate_frames(whole, layout, noise, np.random.default_rng(seed), 130),
@@ -906,7 +913,7 @@ def test_both_layouts_of_a_depth_share_one_compile(monkeypatch):
         ("lqec", 3), ("lqec", 5), ("lqec", 30), ("dqec", 3), ("dqec", 5), ("dqec", 30)]
 
 
-def test_a_compile_runs_in_the_first_simulate_frames_call(monkeypatch):
+def test_compile_mirror_compiles_once_and_simulate_frames_only_reads_it(monkeypatch):
     calls = []
 
     def counting_compile(ops, n_qubits, blocks):
@@ -916,10 +923,20 @@ def test_a_compile_runs_in_the_first_simulate_frames_call(monkeypatch):
     monkeypatch.setattr(stn, "_compile", counting_compile)
     layout = dqec_layout(3)
     mirror = compile_mirror(layout, 9)
-    assert calls == []
-    for layout in (layout, lqec_layout(3)):  # the layouts share the blocks
-        simulate_frames(mirror, layout, NO_NOISE, np.random.default_rng(0), 1)
     assert len(calls) == 1
+    noise = NoiseSpec(0.2, 0.5)  # hits on most CNOTs, so the table is read
+    for layout in (layout, lqec_layout(3)):  # the layouts share the blocks
+        simulate_frames(mirror, layout, noise, np.random.default_rng(0), 64)
+    assert len(calls) == 1
+    # nothing can change a shared compile
+    for array in (mirror.a, mirror.b, mirror.row, mirror.table):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mirror.table[0, 1] ^= 1
+    with pytest.raises(ValueError, match="read-only"):
+        mirror.row[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mirror.table = mirror.table.copy()
 
 
 def test_circuits_differing_in_one_op_get_different_tables():
@@ -932,15 +949,15 @@ def test_circuits_differing_in_one_op_get_different_tables():
     assert first.ops[index] == forward  # a compile keeps the ops it was given
     other = compile_circuit(circuit, layout)
     assert other.ops == tuple(circuit)
-    # first compiles only now, and from its own ops
+    # first keeps the rows of its own ops
     original = compiled(build_ghz_mirror(layout, 2), layout)
     for got, want in zip(compiled_rows(first), compiled_rows(original), strict=True):
         assert np.array_equal(got, want)
-    assert not np.array_equal(first.arrays()[3], other.arrays()[3])
+    assert not np.array_equal(first.table, other.table)
     # the same ops on other blocks read other decoder bytes, and a layout with
     # other blocks cannot run them
     swapped = compile_circuit(circuit, dataclasses.replace(layout, blocks=layout.blocks[::-1]))
-    assert not np.array_equal(swapped.arrays()[3], other.arrays()[3])
+    assert not np.array_equal(swapped.table, other.table)
     with pytest.raises(ValueError, match="other blocks"):
         simulate_frames(swapped, layout, NO_NOISE, np.random.default_rng(0), 1)
 
@@ -949,7 +966,7 @@ def test_circuits_differing_in_one_op_get_different_tables():
 def test_each_pauli_row_is_the_xor_of_its_set_bits_rows_and_the_identity_row_is_zero(n_blocks):
     layout = dqec_layout(n_blocks)
     c = compiled(build_ghz_mirror(layout, 5), layout)
-    _, _, row, table = c.arrays()
+    row, table = c.row, c.table
     assert table.shape[1] == 16
     # one row for each CNOT and none for any other op
     assert table.shape[0] == row.size == sum(op[0] == "CNOT" for op in c.ops)
@@ -987,7 +1004,8 @@ def exact_block_bytes(ops: list[tuple], layout: MachineLayout,
     location o has the character 1 - p_o + p_o / 15 * sum_P (-1)^(s . f_P)
     = 1 - 16 p_o / 15 * [s . g_j odd for some j].
     """
-    a, b, row, table = compiled(ops, layout).arrays()
+    c = compiled(ops, layout)
+    a, b, row, table = c.a, c.b, c.row, c.table
     rate = op_rates(a, b, np.ones(a.size, dtype=bool), layout, noise)
     # (location, j, block) for the rows of x_c, z_c, x_t and z_t
     octets = table[row[rate > 0]][:, [8, 4, 2, 1]].view(np.uint8)
