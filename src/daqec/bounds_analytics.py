@@ -16,7 +16,6 @@ mixing bins stops paying off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -110,23 +109,14 @@ def barrel_odds_sum(p) -> float:
     return float(np.sum(p / (1.0 - p)))
 
 
-@dataclass(frozen=True)
-class BarrelModel:
-    """One packing diagnosis: per-barrel odds sums F_k and their total C."""
-
-    F_k: tuple[float, ...]
-    C: float
-
-
-def diagnose_packing(bin_probs, matrix) -> BarrelModel:
-    """Summarize a packing matrix (rows = bins, columns = barrels)."""
+def diagnose_packing(bin_probs, matrix) -> tuple[float, ...]:
+    """Per-barrel odds sums of a packing matrix (rows = bins, columns = barrels)."""
     probs = np.asarray(bin_probs, dtype=float)
     matrix = np.asarray(matrix, dtype=int)
     if matrix.shape[0] != probs.size:
         raise ValueError("one matrix row per bin expected")
-    odds = tuple(barrel_odds_sum(np.repeat(probs, matrix[:, k]))
+    return tuple(barrel_odds_sum(np.repeat(probs, matrix[:, k]))
                  for k in range(matrix.shape[1]))
-    return BarrelModel(F_k=odds, C=float(sum(odds)))
 
 
 def optimal_packing_bruteforce(bin_probs):

@@ -107,7 +107,6 @@ _TOP = {
     # (medians 0.27, 0.29 and 0.33 s on a 2-core VM)
     "threads": Param(int, 1, 1, 64),
 }
-_OVERRIDES = ("seed", "trials", "out", "threads")
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -174,7 +173,7 @@ def load_config(experiment: str | None = None, path: str | None = None,
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _OVERRIDES:
+        if key not in _TOP:
             raise ConfigError(f"unknown override {key}")
         top[key] = value
     params = {key: given.get(key, spec.default) for key, spec in entry.params.items()}
@@ -341,16 +340,13 @@ def _crossover_depth(rows: list[dict], depths: list[int]):
     """First tested depth from which the distributed scheme stays ahead
     with non-overlapping 95% intervals."""
     by = {(r["scheme"], r["depth"]): r for r in rows}
-    for i, d in enumerate(depths):
-        ahead = True
-        for later in depths[i:]:
-            lq, dq = by[("lqec", later)], by[("dqec", later)]
-            if dq["success_rate"] - dq["success_ci95"] <= lq["success_rate"] + lq["success_ci95"]:
-                ahead = False
-                break
-        if ahead:
-            return d
-    return None
+    crossover = None
+    for d in reversed(depths):
+        lq, dq = by["lqec", d], by["dqec", d]
+        if dq["success_rate"] - dq["success_ci95"] <= lq["success_rate"] + lq["success_ci95"]:
+            break
+        crossover = d
+    return crossover
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +380,10 @@ def run_correlated_errors(cfg: ExperimentConfig):
             eps = bnd.sample_profiles(n_proc, float(mean), std_factor * float(mean), rng,
                                       count, clip=(0.0, clip_max))
             # local blocks are uniform at their processor's rate
-            f_local = stn.steane_failure_probabilities_uniform(
-                eps[:, local_procs].reshape(-1))["p_any"].reshape(count, n_blocks)
+            f_local = stn.steane_failure_probabilities_uniform(eps[:, local_procs])
             ler_local = 1.0 - np.prod(1.0 - f_local, axis=1)
             # every distributed block sees the same cross-processor rate vector
-            f_dist = stn.steane_failure_probabilities_batch(eps[:, dist_procs])["p_any"]
+            f_dist = stn.steane_failure_probabilities_batch(eps[:, dist_procs])
             ler_dist = 1.0 - (1.0 - f_dist) ** n_blocks
             return (float(ler_local.sum()), float(ler_dist.sum()),
                     float((ler_local**2).sum()), float((ler_dist**2).sum()),
@@ -688,10 +683,10 @@ def run_apples(cfg: ExperimentConfig):
                                - bnd.enumerate_ruin(probs)))
     add("closed-form-vs-enumeration-max-error", worst, 0.0, 1e-12)
 
-    model = bnd.diagnose_packing(bins, matrix)
+    barrel_odds = bnd.diagnose_packing(bins, matrix)
     summary = {"best_packing_matrix": [[int(v) for v in row] for row in matrix],
-               "per_barrel_odds_sums": list(model.F_k),
-               "total_odds": model.C,
+               "per_barrel_odds_sums": list(barrel_odds),
+               "total_odds": float(sum(barrel_odds)),
                "cutoff_exact": closed, "cutoff_approx": approx}
     return rows, APPLES_COLUMNS, summary, ok
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,7 +33,6 @@ class RadixVector:
 
     dims: tuple[int, ...]
     total_dim: int = field(init=False, repr=False, compare=False)
-    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)  # digit place values
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -43,12 +41,10 @@ class RadixVector:
             raise ValueError("register needs at least one site")
         if any(d < 2 for d in dims):
             raise ValueError(f"site dimensions must be >= 2, got {dims}")
-        strides = tuple(itertools.accumulate(dims[:0:-1], operator.mul, initial=1))[::-1]
-        total = strides[0] * dims[0]
+        total = math.prod(dims)
         if total >= 2**63:
             raise ValueError(f"register dimension {total} does not fit an int64 index")
         object.__setattr__(self, "total_dim", total)
-        object.__setattr__(self, "strides", strides)
 
     @property
     def n_sites(self) -> int:
@@ -75,7 +71,7 @@ class RadixVector:
 
 @functools.lru_cache(maxsize=1024)
 def radix_of(dims: tuple[int, ...]) -> RadixVector:
-    """The one shared RadixVector of these dims; a register's strides are computed once."""
+    """The one shared RadixVector of these dims; a register's dimension is computed once."""
     return RadixVector(dims)
 
 

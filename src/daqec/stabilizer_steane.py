@@ -410,49 +410,44 @@ def run_circuit_trials(circuit: CompiledCircuit, layout: MachineLayout, noise: N
 
 
 # Exact evaluator. A Pauli pattern on a block is a pair of 7-bit masks
-# (x, z). L stacks the three Hamming checks and an all-ones parity row, so
-# qubit q's column of L is the code (q+1) | 8. Lookup decoding flips one
-# qubit iff the syndrome is nonzero, so the logical flip of a mask is parity
-# XOR [syndrome != 0]: _FLIP[x] for an X flip, _FLIP[z] for a Z flip. A
+# (x, z). Lookup decoding flips one qubit iff the HAMMING_CHECK syndrome is
+# nonzero, so a mask leaves a logical flip iff its parity differs from
+# [syndrome != 0]: _FLIP[x] for an X flip, _FLIP[z] for a Z flip. A
 # pattern's probability depends only on its support s = x | z, as
-# prod_{q in s} eps_q/3 * prod_{q not in s} (1 - eps_q), so each failure
-# probability is a sum over the 128 supports of an integer count times that
-# monomial. _SUPPORT_COUNTS[k, s] counts the patterns of support s that flip
-# X (k = 0), both (k = 1) and either (k = 2).
-_COLUMNS = [(q + 1) | 8 for q in range(N_DATA)]
+# prod_{q in s} eps_q/3 * prod_{q not in s} (1 - eps_q), so the block's
+# failure probability is a sum over the 128 supports of an integer count
+# times that monomial. _SUPPORT_COUNTS[s] counts the patterns of support s
+# that flip X or Z.
 _MASKS = np.arange(1 << N_DATA)
 _BITS = _MASKS[:, None] >> np.arange(N_DATA) & 1
-_CODES = np.bitwise_xor.reduce(_BITS * _COLUMNS, axis=1)
-_FLIP = ((_CODES & 8) > 0) ^ ((_CODES & 7) > 0)
-_FX, _FZ = np.broadcast_arrays(_FLIP[:, None], _FLIP)  # flips of every (x, z) pair
-_SUPPORT_COUNTS = np.stack([
-    np.bincount((_MASKS[:, None] | _MASKS).ravel(), flips.ravel(), 1 << N_DATA)
-    for flips in (_FX, _FX & _FZ, _FX | _FZ)])
+_FLIP = _BITS.sum(axis=1) % 2 != (_BITS @ HAMMING_CHECK.T % 2).any(axis=1)
+_SUPPORT_COUNTS = np.bincount((_MASKS[:, None] | _MASKS).ravel(),
+                              (_FLIP[:, None] | _FLIP).ravel(), 1 << N_DATA)
 _BLOCK = 256  # rate vectors per step, so that the (128, _BLOCK) monomials stay in cache
 
 # Uniform rate eps: a support of weight w has monomial (eps/3)^w (1 - eps)^(7 - w),
-# so 3^7 p_k = sum_w N[k, w] eps^w (3 - 3 eps)^(7 - w) with _WEIGHT_COUNTS = N the
-# support counts summed by weight. _UNIFORM_POLY[k, d] is p_k's coefficient of
+# so 3^7 p = sum_w N[w] eps^w (3 - 3 eps)^(7 - w) with _WEIGHT_COUNTS = N the
+# support counts summed by weight. _UNIFORM_POLY[d] is p's coefficient of
 # eps^d, an exact integer divided once by 3^7; those of eps^0 and eps^1 are 0.
-_WEIGHT_COUNTS = np.stack([np.bincount(_BITS.sum(axis=1), c, N_DATA + 1) for c in _SUPPORT_COUNTS])
-_UNIFORM_POLY = np.array([[sum(int(n[w]) * 3 ** (N_DATA - w) * (-1) ** (d - w)
-                               * math.comb(N_DATA - w, d - w) for w in range(d + 1))
-                           for d in range(N_DATA + 1)] for n in _WEIGHT_COUNTS]) / 3**N_DATA
+_WEIGHT_COUNTS = np.bincount(_BITS.sum(axis=1), _SUPPORT_COUNTS, N_DATA + 1)
+_UNIFORM_POLY = np.array([sum(int(_WEIGHT_COUNTS[w]) * 3 ** (N_DATA - w) * (-1) ** (d - w)
+                              * math.comb(N_DATA - w, d - w) for w in range(d + 1))
+                          for d in range(N_DATA + 1)]) / 3**N_DATA
 
 
-def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
-    """Vectorized exact failure probabilities for many rate vectors.
+def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> np.ndarray:
+    """Vectorized exact block-failure probabilities for many rate vectors.
 
-    eps_matrix has shape (m, 7); returns arrays of length m. The 128
-    support monomials of a rate vector are built by doubling, qubit q
-    splitting each into its clean (1 - eps_q) and hit (eps_q / 3) halves,
-    and one product with _SUPPORT_COUNTS gives p_x, p_both and p_any. Only
-    nonnegative terms are added, so the results keep relative precision
-    however small they are.
+    eps_matrix has shape (m, 7); returns the probability, of shape (m,),
+    that decoding leaves a logical X or Z flip. The 128 support monomials
+    of a rate vector are built by doubling, qubit q splitting each into its
+    clean (1 - eps_q) and hit (eps_q / 3) halves, and one product with
+    _SUPPORT_COUNTS sums them. Only nonnegative terms are added, so the
+    results keep relative precision however small they are.
     """
     eps = np.asarray(eps_matrix, dtype=float)
     m = eps.shape[0]
-    out = np.empty((3, m))
+    out = np.empty(m)
     mono = np.empty((1 << N_DATA, _BLOCK))
     for lo in range(0, m, _BLOCK):
         e = eps[lo:lo + _BLOCK].T
@@ -463,27 +458,23 @@ def steane_failure_probabilities_batch(eps_matrix: np.ndarray) -> dict:
             w = 1 << q
             np.multiply(block[:w], hit[q], out=block[w:2 * w])
             block[:w] *= clean[q]
-        out[:, lo:lo + _BLOCK] = _SUPPORT_COUNTS @ block
-    p_x, p_both, p_any = out
-    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+        out[lo:lo + _BLOCK] = _SUPPORT_COUNTS @ block
+    return out
 
 
-def steane_failure_probabilities_uniform(eps) -> dict:
-    """Exact failure probabilities when all seven qubits share one rate.
+def steane_failure_probabilities_uniform(eps) -> np.ndarray:
+    """Exact block-failure probabilities when all seven qubits share one rate.
 
     Evaluates p = eps^2 H(eps), H the Horner form of _UNIFORM_POLY from
-    eps^2 up, in place on the (3, n) output, so no temporary is larger than
-    eps; the results keep relative precision at tiny rates and are exactly 0
-    at eps = 0. Results have the shape of eps, at least one dimension.
+    eps^2 up, in place on the output, so no temporary is larger than eps;
+    the results keep relative precision at tiny rates and are exactly 0 at
+    eps = 0. The result has the shape of eps, at least one dimension.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    flat = eps.ravel()
-    out = np.empty((3, flat.size))
-    out[:] = _UNIFORM_POLY[:, N_DATA, None]
+    out = np.full(eps.shape, _UNIFORM_POLY[N_DATA])
     for d in range(N_DATA - 1, 1, -1):
-        out *= flat
-        out += _UNIFORM_POLY[:, d, None]
-    out *= flat
-    out *= flat
-    p_x, p_both, p_any = (a.reshape(eps.shape) for a in out)
-    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+        out *= eps
+        out += _UNIFORM_POLY[d]
+    out *= eps
+    out *= eps
+    return out

@@ -230,9 +230,7 @@ def test_packing_guard():
 def test_diagnose_packing_model():
     from daqec.bounds_analytics import diagnose_packing
     matrix, _, odds = optimal_packing_bruteforce([0.6, 0.2, 0.05])
-    model = diagnose_packing([0.6, 0.2, 0.05], matrix)
-    assert model.F_k == odds
-    assert abs(model.C - sum(odds)) < 1e-12
+    assert diagnose_packing([0.6, 0.2, 0.05], matrix) == odds
 
 
 # ---------------------------------------------------------------------------

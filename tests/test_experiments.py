@@ -454,6 +454,51 @@ def test_pnl_sweep_small_run(tmp_path):
     assert schemes == {"lqec", "dqec"}
 
 
+def crossover_depth_oracle(rows: list[dict], depths: list[int]):
+    """First depth from which dqec stays ahead, by checking every later depth
+    from every depth forward."""
+    by = {(r["scheme"], r["depth"]): r for r in rows}
+    for i, d in enumerate(depths):
+        ahead = True
+        for later in depths[i:]:
+            lq, dq = by[("lqec", later)], by[("dqec", later)]
+            if dq["success_rate"] - dq["success_ci95"] <= lq["success_rate"] + lq["success_ci95"]:
+                ahead = False
+                break
+        if ahead:
+            return d
+    return None
+
+
+def _pnl_rows(points, depths):
+    """pnl-sweep rows, lqec first, of (lqec rate, lqec ci, dqec rate, dqec ci) per depth."""
+    return [{"scheme": scheme, "depth": d, "success_rate": point[k], "success_ci95": point[k + 1]}
+            for k, scheme in ((0, "lqec"), (2, "dqec")) for d, point in zip(depths, points)]
+
+
+def test_crossover_depth_counts_a_tie_as_behind():
+    depths = [2, 8, 30]
+    ahead, tie = (0.5, 0.125, 1.0, 0.125), (0.5, 0.125, 0.75, 0.125)
+    assert experiments._crossover_depth(_pnl_rows([tie, ahead, ahead], depths), depths) == 8
+    assert experiments._crossover_depth(_pnl_rows([ahead, tie, ahead], depths), depths) == 30
+    # a last depth that is behind leaves no crossover, whatever came before
+    assert experiments._crossover_depth(_pnl_rows([ahead, ahead, tie], depths), depths) is None
+
+
+# rates and intervals on a dyadic grid, so that the bounds compare exactly and tie often
+_RATES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_CIS = st.sampled_from([0.0, 0.125, 0.25])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_RATES, _CIS, _RATES, _CIS), min_size=1, max_size=8),
+       st.lists(st.integers(1, 50), min_size=8, max_size=8))
+def test_crossover_depth_matches_the_forward_scan(points, steps):
+    depths = np.cumsum(steps[:len(points)]).tolist()
+    rows = _pnl_rows(points, depths)
+    assert experiments._crossover_depth(rows, depths) == crossover_depth_oracle(rows, depths)
+
+
 def test_cli_runs_apples(tmp_path):
     assert main(["apples", "--out", str(tmp_path)]) == 0
     csv = (tmp_path / "apples.csv").read_text()
@@ -638,6 +683,11 @@ def test_a_config_file_cannot_set_the_chunk_size(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "chunk_size" in err
     assert not (tmp_path / "correlated-errors.csv").exists()
+
+
+def test_an_override_of_an_unknown_key_is_rejected():
+    with pytest.raises(ConfigError, match="unknown override chunk_size"):
+        load_config("apples", overrides={"chunk_size": 4})
 
 
 @pytest.mark.parametrize("depths", [[400, 2, 400], [2, 2], [9, 3]])

@@ -122,24 +122,22 @@ _XF = _PATTERNS[_FLIPS]  # the 64 patterns whose decode flips the logical operat
 # joint digit 2*x + z per qubit for every (x in XF, z in XF) pattern pair
 _PAIR_DIGITS = (2 * _XF[:, None, :] + _XF[None, :, :]).reshape(-1, N_DATA)
 # every one of the 4^7 Pauli patterns, as its digit 2x + z per qubit, and the
-# patterns that flip X, both and either, counted by support and by weight
+# patterns that flip X or Z, counted by support and by weight
 _DIGITS = np.array(list(itertools.product(range(4), repeat=N_DATA)))
 _BIT = 1 << np.arange(N_DATA)  # pattern index i has qubit q at bit q, as in _PATTERNS
 _FX, _FZ = _FLIPS[(_DIGITS >> 1) @ _BIT], _FLIPS[(_DIGITS & 1) @ _BIT]
-_ENUM_FLIPS = (_FX, _FX & _FZ, _FX | _FZ)
-_SUPPORT_COUNTS = np.array([np.bincount(((_DIGITS > 0) @ _BIT)[f], minlength=2**N_DATA)
-                            for f in _ENUM_FLIPS])
-_WEIGHT_COUNTS = np.array([np.bincount((_DIGITS > 0).sum(axis=1)[f], minlength=N_DATA + 1)
-                           for f in _ENUM_FLIPS])
+_SUPPORT_COUNTS = np.bincount(((_DIGITS > 0) @ _BIT)[_FX | _FZ], minlength=2**N_DATA)
+_WEIGHT_COUNTS = np.bincount((_DIGITS > 0).sum(axis=1)[_FX | _FZ], minlength=N_DATA + 1)
 
 
-def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024) -> dict:
-    """Vectorized exact failure probabilities for many rate vectors.
+def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    """Vectorized exact block-failure probabilities for many rate vectors.
 
-    eps_matrix has shape (m, 7); returns arrays of length m. The marginal
-    X (or Z) flip probability sums the 128 bit patterns of that error
-    type; the joint term sums the 4096 flip-flip pattern pairs with the
-    exact per-qubit joint distribution (Y errors set both bits).
+    eps_matrix has shape (m, 7); returns the probability of an X or Z flip,
+    of shape (m,), as P(X) + P(Z) - P(both). The marginal X (or Z) flip
+    probability sums the 128 bit patterns of that error type; the joint
+    term sums the 4096 flip-flip pattern pairs with the exact per-qubit
+    joint distribution (Y errors set both bits).
     """
     eps = np.asarray(eps_matrix, dtype=float)
     m = eps.shape[0]
@@ -163,25 +161,22 @@ def pattern_failure_probabilities_batch(eps_matrix: np.ndarray, chunk: int = 102
         for q in range(N_DATA):
             accj *= q_tbl[:, q, :][:, _PAIR_DIGITS[:, q]]
         p_both[lo:hi] = accj.sum(axis=1)
-    p_any = 2.0 * p_x - p_both
-    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+    return 2.0 * p_x - p_both
 
 
-def rational_failure_probabilities_uniform(eps) -> dict:
-    """Exact failure probabilities at one shared rate, each rounded once to float.
+def rational_failure_probabilities_uniform(eps) -> np.ndarray:
+    """Exact block-failure probabilities at one shared rate, each rounded once to float.
 
     Sums the enumerated per-weight counts times (eps/3)^w (1 - eps)^(7 - w)
     in exact rationals; results have the shape of eps, at least 1-D.
     """
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    out = np.empty((3,) + eps.shape)
+    out = np.empty(eps.shape)
     for i, e in np.ndenumerate(eps):
         e = Fraction(e)
         terms = [(e / 3) ** w * (1 - e) ** (N_DATA - w) for w in range(N_DATA + 1)]
-        for k, counts in enumerate(_WEIGHT_COUNTS):
-            out[(k,) + i] = float(sum(int(c) * t for c, t in zip(counts, terms)))
-    p_x, p_both, p_any = out
-    return {"p_x": p_x, "p_z": p_x.copy(), "p_both": p_both, "p_any": p_any}
+        out[i] = float(sum(int(c) * t for c, t in zip(_WEIGHT_COUNTS, terms)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1115,10 +1110,10 @@ def exact_correlated_errors(mean, std_factor, clip_max, n_nodes=4):
     z, w = gauss_rule(clipped_normal_moments(1.0, std_factor, clip_max / mean,
                                              2 * n_nodes + 1), n_nodes)
     x = mean * z
-    local = 1.0 - (w @ (1.0 - stn.steane_failure_probabilities_uniform(x)["p_any"])) ** 7
+    local = 1.0 - (w @ (1.0 - stn.steane_failure_probabilities_uniform(x))) ** 7
     grid = np.stack(np.meshgrid(*[x] * N_DATA, indexing="ij"), axis=-1).reshape(-1, N_DATA)
     weights = functools.reduce(np.multiply.outer, [w] * N_DATA).ravel()
-    f = stn.steane_failure_probabilities_batch(grid)["p_any"]
+    f = stn.steane_failure_probabilities_batch(grid)
     dist = weights @ (1.0 - (1.0 - f) ** 7)
     return local, dist, 1.0 - dist / local
 
@@ -1322,44 +1317,40 @@ def test_code_capacity_uniform_rates_schemes_match(rng):
 
 def test_code_capacity_heterogeneous_distributed_wins():
     rates = [0.001, 0.002, 0.005, 0.02, 0.04, 0.06, 0.08]
-    exact = steane_failure_probabilities_batch(np.array([rates]))["p_any"][0]
-    uni = steane_failure_probabilities_uniform(np.array(rates))["p_any"]
+    exact = steane_failure_probabilities_batch(np.array([rates]))[0]
+    uni = steane_failure_probabilities_uniform(np.array(rates))
     ler_dist = 1 - (1 - exact) ** 7
     ler_local = 1 - np.prod(1 - uni)
     assert ler_dist < ler_local
 
 
-def steane_failure_probabilities(eps_per_qubit) -> dict:
-    """Exact failure probabilities of one block: one row of the batch evaluator."""
-    out = steane_failure_probabilities_batch(np.asarray(eps_per_qubit, float)[None, :])
-    return {k: float(v[0]) for k, v in out.items()}
+def steane_failure_probability(eps_per_qubit) -> float:
+    """Exact failure probability of one block: one row of the batch evaluator."""
+    return float(steane_failure_probabilities_batch(np.asarray(eps_per_qubit, float)[None, :])[0])
 
 
 def test_exact_evaluator_matches_sampling():
     rates = np.array([0.02, 0.01, 0.03, 0.02, 0.015, 0.025, 0.01])
-    exact = steane_failure_probabilities(rates)
+    exact = steane_failure_probability(rates)
     n = 400_000
     succ = code_capacity_batch(dqec_layout(), rates, np.random.default_rng(21), n)
     p_emp = 1 - succ[0].mean()  # distributed block 0 sees exactly `rates`
-    sigma = math.sqrt(exact["p_any"] * (1 - exact["p_any"]) / n)
-    assert abs(p_emp - exact["p_any"]) < 4 * sigma
+    sigma = math.sqrt(exact * (1 - exact) / n)
+    assert abs(p_emp - exact) < 4 * sigma
 
 
 def test_uniform_evaluator_matches_general():
     for eps in (1e-6, 1e-4, 0.005, 0.02, 0.08, 0.5):
         u = steane_failure_probabilities_uniform(np.array([eps]))
-        g = steane_failure_probabilities(np.full(7, eps))
-        assert abs(u["p_any"][0] - g["p_any"]) <= 1e-12 * g["p_any"]
-        assert abs(u["p_x"][0] - g["p_x"]) <= 1e-12 * g["p_x"]
+        g = steane_failure_probability(np.full(7, eps))
+        assert abs(u[0] - g) <= 1e-12 * g
 
 
 def _assert_matches_oracle(eps):
     got = steane_failure_probabilities_batch(eps)
     want = pattern_failure_probabilities_batch(eps)
-    for key in ("p_x", "p_both", "p_any"):
-        # an exact zero (fewer than two qubits can err) must come out exactly zero
-        np.testing.assert_array_less(np.abs(got[key] - want[key]),
-                                     1e-12 * want[key] + np.finfo(float).tiny, err_msg=key)
+    # an exact zero (fewer than two qubits can err) must come out exactly zero
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * want + np.finfo(float).tiny)
 
 
 # rates log-uniform from far below the Monte Carlo range (sample_profiles
@@ -1381,7 +1372,7 @@ def test_exact_evaluator_matches_pattern_oracle_across_blocks():
     rng = np.random.default_rng(5)
     eps = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), size=(2 * stn._BLOCK + 37, N_DATA)))
     _assert_matches_oracle(eps)
-    assert steane_failure_probabilities_batch(np.empty((0, N_DATA)))["p_any"].shape == (0,)
+    assert steane_failure_probabilities_batch(np.empty((0, N_DATA))).shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1391,21 +1382,17 @@ def test_uniform_evaluator_keeps_relative_precision_against_rational_oracle(rate
     eps = np.array(rates)
     got = steane_failure_probabilities_uniform(eps)
     want = rational_failure_probabilities_uniform(eps)
-    for key in ("p_x", "p_z", "p_both", "p_any"):
-        np.testing.assert_array_less(np.abs(got[key] - want[key]),
-                                     1e-12 * want[key] + np.finfo(float).tiny, err_msg=key)
-        assert np.all(got[key][eps == 0.0] == 0.0), key
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * want + np.finfo(float).tiny)
+    assert np.all(got[eps == 0.0] == 0.0)
 
 
 def test_uniform_evaluator_keeps_the_input_shape():
     for eps, shape in ((0.01, (1,)), (np.linspace(0.0, 1.0, 12).reshape(3, 4), (3, 4)),
                        (np.empty(0), (0,)), (np.empty((2, 0)), (2, 0))):
         got = steane_failure_probabilities_uniform(eps)
-        want = rational_failure_probabilities_uniform(eps)
-        for key in ("p_x", "p_z", "p_both", "p_any"):
-            assert got[key].shape == shape, key
-            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
-        assert not np.shares_memory(got["p_x"], got["p_z"])
+        assert got.shape == shape
+        np.testing.assert_allclose(got, rational_failure_probabilities_uniform(eps),
+                                   rtol=1e-12, atol=0)
 
 
 def test_correlated_errors_runs_the_exact_evaluator(monkeypatch):
@@ -1434,12 +1421,13 @@ def test_uniform_weight_tables_match_pattern_enumeration():
 
 
 def test_exact_evaluator_weight_two_leading_order():
-    # every weight-2 bit-flip pattern completes a logical flip, so
-    # p_x = 21 p^2 (1-p)^5 + 7 p^3 + ... = 21 p^2 - 98 p^3 + O(p^4)
+    # every weight-2 bit-flip mask decodes to a logical flip, so of the 9
+    # Pauli pairs on each of the 21 qubit pairs the 7 whose X parts or Z
+    # parts both flip (XX, XY, YX, YY, ZZ, ZY, YZ) fail the block:
+    # p = 21 * 7 (eps/3)^2 + O(eps^3) = 49 eps^2 / 3 + O(eps^3)
     eps = 1e-4
-    p = 2 * eps / 3
-    got = steane_failure_probabilities(np.full(7, eps))["p_x"]
-    assert abs(got - (21 * p**2 - 98 * p**3)) < 1000 * p**4
+    got = steane_failure_probability(np.full(7, eps))
+    assert abs(got - 49 * eps**2 / 3) < 100 * eps**3
 
 
 def test_noise_spec_validation():
