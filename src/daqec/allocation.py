@@ -1,8 +1,11 @@
 """Code-block-to-processor allocation and the nonlocality factor.
 
-For n_L logical qubits encoded in length-ell_c blocks on n_p processors,
-transversal two-qubit logical gates between every block pair need
-ell_c * n_L * (n_L-1) / 2 physical gate pairs in total; a gate is
+In the square regime that the closed forms are derived for, n_p logical
+qubits encoded in length-ell_c blocks sit on n_p processors of ell_c
+qubits each. An allocation is an int64 array `alloc[b, j]` of shape
+(n_p, ell_c): the processor that holds transversal index j of block b.
+Transversal two-qubit logical gates between every block pair need
+ell_c * n_p * (n_p-1) / 2 physical gate pairs in total; a gate is
 processor-nonlocal when its two endpoints (same transversal index,
 different blocks) live on different processors. This module constructs
 the even-partition allocation, evaluates the closed-form nonlocality
@@ -15,6 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+# the largest instance the exhaustive search takes: ell_c and n_p
+BRUTE_FORCE_ELL_MAX = 9
+BRUTE_FORCE_N_P_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -29,11 +38,10 @@ class AllocationParams:
     """
 
     ell_c: int
-    n_L: int
     n_p: int
 
     def __post_init__(self):
-        if self.n_p < 1 or self.n_L < 1 or self.ell_c < 1:
+        if self.n_p < 1 or self.ell_c < 1:
             raise ValueError("all parameters must be positive")
 
     @property
@@ -65,63 +73,33 @@ class AllocationParams:
 
     @property
     def total_pairwise_gates(self) -> int:
-        return self.ell_c * self.n_L * (self.n_L - 1) // 2
+        return self.ell_c * self.n_p * (self.n_p - 1) // 2
 
 
-@dataclass
-class Allocation:
-    """Assignment of every (block, transversal index) pair to a processor."""
-
-    assign: dict[tuple[int, int], int]
-    capacities: dict[int, int]
-
-    def validate(self, ell_c: int, n_L: int):
-        expected = {(b, j) for b in range(n_L) for j in range(ell_c)}
-        if set(self.assign) != expected:
-            raise ValueError("allocation does not cover every (block, index) pair")
-        loads: dict[int, int] = {}
-        for proc in self.assign.values():
-            loads[proc] = loads.get(proc, 0) + 1
-        for proc, load in loads.items():
-            if load > self.capacities.get(proc, 0):
-                raise ValueError(f"processor {proc} over capacity: {load}")
-
-    def to_text(self) -> str:
-        """One `block,index,processor` record per line, ascending (block, index)."""
-        lines = [f"{b},{j},{p}" for (b, j), p in sorted(self.assign.items())]
-        return "\n".join(lines)
+def _checked(alloc: np.ndarray) -> np.ndarray:
+    """The allocation, after checking that every id is a processor in
+    [0, n_p) and that no processor holds more than ell_c qubits."""
+    n_p, ell_c = alloc.shape
+    if alloc.min() < 0 or alloc.max() >= n_p:
+        raise ValueError("processor id outside [0, n_p)")
+    loads = np.bincount(alloc.ravel(), minlength=n_p)
+    if loads.max() > ell_c:
+        raise ValueError(f"processor {loads.argmax()} over capacity: {loads.max()}")
+    return alloc
 
 
-@dataclass(frozen=True)
-class NonlocalityReport:
-    total_pairwise_gates: int
-    nonlocal_gates: int
-
-    @property
-    def eta(self) -> float:
-        return self.nonlocal_gates / self.total_pairwise_gates
-
-
-def even_partition_allocation(params: AllocationParams) -> Allocation:
+def even_partition_allocation(params: AllocationParams) -> np.ndarray:
     """Co-locate as many transversal slices as possible, split the rest evenly.
 
-    Requires the analyzed regime n_L == n_p with capacity ell_c per
-    processor. Processor p receives q whole slices; each of the s
-    remainder slices is cut into k groups of size s and one of size t,
-    placed best-fit into the remaining capacity.
+    Processor p receives q whole slices; each of the s remainder slices is
+    cut into k groups of size s and one of size t, placed best-fit into
+    the remaining capacity.
     """
-    if params.n_L != params.n_p:
-        raise ValueError("the even partition is defined for n_L == n_p")
     ell, n_p = params.ell_c, params.n_p
     q, s, k, t = params.q, params.s, params.k, params.t
-    capacities = {p: ell for p in range(n_p)}
-    spare = [ell for _ in range(n_p)]
-    assign: dict[tuple[int, int], int] = {}
-    for j in range(q * n_p):
-        proc = j // q
-        for b in range(params.n_L):
-            assign[(b, j)] = proc
-        spare[proc] -= params.n_L
+    alloc = np.empty((n_p, ell), dtype=np.int64)
+    alloc[:, :q * n_p] = np.repeat(np.arange(n_p), q)
+    spare = [ell - q * n_p] * n_p
     groups = [s] * k + ([t] if t else [])
     for j in range(q * n_p, ell):
         block = 0
@@ -130,28 +108,21 @@ def even_partition_allocation(params: AllocationParams) -> Allocation:
             if not candidates:
                 raise ValueError("capacity violated while placing remainder slices")
             proc = min(candidates, key=lambda p: (spare[p], p))
-            for b in range(block, block + g):
-                assign[(b, j)] = proc
+            alloc[block:block + g, j] = proc
             spare[proc] -= g
             block += g
-    alloc = Allocation(assign, capacities)
-    alloc.validate(ell, params.n_L)
-    return alloc
+    return _checked(alloc)
 
 
-def eta_count(alloc: Allocation, ell_c: int, n_L: int) -> NonlocalityReport:
-    """Direct count of nonlocal gate pairs; the oracle for the closed form."""
-    alloc.validate(ell_c, n_L)
-    nonlocal_gates = 0
-    for j in range(ell_c):
-        procs: dict[int, int] = {}
-        for b in range(n_L):
-            p = alloc.assign[(b, j)]
-            procs[p] = procs.get(p, 0) + 1
-        pairs_local = sum(m * (m - 1) // 2 for m in procs.values())
-        nonlocal_gates += n_L * (n_L - 1) // 2 - pairs_local
-    total = ell_c * n_L * (n_L - 1) // 2
-    return NonlocalityReport(total, nonlocal_gates)
+def eta_count(alloc: np.ndarray) -> int:
+    """Direct count of nonlocal gate pairs; the oracle for the closed form.
+
+    A processor that holds m of slice j's n_p qubits makes C(m, 2) of the
+    slice's C(n_p, 2) gates local.
+    """
+    n_p, ell_c = _checked(alloc).shape
+    m = np.bincount((alloc + n_p * np.arange(ell_c)).ravel(), minlength=n_p * ell_c)
+    return ell_c * n_p * (n_p - 1) // 2 - int((m * (m - 1) // 2).sum())
 
 
 def nonlocal_count_formula(params: AllocationParams) -> int:
@@ -165,7 +136,7 @@ def nonlocal_count_formula(params: AllocationParams) -> int:
 def eta_formula(params: AllocationParams) -> tuple[float, bool]:
     """Closed-form nonlocality factor and its validity flag.
 
-    eta = s*(n_p^2 - k*s^2 - t^2) / (ell_c * n_L * (n_L-1)); valid when
+    eta = s*(n_p^2 - k*s^2 - t^2) / (ell_c * n_p * (n_p-1)); valid when
     s mod t == 0 (t > 0). s == 0 returns 0 flagged valid (trivially local).
     """
     if params.s == 0:
@@ -175,9 +146,8 @@ def eta_formula(params: AllocationParams) -> tuple[float, bool]:
 
 
 def eta_bound(params: AllocationParams) -> float:
-    """Simple upper bound s*n_p*(n_p-1) / (ell_c*n_L*(n_L-1)); s/ell_c at n_L=n_p."""
-    return (params.s * params.n_p * (params.n_p - 1)) / (
-        params.ell_c * params.n_L * (params.n_L - 1))
+    """Simple upper bound s*n_p*(n_p-1) / (ell_c*n_p*(n_p-1)) = s/ell_c."""
+    return params.s / params.ell_c
 
 
 def advantage_threshold_basic(n_p: int, d_enc_dec: int, eta: float) -> int:
@@ -202,24 +172,22 @@ def advantage_threshold_general(params: AllocationParams, d_enc_dec: int) -> tup
     return value, eta_valid and n_p < 5
 
 
-def brute_force_optimal(ell_c: int, n_L: int, n_p: int):
+def brute_force_optimal(ell_c: int, n_p: int) -> tuple[int, np.ndarray]:
     """Exact global minimum of the nonlocal gate count, by a DP over loads.
 
     Only the per-slice processor occupation row matters for the count, so
     slice by slice the search tracks each reachable vector of processor
     loads, capped at ell_c, with the least cost that reaches it and one
-    row list that does. The n_L == n_p rows of every slice fill all
-    ell_c * n_p sites, so the full load vector is the one end state.
-    Returns (min count, witness Allocation). Guarded to ell_c <= 9 and
-    n_L == n_p <= 3.
+    row list that does. The n_p rows of every slice fill all ell_c * n_p
+    sites, so the full load vector is the one end state. Returns
+    (min count, witness allocation). Guarded to ell_c <= BRUTE_FORCE_ELL_MAX
+    and n_p <= BRUTE_FORCE_N_P_MAX.
     """
-    if n_L != n_p:
-        raise ValueError("exhaustive search assumes n_L == n_p")
-    if ell_c > 9 or n_p > 3:
+    if ell_c > BRUTE_FORCE_ELL_MAX or n_p > BRUTE_FORCE_N_P_MAX:
         raise ValueError("instance too large for exhaustive search")
-    pair_total = n_L * (n_L - 1) // 2
+    pair_total = n_p * (n_p - 1) // 2
     row_cost = {r: pair_total - sum(m * (m - 1) // 2 for m in r)
-                for r in _compositions(n_L, n_p)}
+                for r in _compositions(n_p, n_p)}
     states = {(0,) * n_p: (0, ())}
     for _ in range(ell_c):
         reached = {}
@@ -232,16 +200,8 @@ def brute_force_optimal(ell_c: int, n_L: int, n_p: int):
                     reached[nxt] = (cost + c, chosen + (r,))
         states = reached
     [(best, best_rows)] = states.values()
-    assign: dict[tuple[int, int], int] = {}
-    for j, r in enumerate(best_rows):
-        b = 0
-        for p, m in enumerate(r):
-            for _ in range(m):
-                assign[(b, j)] = p
-                b += 1
-    alloc = Allocation(assign, {p: ell_c for p in range(n_p)})
-    alloc.validate(ell_c, n_L)
-    return best, alloc
+    witness = np.stack([np.repeat(np.arange(n_p), r) for r in best_rows], axis=1)
+    return best, _checked(witness)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

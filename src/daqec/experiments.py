@@ -605,29 +605,24 @@ def run_allocation_report(cfg: ExperimentConfig):
         for ell in range(2, int(p["ell_c_max"]) + 1):
             if ell <= n_p:
                 continue
-            params = alc.AllocationParams(ell, n_p, n_p)
-            alloc = alc.even_partition_allocation(params)
-            report = alc.eta_count(alloc, ell, n_p)
+            params = alc.AllocationParams(ell, n_p)
+            count = alc.eta_count(alc.even_partition_allocation(params))
             eta_f, valid = alc.eta_formula(params)
+            eta_b = alc.eta_bound(params)
             n_formula = alc.nonlocal_count_formula(params)
-            row_pass = True
-            if valid and n_formula != report.nonlocal_gates:
-                row_pass = False
-            if alc.eta_bound(params) < eta_f - 1e-12:
-                row_pass = False
             bf = ""
-            if ell <= int(p["brute_force_ell_max"]) and n_p <= 3:
-                bf, _ = alc.brute_force_optimal(ell, n_p, n_p)
-                if bf != report.nonlocal_gates:
-                    row_pass = False
+            if ell <= int(p["brute_force_ell_max"]) and n_p <= alc.BRUTE_FORCE_N_P_MAX:
+                bf, _ = alc.brute_force_optimal(ell, n_p)
+            row_pass = ((not valid or n_formula == count) and eta_b >= eta_f - 1e-12
+                        and bf in ("", count))
             thr_gen, _ = alc.advantage_threshold_general(params, int(p["d_enc_dec"]))
             rows.append({
                 "ell_c": ell, "n_p": n_p, "q": params.q, "s": params.s, "k": params.k,
                 "t": params.t,
                 "t_printed": params.t_printed_variant,
                 "eta_formula": eta_f, "formula_valid": valid,
-                "eta_count": report.eta, "eta_bound": alc.eta_bound(params),
-                "nonlocal_formula": n_formula, "nonlocal_count": report.nonlocal_gates,
+                "eta_count": count / params.total_pairwise_gates, "eta_bound": eta_b,
+                "nonlocal_formula": n_formula, "nonlocal_count": count,
                 "brute_force_min": bf,
                 "threshold_basic": alc.advantage_threshold_basic(n_p, int(p["d_enc_dec"]), eta_f),
                 "threshold_general": thr_gen,
@@ -746,7 +741,7 @@ REGISTRY = {
         "ell_c_max": Param(int, 25, 3, 1000),
         # from n_p = 5 the even partition leaves unusable fragments and is undefined
         "n_p_list": Param(int, [2, 3, 4], 2, 4, size=(1, None)),
-        "brute_force_ell_max": Param(int, 9, 0, 9),  # the exhaustive search's own limit
+        "brute_force_ell_max": Param(int, alc.BRUTE_FORCE_ELL_MAX, 0, alc.BRUTE_FORCE_ELL_MAX),
         "d_enc_dec": Param(int, 7, 0, 10**6),
     }, verify=True),
     "apples": Experiment(run_apples, 1, {

@@ -179,23 +179,21 @@ def test_criterion_7_nonlocality_consistency():
     checked = 0
     for n_p in (2, 3, 4):
         for ell in range(n_p + 1, 26):
-            params = alc.AllocationParams(ell, n_p, n_p)
+            params = alc.AllocationParams(ell, n_p)
             if not params.formula_valid:
                 continue
-            count = alc.eta_count(alc.even_partition_allocation(params),
-                                  ell, n_p).nonlocal_gates
+            count = alc.eta_count(alc.even_partition_allocation(params))
             assert alc.nonlocal_count_formula(params) == count, (ell, n_p)
             checked += 1
     for n_p in (2, 3):
         for ell in range(n_p + 1, 10):
-            params = alc.AllocationParams(ell, n_p, n_p)
-            constructed = alc.eta_count(alc.even_partition_allocation(params),
-                                        ell, n_p).nonlocal_gates
-            optimal, _ = alc.brute_force_optimal(ell, n_p, n_p)
+            params = alc.AllocationParams(ell, n_p)
+            constructed = alc.eta_count(alc.even_partition_allocation(params))
+            optimal, _ = alc.brute_force_optimal(ell, n_p)
             assert optimal == constructed, (ell, n_p)
-    params = alc.AllocationParams(7, 3, 3)
-    report = alc.eta_count(alc.even_partition_allocation(params), 7, 3)
-    assert (report.total_pairwise_gates, report.nonlocal_gates) == (21, 3)
+    params = alc.AllocationParams(7, 3)
+    count = alc.eta_count(alc.even_partition_allocation(params))
+    assert (params.total_pairwise_gates, count) == (21, 3)
     eta, valid = alc.eta_formula(params)
     assert valid and abs(eta - 1 / 7) < 1e-15
     elapsed = time.time() - start

@@ -771,6 +771,9 @@ IN_RANGE_EDGES = [
     # circuit has over 74,000 ops
     pytest.param("pnl-sweep", {"n_blocks": 100, "depths": [10000]}, 0,
                  id="pnl-sweep-100-10000"),
+    # the top of the allocation-report ranges: 2,991 rows
+    pytest.param("allocation-report", {"ell_c_max": 1000, "d_enc_dec": 1000000}, 0,
+                 id="allocation-report-1000"),
 ]
 
 
