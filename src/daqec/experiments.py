@@ -92,6 +92,7 @@ class Experiment:
     monte_carlo: bool = False     # estimates need at least MIN_MC_TRIALS trials
     verify: bool = False          # a failed check exits 3
     ordered: tuple[tuple[str, str], ...] = ()  # (a, b): params a <= b
+    below: tuple[tuple[str, str], ...] = ()    # (a, b): some entry of list param a < param b
 
 
 # settable top-level keys besides `experiment` and `params`
@@ -184,6 +185,9 @@ def load_config(experiment: str | None = None, path: str | None = None,
     for a, b in entry.ordered:
         if params[a] > params[b]:
             raise ConfigError(f"param {a} must not exceed {b}")
+    for a, b in entry.below:
+        if min(params[a]) >= params[b]:
+            raise ConfigError(f"param {b} must exceed some entry of {a}")
     trials = top["trials"] or entry.trials
     if entry.monte_carlo and trials < MIN_MC_TRIALS:
         raise ConfigError(f"no estimate from fewer than {MIN_MC_TRIALS} trials")
@@ -737,13 +741,13 @@ REGISTRY = {
         "n_random_logical": Param(int, 20, 1, 10**4),
     }, verify=True),
     "allocation-report": Experiment(run_allocation_report, 1, {
-        # n_p >= 2 and only ell_c > n_p is reported, so ell_c_max = 3 gives the first row
+        # only ell_c > n_p is reported, so ell_c_max must exceed some n_p for a row
         "ell_c_max": Param(int, 25, 3, 1000),
         # from n_p = 5 the even partition leaves unusable fragments and is undefined
         "n_p_list": Param(int, [2, 3, 4], 2, 4, size=(1, None)),
         "brute_force_ell_max": Param(int, alc.BRUTE_FORCE_ELL_MAX, 0, alc.BRUTE_FORCE_ELL_MAX),
         "d_enc_dec": Param(int, 7, 0, 10**6),
-    }, verify=True),
+    }, verify=True, below=(("n_p_list", "ell_c_max"),)),
     "apples": Experiment(run_apples, 1, {
         # the exhaustive packing search takes 2 to 4 bins; a bin certain to spoil
         # leaves no contamination cutoff
@@ -772,7 +776,7 @@ def _writing(path: Path):
 def execute(cfg: ExperimentConfig) -> int:
     """Run, write CSV + summary JSON, and return the process exit code."""
     from . import __version__
-    start = time.time()
+    start = time.perf_counter()
     out = Path(cfg.out)
     try:  # before the run, so that a bad --out costs nothing
         out.mkdir(parents=True, exist_ok=True)
@@ -791,7 +795,7 @@ def execute(cfg: ExperimentConfig) -> int:
         "version": __version__,
         "numpy_version": np.__version__,
         "rng_scheme": RNG_SCHEME,
-        "wall_time_s": round(time.time() - start, 3),
+        "wall_time_s": round(time.perf_counter() - start, 3),
         "rows": len(rows),
         "ok": ok,
         "results": extra,

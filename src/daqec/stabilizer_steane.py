@@ -3,12 +3,12 @@
 Errors are tracked as X/Z bits per physical qubit and conjugated through
 H and CNOT; two-qubit gates are followed by depolarizing noise whose
 strength depends on whether the gate crosses a processor boundary. The
-engine compiles each circuit once, by one backward pass over its layers
-of disjoint gates, into the decoder bits that an error after each CNOT
-flips, which layouts with the same blocks share; a mirrored circuit
-compiles only its last two segments, whose rows the identity segments
-before them repeat. A trial then draws only its noise hits, one stream
-per distinct rate, and xors the table row of each hit's CNOT and Pauli.
+engine compiles each circuit once, by one backward pass over its ops,
+into the decoder bits that an error after each CNOT flips, which layouts
+with the same blocks share; a mirrored circuit compiles only its last two
+segments, whose rows the identity segments before them repeat. A trial
+then draws only its noise hits, one stream per distinct rate, and xors
+the table row of each hit's CNOT and Pauli.
 The module provides the standard seven-processor layouts (one block per
 processor vs. fully distributed), a mirrored GHZ-type transversal circuit
 of configurable depth, terminal syndrome extraction with lookup decoding,
@@ -179,42 +179,7 @@ def syndrome_extraction_circuit(block: SteaneBlock) -> list[tuple]:
 # circuit-level engine
 
 
-# Op kinds, in the order the schedule lists the ops of one layer. The ops of
-# one layer touch disjoint qubits, so they commute.
-_CNOT, _H, _PREP, _MEAS_Z, _MEAS_X = range(5)
-_KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
-          "MEAS_Z": _MEAS_Z, "MEAS_X": _MEAS_X}
 _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of the noise
-
-
-def _schedule(ops, n_qubits: int):
-    """Sort the ops on a register of n_qubits into steps of one (ASAP layer, kind) each.
-
-    An op's layer is one more than the last layer of any of its qubits.
-    Returns the sort permutation (each sorted op's index in `ops`);
-    then, in sorted order, each op's first qubit, second qubit (the first
-    again for a one-qubit op), measurement index in op order and whether it
-    is a CNOT; then the step bounds and kinds.
-    """
-    last = [0] * n_qubits
-    rows = []
-    for op in ops:
-        kind = _KINDS.get(op[0])
-        if kind is None:
-            raise ValueError(f"unknown op {op}")
-        a = b = op[1]
-        if kind == _CNOT:
-            b = op[2]
-        layer = last[a] = last[b] = max(last[a], last[b]) + 1
-        rows.append((layer, kind, a, b))
-    layer, kind, a, b = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    meas = np.cumsum(kind >= _MEAS_Z) - 1
-    order = np.lexsort((kind, layer))
-    keys = np.stack((layer, kind))[:, order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
-    ends = np.append(starts[1:], order.size)
-    return (order, a[order], b[order], meas[order], kind[order] == _CNOT, starts.tolist(),
-            ends.tolist(), kind[order][starts].tolist())
 
 
 def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int):
@@ -249,13 +214,14 @@ class CompiledCircuit:
     """A circuit for simulate_frames: every op, and what a Pauli after each CNOT flips.
 
     `ops` lists every op of the circuit, which ends with the extraction of
-    every block of `blocks`. CNOT i of the schedule has control a[i] and
-    target b[i], and table[row[i], p] holds the decoder bits that the
-    two-qubit Pauli number p, in 0..15, flips right after it (see
-    _compile). A folded mirror (see compile_mirror) stores the rows of one
-    segment for all its leading segments, so their CNOTs share rows. The
-    four arrays are read-only, so any number of threads, and every layout
-    with these blocks, can share one compile.
+    every block of `blocks`. The schedule lists the CNOTs by ASAP layer,
+    then in op order; CNOT i of it has control a[i] and target b[i], and
+    table[row[i], p] holds the decoder bits that the two-qubit Pauli number
+    p, in 0..15, flips right after it (see _compile). A folded mirror (see
+    compile_mirror) stores the rows of one segment for all its leading
+    segments, so their CNOTs share rows. The four arrays are read-only, so
+    any number of threads, and every layout with these blocks, can share
+    one compile.
     """
 
     ops: tuple
@@ -274,57 +240,67 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
     """The CNOTs of the ops on a register of n_qubits in schedule order, and
     what an error after each one flips.
 
-    The ops must end with the extraction of every block. The decoder
-    reads one byte per block: bits 0..5 the readouts of its six extraction
-    generators (the last 6 * n_blocks measurements, block by block, X-type
-    generators first), bit 6 its data X parity and bit 7 its data Z parity.
-    Block i is byte i % 8 of the little-endian `uint64` word i // 8. Frames
-    are linear over GF(2), so one backward pass over the schedule finds,
-    for every frame bit, the decoder bits that an error on it would flip: a
-    CNOT (c, t) xors the x_t and z_c rows into x_c and z_t, H swaps x and
-    z, a preparation clears both, and a measurement adds its readout bit to
-    the frame bit it reads. table[i, p] holds the flips of the two-qubit
-    Pauli number p right after CNOT i, p in 0..15 having bits (x_c, z_c,
-    x_t, z_t) from the highest down, so a hit is one row lookup. The rows
-    of the four single bits come from the pass; every other row is the xor
-    of those of its set bits, as the flips of a product are, and row 0 (the
-    identity) stays zero. Other ops carry no noise and get no row. Returns
-    each CNOT's index in `ops`, its control and target, and the table;
-    nothing depends on where the qubits live or on the noise.
+    The ops must end with the extraction of every block. The decoder reads
+    byte i of little-endian `uint64` words for block i: bits 0..5 the
+    readouts of its six extraction generators (the last 6 * n_blocks
+    measurements, block by block, X-type generators first), bit 6 its data
+    X parity and bit 7 its data Z parity. Frames are linear over GF(2), so
+    one backward pass over the ops finds what an error on each frame bit
+    would flip, as one int with bit 8 * block + j: a CNOT (c, t) xors x_t
+    into x_c and z_c into z_t, H swaps x and z, a preparation clears both,
+    and a measurement adds its readout bit to the frame bit it reads.
+    table[i, p] holds the flips of the two-qubit Pauli number p right after
+    CNOT i, p in 0..15 having bits (x_c, z_c, x_t, z_t) from the highest
+    down, so a hit is one row lookup. The rows of the four single bits come
+    from the pass; every other row is the xor of those of its set bits, as
+    the flips of a product are, and row 0 (the identity) stays zero. Other
+    ops carry no noise and get no row. Returns each CNOT's index in `ops`,
+    its control and target, and the table; nothing depends on where the
+    qubits live or on the noise.
     """
-    order, a, b, meas, cnot, starts, ends, kinds = _schedule(ops, n_qubits)
     nq, nb = n_qubits, len(blocks)
-    n_meas = int(meas.max(initial=-1)) + 1
-    if n_meas < 6 * nb:
+    flips = [0] * (2 * nq)  # what an x error on qubit q flips at q, a z error at nq + q
+    for i, block in enumerate(blocks):
+        for q in block.data:
+            flips[q] |= 1 << 8 * i + 6
+            flips[nq + q] |= 1 << 8 * i + 7
+    readout = 6 * nb  # extraction readout k is generator k % 6 of block k // 6
+    rows = []         # each CNOT's flips of (x_c, z_c, x_t, z_t), the last CNOT first
+    for op in reversed(ops):
+        kind, c, t = op[0], op[1], op[-1]  # t is c for a one-qubit op
+        if kind == "CNOT":
+            rows += flips[c], flips[nq + c], flips[t], flips[nq + t]
+            flips[c] ^= flips[t]
+            flips[nq + t] ^= flips[nq + c]
+        elif kind == "H":
+            flips[c], flips[nq + c] = flips[nq + c], flips[c]
+        elif kind in ("PREP_Z", "PREP_X"):
+            flips[c] = flips[nq + c] = 0
+        elif kind not in ("MEAS_Z", "MEAS_X"):
+            raise ValueError(f"unknown op {op}")
+        elif readout:  # a measurement of the extraction, counting back
+            readout -= 1
+            flips[c if kind == "MEAS_Z" else nq + c] ^= 1 << 8 * (readout // 6) + readout % 6
+    if readout:
         raise ValueError("missing extraction measurements")
-    octets = 8 * ((nb + 7) // 8)
-    data = np.array([block.data for block in blocks]).reshape(nb, N_DATA)
-    # rows 0..nq-1 hold what an x error flips, rows nq.. what a z error does
-    flips = np.zeros((2 * nq, octets), dtype=np.uint8)
-    flips[data, np.arange(nb)[:, None]] = 1 << 6
-    flips[data + nq, np.arange(nb)[:, None]] = 1 << 7
-    k = np.arange(6 * nb)  # extraction readout k is generator k % 6 of block k // 6
-    readout = np.zeros((n_meas, octets), dtype=np.uint8)
-    readout[n_meas - 6 * nb + k, k // 6] = 1 << k % 6
-    flips, readout = flips.view("<u8"), readout.view("<u8")
-    src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
-    paulis = np.stack((a, a + nq, b, b + nq), axis=1)
-    first = np.cumsum(cnot) - cnot  # the number of each CNOT, in schedule order
-    table = np.zeros((int(cnot.sum()), 16, octets // 8), dtype="<u8")
-    for lo, hi, kind in zip(starts[::-1], ends[::-1], kinds[::-1]):
-        rows = src[:, lo:hi]
-        if kind == _CNOT:
-            table[first[lo]:first[lo] + hi - lo, [8, 4, 2, 1]] = flips[paulis[lo:hi]]
-            flips[rows] ^= flips[dst[:, lo:hi]]
-        elif kind == _H:
-            flips[rows] = flips[rows[::-1]]
-        elif kind == _PREP:
-            flips[rows] = 0
-        else:
-            flips[rows[0 if kind == _MEAS_Z else 1]] ^= readout[meas[lo:hi]]
+    # schedule order, in which RNG_SCHEME 4 draws each CNOT's noise: by ASAP
+    # layer (one past the last layer of the op's qubits), then by op order
+    last = [0] * nq
+    cnots = []  # (layer, index, control, target) of each CNOT, in op order
+    for index, op in enumerate(ops):
+        c, t = op[1], op[-1]
+        layer = last[c] = last[t] = max(last[c], last[t]) + 1
+        if op[0] == "CNOT":
+            cnots.append((layer, index, c, t))
+    layer, index, a, b = np.array(cnots, dtype=np.int64).reshape(-1, 4).T
+    order = np.argsort(layer, kind="stable")
+    words = (nb + 7) // 8
+    single = np.frombuffer(b"".join(f.to_bytes(8 * words, "little") for f in rows), "<u8")
+    table = np.zeros((order.size, 16, words), dtype="<u8")
+    table[:, [8, 4, 2, 1]] = single.reshape(order.size, 4, words)[::-1][order]
     for bit in (2, 4, 8):  # rows bit + 1 .. 2 bit - 1 from rows bit and 1 .. bit - 1
         np.bitwise_xor(table[:, bit, None], table[:, 1:bit], out=table[:, bit + 1:2 * bit])
-    return order[cnot], a[cnot], b[cnot], table
+    return index[order], a[order], b[order], table
 
 
 def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import json
@@ -588,14 +589,19 @@ def test_cli_unknown_keys_of_mixed_types(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_cli_verify_failure_exit_code(tmp_path):
+def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(
         "experiment: apples\nparams:\n  cutoff_anchor: 0.5\n  cutoff_tolerance: 0.001\n")
     assert main(["apples", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    # in range, but no instance has ell_c > n_p, so nothing was checked
+    # in range, but no instance has ell_c > n_p, so nothing would be checked
     cfg.write_text("experiment: allocation-report\nparams:\n  ell_c_max: 3\n  n_p_list: [4]\n")
-    assert main(["allocation-report", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert main(["allocation-report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # a verify run that checked nothing has not passed
+    entry = REGISTRY["apples"]
+    monkeypatch.setitem(REGISTRY, "apples", dataclasses.replace(
+        entry, runner=lambda cfg: ([], ["check"], {}, True)))
+    assert main(["apples", "--out", str(tmp_path)]) == 3
 
 
 def test_cli_seed_changes_output(tmp_path):
@@ -640,6 +646,9 @@ OUT_OF_RANGE = [
     ("allocation-report", {"n_p_list": [1]}),
     ("allocation-report", {"ell_c_max": 1}),
     ("allocation-report", {"n_p_list": [5], "ell_c_max": 8}),
+    # no n_p below ell_c_max, so no row to check: the run failed its verify mode
+    ("allocation-report", {"n_p_list": [4], "ell_c_max": 4}),
+    ("allocation-report", {"n_p_list": [3, 4], "ell_c_max": 3}),
     ("apples", {"bin_probs": []}),
     ("apples", {"bin_probs": [0.5]}),
     ("wstate-verify", {"max_total_sites": 19}),
@@ -670,6 +679,30 @@ def test_cli_rejects_params_out_of_range(tmp_path, capsys, experiment, params):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_an_allocation_report_with_no_row_to_check_names_both_params(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "allocation-report",
+                                    "params": {"n_p_list": [4], "ell_c_max": 4}}))
+    assert main(["allocation-report", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ell_c_max" in err[0] and "n_p_list" in err[0]
+    assert not (tmp_path / "allocation-report.csv").exists()
+    # one n_p below ell_c_max gives the one row ell_c = 4, n_p = 3
+    path.write_text(yaml.safe_dump({"experiment": "allocation-report",
+                                    "params": {"n_p_list": [4, 3], "ell_c_max": 4}}))
+    assert main(["allocation-report", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "allocation-report.csv") as f:
+        assert [(r["ell_c"], r["n_p"]) for r in csv.DictReader(f)] == [("4", "3")]
+
+
+def test_wall_time_is_not_negative_when_the_system_clock_steps_back(tmp_path, monkeypatch):
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(time, "time", lambda: 1e9 - 3600.0 * next(ticks))
+    assert main(["apples", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "apples_summary.json").read_text())
+    assert summary["wall_time_s"] >= 0
 
 
 def test_a_config_file_cannot_set_the_chunk_size(tmp_path, capsys):
@@ -777,9 +810,16 @@ IN_RANGE_EDGES = [
 ]
 
 
+# SHA-256 of the CSV of an edge case, at the default seed, as the golden CSVs
+# of the shipped configs: 100 blocks are the one run of 13 mask words
+EDGE_CSV = {
+    "pnl-sweep-100-10000": "87837a9ee6dc1343c2f3830df37c5903a5d488bb005e81c184ff255a179d067b",
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment,params,code", IN_RANGE_EDGES)
-def test_cli_in_range_edge_cases_run(tmp_path, capsys, experiment, params, code):
+def test_cli_in_range_edge_cases_run(tmp_path, capsys, request, experiment, params, code):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump({"experiment": experiment, "params": params}))
     trials = "1000" if REGISTRY[experiment].monte_carlo else "0"
@@ -789,6 +829,9 @@ def test_cli_in_range_edge_cases_run(tmp_path, capsys, experiment, params, code)
     with open(tmp_path / f"{experiment}.csv") as f:
         _assert_cells(experiment, params, list(csv.DictReader(f)))
     assert exit_code == code
+    if request.node.callspec.id in EDGE_CSV:
+        digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
+        assert digest == EDGE_CSV[request.node.callspec.id]
 
 
 # small settings for the other parameters, so that the walk stays quick
@@ -882,6 +925,8 @@ def fuzz_params(draw, experiment):
             params[name] = draw(_in_range(spec, caps.get(name)))
     for a, b in entry.ordered:
         params[a], params[b] = sorted((params[a], params[b]))
+    for a, b in entry.below:  # within the caps, since list entries stay small
+        params[b] = max(params[b], min(params[a]) + 1)
     # one setting one step outside its range, below lo or above hi
     name = draw(st.sampled_from(sorted(entry.params)))
     spec = entry.params[name]

@@ -343,13 +343,50 @@ def unpack_trials(words: np.ndarray, n_trials: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n_trials].astype(bool)
 
 
+# Op kinds, in the order the schedule lists the ops of one layer. The ops of
+# one layer touch disjoint qubits, so they commute.
+_CNOT, _H, _PREP, _MEAS_Z, _MEAS_X = range(5)
+_KINDS = {"CNOT": _CNOT, "H": _H, "PREP_Z": _PREP, "PREP_X": _PREP,
+          "MEAS_Z": _MEAS_Z, "MEAS_X": _MEAS_X}
+
+
+def schedule(ops, n_qubits: int):
+    """Sort the ops on a register of n_qubits into steps of one (ASAP layer, kind) each.
+
+    An op's layer is one more than the last layer of any of its qubits.
+    Returns the sort permutation (each sorted op's index in `ops`);
+    then, in sorted order, each op's first qubit, second qubit (the first
+    again for a one-qubit op), measurement index in op order and whether it
+    is a CNOT; then the step bounds and kinds.
+    """
+    last = [0] * n_qubits
+    rows = []
+    for op in ops:
+        kind = _KINDS.get(op[0])
+        if kind is None:
+            raise ValueError(f"unknown op {op}")
+        a = b = op[1]
+        if kind == _CNOT:
+            b = op[2]
+        layer = last[a] = last[b] = max(last[a], last[b]) + 1
+        rows.append((layer, kind, a, b))
+    layer, kind, a, b = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    meas = np.cumsum(kind >= _MEAS_Z) - 1
+    order = np.lexsort((kind, layer))
+    keys = np.stack((layer, kind))[:, order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
+    ends = np.append(starts[1:], order.size)
+    return (order, a[order], b[order], meas[order], kind[order] == _CNOT, starts.tolist(),
+            ends.tolist(), kind[order][starts].tolist())
+
+
 def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
                             noise: NoiseSpec, rng: np.random.Generator, n_trials: int,
                             initial: PauliFrame | None = None):
     """Propagate `n_trials` Pauli frames through the ops on the layout's
     register, step by step.
 
-    The ops run in the ASAP steps of stn._schedule on frames packed 64
+    The ops run in the ASAP steps of `schedule` on frames packed 64
     trials to a `uint64` word (trial k is bit k % 64 of word k // 64; bits
     past n_trials stay zero). Frames start trivial unless an initial frame
     (broadcast to all trials) is injected. Returns (x, z, measured): x and z
@@ -357,7 +394,7 @@ def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
     op order.
     """
     nq, words = layout.n_qubits, (n_trials + 63) // 64
-    _, a, b, meas, cnot, starts, ends, kinds = stn._schedule(ops, nq)
+    _, a, b, meas, cnot, starts, ends, kinds = schedule(ops, nq)
     start = PauliFrame.zeros(nq) if initial is None else initial
     ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n_trials % 64:
@@ -372,16 +409,16 @@ def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
     noisy = Depolarizer(rng, a, b, op_rates(a, b, cnot, layout, noise), nq, n_trials)
     for lo, hi, kind in zip(starts, ends, kinds):
         rows = src[:, lo:hi]
-        if kind == stn._CNOT:
+        if kind == _CNOT:
             frames[dst[:, lo:hi]] ^= frames[rows]
             # unbuffered, because several hits can share a word
             np.bitwise_xor.at(frames, *noisy.before(hi))
-        elif kind == stn._H:
+        elif kind == _H:
             frames[rows] = frames[rows[::-1]]
-        elif kind == stn._PREP:
+        elif kind == _PREP:
             frames[rows] = 0
         else:
-            measured[meas[lo:hi]] = frames[rows[0 if kind == stn._MEAS_Z else 1]]
+            measured[meas[lo:hi]] = frames[rows[0 if kind == _MEAS_Z else 1]]
     return frames[:nq], frames[nq:], measured
 
 
@@ -630,16 +667,21 @@ def test_h_conjugation_matches_dense(bits):
 # the engines against their oracles
 
 
+def random_ops(n_qubits: int, max_ops: int):
+    """Lists of up to max_ops ops of every kind on a register of n_qubits."""
+    qubit = st.integers(0, n_qubits - 1)
+    op = st.one_of(
+        st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda ct: ("CNOT", *ct)),
+        st.tuples(st.sampled_from(["H", "PREP_Z", "PREP_X", "MEAS_Z", "MEAS_X"]), qubit))
+    return st.lists(op, max_size=max_ops)
+
+
 @st.composite
 def small_circuits(draw, max_qubits: int, max_ops: int, max_meas: int):
     """A random circuit on 2..max_qubits qubits spread over two processors,
     with an initial frame to inject."""
     n = draw(st.integers(2, max_qubits))
-    qubit = st.integers(0, n - 1)
-    op = st.one_of(
-        st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda ct: ("CNOT", *ct)),
-        st.tuples(st.sampled_from(["H", "PREP_Z", "PREP_X", "MEAS_Z", "MEAS_X"]), qubit))
-    ops = draw(st.lists(op, max_size=max_ops).filter(
+    ops = draw(random_ops(n, max_ops).filter(
         lambda ops: sum(o[0].startswith("MEAS") for o in ops) <= max_meas))
     procs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     bits = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
@@ -802,6 +844,36 @@ def test_compiled_engine_matches_the_layered_oracle_bit_for_bit(scheme, n_blocks
     for got, want in zip(got_inputs, want_inputs, strict=True):
         assert got.shape == (n_blocks, n_trials)
         assert np.array_equal(got, want)
+
+
+@st.composite
+def block_circuits(draw, max_ops: int):
+    """(n_blocks, ops): 2, 9 or 17 blocks, which take one, two and three mask
+    words, and random ops on their register, which may touch an ancilla
+    before its extraction prepares it."""
+    n_blocks = draw(st.sampled_from([2, 9, 17]))
+    return n_blocks, draw(random_ops(lqec_layout(n_blocks).n_qubits, max_ops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=block_circuits(max_ops=60), scheme=st.sampled_from(["lqec", "dqec", "random"]),
+       p_local=st.floats(0.0, 0.5), p_remote=st.floats(0.0, 0.5),
+       n_trials=st.sampled_from([1, 65, 130]), seed=st.integers(0, 2**32 - 1))
+# an error on an X-type ancilla before its preparation, which must erase it
+@example(case=(2, [("CNOT", 14, 0)]), scheme="lqec", p_local=0.5, p_remote=0.0, n_trials=130,
+         seed=0)
+def test_compiled_engine_matches_the_layered_oracle_on_arbitrary_circuits(case, scheme, p_local,
+                                                                          p_remote, n_trials,
+                                                                          seed):
+    n_blocks, ops = case
+    layout = mirror_layout(scheme, n_blocks, seed)
+    noise = NoiseSpec(p_local, p_remote)
+    _, want = layered_circuit_trials(ops, layout, noise, np.random.default_rng(seed), n_trials)
+    got = simulate_frames(compiled(ops, layout), layout, noise, np.random.default_rng(seed),
+                          n_trials)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == (n_blocks, n_trials)
+        assert np.array_equal(g, w)
 
 
 def mirror_layout(scheme: str, n_blocks: int, seed: int) -> MachineLayout:
