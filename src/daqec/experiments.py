@@ -547,13 +547,12 @@ def run_wstate_verify(cfg: ExperimentConfig):
         word = wsc.encode(psi, total)
         for n_e in range(0, min(int(p["max_erasures"]), total - 1) + 1):
             n = total - n_e
-            pattern = wsc.ErasurePattern(range(total - n_e, total))
-            state, _ = wsc.erase(word, pattern)
+            erased = range(total - n_e, total)
             expected = n / total
-            outcome = wsc.decode_measure(state, pattern)
+            outcome = wsc.decode_measure(word, erased)
             add("measure-decoder", n, n_e, expected, outcome.success_probability, 1e-9)
-            post, _ = wsc.decode_elective(state, 0, pattern)
-            fid = wsc.ensemble_fidelity(post, _psi_at_site(psi, n, 0), pattern)
+            post, _ = wsc.decode_elective(word, 0, erased)
+            fid = wsc.ensemble_fidelity(post, _psi_at_site(psi, n, 0), erased)
             add("elective-decoder", n, n_e, expected, fid, 1e-9)
 
     worst = 1.0

@@ -13,10 +13,12 @@ of (gate, sites) ops executed on the mixed-radix simulator by `apply_ops`,
 so gate budgets can be audited directly: the gates are shared objects, so
 counting ops by gate identity counts them by kind.
 
-Erasure is deferred measurement (Nielsen and Chuang, section 4.4): no
-decoder gate touches an erased site, so the erased sites stay in the
-register as spectators, each decoder runs once on the survivors, and the
-erased sites are traced out only when a result is read.
+Erasure is deferred measurement (Nielsen and Chuang, section 4.4): an
+erasure is the set of its site indices, and no decoder gate touches an
+erased site, so the erased sites stay in the register as spectators, each
+decoder runs once on the survivors, and the erased sites are traced out
+only when a result is read. `erase` checks an erasure and gives the
+survivors; the decoders and `ensemble_fidelity` call it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +58,6 @@ def _as_logical(psi) -> np.ndarray:
     if not abs(norm2 - 1.0) <= 1e-10:  # fails closed on NaN
         raise ValueError(f"logical input not unit norm: {norm2}")
     return vec
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    """Set of erased site indices within one block."""
-
-    erased: frozenset[int]
-
-    def __init__(self, erased):
-        object.__setattr__(self, "erased", frozenset(int(i) for i in erased))
-
-    @property
-    def n_e(self) -> int:
-        return len(self.erased)
 
 
 def apply_ops(state: MixedRadixState, ops) -> MixedRadixState:
@@ -367,25 +356,20 @@ def logical_unitary(state: MixedRadixState, u: np.ndarray) -> MixedRadixState:
 # erasure and decoding
 
 
-def _survivors(state: MixedRadixState, pattern: ErasurePattern) -> list[int]:
-    """The sites the pattern leaves, ascending; the pattern must lie in the block."""
-    n = state.n_sites
-    if any(not 0 <= i < n for i in pattern.erased):
-        raise ValueError("erasure pattern outside the block")
-    if len(pattern.erased) == n:
-        raise ValueError("cannot erase every site")
-    return [i for i in range(n) if i not in pattern.erased]
+def erase(state: MixedRadixState, erased=()) -> list[int]:
+    """The sites of `state` that the erased sites leave, ascending.
 
-
-def erase(state: MixedRadixState, pattern: ErasurePattern):
-    """Lose the erased sites; their locations stay classical metadata.
-
-    Returns (state, pattern) with the state unchanged once the pattern is
-    checked: the erased sites stay in the register, and the decoders and
-    `ensemble_fidelity` take the pattern. It must leave at least one site.
+    The erased sites are read once, as integers (a float or a string
+    raises); they must lie in the block and leave at least one site. They
+    stay in the register: no decoder gate touches them.
     """
-    _survivors(state, pattern)
-    return state, pattern
+    erased = {operator.index(i) for i in erased}
+    n = state.n_sites
+    if any(not 0 <= i < n for i in erased):
+        raise ValueError("erasure pattern outside the block")
+    if len(erased) == n:
+        raise ValueError("cannot erase every site")
+    return [i for i in range(n) if i not in erased]
 
 
 def measure_decoder_ops(n: int) -> tuple[list, int]:
@@ -408,7 +392,7 @@ def measure_decoder_ops(n: int) -> tuple[list, int]:
     return ops, m
 
 
-def _run_on_survivors(state: MixedRadixState, survivors: list[int], ops, m: int):
+def _run_decoder(state: MixedRadixState, survivors: list[int], ops, m: int):
     """The register with m qubit ancillas appended in |0...0> and a decoder
     circuit run on it, the circuit's sites 0..n-1 mapped onto the survivors."""
     total = state.n_sites
@@ -421,22 +405,22 @@ def _run_on_survivors(state: MixedRadixState, survivors: list[int], ops, m: int)
 def _measure_ancillas(state: MixedRadixState, survivors: list[int], ops, m: int) -> list:
     """Run a measuring decoder: (outcome, probability, qutrit register after the
     readout) per ancilla readout, ascending, the readout bits most significant first."""
-    joint = _run_on_survivors(state, survivors, ops, m)
+    joint = _run_decoder(state, survivors, ops, m)
     ancillas = range(state.n_sites, state.n_sites + m)
     readout = radix_of((2,) * m)
     return [(readout.index_of(levels), prob, project_sites(post, ancillas, levels))
             for levels, prob, post in measure_sites(joint, ancillas)]
 
 
-def decode_measure(state, pattern=ErasurePattern(())) -> DecodeOutcome:
-    """Measurement decoder on the n sites that the pattern leaves.
+def decode_measure(state, erased=()) -> DecodeOutcome:
+    """Measurement decoder on the n sites that the erased ones leave.
 
     Appends the flag ancillas, enumerates their readout, and swaps the
     located logical state to the first survivor conditioned on the
     (classical) outcome. Readout zero is heralded failure. For erased
     codewords the success probability is exactly n/(n+n_e).
     """
-    survivors = _survivors(state, pattern)
+    survivors = erase(state, erased)
     n = len(survivors)
     ops, m = measure_decoder_ops(n)
     branches = []
@@ -495,7 +479,7 @@ def elective_decoder_ops(n: int, target_site: int) -> tuple[list, int]:
     return ops, rounds
 
 
-def decode_elective(state, target_site: int, pattern=ErasurePattern(())):
+def decode_elective(state, target_site: int, erased=()):
     """Decode into a chosen survivor (0 = the first) without measuring.
 
     Runs `elective_decoder_ops` once on the survivors and returns (qutrit
@@ -505,12 +489,12 @@ def decode_elective(state, target_site: int, pattern=ErasurePattern(())):
     disturbs the data. Each string keeps its weight but not its phase
     against the others, which tracing the erased sites out forgets anyway.
     """
-    survivors = _survivors(state, pattern)
+    survivors = erase(state, erased)
     total = state.n_sites
     ops, m = elective_decoder_ops(len(survivors), target_site)
-    joint = _run_on_survivors(state, survivors, ops, m)
+    joint = _run_decoder(state, survivors, ops, m)
     index, amps = [], []
-    for _, prob, group in measure_sites(joint, sorted(pattern.erased)):
+    for _, prob, group in measure_sites(joint, sorted(set(range(total)) - set(survivors))):
         # the group factorizes as qutrits (x) ancillas, so a row per
         # qutrit index in the support holds all of it
         rows, matrix = support_matrix(group, range(total, total + m))
@@ -535,10 +519,10 @@ def _reset_ancillas(joint: np.ndarray) -> np.ndarray:
     return np.einsum("ir,r->i", joint, vecs[:, -1]) / math.sqrt(lam[-1])
 
 
-def ensemble_fidelity(state, reference: MixedRadixState, pattern=ErasurePattern(())) -> float:
+def ensemble_fidelity(state, reference: MixedRadixState, erased=()) -> float:
     """<ref|rho|ref> for the survivors' reduced state rho: the sum, over the
     outcomes of measuring the erased sites, of probability * |<ref|v>|^2."""
-    erased = sorted(pattern.erased)
+    erased = sorted(set(range(state.n_sites)) - set(erase(state, erased)))
     return sum(prob * fidelity(project_sites(post, erased, levels), reference)
                for levels, prob, post in measure_sites(state, erased))
 

@@ -19,6 +19,8 @@ from daqec.allocation import (
     nonlocal_count_formula,
 )
 
+from allocation_oracle import milp_optimal
+
 
 # ---------------------------------------------------------------------------
 # derived parameters
@@ -217,6 +219,15 @@ def test_brute_force_confirms_even_partition():
             constructed = eta_count(even_partition_allocation(p))
             optimal, _ = brute_force_optimal(ell, n_p)
             assert optimal == constructed
+
+
+def test_milp_optimum_equals_the_dp_wherever_the_dp_runs():
+    # milp_optimal also checks that its witness has its count by eta_count
+    for n_p in range(1, BRUTE_FORCE_N_P_MAX + 1):
+        for ell in range(1, BRUTE_FORCE_ELL_MAX + 1):
+            best, witness = milp_optimal(ell, n_p)
+            assert best == brute_force_optimal(ell, n_p)[0], (ell, n_p)
+            assert witness.shape == (n_p, ell)
 
 
 # ---------------------------------------------------------------------------

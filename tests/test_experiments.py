@@ -804,6 +804,11 @@ IN_RANGE_EDGES = [
     # circuit has over 74,000 ops
     pytest.param("pnl-sweep", {"n_blocks": 100, "depths": [10000]}, 0,
                  id="pnl-sweep-100-10000"),
+    # 13 mask words at depths where some trials succeed (about 750 of 1,000
+    # under lqec and 50 under dqec), so that the pin reads the bits of both
+    # outcomes; at depth 10,000 every trial fails
+    pytest.param("pnl-sweep", {"n_blocks": 100, "depths": [1, 2, 4]}, 0,
+                 id="pnl-sweep-100-shallow"),
     # the top of the allocation-report ranges: 2,991 rows
     pytest.param("allocation-report", {"ell_c_max": 1000, "d_enc_dec": 1000000}, 0,
                  id="allocation-report-1000"),
@@ -811,9 +816,10 @@ IN_RANGE_EDGES = [
 
 
 # SHA-256 of the CSV of an edge case, at the default seed, as the golden CSVs
-# of the shipped configs: 100 blocks are the one run of 13 mask words
+# of the shipped configs: 100 blocks are the only runs of 13 mask words
 EDGE_CSV = {
     "pnl-sweep-100-10000": "87837a9ee6dc1343c2f3830df37c5903a5d488bb005e81c184ff255a179d067b",
+    "pnl-sweep-100-shallow": "4888b0e3dcd59203847c6ff836f885979010d26b1f3c0920e71b30a277bbc875",
 }
 
 

@@ -25,6 +25,7 @@ def run_python_blocks(text: str):
 
 def test_readme_quick_start_states_its_results():
     namespace, values = run_python_blocks(README.read_text())
+    assert namespace["survivors"] == [0, 1, 2]
     assert namespace["out"].success_probability == pytest.approx(3 / 4, abs=1e-12)
     fidelity, nonlocal_pairs = values
     assert fidelity == pytest.approx(3 / 4, abs=1e-12)

@@ -29,7 +29,6 @@ from daqec.mixed_radix_sim import (
 )
 from daqec.wstate_code import (
     BOT,
-    ErasurePattern,
     apply_ops,
     codeword_vector,
     controlled_level_not,
@@ -79,10 +78,10 @@ def density_of(branches):
     return sum(w * np.outer(dense(v), dense(v).conj()) for w, v in branches)
 
 
-def branchwise_erase(word, pattern):
+def branchwise_erase(word, erased):
     """Erasure as measurement: the ensemble that measuring the erased sites
     gives, as (probability, pure state on the survivors) per outcome."""
-    erased = sorted(pattern.erased)
+    erased = sorted(erased)
     return [(prob, project_sites(post, erased, levels))
             for levels, prob, post in measure_sites(word, erased)]
 
@@ -142,7 +141,7 @@ def encode_two(psi, phi) -> MixedRadixState:
                      + [(g, (i,)) for i, g in enumerate((uenc, venc, uenc, venc))])
 
 
-def decode_measure_n2_single_ancilla(state, pattern=ErasurePattern(())) -> wsc.DecodeOutcome:
+def decode_measure_n2_single_ancilla(state, erased=()) -> wsc.DecodeOutcome:
     """Minimal two-site decoder with a single flag ancilla.
 
     Only the second survivor is flagged: readout 1 locates the logical
@@ -151,7 +150,7 @@ def decode_measure_n2_single_ancilla(state, pattern=ErasurePattern(())) -> wsc.D
     failure is not heralded. decode_measure uses two ancillas for n=2
     precisely to recover that herald.
     """
-    survivors = wsc._survivors(state, pattern)
+    survivors = erase(state, erased)
     if len(survivors) != 2:
         raise ValueError("this variant is defined for two unerased sites")
     branches = []
@@ -500,39 +499,83 @@ def test_permutation_invariance(rng):
 
 def test_erase_empty_pattern_is_identity():
     w = encode(PSI, 3)
-    out, pattern = erase(w, ErasurePattern(set()))
-    assert out is w and pattern.n_e == 0
+    assert erase(w, set()) == erase(w) == [0, 1, 2]
 
 
 def test_erase_one_site_gives_rank_two_mixture():
     w = encode([1, 0], 3)
-    pattern = ErasurePattern({0})
-    red, _ = erase(w, pattern)
-    assert np.linalg.matrix_rank(partial_trace(red, [1, 2]), tol=1e-9) == 2
+    pattern = {0}
+    assert erase(w, pattern) == [1, 2]
+    assert np.linalg.matrix_rank(partial_trace(w, [1, 2]), tol=1e-9) == 2
     beta = np.zeros(9, dtype=complex)
     rx = RadixVector((3, 3))
     beta[rx.index_of((0, 2))] = beta[rx.index_of((2, 0))] = 1 / math.sqrt(2)
-    assert abs(ensemble_fidelity(red, pure_state((3, 3), beta), pattern) - 2 / 3) < 1e-9
+    assert abs(ensemble_fidelity(w, pure_state((3, 3), beta), pattern) - 2 / 3) < 1e-9
 
 
 def test_erase_two_of_three():
     w = encode([1, 0], 3)
-    red, _ = erase(w, ErasurePattern({1, 2}))
-    np.testing.assert_allclose(np.diag(partial_trace(red, [0])).real, [1 / 3, 0, 2 / 3],
+    assert erase(w, {1, 2}) == [0]
+    np.testing.assert_allclose(np.diag(partial_trace(w, [0])).real, [1 / 3, 0, 2 / 3],
                                atol=1e-10)
 
 
 def test_erase_all_sites_rejected():
     with pytest.raises(ValueError):
-        erase(encode(PSI, 3), ErasurePattern({0, 1, 2}))
+        erase(encode(PSI, 3), {0, 1, 2})
 
 
-@pytest.mark.parametrize("erased", [{0, 1, 2}, {3}, {-1}])
+@pytest.mark.parametrize("erased", [{0, 1, 2}, {3}, {-1}, range(3), [2, 1, 0, 0]])
 def test_decoders_reject_a_pattern_that_leaves_no_site_or_leaves_the_block(erased):
-    word, pattern = encode(PSI, 3), ErasurePattern(erased)
-    for use in (erase, decode_measure, lambda s, p: decode_elective(s, 0, p)):
+    word = encode(PSI, 3)
+    for use in (erase, decode_measure, lambda s, p: decode_elective(s, 0, p),
+                lambda s, p: ensemble_fidelity(s, s, p)):
         with pytest.raises(ValueError, match="every site|outside the block"):
-            use(word, pattern)
+            use(word, erased)
+
+
+# the erasure of sites 1 and 3 of a 5-site word in every form the calls take;
+# each is built afresh per call, so a generator that is read twice comes up empty
+ERASURE_FORMS = {
+    "set": lambda: {1, 3},
+    "repeats": lambda: [3, 1, 3, 1, 1],  # as many entries as sites
+    "range": lambda: range(1, 4, 2),
+    "generator": lambda: (i for i in (3, 1)),
+    "numpy": lambda: np.array([3, 1]),
+    "numpy-scalars": lambda: [np.int32(1), np.int64(3)],
+}
+
+
+@pytest.mark.parametrize("form", ERASURE_FORMS)
+def test_every_form_of_an_erasure_gives_the_results_of_its_set(form):
+    word, make = encode(PSI, 5), ERASURE_FORMS[form]
+    reference = psi_at_site(PSI, 3, 0)
+    assert erase(word, make()) == [0, 2, 4]
+    got_measure, want_measure = decode_measure(word, make()), decode_measure(word, {1, 3})
+    assert len(got_measure.branches) == len(want_measure.branches)
+    for got, want in zip(got_measure.branches, want_measure.branches):
+        assert (got.outcome, got.probability, got.psi_site) == (want.outcome, want.probability,
+                                                                want.psi_site)
+        assert np.array_equal(got.post_state.index, want.post_state.index)
+        assert np.array_equal(got.post_state.array, want.post_state.array)
+    (got, m), (want, m_set) = decode_elective(word, 0, make()), decode_elective(word, 0, {1, 3})
+    assert m == m_set
+    assert np.array_equal(got.index, want.index) and np.array_equal(got.array, want.array)
+    assert ensemble_fidelity(want, reference, make()) == ensemble_fidelity(want, reference, {1, 3})
+    assert abs(ensemble_fidelity(got, reference, make()) - 3 / 5) < 1e-9
+
+
+@pytest.mark.parametrize("erased", [
+    pytest.param([2.7], id="float"),  # int() would erase site 2
+    pytest.param([np.float64(1.0)], id="numpy-float"),
+    pytest.param(["1"], id="string"),  # int() would erase site 1
+])
+def test_an_erased_site_that_is_no_integer_raises(erased):
+    word = encode(PSI, 5)
+    for use in (erase, decode_measure, lambda s, e: decode_elective(s, 0, e),
+                lambda s, e: ensemble_fidelity(s, s, e)):
+        with pytest.raises(TypeError):
+            use(word, erased)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +583,9 @@ def test_decoders_reject_a_pattern_that_leaves_no_site_or_leaves_the_block(erase
 
 
 def test_decode_measure_single_erasure_n3():
-    pattern = ErasurePattern({0})
-    red, _ = erase(encode(PSI, 3), pattern)
-    out = decode_measure(red, pattern)
+    pattern = {0}
+    word = encode(PSI, 3)
+    out = decode_measure(word, pattern)
     assert abs(out.success_probability - 2 / 3) < 1e-9
     assert abs(out.heralded_failure_probability - 1 / 3) < 1e-9
     assert abs(sum(b.probability for b in out.branches) - 1.0) < 1e-9
@@ -558,17 +601,17 @@ def test_decode_measure_no_erasure_succeeds():
 
 
 def test_decode_measure_n7_block_of_8():
-    pattern = ErasurePattern({7})
-    red, _ = erase(encode(PSI, 8), pattern)
-    out = decode_measure(red, pattern)
+    pattern = {7}
+    word = encode(PSI, 8)
+    out = decode_measure(word, pattern)
     assert out.ancilla_count == 3
     assert abs(out.success_probability - 7 / 8) < 1e-9
 
 
 def test_decode_measure_single_site():
-    pattern = ErasurePattern({1})
-    red, _ = erase(encode(PSI, 2), pattern)
-    out = decode_measure(red, pattern)
+    pattern = {1}
+    word = encode(PSI, 2)
+    out = decode_measure(word, pattern)
     assert out.ancilla_count == 1
     assert abs(out.success_probability - 1 / 2) < 1e-9
 
@@ -584,9 +627,9 @@ def test_decode_measure_cnot_budget():
 
 
 def test_decode_measure_n2_single_ancilla_variant():
-    pattern = ErasurePattern({0})
-    red, _ = erase(encode(PSI, 3), pattern)
-    out = decode_measure_n2_single_ancilla(red, pattern)
+    pattern = {0}
+    word = encode(PSI, 3)
+    out = decode_measure_n2_single_ancilla(word, pattern)
     # readout 1 finds the logical state at the second survivor with probability 1/3
     probs = {b.outcome: b.probability for b in out.branches}
     assert abs(probs[1] - 1 / 3) < 1e-9
@@ -602,14 +645,14 @@ def test_decode_measure_n2_single_ancilla_variant():
                 for b in out.branches)
     assert abs(total - 2 / 3) < 1e-9
     with pytest.raises(ValueError, match="two unerased sites"):
-        decode_measure_n2_single_ancilla(red)
+        decode_measure_n2_single_ancilla(word)
 
 
 def test_decode_measure_outcome_encodes_location():
     # outcome b locates the logical state at survivor b-1 before the swap
-    pattern = ErasurePattern({3})
-    red, _ = erase(encode(PSI, 4), pattern)
-    out = decode_measure(red, pattern)
+    pattern = {3}
+    word = encode(PSI, 4)
+    out = decode_measure(word, pattern)
     sites = {b.outcome: b.psi_site for b in out.branches if b.outcome > 0}
     assert sites == {1: 0, 2: 1, 3: 2}
 
@@ -619,9 +662,9 @@ def test_decode_measure_outcome_encodes_location():
 
 
 def test_decode_elective_minimal_case():
-    pattern = ErasurePattern({2})
-    red, _ = erase(encode([1, 0], 3), pattern)
-    post, ancillas = decode_elective(red, 0, pattern)
+    pattern = {2}
+    word = encode([1, 0], 3)
+    post, ancillas = decode_elective(word, 0, pattern)
     assert ancillas == 1
     np.testing.assert_allclose(np.diag(partial_trace(post, [0])).real, [2 / 3, 0, 1 / 3],
                                atol=1e-9)
@@ -645,8 +688,8 @@ def test_decode_elective_matches_measure_decoder():
     for total in range(2, 8):
         for n_e in range(0, min(2, total - 1) + 1):
             n = total - n_e
-            pattern = ErasurePattern(range(n, total))
-            state, _ = erase(encode(PSI, total), pattern)
+            pattern = range(n, total)
+            state = encode(PSI, total)
             measure_succ = decode_measure(state, pattern).success_probability
             post, _ = decode_elective(state, 0, pattern)
             elective_succ = ensemble_fidelity(post, psi_at_site(PSI, n, 0), pattern)
@@ -682,8 +725,8 @@ def test_decode_elective_factorization_odd_n():
 def test_decode_elective_reset_after_erasure():
     # with a failure group the explicit reset still returns a clean
     # qutrit-only register of the right weights
-    pattern = ErasurePattern({3})
-    state, _ = erase(encode(PSI, 4), pattern)
+    pattern = {3}
+    state = encode(PSI, 4)
     post, _ = decode_elective(state, 1, pattern)
     assert isinstance(post, MixedRadixState) and post.radix.dims == (3,) * 4
     assert abs(ensemble_fidelity(post, psi_at_site(PSI, 3, 1), pattern) - 3 / 4) < 1e-9
@@ -693,12 +736,12 @@ def test_decode_elective_invalid_target():
     with pytest.raises(ValueError):
         decode_elective(encode(PSI, 3), 5)
     with pytest.raises(ValueError):  # the target counts among the survivors
-        decode_elective(encode(PSI, 3), 2, ErasurePattern({0}))
+        decode_elective(encode(PSI, 3), 2, {0})
 
 
 def test_decode_elective_middle_target_after_erasure():
-    pattern = ErasurePattern({4})
-    state, _ = erase(encode(PSI, 5), pattern)
+    pattern = {4}
+    state = encode(PSI, 5)
     post, _ = decode_elective(state, 2, pattern)
     assert abs(ensemble_fidelity(post, psi_at_site(PSI, 4, 2), pattern) - 4 / 5) < 1e-9
 
@@ -729,7 +772,7 @@ def test_decoders_accept_generic_rank_two_mixture():
     labelled = [dense(append_sites(encode(v, 3), basis_state((3,), (level,))))
                 for level, v in enumerate(([1, 0], [0, 1]))]
     word = pure_state((3,) * 4, sum(labelled) / math.sqrt(2))
-    pattern = ErasurePattern({3})
+    pattern = {3}
     out = decode_measure(word, pattern)
     assert abs(out.success_probability - 1.0) < 1e-9
     assert out.heralded_failure_probability < 1e-12
@@ -742,9 +785,9 @@ def test_decoders_accept_generic_rank_two_mixture():
 
 
 def test_decoders_return_one_state_on_the_whole_register():
-    pattern = ErasurePattern({1, 3})
-    state, _ = erase(encode(PSI, 5), pattern)
-    pair = ErasurePattern({0})
+    pattern = {1, 3}
+    state = encode(PSI, 5)
+    pair = {0}
     for out, dims in ((decode_measure(state, pattern), (3,) * 5),
                       (decode_measure_n2_single_ancilla(encode(PSI, 3), pair), (3,) * 3)):
         for b in out.branches:
@@ -766,16 +809,16 @@ def _erased_words(draw):
         n = draw(st.integers(1, 5))
         v = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
         word = pure_state((3,) * n, v / np.linalg.norm(v))
-    return word, ErasurePattern(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    return word, draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_erased_words())
 def test_branchwise_erase_matches_partial_trace_oracle(case):
     word, pattern = case
-    assert erase(word, pattern)[0] is word
     branches = branchwise_erase(word, pattern)
-    survivors = [i for i in range(word.n_sites) if i not in pattern.erased]
+    survivors = [i for i in range(word.n_sites) if i not in pattern]
+    assert erase(word, pattern) == survivors
     dims = (3,) * len(survivors)
     assert all(v.radix.dims == dims for _, v in branches)
     # measure_sites drops outcomes of probability <= 1e-12
@@ -804,17 +847,15 @@ def test_success_probability_exact_sweep():
     for total in range(2, 9):
         word = encode(PSI, total)
         for n_e in range(0, min(3, total - 1) + 1):
-            pattern = ErasurePattern(range(total - n_e, total))
-            state, _ = erase(word, pattern)
-            out = decode_measure(state, pattern)
+            pattern = range(total - n_e, total)
+            out = decode_measure(word, pattern)
             assert abs(out.success_probability - (total - n_e) / total) < 1e-9
 
 
 def test_erasure_pattern_position_does_not_matter():
     word = encode(PSI, 5)
     for pattern in ({0}, {2}, {4}, {0, 3}):
-        state, erased = erase(word, ErasurePattern(pattern))
-        out = decode_measure(state, erased)
+        out = decode_measure(word, pattern)
         expected = (5 - len(pattern)) / 5
         assert abs(out.success_probability - expected) < 1e-9
 
@@ -1025,7 +1066,7 @@ def branchwise_decode_elective(branches, target):
 @given(_erased_words(), st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_deferred_decoders_match_the_branchwise_oracle(case, target, seed):
     word, pattern = case
-    survivors = [i for i in range(word.n_sites) if i not in pattern.erased]
+    survivors = [i for i in range(word.n_sites) if i not in pattern]
     branches = branchwise_erase(word, pattern)
     n = len(survivors)
     target %= n
@@ -1067,7 +1108,7 @@ def test_elective_reset_matches_svd_reset_oracle(case, target):
     # of each erasure branch. Projected onto the same digits, the decoded word
     # holds that branch's weight and, up to a phase, its reset data vector
     word, pattern = case
-    erased = sorted(pattern.erased)
+    erased = sorted(pattern)
     branches = branchwise_erase(word, pattern)
     target %= branches[0][1].n_sites
     try:
@@ -1116,10 +1157,9 @@ def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
     monkeypatch.setattr(MixedRadixState, "__post_init__", recording)
     word = encode(PSI, 10)
     for n_e in range(10):
-        pattern = ErasurePattern(range(10 - n_e, 10))
-        state, _ = erase(word, pattern)
-        assert abs(decode_measure(state, pattern).success_probability - (10 - n_e) / 10) < 1e-9
-        post, _ = decode_elective(state, 0, pattern)
+        pattern = range(10 - n_e, 10)
+        assert abs(decode_measure(word, pattern).success_probability - (10 - n_e) / 10) < 1e-9
+        post, _ = decode_elective(word, 0, pattern)
         assert abs(ensemble_fidelity(post, psi_at_site(PSI, 10 - n_e, 0), pattern)
                    - (10 - n_e) / 10) < 1e-9
     assert len(supports) > 500  # each decoder builds its states once per word
@@ -1135,7 +1175,7 @@ def test_decoding_the_largest_word_allocates_no_dense_scratch():
     tracemalloc.start()
     try:
         for n_e in range(18):
-            pattern = ErasurePattern(range(18 - n_e, 18))
+            pattern = range(18 - n_e, 18)
             tracemalloc.reset_peak()
             assert abs(decode_measure(word, pattern).success_probability
                        - (18 - n_e) / 18) < 1e-9
@@ -1151,14 +1191,14 @@ def test_perfbench_tracer_observes_the_sparse_states(perfbench_tracer):
     # the benchmark's tracer reads `state.array.nbytes` of each state handed to
     # the simulator's traced functions; this fails in the tests if that breaks
     tr = perfbench_tracer
-    word, pattern = erase(encode(PSI, 4), ErasurePattern({3}))
+    word, pattern = encode(PSI, 4), {3}
     with tr.Tracer("t") as t:
         out = decode_measure(word, pattern)
     names = [s[1] for s in t.spans]
     assert "mixed_radix_sim.apply_unitary" in names and "mixed_radix_sim.measure_sites" in names
     # measure_sites sees the word with its ancillas, the largest state of the run
     ops, m = measure_decoder_ops(3)
-    largest = wsc._run_on_survivors(word, [0, 1, 2], ops, m).index.size
+    largest = wsc._run_decoder(word, [0, 1, 2], ops, m).index.size
     assert largest == 8
     assert t.counters["mixed_radix_sim.max_state_bytes"] == 16 * largest
     assert abs(out.success_probability - 3 / 4) < 1e-9
