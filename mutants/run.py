@@ -52,6 +52,7 @@ WS = "tests/test_wstate_code.py::"
 BIT_FOR_BIT = SS + "test_compiled_engine_matches_the_layered_oracle_bit_for_bit"
 ANY_CIRCUIT = SS + "test_compiled_engine_matches_the_layered_oracle_on_arbitrary_circuits"
 FORMS = WS + "test_every_form_of_an_erasure_gives_the_results_of_its_set"
+MALFORMED = "tests/test_experiments.py::test_cli_refuses_a_malformed_config_in_one_line"
 
 MUTANTS = (
     Mutant("sample-variance", "src/daqec/bounds_analytics.py",
@@ -95,6 +96,18 @@ MUTANTS = (
     Mutant("elective-reads-the-erasure-twice", WSTATE,
            "measure_sites(joint, sorted(set(range(total)) - set(survivors)))",
            "measure_sites(joint, sorted(erased))", (FORMS + "[generator]",)),
+    # every block keeps its marginal; only the blocks' correlation breaks
+    Mutant("one-block-column-rolled-by-a-trial", STEANE,
+           "    return octets >> 6 & 1, octets >> 7, octets & 63",
+           "    octets[0] = np.roll(octets[0], 1)\n"
+           "    return octets >> 6 & 1, octets >> 7, octets & 63",
+           (SS + "test_pnl_sweep_at_two_blocks_matches_its_exact_joint_distribution",)),
+    Mutant("falsy-params-run-the-defaults", "src/daqec/experiments.py",
+           'given = data.get("params")\n', 'given = data.get("params") or {}\n',
+           (MALFORMED + "[params-empty-list]", MALFORMED + "[params-false]")),
+    Mutant("odd-size-x-fix-dropped", WSTATE,
+           "    if n % 2 == 1:\n        state = apply_unitary(state, _gate_x(), [2 * n])\n", "",
+           (WS + "test_prepare_w2_qutrits", WS + "test_prepare_w2_matches_direct_construction[3]")),
 )
 
 

@@ -133,16 +133,15 @@ def nonlocal_count_formula(params: AllocationParams) -> int:
     return num // 2
 
 
-def eta_formula(params: AllocationParams) -> tuple[float, bool]:
-    """Closed-form nonlocality factor and its validity flag.
+def eta_formula(params: AllocationParams) -> float:
+    """Closed-form nonlocality factor.
 
-    eta = s*(n_p^2 - k*s^2 - t^2) / (ell_c * n_p * (n_p-1)); valid when
-    s mod t == 0 (t > 0). s == 0 returns 0 flagged valid (trivially local).
+    eta = s*(n_p^2 - k*s^2 - t^2) / (ell_c * n_p * (n_p-1)), which holds
+    where params.formula_valid does; s == 0 gives 0 (trivially local).
     """
     if params.s == 0:
-        return 0.0, True
-    eta = nonlocal_count_formula(params) / params.total_pairwise_gates
-    return eta, params.formula_valid
+        return 0.0
+    return nonlocal_count_formula(params) / params.total_pairwise_gates
 
 
 def eta_bound(params: AllocationParams) -> float:
@@ -159,17 +158,15 @@ def advantage_threshold_basic(n_p: int, d_enc_dec: int, eta: float) -> int:
     return math.ceil(n_p * d_enc_dec / (1.0 - eta))
 
 
-def advantage_threshold_general(params: AllocationParams, d_enc_dec: int) -> tuple[int, bool]:
+def advantage_threshold_general(params: AllocationParams, d_enc_dec: int) -> int:
     """Smallest depth with d*(1-eta) >= d_enc_dec*n_p*(1 - n_p*q*(q-1)/(ell_c*(ell_c-1))).
 
-    The closed form is established for n_p < 5; outside that regime the
-    value is still computed but flagged unverified.
+    The closed form is established for n_p < 5 where params.formula_valid
+    holds; outside that regime the value is still computed, unverified.
     """
-    eta, eta_valid = eta_formula(params)
     q, n_p, ell = params.q, params.n_p, params.ell_c
     rhs = d_enc_dec * n_p * (1.0 - n_p * q * (q - 1) / (ell * (ell - 1)))
-    value = math.ceil(rhs / (1.0 - eta))
-    return value, eta_valid and n_p < 5
+    return math.ceil(rhs / (1.0 - eta_formula(params)))
 
 
 def brute_force_optimal(ell_c: int, n_p: int) -> tuple[int, np.ndarray]:

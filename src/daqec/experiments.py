@@ -146,11 +146,13 @@ def load_config(experiment: str | None = None, path: str | None = None,
     if path is not None:
         try:
             with open(path) as f:
-                data = yaml.safe_load(f) or {}
+                data = yaml.safe_load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config file: {e}") from e
         except yaml.YAMLError as e:
             raise ConfigError(f"config file is not valid YAML: {e}") from e
+        if data is None:  # an empty file gives nothing
+            data = {}
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping")
     unknown = set(data) - {"experiment", "params", *_TOP}
@@ -164,7 +166,9 @@ def load_config(experiment: str | None = None, path: str | None = None,
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
     entry = REGISTRY[exp]
 
-    given = data.get("params", {}) or {}
+    given = data.get("params")
+    if given is None:  # no params, or a bare `params:`
+        given = {}
     if not isinstance(given, dict):
         raise ConfigError("params must be a mapping")
     unknown = set(given) - set(entry.params)
@@ -610,25 +614,24 @@ def run_allocation_report(cfg: ExperimentConfig):
                 continue
             params = alc.AllocationParams(ell, n_p)
             count = alc.eta_count(alc.even_partition_allocation(params))
-            eta_f, valid = alc.eta_formula(params)
+            eta_f = alc.eta_formula(params)
             eta_b = alc.eta_bound(params)
             n_formula = alc.nonlocal_count_formula(params)
             bf = ""
-            if ell <= int(p["brute_force_ell_max"]) and n_p <= alc.BRUTE_FORCE_N_P_MAX:
+            if ell <= alc.BRUTE_FORCE_ELL_MAX and n_p <= alc.BRUTE_FORCE_N_P_MAX:
                 bf, _ = alc.brute_force_optimal(ell, n_p)
-            row_pass = ((not valid or n_formula == count) and eta_b >= eta_f - 1e-12
-                        and bf in ("", count))
-            thr_gen, _ = alc.advantage_threshold_general(params, int(p["d_enc_dec"]))
+            row_pass = ((not params.formula_valid or n_formula == count)
+                        and eta_b >= eta_f - 1e-12 and bf in ("", count))
             rows.append({
                 "ell_c": ell, "n_p": n_p, "q": params.q, "s": params.s, "k": params.k,
                 "t": params.t,
                 "t_printed": params.t_printed_variant,
-                "eta_formula": eta_f, "formula_valid": valid,
+                "eta_formula": eta_f, "formula_valid": params.formula_valid,
                 "eta_count": count / params.total_pairwise_gates, "eta_bound": eta_b,
                 "nonlocal_formula": n_formula, "nonlocal_count": count,
                 "brute_force_min": bf,
                 "threshold_basic": alc.advantage_threshold_basic(n_p, int(p["d_enc_dec"]), eta_f),
-                "threshold_general": thr_gen,
+                "threshold_general": alc.advantage_threshold_general(params, int(p["d_enc_dec"])),
                 "pass": row_pass,
             })
             ok = ok and row_pass
@@ -744,7 +747,6 @@ REGISTRY = {
         "ell_c_max": Param(int, 25, 3, 1000),
         # from n_p = 5 the even partition leaves unusable fragments and is undefined
         "n_p_list": Param(int, [2, 3, 4], 2, 4, size=(1, None)),
-        "brute_force_ell_max": Param(int, alc.BRUTE_FORCE_ELL_MAX, 0, alc.BRUTE_FORCE_ELL_MAX),
         "d_enc_dec": Param(int, 7, 0, 10**6),
     }, verify=True, below=(("n_p_list", "ell_c_max"),)),
     "apples": Experiment(run_apples, 1, {

@@ -154,15 +154,6 @@ def basis_state(radix: RadixVector | Sequence[int], levels: Sequence[int]) -> Mi
     return basis_sum_state(radix, [(levels, 1.0)])
 
 
-def pure_state(radix: RadixVector | Sequence[int], amplitudes: np.ndarray) -> MixedRadixState:
-    """State from a dense amplitude vector over the whole register."""
-    radix = radix if isinstance(radix, RadixVector) else radix_of(tuple(radix))
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (radix.total_dim,):
-        raise ValueError(f"amplitude vector of length {radix.total_dim} expected, got {amps.shape}")
-    return basis_sum_state(radix, ((radix.levels_of(i), amps[i]) for i in np.flatnonzero(amps)))
-
-
 def basis_sum_state(radix: RadixVector | Sequence[int], terms) -> MixedRadixState:
     """Pure state sum(amplitude |levels>) over (levels, amplitude) terms.
 
@@ -393,15 +384,3 @@ def embed_unitary(u: np.ndarray, d: int) -> np.ndarray:
     out[:m, :m] = u
     return out
 
-
-def dump_state(state: MixedRadixState) -> str:
-    """Text dump of a pure state: index, digits, re, im per nonzero amplitude.
-
-    Amplitudes with |a| < 1e-12 are omitted; indices ascend. Digits are
-    concatenated when every site dimension is below 10, comma-joined
-    otherwise.
-    """
-    joiner = "" if max(state.dims) < 10 else ","
-    return "\n".join(f"{i}\t{joiner.join(map(str, state.radix.levels_of(i)))}\t{a.real:.17g}\t"
-                     f"{a.imag:.17g}" for i, a in zip(state.index.tolist(), state.array.tolist())
-                     if abs(a) >= AMP_EPS)

@@ -202,19 +202,15 @@ def prepare_w2(d: int = 2) -> MixedRadixState:
     """Size-2 W state on two d-level sites.
 
     For qubits this is the Bell state (|01>+|10>)/sqrt(2), prepared with
-    Clifford gates only. For d > 2 a qubit ancilla in |+> conditions a
-    swap of the excited site into place and is then disentangled back to
-    |0> by a controlled-on-|0> NOT.
+    Clifford gates only. For d > 2 it is scale_w of the one-site W state,
+    the uniform superposition of levels 1..d-1.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if d == 2:
         return apply_ops(basis_state((2, 2), (0, 1)),
                          [(_GATE_H, (0,)), (controlled_level_not(1, 2), (0, 1))])
-    state = apply_unitary(basis_state((d, d), (0, 0)), _uniform_excited_prep(d), [0])
-    state = apply_ops(append_sites(state, _PLUS),
-                      [(gate_cswap(d), (2, 0, 1)), (controlled_level_not(0, d), (0, 2))])
-    return project_sites(state, [2], [0])
+    return scale_w(apply_unitary(basis_state((d,), (0,)), _uniform_excited_prep(d), [0]))
 
 
 def _doubling_stage(state: MixedRadixState, empty: int, flag: GateSpec) -> MixedRadixState:

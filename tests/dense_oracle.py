@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 
-from daqec.mixed_radix_sim import AMP_EPS, GateSpec, RadixVector, apply_unitary
+from daqec.mixed_radix_sim import (
+    AMP_EPS,
+    GateSpec,
+    RadixVector,
+    apply_unitary,
+    basis_sum_state,
+    radix_of,
+)
 
 
 def dense(state) -> np.ndarray:
@@ -18,6 +25,15 @@ def dense(state) -> np.ndarray:
     out = np.zeros(state.radix.total_dim, dtype=complex)
     out[state.index] = state.array
     return out
+
+
+def pure_state(radix, amplitudes):
+    """Inverse of dense: the state of a dense amplitude vector over the whole register."""
+    radix = radix if isinstance(radix, RadixVector) else radix_of(tuple(radix))
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (radix.total_dim,):
+        raise ValueError(f"amplitude vector of length {radix.total_dim} expected, got {amps.shape}")
+    return basis_sum_state(radix, ((radix.levels_of(i), amps[i]) for i in np.flatnonzero(amps)))
 
 
 def _front_axes(n_sites, sites):

@@ -114,18 +114,18 @@ def test_eta_count_rejects_bad_ids_and_overfull_processors(row, col, proc):
 
 
 def test_eta_formula_seven_three():
-    eta, valid = eta_formula(AllocationParams(7, 3))
-    assert valid and abs(eta - 1 / 7) < 1e-15
+    p = AllocationParams(7, 3)
+    assert p.formula_valid and abs(eta_formula(p) - 1 / 7) < 1e-15
 
 
 def test_eta_formula_trivial_when_clean():
-    eta, valid = eta_formula(AllocationParams(4, 2))
-    assert valid and eta == 0.0
+    p = AllocationParams(4, 2)
+    assert p.formula_valid and eta_formula(p) == 0.0
 
 
 def test_eta_formula_five_three():
-    eta, valid = eta_formula(AllocationParams(5, 3))
-    assert valid and abs(eta - 4 / 15) < 1e-15
+    p = AllocationParams(5, 3)
+    assert p.formula_valid and abs(eta_formula(p) - 4 / 15) < 1e-15
 
 
 def test_eta_bound_values():
@@ -143,21 +143,14 @@ def test_threshold_basic_values():
 
 
 def test_threshold_general_seven_three():
-    value, valid = advantage_threshold_general(AllocationParams(7, 3), 7)
-    assert valid and value == 21
+    p = AllocationParams(7, 3)
+    assert p.formula_valid and advantage_threshold_general(p, 7) == 21
 
 
 def test_threshold_general_reduces_to_basic_at_q_le_1():
     # q <= 1 zeroes the inner correction, recovering the basic threshold
     p = AllocationParams(5, 3)
-    eta, _ = eta_formula(p)
-    value, _ = advantage_threshold_general(p, 6)
-    assert value == advantage_threshold_basic(3, 6, eta)
-
-
-def test_threshold_general_flags_large_np():
-    _, valid = advantage_threshold_general(AllocationParams(11, 5), 3)
-    assert not valid
+    assert advantage_threshold_general(p, 6) == advantage_threshold_basic(3, 6, eta_formula(p))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +235,7 @@ def test_formula_equals_count_on_valid_instances():
                 continue
             count = eta_count(even_partition_allocation(p))
             assert nonlocal_count_formula(p) == count
-            eta, valid = eta_formula(p)
-            assert valid
+            eta = eta_formula(p)
             assert Fraction(count, p.total_pairwise_gates) == Fraction(eta).limit_denominator(10**6)
 
 
@@ -251,9 +243,8 @@ def test_formula_below_bound():
     for n_p in (2, 3, 4):
         for ell in range(n_p + 1, 26):
             p = AllocationParams(ell, n_p)
-            eta, valid = eta_formula(p)
-            if valid:
-                assert eta <= eta_bound(p) + 1e-15
+            if p.formula_valid:
+                assert eta_formula(p) <= eta_bound(p) + 1e-15
 
 
 def count_remote_pairs(alloc: np.ndarray, block_a: int, block_b: int) -> int:

@@ -16,14 +16,12 @@ from daqec.mixed_radix_sim import (
     basis_map_gate,
     basis_state,
     basis_sum_state,
-    dump_state,
     embed_unitary,
     fidelity,
     append_sites,
     measure_sites,
     partial_trace,
     project_sites,
-    pure_state,
     support_matrix,
 )
 
@@ -35,6 +33,7 @@ from dense_oracle import (
     dense_partial_trace,
     dense_project_site,
     digits_local,
+    pure_state,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -86,7 +85,7 @@ def test_dimension_cap():
 
 def test_state_normalization_enforced():
     with pytest.raises(ValueError):
-        pure_state((2,), np.array([1.0, 1.0]))
+        basis_sum_state((2,), [((0,), 1.0), ((1,), 1.0)])
 
 
 def test_basis_sum_state_adds_repeated_terms():
@@ -132,16 +131,6 @@ def test_radix_vector_index_roundtrip():
     assert radix.levels_of(radix.index_of((2, 0, 3))) == (2, 0, 3)
     with pytest.raises(ValueError):  # one level per site
         radix.index_of((1, 1))
-
-
-def test_state_is_an_amplitude_vector():
-    radix = RadixVector((2, 2))
-    rho = np.outer(dense(bell_pair()), dense(bell_pair()).conj())
-    with pytest.raises(ValueError):  # a density matrix has the wrong shape
-        pure_state(radix, rho)
-    with pytest.raises(ValueError, match="length 4"):  # so has a vector of another register
-        pure_state(radix, np.array([1.0, 0.0]))
-    assert pure_state(radix, dense(bell_pair())).index.tolist() == [0, 3]
 
 
 _HALF = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -492,18 +481,6 @@ def test_embed_unitary_rejects_larger_matrix():
         embed_unitary(U02, 2)
 
 
-def test_dump_format():
-    s = basis_state((3, 2), (1, 1))
-    assert dump_state(s) == "3\t11\t1\t0"
-    lines = dump_state(bell_pair()).splitlines()
-    assert [ln.split("\t")[0] for ln in lines] == ["0", "3"]
-
-
-def test_dump_format_comma_joins_digits_from_dimension_ten():
-    s = basis_state((10, 2), (9, 1))
-    assert dump_state(s) == "19\t9,1\t1\t0"
-
-
 # ---------------------------------------------------------------------------
 # index-mask oracle: explicit sums over basis indices, digits from levels_of
 
@@ -741,7 +718,7 @@ def test_builders_check_the_norm_tighter_than_the_state():
     # the 1e-10 unitarity check never refuses a state
     amps = np.array([math.sqrt(1 - 5e-10), 0.0])
     with pytest.raises(ValueError, match="not normalized"):
-        pure_state((2,), amps)
+        basis_sum_state((2,), [((0,), amps[0])])
     assert MixedRadixState(RadixVector((2,)), np.array([0], dtype=np.int64), amps[:1]).index.size == 1
     with pytest.raises(ValueError, match="not normalized"):
         MixedRadixState(RadixVector((2,)), np.array([0], dtype=np.int64), [math.sqrt(1 - 2e-8)])

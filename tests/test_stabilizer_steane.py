@@ -1130,6 +1130,100 @@ def test_pnl_sweep_per_block_rates_match_the_exact_marginals(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pnl-sweep at two blocks against its exact joint distribution
+#
+# A trial fails if either block does, so `failures` and `xflip_failures`
+# depend on how the blocks' errors correlate, which the marginals above only
+# bound. At two blocks the decoder state is one 16-bit word, block b's byte
+# at bits 8b..8b+7, so its distribution is exact and small.
+
+WORDS = np.arange(1 << 16)
+
+
+def walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """out[s] = sum_w (-1)^popcount(s & w) v[w] over the 2^16 words w."""
+    out = np.array(v, dtype=float)
+    for k in range(16):
+        pairs = out.reshape(-1, 2, 1 << k)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    return out
+
+
+def exact_two_block_words(c: stn.CompiledCircuit, layout: MachineLayout,
+                          noise: NoiseSpec) -> np.ndarray:
+    """Exact distribution of the decoder word of a two-block compile.
+
+    CNOT i, at rate p, xors f_P = table[row[i], P] into the word with
+    probability p / 15 for each P in 1..15, so the word's distribution is the
+    xor-convolution of the CNOTs', a product of their characters in the
+    Walsh basis: 1 - p + p/15 sum_{P>0} (-1)^(s.f_P) = (1 - 16p/15)^(1 - e(s)),
+    where e(s) = (1/16) sum_P (-1)^(s.f_P) is 1 when s.f_P is even for every
+    P and 0 otherwise. The log of the product is then the sum of the CNOTs'
+    log(1 - 16p/15), less one transform of that sum spread over the f_P of
+    each row; the CNOTs that share a row add their logs first.
+    """
+    rate = op_rates(c.a, c.b, np.ones(c.a.size, dtype=bool), layout, noise)
+    log_row = np.bincount(c.row, np.log1p(-16.0 / 15.0 * rate), c.table.shape[0])
+    spread = np.bincount(c.table[:, :, 0].astype(np.int64).ravel(),
+                         np.repeat(log_row / 16.0, 16), WORDS.size)
+    return walsh_hadamard(np.exp(log_row.sum() - walsh_hadamard(spread))) / WORDS.size
+
+
+def direct_two_block_words(c: stn.CompiledCircuit, layout: MachineLayout,
+                           noise: NoiseSpec) -> np.ndarray:
+    """exact_two_block_words by one convolution per CNOT over the 2^16 words."""
+    rate = op_rates(c.a, c.b, np.ones(c.a.size, dtype=bool), layout, noise)
+    dist = np.zeros(WORDS.size)
+    dist[0] = 1.0
+    for flips, p in zip(c.table[c.row, 1:, 0].tolist(), rate):
+        hit = np.zeros(WORDS.size)
+        for f in flips:
+            hit += dist[WORDS ^ f]
+        dist = (1.0 - p) * dist + p / 15.0 * hit
+    return dist
+
+
+def two_block_failures(dist: np.ndarray) -> tuple[float, float]:
+    """P(either block fails) and P(either block's X flips) under a word distribution."""
+    low, high = WORDS & 255, WORDS >> 8
+    x = X_FLIP[low] | X_FLIP[high]
+    return float(dist @ (x | Z_FLIP[low] | Z_FLIP[high])), float(dist @ x)
+
+
+@pytest.mark.parametrize("scheme", sorted(LAYOUTS))
+@pytest.mark.parametrize("depth", [1, 5])  # depth 5 folds one whole segment
+def test_the_two_block_transform_equals_the_direct_convolution(scheme, depth):
+    layout = LAYOUTS[scheme](2)
+    c = compile_mirror(layout, depth)
+    noise = NoiseSpec(2e-4, 2e-3)
+    exact = exact_two_block_words(c, layout, noise)
+    np.testing.assert_allclose(exact, direct_two_block_words(c, layout, noise),
+                               rtol=0, atol=1e-13)
+    assert abs(exact.sum() - 1.0) < 1e-13
+
+
+def test_pnl_sweep_at_two_blocks_matches_its_exact_joint_distribution():
+    # the shipped sweep's trials, noise, seed and depths at two blocks; Pearson
+    # over (X flip, failure without X flip, success) of every row
+    cfg = experiments.load_config("pnl-sweep")
+    assert cfg.trials == 100000
+    cfg.params["n_blocks"] = 2
+    rows, _, _, _ = experiments.run_pnl_sweep(cfg)
+    noise = NoiseSpec(cfg.params["p_local"], cfg.params["p_remote"])
+    n, stat = cfg.trials, 0.0
+    for row in rows:
+        layout = LAYOUTS[row["scheme"]](2)
+        p_fail, p_x = two_block_failures(
+            exact_two_block_words(compile_mirror(layout, row["depth"]), layout, noise))
+        observed = np.array([row["xflip_failures"], row["failures"] - row["xflip_failures"],
+                             n - row["failures"]])
+        expected = n * np.array([p_x, p_fail - p_x, 1.0 - p_fail])
+        stat += float(np.sum((observed - expected) ** 2 / expected))
+    assert len(rows) == 28
+    assert stat <= chi2.ppf(0.999, 2 * len(rows)), stat
+
+
+# ---------------------------------------------------------------------------
 # correlated-errors against its exact expectations
 #
 # Every rate is an iid clipped normal and every failure probability a

@@ -19,13 +19,11 @@ from daqec.mixed_radix_sim import (
     basis_map_gate,
     basis_state,
     basis_sum_state,
-    dump_state,
     embed_unitary,
     fidelity,
     measure_sites,
     partial_trace,
     project_sites,
-    pure_state,
 )
 from daqec.wstate_code import (
     BOT,
@@ -54,7 +52,7 @@ from daqec.wstate_code import (
     w_state_vector,
 )
 
-from dense_oracle import dense, oracle_apply_ops, oracle_apply_unitary
+from dense_oracle import dense, oracle_apply_ops, oracle_apply_unitary, pure_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 H2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -824,8 +822,6 @@ def test_branchwise_erase_matches_partial_trace_oracle(case):
     # measure_sites drops outcomes of probability <= 1e-12
     rho = density_of(branches)
     np.testing.assert_allclose(rho, partial_trace(word, survivors), rtol=0, atol=1e-10)
-    with pytest.raises(ValueError):  # a state is an amplitude vector, never a density
-        pure_state(RadixVector(dims), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,18 +1121,6 @@ def test_elective_reset_matches_svd_reset_oracle(case, target):
         assert abs(prob - weight) <= 1e-12
         data = dense(project_sites(group, erased, levels))
         assert abs(np.vdot(ref, data)) ** 2 >= 1.0 - 1e-12
-
-
-def test_dump_state_of_a_codeword_is_pinned():
-    # one line per amplitude: index, digits, real and imaginary part to 17 digits
-    assert dump_state(codeword_vector(PSI, 3)) == "\n".join([
-        "8\t022\t0.34641016151377552\t0",
-        "17\t122\t0\t0.46188021535170071",
-        "20\t202\t0.34641016151377552\t0",
-        "23\t212\t0\t0.46188021535170071",
-        "24\t220\t0.34641016151377552\t0",
-        "25\t221\t0\t0.46188021535170071",
-    ])
 
 
 def test_no_state_densifies_through_erasure_and_decoding(monkeypatch):
