@@ -51,6 +51,7 @@ SS = "tests/test_stabilizer_steane.py::"
 WS = "tests/test_wstate_code.py::"
 BIT_FOR_BIT = SS + "test_compiled_engine_matches_the_layered_oracle_bit_for_bit"
 ANY_CIRCUIT = SS + "test_compiled_engine_matches_the_layered_oracle_on_arbitrary_circuits"
+TABLEAU = SS + "test_frame_rules_and_decoder_match_a_stabilizer_tableau"
 FORMS = WS + "test_every_form_of_an_erasure_gives_the_results_of_its_set"
 MALFORMED = "tests/test_experiments.py::test_cli_refuses_a_malformed_config_in_one_line"
 
@@ -74,10 +75,13 @@ MUTANTS = (
            ("tests/test_allocation.py::test_eta_count_rejects_bad_ids_and_overfull_processors",)),
     Mutant("preparation-clears-x-only", STEANE,
            "flips[c] = flips[nq + c] = 0", "flips[c] = 0", (ANY_CIRCUIT,)),
-    Mutant("cnots-in-op-order", STEANE,
-           'order = np.argsort(layer, kind="stable")', "order = np.arange(layer.size)",
-           ("tests/test_experiments.py::test_cli_in_range_edge_cases_run[pnl-sweep-100-shallow]",
-            BIT_FOR_BIT)),
+    # the backward pass lists the rows last CNOT first
+    Mutant("rows-left-in-backward-order", STEANE,
+           "single.reshape(a.size, 4, words)[::-1]", "single.reshape(a.size, 4, words)",
+           (BIT_FOR_BIT,
+            SS + "test_the_folded_mirror_compile_matches_the_whole_circuit_bit_for_bit")),
+    Mutant("meas-x-reads-the-x-bit", STEANE,
+           'flips[c if kind == "MEAS_Z" else nq + c] ^=', "flips[c] ^=", (TABLEAU,)),
     Mutant("pauli-15-dropped", STEANE,
            "rng.integers(1, 16, size=i.size)", "rng.integers(1, 15, size=i.size)",
            (SS + "test_pnl_sweep_per_block_rates_match_the_exact_marginals",)),

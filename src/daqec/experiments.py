@@ -44,8 +44,10 @@ DEFAULT_SEED = 20250811
 # rate and thinned them to each op's rate. Scheme 3: bound-validate's lemma
 # checks draw each chunk's cases at once through the seeded chunk map. Scheme 4:
 # pnl-sweep draws the gaps of each distinct nonzero rate, in ascending order,
-# over that rate's positions only. A change of the draws bumps it.
-RNG_SCHEME = 4
+# over that rate's positions only, its CNOTs by ASAP layer, then op order.
+# Scheme 5: each rate's positions take its CNOTs in op order. A change of the
+# draws bumps it.
+RNG_SCHEME = 5
 DEFAULT_CHUNK = 8192
 MIN_MC_TRIALS = 100
 
@@ -607,7 +609,6 @@ ALLOC_COLUMNS = ["ell_c", "n_p", "q", "s", "k", "t", "t_printed", "eta_formula",
 def run_allocation_report(cfg: ExperimentConfig):
     p = cfg.params
     rows = []
-    ok = True
     for n_p in p["n_p_list"]:
         for ell in range(2, int(p["ell_c_max"]) + 1):
             if ell <= n_p:
@@ -634,8 +635,7 @@ def run_allocation_report(cfg: ExperimentConfig):
                 "threshold_general": alc.advantage_threshold_general(params, int(p["d_enc_dec"])),
                 "pass": row_pass,
             })
-            ok = ok and row_pass
-    return rows, ALLOC_COLUMNS, {"rows": len(rows)}, ok
+    return rows, ALLOC_COLUMNS, {"rows": len(rows)}, all(r["pass"] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +649,10 @@ def run_apples(cfg: ExperimentConfig):
     bins = [float(v) for v in p["bin_probs"]]
     n = len(bins)
     rows = []
-    ok = True
 
     def add(check, value, reference, tol):
-        nonlocal ok
-        passed = bool(abs(value - reference) <= tol)
-        ok = ok and passed
         rows.append({"check": check, "value": value, "reference": reference,
-                     "tolerance": tol, "pass": passed})
+                     "tolerance": tol, "pass": bool(abs(value - reference) <= tol)})
 
     matrix, best_success, odds = bnd.optimal_packing_bruteforce(bins)
     one_per_bin = math.prod(1.0 - bnd.barrel_ruin_two_or_more(np.array(bins))
@@ -689,7 +685,7 @@ def run_apples(cfg: ExperimentConfig):
                "per_barrel_odds_sums": list(barrel_odds),
                "total_odds": float(sum(barrel_odds)),
                "cutoff_exact": closed, "cutoff_approx": approx}
-    return rows, APPLES_COLUMNS, summary, ok
+    return rows, APPLES_COLUMNS, summary, all(r["pass"] for r in rows)
 
 
 # ---------------------------------------------------------------------------

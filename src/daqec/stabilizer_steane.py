@@ -101,11 +101,13 @@ def lqec_layout(n_blocks: int = 7) -> MachineLayout:
 
 
 def dqec_layout(n_blocks: int = 7) -> MachineLayout:
-    """Fully distributed blocks on n_blocks processors of 13 qubits each.
+    """Fully distributed blocks on max(7, n_blocks) processors.
 
     Data qubit j of every block sits on processor j; ancilla s of block i
-    sits on processor (i+s+1) mod n_blocks, which balances to 6 ancillas
-    per processor.
+    sits on processor (i+s+1) mod n_blocks, which balances to 6 ancillas on
+    each of the first n_blocks processors. So processor j holds n_blocks
+    data qubits if j < 7 and 6 ancillas if j < n_blocks: 13 qubits each
+    only at 7 blocks.
     """
     blocks = _numbered_blocks(n_blocks)
     proc = [0] * (n_blocks * QUBITS_PER_PROCESSOR)
@@ -183,15 +185,16 @@ _NOISE_BATCH = 1 << 12  # most gaps drawn at once, which bounds the memory of th
 
 
 def _depolarizing_hits(rng: np.random.Generator, rate: np.ndarray, n_trials: int):
-    """Depolarizing hits after the CNOTs of a schedule, in batches of (op, trial, pauli).
+    """Depolarizing hits after each CNOT of a circuit, in batches of (op, trial, pauli).
 
     Each distinct nonzero rate, in ascending order, draws its own stream:
     position i * n_trials + k stands for the i-th op of that rate in trial
     k, and the positions hit come from cumulative geometric gaps at the
     rate, so the draws scale with the hits. A hit takes one of the 15
     nontrivial two-qubit Paulis uniformly, `pauli` being the number in
-    1..15 with bits (x_c, z_c, x_t, z_t) from the highest down. Within a
-    rate the hits come in op order.
+    1..15 with bits (x_c, z_c, x_t, z_t) from the highest down. `rate`
+    lists the CNOTs in op order, and within a rate the hits come in that
+    order.
     """
     # a set, not np.unique, which would import numpy.ma
     for p in sorted(set(rate[rate > 0.0].tolist())):
@@ -214,14 +217,13 @@ class CompiledCircuit:
     """A circuit for simulate_frames: every op, and what a Pauli after each CNOT flips.
 
     `ops` lists every op of the circuit, which ends with the extraction of
-    every block of `blocks`. The schedule lists the CNOTs by ASAP layer,
-    then in op order; CNOT i of it has control a[i] and target b[i], and
-    table[row[i], p] holds the decoder bits that the two-qubit Pauli number
-    p, in 0..15, flips right after it (see _compile). A folded mirror (see
-    compile_mirror) stores the rows of one segment for all its leading
-    segments, so their CNOTs share rows. The four arrays are read-only, so
-    any number of threads, and every layout with these blocks, can share
-    one compile.
+    every block of `blocks`. CNOT i of the circuit, in op order, has
+    control a[i] and target b[i], and table[row[i], p] holds the decoder
+    bits that the two-qubit Pauli number p, in 0..15, flips right after it
+    (see _compile). A folded mirror (see compile_mirror) stores the rows of
+    one segment for all its leading segments, so their CNOTs share rows.
+    The four arrays are read-only, so any number of threads, and every
+    layout with these blocks, can share one compile.
     """
 
     ops: tuple
@@ -237,8 +239,8 @@ class CompiledCircuit:
 
 
 def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
-    """The CNOTs of the ops on a register of n_qubits in schedule order, and
-    what an error after each one flips.
+    """The CNOTs of the ops on a register of n_qubits, in op order, and what
+    an error after each one flips.
 
     The ops must end with the extraction of every block. The decoder reads
     byte i of little-endian `uint64` words for block i: bits 0..5 the
@@ -252,11 +254,11 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
     table[i, p] holds the flips of the two-qubit Pauli number p right after
     CNOT i, p in 0..15 having bits (x_c, z_c, x_t, z_t) from the highest
     down, so a hit is one row lookup. The rows of the four single bits come
-    from the pass; every other row is the xor of those of its set bits, as
-    the flips of a product are, and row 0 (the identity) stays zero. Other
-    ops carry no noise and get no row. Returns each CNOT's index in `ops`,
-    its control and target, and the table; nothing depends on where the
-    qubits live or on the noise.
+    from the pass, reversed into op order; every other row is the xor of
+    those of its set bits, as the flips of a product are, and row 0 (the
+    identity) stays zero. Other ops carry no noise and get no row. Returns
+    each CNOT's control and target, and the table; nothing depends on where
+    the qubits live or on the noise.
     """
     nq, nb = n_qubits, len(blocks)
     flips = [0] * (2 * nq)  # what an x error on qubit q flips at q, a z error at nq + q
@@ -283,24 +285,14 @@ def _compile(ops, n_qubits: int, blocks: tuple[SteaneBlock, ...]):
             flips[c if kind == "MEAS_Z" else nq + c] ^= 1 << 8 * (readout // 6) + readout % 6
     if readout:
         raise ValueError("missing extraction measurements")
-    # schedule order, in which RNG_SCHEME 4 draws each CNOT's noise: by ASAP
-    # layer (one past the last layer of the op's qubits), then by op order
-    last = [0] * nq
-    cnots = []  # (layer, index, control, target) of each CNOT, in op order
-    for index, op in enumerate(ops):
-        c, t = op[1], op[-1]
-        layer = last[c] = last[t] = max(last[c], last[t]) + 1
-        if op[0] == "CNOT":
-            cnots.append((layer, index, c, t))
-    layer, index, a, b = np.array(cnots, dtype=np.int64).reshape(-1, 4).T
-    order = np.argsort(layer, kind="stable")
+    a, b = np.array([op[1:] for op in ops if op[0] == "CNOT"], dtype=np.int64).reshape(-1, 2).T
     words = (nb + 7) // 8
     single = np.frombuffer(b"".join(f.to_bytes(8 * words, "little") for f in rows), "<u8")
-    table = np.zeros((order.size, 16, words), dtype="<u8")
-    table[:, [8, 4, 2, 1]] = single.reshape(order.size, 4, words)[::-1][order]
+    table = np.zeros((a.size, 16, words), dtype="<u8")
+    table[:, [8, 4, 2, 1]] = single.reshape(a.size, 4, words)[::-1]
     for bit in (2, 4, 8):  # rows bit + 1 .. 2 bit - 1 from rows bit and 1 .. bit - 1
         np.bitwise_xor(table[:, bit, None], table[:, 1:bit], out=table[:, bit + 1:2 * bit])
-    return index[order], a[order], b[order], table
+    return a, b, table
 
 
 def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
@@ -309,14 +301,12 @@ def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
     Its arrays equal those of the whole circuit's compile, bit for bit, but
     only the ops from the last segment with all its CNOT layers on
     compile: fewer than two segments' CNOTs and the extraction's, at any
-    depth. Each whole segment is the identity, and the CNOTs of the
-    segments before run one segment after another, ahead of every other
-    CNOT in the schedule. So an error after one of them flips what an error
-    after the same CNOT of the first compiled segment flips, and they reuse
-    its rows by index, as Stim folds a REPEAT block into a detector error
-    model (Gidney 2021, Quantum 5, 497). The compile runs here, once; the
-    result is read-only, so every chunk of every layout with these blocks
-    shares it.
+    depth. Each whole segment is the identity, so an error after a CNOT of
+    a segment before the tail flips what an error after the same CNOT of
+    the tail's first segment flips, and they reuse its rows by index, as
+    Stim folds a REPEAT block into a detector error model (Gidney 2021,
+    Quantum 5, 497). The compile runs here, once; the result is read-only,
+    so every chunk of every layout with these blocks shares it.
     """
     ops = build_ghz_mirror(layout, depth)
     for block in layout.blocks:
@@ -326,14 +316,13 @@ def compile_mirror(layout: MachineLayout, depth: int) -> CompiledCircuit:
     period = N_DATA * layers               # its CNOTs
     span = period + 2 * N_DATA             # its ops, the two H layers included
     repeats = max(depth // layers - 1, 0)  # whole segments before the tail
-    order, a, b, table = _compile(ops[repeats * span:], layout.n_qubits, layout.blocks)
-    # the tail's CNOTs are in schedule order, and its first ones in circuit
-    # order are those of its first segment
-    segment = np.argsort(order)[:period]
+    a, b, table = _compile(ops[repeats * span:], layout.n_qubits, layout.blocks)
+    # the tail's first `period` CNOTs are those of its first segment
     return CompiledCircuit(ops, layout.blocks,
-                           np.concatenate((np.tile(a[segment], repeats), a)),
-                           np.concatenate((np.tile(b[segment], repeats), b)),
-                           np.concatenate((np.tile(segment, repeats), np.arange(a.size))), table)
+                           np.concatenate((np.tile(a[:period], repeats), a)),
+                           np.concatenate((np.tile(b[:period], repeats), b)),
+                           np.concatenate((np.tile(np.arange(period), repeats),
+                                           np.arange(a.size))), table)
 
 
 def simulate_frames(circuit: CompiledCircuit, layout: MachineLayout, noise: NoiseSpec,

@@ -277,7 +277,7 @@ def test_criterion_9_determinism(tmp_path):
 # changes the experiment's output and must say so, with a new RNG scheme if
 # the draws changed.
 GOLDEN_CSV = {
-    "pnl-sweep": "95856e1ebbdb6b725bd0b9628f805128b5fb11d2004da5b8610205dcb98312f7",
+    "pnl-sweep": "b168661bf06c480ab634d2e9dfbe4f5eef88b1c9920bbe2c857c5e87ca4641aa",
     "correlated-errors": "4d55b4a1913c5c365ffdf9c94a35ca45bea9de85c2d45d0514ad5c4d0c711834",
     "bound-validate": "23ae7c5d3d60eafe7fd7c9d031013f1084338762e360667e65fda20e9323bf10",
     "wstate-verify": "4df449447226bddac885983ecff12133b89ade84829856b86932c97f8a3b418f",

@@ -882,7 +882,7 @@ IN_RANGE_EDGES = [
 # of the shipped configs: 100 blocks are the only runs of 13 mask words
 EDGE_CSV = {
     "pnl-sweep-100-10000": "87837a9ee6dc1343c2f3830df37c5903a5d488bb005e81c184ff255a179d067b",
-    "pnl-sweep-100-shallow": "4888b0e3dcd59203847c6ff836f885979010d26b1f3c0920e71b30a277bbc875",
+    "pnl-sweep-100-shallow": "e29c487bf76e66dc2120aa4a69d4b9c1dc5f974af94ca451930d4688d0e50d47",
 }
 
 

@@ -289,18 +289,23 @@ def reference_simulate_frames(ops: list[tuple], layout: MachineLayout,
 class Depolarizer:
     """Depolarizing hits after the CNOTs of a schedule, all drawn at the start.
 
-    Each distinct nonzero rate, in ascending order, draws its own stream:
-    position i * n_trials + k stands for the i-th op of that rate in trial
-    k, and the positions hit come from cumulative geometric gaps at the
-    rate, in batches of at most stn._NOISE_BATCH gaps. A hit takes one of
-    the 15 nontrivial two-qubit Paulis uniformly, the bits
-    (x_c, z_c, x_t, z_t) of a number in 1..15, and becomes one entry
-    (op, frame row, word, bit) per set bit; x rows come first, z rows after.
-    The steps take the entries in op order.
+    `order` is the schedule's sort permutation, and a, b and rate list the
+    sorted ops. Each distinct nonzero rate, in ascending order, draws its
+    own stream: position i * n_trials + k stands for the i-th op of that
+    rate, in op order, in trial k, and the positions hit come from
+    cumulative geometric gaps at the rate, in batches of at most
+    stn._NOISE_BATCH gaps. A hit takes one of the 15 nontrivial two-qubit
+    Paulis uniformly, the bits (x_c, z_c, x_t, z_t) of a number in 1..15,
+    and becomes one entry (op, frame row, word, bit) per set bit, the op by
+    its sorted position; x rows come first, z rows after. The steps take
+    the entries in sorted order.
     """
 
-    def __init__(self, rng: np.random.Generator, a, b, rate, n_qubits: int, n_trials: int):
+    def __init__(self, rng: np.random.Generator, order, a, b, rate, n_qubits: int,
+                 n_trials: int):
         rows = np.stack((a, a + n_qubits, b, b + n_qubits), axis=1)
+        step = np.argsort(order)  # each op's sorted position
+        rate = rate[step]  # in op order
         op, trial, which = (np.zeros(0, dtype=np.int64),) * 3
         for p in np.unique(rate[rate > 0.0]):  # ascending
             ops = np.flatnonzero(rate == p)
@@ -314,7 +319,8 @@ class Depolarizer:
                 pauli = rng.integers(1, 16, size=i.size)
                 hit, bit = np.nonzero(pauli[:, None] >> np.arange(3, -1, -1) & 1)
                 op, trial, which = (np.concatenate(pair)
-                                    for pair in zip((op, trial, which), (ops[i[hit]], k[hit], bit)))
+                                    for pair in zip((op, trial, which),
+                                                    (step[ops[i[hit]]], k[hit], bit)))
         order = np.argsort(op, kind="stable")
         op, trial, which = op[order], trial[order], which[order]
         bits = np.left_shift(np.uint64(1), (trial & 63).astype(np.uint64))
@@ -394,7 +400,7 @@ def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
     op order.
     """
     nq, words = layout.n_qubits, (n_trials + 63) // 64
-    _, a, b, meas, cnot, starts, ends, kinds = schedule(ops, nq)
+    order, a, b, meas, cnot, starts, ends, kinds = schedule(ops, nq)
     start = PauliFrame.zeros(nq) if initial is None else initial
     ones = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if n_trials % 64:
@@ -406,7 +412,7 @@ def layered_simulate_frames(ops: list[tuple], layout: MachineLayout,
     # (b = a) acts on the rows (x_a, z_a)
     src, dst = np.stack((a, b + nq)), np.stack((b, a + nq))
     measured = np.zeros((int(meas.max(initial=-1)) + 1, words), dtype=np.uint64)
-    noisy = Depolarizer(rng, a, b, op_rates(a, b, cnot, layout, noise), nq, n_trials)
+    noisy = Depolarizer(rng, order, a, b, op_rates(a, b, cnot, layout, noise), nq, n_trials)
     for lo, hi, kind in zip(starts, ends, kinds):
         rows = src[:, lo:hi]
         if kind == _CNOT:
@@ -432,7 +438,7 @@ def compile_circuit(ops, layout: MachineLayout) -> stn.CompiledCircuit:
     of every block of the layout, compiled whole: the unfolded oracle of
     compile_mirror."""
     ops = tuple(ops)
-    _, a, b, table = stn._compile(ops, layout.n_qubits, layout.blocks)
+    a, b, table = stn._compile(ops, layout.n_qubits, layout.blocks)
     return stn.CompiledCircuit(ops, layout.blocks, a, b, np.arange(a.size), table)
 
 
@@ -537,6 +543,17 @@ def test_dqec_data_follows_transversal_index():
     layout = dqec_layout()
     for b in layout.blocks:
         assert [layout.qubit_processor[q] for q in b.data] == list(range(7))
+
+
+@pytest.mark.parametrize("n_blocks, loads", [
+    (2, [8, 8, 2, 2, 2, 2, 2]),
+    (3, [9, 9, 9, 3, 3, 3, 3]),
+    (7, [13] * 7),
+    (10, [16] * 7 + [6] * 3),
+])
+def test_dqec_puts_the_data_on_seven_processors_and_the_ancillas_on_n_blocks(n_blocks, loads):
+    # max(7, n_blocks) processors, of 13 qubits each only at seven blocks
+    assert np.bincount(dqec_layout(n_blocks).qubit_processor).tolist() == loads
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +903,7 @@ def mirror_layout(scheme: str, n_blocks: int, seed: int) -> MachineLayout:
 
 
 def compiled_rows(c: stn.CompiledCircuit):
-    """The CNOTs of a compile in schedule order: their qubits and table rows."""
+    """The CNOTs of a compile in op order: their qubits and table rows."""
     return c.a, c.b, c.table[c.row]
 
 
@@ -1046,6 +1063,188 @@ def test_each_pauli_row_is_the_xor_of_its_set_bits_rows_and_the_identity_row_is_
         assert np.array_equal(table[:, p], want), p
     for y in (0b1100, 0b0011):  # Y on the control, Y on the target
         assert table[:, y].any()
+
+
+# ---------------------------------------------------------------------------
+# a stabilizer-tableau oracle for the frame rules
+#
+# The frame engine and the oracles above all apply the same frame rules, the
+# action of each op on X/Z error bits. A stabilizer tableau (Aaronson and
+# Gottesman, Phys. Rev. A 70, 052328, 2004) simulates the states themselves,
+# so it checks those rules, and the lookup decoder, from outside. A Pauli
+# hit changes only the signs of a tableau, so one tableau carries every
+# trial, with one sign per row and trial, and a random measurement takes
+# outcome 0 in every trial.
+
+
+class Tableau:
+    """An n-qubit stabilizer state, starting at |0...0>: destabilizer rows
+    0..n-1, stabilizer rows n..2n-1 and a scratch row 2n, each with x and z
+    bits per qubit and one sign bit per trial."""
+
+    def __init__(self, n_qubits: int, n_trials: int):
+        n = self.n = n_qubits
+        self.x = np.zeros((2 * n + 1, n), dtype=bool)
+        self.z = np.zeros((2 * n + 1, n), dtype=bool)
+        self.x[:n] = self.z[n:2 * n] = np.eye(n, dtype=bool)
+        self.r = np.zeros((2 * n + 1, n_trials), dtype=bool)
+        self.was_random = False  # whether the last measurement was
+
+    def h(self, q: int):
+        x, z = self.x, self.z
+        self.r ^= (x[:, q] & z[:, q])[:, None]
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+
+    def cnot(self, c: int, t: int):
+        x, z = self.x, self.z
+        self.r ^= (x[:, c] & z[:, t] & ~(x[:, t] ^ z[:, c]))[:, None]
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+
+    def pauli(self, q: int, xs: np.ndarray, zs: np.ndarray):
+        """X^xs Z^zs on qubit q, with one bit of each per trial."""
+        self.r ^= np.outer(self.z[:, q], xs) ^ np.outer(self.x[:, q], zs)
+
+    def _rowsum(self, h: int, i: int):
+        """Row h becomes the product of rows i and h."""
+        x1, z1, x2, z2 = (v.astype(int) for v in (self.x[i], self.z[i], self.x[h], self.z[h]))
+        # the power of i that each qubit's product of Paulis adds
+        g = np.where(x1 & z1, z2 - x2, np.where(x1, z2 * (2 * x2 - 1), z1 * x2 * (1 - 2 * z2)))
+        self.r[h] = (2 * self.r[h] + 2 * self.r[i] + g.sum()) % 4 == 2
+        self.x[h] ^= self.x[i]
+        self.z[h] ^= self.z[i]
+
+    def measure_z(self, q: int) -> np.ndarray:
+        """Measure Z on qubit q; the outcome of each trial."""
+        n = self.n
+        anticommuting = np.flatnonzero(self.x[n:2 * n, q])
+        self.was_random = anticommuting.size > 0
+        if self.was_random:
+            p = n + anticommuting[0]
+            for i in np.flatnonzero(self.x[:2 * n, q]):
+                if i != p:
+                    self._rowsum(i, p)
+            for rows in (self.x, self.z, self.r):
+                rows[p - n] = rows[p]
+                rows[p] = False
+            self.z[p, q] = True
+            return self.r[p].copy()
+        s = 2 * n
+        for rows in (self.x, self.z, self.r):
+            rows[s] = False
+        for i in np.flatnonzero(self.x[:n, q]):
+            self._rowsum(s, n + i)
+        return self.r[s].copy()
+
+    def measure(self, q: int, basis: str) -> np.ndarray:
+        if basis == "X":
+            self.h(q)
+        outcome = self.measure_z(q)
+        if basis == "X":
+            self.h(q)
+        return outcome
+
+    def prepare(self, q: int, basis: str):
+        self.pauli(q, self.measure_z(q), np.zeros_like(self.r[0]))
+        if basis == "X":
+            self.h(q)
+
+
+def encode(tableau: Tableau, block: SteaneBlock, basis: str):
+    """|0_L> on the block's data qubits, fresh in |0>, or |+_L> in basis X.
+
+    The first qubit of each generator's support lies in no other support,
+    so an H on it and CNOTs onto the rest sum the 8 words of the X-type
+    generators' span, which is |0_L>; a transversal H makes |+_L>.
+    """
+    for sup in GENERATOR_SUPPORTS:
+        tableau.h(block.data[sup[0]])
+        for q in sup[1:]:
+            tableau.cnot(block.data[sup[0]], block.data[q])
+    if basis == "X":
+        for q in block.data:
+            tableau.h(q)
+
+
+def tableau_trials(ops: list[tuple], layout: MachineLayout, basis: str, hits):
+    """The ops and the extraction of every block on the tableau, from every
+    block in |0_L> (basis Z) or |+_L> (basis X), with the Pauli hits
+    (cnot, trial, pauli) of simulate_frames after the CNOTs.
+
+    Returns the extraction readouts, shape (n_blocks, n_trials), generator g
+    at bit g, and each block's logical Z (basis Z) or X (basis X) after
+    lookup correction, which is its logical flip.
+    """
+    ops = with_extraction(ops, layout)
+    cnot, trial, pauli = hits
+    n_trials = int(trial.max()) + 1
+    paulis = np.zeros((sum(op[0] == "CNOT" for op in ops), n_trials), dtype=np.uint8)
+    np.bitwise_xor.at(paulis, (cnot, trial), pauli.astype(np.uint8))
+    bits = paulis[:, None] >> np.arange(3, -1, -1)[:, None] & 1 == 1  # x_c, z_c, x_t, z_t
+    tab = Tableau(layout.n_qubits, n_trials)
+    for block in layout.blocks:
+        encode(tab, block, basis)
+    measured, random, k = [], [], 0
+    for op in ops:
+        kind, q = op[0], op[1]
+        if kind == "CNOT":
+            tab.cnot(q, op[2])
+            tab.pauli(q, bits[k, 0], bits[k, 1])
+            tab.pauli(op[2], bits[k, 2], bits[k, 3])
+            k += 1
+        elif kind == "H":
+            tab.h(q)
+        elif kind.startswith("PREP"):
+            tab.prepare(q, kind[-1])
+        else:
+            measured.append(tab.measure(q, kind[-1]))
+            random.append(tab.was_random)
+    nb = len(layout.blocks)
+    assert not any(random[-6 * nb:])  # a code state fixes every readout
+    readouts = np.array(measured[-6 * nb:]).reshape(nb, 6, n_trials)
+    syndromes = (readouts << np.arange(6)[:, None]).sum(axis=1)
+    flips = []
+    for block, s in zip(layout.blocks, syndromes):
+        # the Z-type generators (bits 3..5) flag X errors, the X-type ones Z errors
+        for j, q in enumerate(block.data):
+            tab.pauli(q, s >> 3 == j + 1, s & 7 == j + 1)
+        flips.append(np.bitwise_xor.reduce([tab.measure(q, basis) for q in block.data]))
+    return syndromes, np.array(flips)
+
+
+def whole_segments(layout: MachineLayout, count: int) -> list[tuple]:
+    """`count` whole segments of the mirror, each with its closing H layer."""
+    layers = 2 * (len(layout.blocks) - 1)
+    return (build_ghz_mirror(layout, layers) + [("H", q) for q in layout.blocks[0].data]) * count
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_frame_rules_and_decoder_match_a_stabilizer_tableau(monkeypatch, n_blocks, basis):
+    layout = dqec_layout(n_blocks)
+    # a segment, an extraction of every block and another segment, so that
+    # the final extraction prepares ancillas after hits on them
+    ops = whole_segments(layout, 1)
+    ops = with_extraction(ops, layout) + ops
+    n_cnots = sum(op[0] == "CNOT" for op in with_extraction(ops, layout))
+    # trial 0 has no hit, then one trial for each CNOT and Pauli, then 200
+    # trials of 2 to 6 random hits each
+    cnot, pauli = np.divmod(np.arange(15 * n_cnots), 15)
+    rng = np.random.default_rng(n_blocks)
+    count = rng.integers(2, 7, size=200)
+    trial = 1 + np.concatenate((np.arange(cnot.size), cnot.size + np.repeat(np.arange(200), count)))
+    hits = (np.concatenate((cnot, rng.integers(0, n_cnots, count.sum()))), trial,
+            np.concatenate((pauli + 1, rng.integers(1, 16, count.sum()))))
+    want_syndromes, want_flips = tableau_trials(ops, layout, basis, hits)
+    monkeypatch.setattr(stn, "_depolarizing_hits", lambda rng, rate, n_trials: iter([hits]))
+    c, n_trials = compiled(ops, layout), want_flips.shape[1]
+    _, _, syndromes = simulate_frames(c, layout, NO_NOISE, rng, n_trials)
+    x_flips, z_flips = run_circuit_trials(c, layout, NO_NOISE, rng, n_trials)
+    assert np.array_equal(syndromes, want_syndromes)
+    assert np.array_equal(x_flips if basis == "Z" else z_flips, want_flips)
+    # the hits reach every readout and flip each block both ways
+    assert all(np.any(syndromes >> g & 1) for g in range(6))
+    assert want_flips.any(axis=1).all() and not want_flips.all(axis=1).any()
 
 
 # Decoder byte of a block (see stn._compile): bits 0..5 its readouts, bit 6
