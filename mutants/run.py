@@ -109,6 +109,11 @@ MUTANTS = (
     Mutant("falsy-params-run-the-defaults", "src/daqec/experiments.py",
            'given = data.get("params")\n', 'given = data.get("params") or {}\n',
            (MALFORMED + "[params-empty-list]", MALFORMED + "[params-false]")),
+    Mutant("openblas-pinned-to-two-threads", "src/daqec/__init__.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "2")',
+           ("tests/test_experiments.py::"
+            "test_importing_daqec_pins_openblas_to_one_thread_unless_the_user_set_it[None]",)),
     Mutant("odd-size-x-fix-dropped", WSTATE,
            "    if n % 2 == 1:\n        state = apply_unitary(state, _gate_x(), [2 * n])\n", "",
            (WS + "test_prepare_w2_qutrits", WS + "test_prepare_w2_matches_direct_construction[3]")),

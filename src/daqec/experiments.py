@@ -106,8 +106,9 @@ _TOP = {
     # the calling thread and up to threads - 1 pool threads share the chunks
     # of a map: one point's, or both layouts' of a pnl-sweep depth; the frame
     # engine holds the interpreter lock in short numpy calls, so the shipped
-    # pnl-sweep is no faster at two threads than at one and slower at three
-    # (medians 0.27, 0.29 and 0.33 s on a 2-core VM)
+    # pnl-sweep is slower at two threads than at one and slower still at three
+    # (medians 0.20-0.29, 0.31-0.37 and 0.38-0.40 s in three sets of nine runs
+    # on a 2-core VM, OpenBLAS pinned to one thread)
     "threads": Param(int, 1, 1, 64),
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -773,7 +774,7 @@ def _writing(path: Path):
 def execute(cfg: ExperimentConfig) -> int:
     """Run, write CSV + summary JSON, and return the process exit code."""
     from . import __version__
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     out = Path(cfg.out)
     try:  # before the run, so that a bad --out costs nothing
         out.mkdir(parents=True, exist_ok=True)
@@ -793,6 +794,7 @@ def execute(cfg: ExperimentConfig) -> int:
         "numpy_version": np.__version__,
         "rng_scheme": RNG_SCHEME,
         "wall_time_s": round(time.perf_counter() - start, 3),
+        "cpu_time_s": round(time.process_time() - cpu_start, 3),  # every thread's
         "rows": len(rows),
         "ok": ok,
         "results": extra,

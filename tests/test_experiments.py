@@ -511,15 +511,31 @@ def test_cli_runs_apples(tmp_path):
     assert summary["config"]["params"]["bin_probs"] == [0.6, 0.2, 0.05]
 
 
-def _fresh_python(script: str) -> str:
-    """stdout of a script run in a new interpreter that imports this daqec."""
+def _fresh_python(script: str, **variables: str | None) -> str:
+    """stdout of a script run in a new interpreter that imports this daqec.
+
+    Each keyword sets that environment variable, or removes it if None."""
     src = os.path.dirname(os.path.dirname(daqec.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **variables}
+    env = {key: value for key, value in env.items() if value is not None}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_daqec_pins_openblas_to_one_thread_unless_the_user_set_it(preset):
+    # unpinned, OpenBLAS starts a pool worker at numpy's import that busy-waits
+    # for about 0.1 s; no daqec product is large enough to hand it work
+    script = ("import os, daqec, numpy\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n")
+    value, threads = _fresh_python(script, OPENBLAS_NUM_THREADS=preset).split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 def test_runs_do_not_import_scipy(tmp_path):
@@ -691,6 +707,7 @@ def test_summary_echoes_resolved_config(tmp_path):
     summary = json.loads((tmp_path / "apples_summary.json").read_text())
     assert summary["config"]["seed"] == 77
     assert "wall_time_s" in summary
+    assert summary["cpu_time_s"] >= 0
     assert "version" in summary
     assert summary["rng_scheme"] == RNG_SCHEME
 
